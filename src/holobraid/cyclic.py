@@ -103,6 +103,14 @@ def build_rep(p: RepParams) -> RepMatrices:
     return RepMatrices(K=K, L=L, E=E, F=F, params=p)
 
 
+def _braid_factor(out1: RepMatrices, out2: RepMatrices) -> np.ndarray:
+    """G = K1^-1 E1 x F2 L2 on a braided output pair.
+
+    The braid images of the slot-2 clock generators carry (1 - eps G)^-1.
+    """
+    return np.kron(np.linalg.inv(out1.K) @ out1.E, out2.F @ out2.L)
+
+
 def z0_character(p: RepParams) -> Z0Char:
     """Central character: the scalars by which the ell-th powers act.
 
@@ -193,16 +201,6 @@ def gauge_conjugation_residual(p: RepParams, convention: str = "geometric") -> f
     return float(np.linalg.norm(lhs - z * np.linalg.inv(cs.B)) / abs(z))
 
 
-def projector(ctx: RootContext, n: int) -> np.ndarray:
-    """Rank-one projector onto basis vector v_n (1-indexed).
-
-    Utility only; no identity in the package exercises it.
-    """
-    P = np.zeros((ctx.ell, ctx.ell), dtype=complex)
-    P[(n - 1) % ctx.ell, (n - 1) % ctx.ell] = 1.0
-    return P
-
-
 def is_generic(p: RepParams, q: RepParams,
                min_weight: float = 1e-6, max_condition: float = 1e8) -> bool:
     """Genericity predicate for a representation pair about to be braided.
@@ -234,8 +232,7 @@ def is_generic(p: RepParams, q: RepParams,
             return False
     # conditioning of the inverted factor (1 - t G) on the output pair
     t = p.ctx.eps
-    ro1, ro2 = build_rep(q1), build_rep(q2)
-    G = np.kron(np.linalg.inv(ro1.K) @ ro1.E, ro2.F @ ro2.L)
+    G = _braid_factor(build_rep(q1), build_rep(q2))
     eye = np.eye(G.shape[0])
     for factor in (eye - t * G, eye - G / t):
         if np.linalg.cond(factor) > max_condition:

@@ -9,13 +9,12 @@ intertwiners must agree up to one scalar of modulus 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, clock_shift, gauge_U
+from .cyclic import RepParams
 from .errors import AssemblyError
-from .intertwiner import (braided_rep_pair, chi_data, closed_form_R,
+from .intertwiner import (_twist_core, braided_rep_pair, closed_form_R,
                           solve_intertwiner)
 
 
@@ -72,19 +71,6 @@ def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple
                           y2=y2, xa=xa, ya=ya, xb=xb, za=za, yb=yb, zb=zb)
 
 
-@lru_cache(maxsize=16)
-def _swap23(ell: int) -> np.ndarray:
-    """Permutation matrix exchanging tensor slots 2 and 3 of C^ell^3."""
-    n3 = ell**3
-    P = np.zeros((n3, n3))
-    for i in range(ell):
-        for j in range(ell):
-            for k in range(ell):
-                P[i * ell * ell + k * ell + j, i * ell * ell + j * ell + k] = 1.0
-    P.setflags(write=False)
-    return P
-
-
 def embed_12(R: np.ndarray, ell: int) -> np.ndarray:
     return np.kron(R, np.eye(ell))
 
@@ -94,8 +80,9 @@ def embed_23(R: np.ndarray, ell: int) -> np.ndarray:
 
 
 def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
-    P = _swap23(ell)
-    return P @ np.kron(R, np.eye(ell)) @ P
+    """R x 1 with tensor slots 2 and 3 exchanged on both sides."""
+    n3 = ell**3
+    return embed_12(R, ell).reshape((ell,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n3, n3)
 
 
 def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
@@ -151,20 +138,9 @@ def s0_diagnostic(p1: RepParams, p2: RepParams) -> tuple[float, bool]:
     three slots.  Purely diagnostic: returns (relative residual,
     conclusive flag); no threshold is attached.
     """
-    ctx = p1.ctx
-    ell = ctx.ell
-    q1, q2 = braided_rep_pair(p1, p2)
-    cd = chi_data(p1, p2, q1, q2)
-    cs = clock_shift(ctx)
-    U2, _ = gauge_U(p2)
-    Ut2, _ = gauge_U(q2)
-    diag = np.empty(ell * ell, dtype=complex)
-    for i in range(ell):
-        for j in range(ell):
-            diag[i * ell + j] = ctx.pow(2 * (i + 1) * (j + 1)) \
-                * cd.chi1 ** (-(i + 1)) * cd.chi2 ** (j + 1)
-    Ba = np.linalg.matrix_power(cs.B, cd.a_exp)
-    R0 = diag[:, None] * np.kron(Ba, Ut2 @ np.linalg.inv(U2))
+    ell = p1.ctx.ell
+    _, _, _, D, Ba, U2, Ut2 = _twist_core(p1, p2)
+    R0 = D[:, None] * np.kron(Ba, Ut2 @ np.linalg.inv(U2))
     lhs = embed_12(R0, ell) @ embed_13(R0, ell) @ embed_23(R0, ell)
     rhs = embed_23(R0, ell) @ embed_13(R0, ell) @ embed_12(R0, ell)
     residual = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

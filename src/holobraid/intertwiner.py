@@ -23,12 +23,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, build_rep, clock_shift, gauge_U,
-                     lift_character, z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, build_rep,
+                     clock_shift, gauge_U, lift_character, z0_character)
 from .errors import (AssemblyError, BranchMismatchError, InvalidInputError,
                      NoIntertwinerError, NonGenericRepresentationError)
 from .glstar import beta_inverse
 from .qseries import phi_series
+from .roots import RootContext
+
+
+def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
+    """Coproducts of K, L, E, F on r1 x r2 (slot 1 the left Kronecker factor)."""
+    kron = np.kron
+    I = np.eye(r1.K.shape[0])
+    if opposite:
+        E = kron(r1.K, r2.E) + kron(r1.E, I)
+        F = kron(I, r2.F) + kron(r1.F, np.linalg.inv(r2.L))
+    else:
+        E = kron(r1.E, r2.K) + kron(I, r2.E)
+        F = kron(r1.F, I) + kron(np.linalg.inv(r1.L), r2.F)
+    return [kron(r1.K, r2.K), kron(r1.L, r2.L), E, F]
 
 
 def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.ndarray:
@@ -36,21 +50,9 @@ def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.nd
 
     Slot 1 is the left Kronecker factor.
     """
-    r1, r2 = build_rep(p1), build_rep(p2)
-    I = np.eye(p1.ctx.ell)
-    if g == "K":
-        return np.kron(r1.K, r2.K)
-    if g == "L":
-        return np.kron(r1.L, r2.L)
-    if g == "E":
-        if not opposite:
-            return np.kron(r1.E, r2.K) + np.kron(I, r2.E)
-        return np.kron(r1.K, r2.E) + np.kron(r1.E, I)
-    if g == "F":
-        if not opposite:
-            return np.kron(r1.F, I) + np.kron(np.linalg.inv(r1.L), r2.F)
-        return np.kron(I, r2.F) + np.kron(r1.F, np.linalg.inv(r2.L))
-    raise ValueError(f"unknown generator {g!r}")
+    if g not in ("K", "L", "E", "F"):
+        raise ValueError(f"unknown generator {g!r}")
+    return _coproducts(build_rep(p1), build_rep(p2), opposite)["KLEF".index(g)]
 
 
 def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams]:
@@ -61,29 +63,28 @@ def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams
     return q1, q2
 
 
+def _single_factor_blocks(rin1: RepMatrices, rin2: RepMatrices,
+                          rout1: RepMatrices, rout2: RepMatrices,
+                          inv_t: np.ndarray):
+    """(M, N, band shift) for 1xK, 1xL, Ex1, 1xF; inv_t = (1 - eps G)^-1."""
+    kron = np.kron
+    I = np.eye(rin1.K.shape[0])
+    return [
+        (kron(I, rin2.K), kron(I, rout2.K) @ inv_t, 0),
+        (kron(I, rin2.L), kron(I, rout2.L) @ inv_t, 0),
+        (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
+        (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1),
+    ]
+
+
 def _equation_blocks(rin1: RepMatrices, rin2: RepMatrices,
                      rout1: RepMatrices, rout2: RepMatrices, eps: complex):
     """(M, N, band shift) triples of the stacked system N R = R M."""
-    kron = np.kron
-    ell = rin1.K.shape[0]
-    I = np.eye(ell)
-    K1, L1, E1, F1 = rin1.as_tuple()
-    K2, L2, E2, F2 = rin2.as_tuple()
-    Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
-    Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
-    G = kron(np.linalg.inv(Kt1) @ Et1, Ft2 @ Lt2)
-    braid_factor = np.linalg.inv(np.eye(ell * ell) - eps * G)
-    return [
-        (kron(K1, K2), kron(Kt1, Kt2), 0),
-        (kron(L1, L2), kron(Lt1, Lt2), 0),
-        (kron(E1, K2) + kron(I, E2), kron(Kt1, Et2) + kron(Et1, I), 1),
-        (kron(F1, I) + kron(np.linalg.inv(L1), F2),
-         kron(I, Ft2) + kron(Ft1, np.linalg.inv(Lt2)), -1),
-        (kron(I, K2), kron(I, Kt2) @ braid_factor, 0),
-        (kron(I, L2), kron(I, Lt2) @ braid_factor, 0),
-        (kron(E1, I), kron(Et1, Lt2), 1),
-        (kron(I, F2), kron(np.linalg.inv(Kt1), Ft2), -1),
-    ]
+    n2 = rin1.K.shape[0] ** 2
+    inv_t = np.linalg.inv(np.eye(n2) - eps * _braid_factor(rout1, rout2))
+    coproducts = zip(_coproducts(rin1, rin2, False), _coproducts(rout1, rout2, True),
+                     (0, 0, 1, -1))
+    return list(coproducts) + _single_factor_blocks(rin1, rin2, rout1, rout2, inv_t)
 
 
 @lru_cache(maxsize=64)
@@ -98,11 +99,15 @@ def _band_index_arrays(ell: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _band_offset(ell: int, eps_powers: np.ndarray, rho: complex,
-                 tol: float = 1e-6) -> int | None:
-    dists = np.abs(rho - eps_powers[(2 * np.arange(ell)) % ell])
+def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
+                 q2: RepParams) -> tuple[int, float]:
+    """Band exponent a nearest the clock-weight ratio rho = eps^(2a), and
+    the distance |rho - eps^(2a)|."""
+    ctx = p1.ctx
+    rho = (p1.u * p1.v * p2.u * p2.v) / (q1.u * q1.v * q2.u * q2.v)
+    dists = np.abs(rho - ctx.eps_powers[(2 * np.arange(ctx.ell)) % ctx.ell])
     a = int(np.argmin(dists))
-    return a if dists[a] <= tol else None
+    return a, float(dists[a])
 
 
 def intertwining_residual(R: np.ndarray, blocks) -> float:
@@ -189,10 +194,7 @@ def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams,
     chi2_mis = float(np.min(np.abs(chi2 - roots)))
     # the weight band is pinned by the clock ratio alone; chi1 is a further,
     # independent root of unity (the two only coincide near the identity)
-    rho = (u1 * v1 * u2 * v2) / (ut1 * vt1 * ut2 * vt2)
-    dists = np.abs(rho - ctx.eps_powers[(2 * np.arange(ell)) % ell])
-    a = int(np.argmin(dists))
-    a_mis = float(dists[a])
+    a, a_mis = _band_offset(p1, p2, q1, q2)
     if max(chi1_mis, chi2_mis, a_mis) > tol:
         raise BranchMismatchError(
             f"twist scalars off the root lattice: chi1 {chi1_mis:.2e}, "
@@ -233,6 +235,7 @@ class Intertwiner:
     out_params: tuple[RepParams, RepParams]
     route: str
     band_exp: int
+    reps: tuple[RepMatrices, ...]  # generator matrices of in1, in2, out1, out2
     singular_gap: float | None = None
     chi: ChiData | None = None
     det_raw: complex | None = None
@@ -255,8 +258,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
 
     method "band" restricts to the conserved weight band and extracts the
     right singular vectors through the normal matrix (the kernel gap is
-    ~1e14, far beyond the squaring loss); "band-svd" does a direct SVD of
-    the band system and "full" of the unreduced stack, as cross-checks.
+    ~1e14, far beyond the squaring loss); "full" does a direct SVD of the
+    unreduced stack, as a cross-check.
     The kernel criterion is relative singular value < kernel_tol together
     with a gap ratio above gap_threshold; the negative controls sit 4+
     orders above the tolerance, genuine kernels 2+ orders below.
@@ -264,17 +267,15 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     ctx = p1.ctx
     ell = ctx.ell
     q1, q2 = target if target is not None else braided_rep_pair(p1, p2)
-    rin1, rin2 = build_rep(p1), build_rep(p2)
-    rout1, rout2 = build_rep(q1), build_rep(q2)
-    blocks = _equation_blocks(rin1, rin2, rout1, rout2, ctx.eps)
-    rho = (p1.u * p1.v * p2.u * p2.v) / (q1.u * q1.v * q2.u * q2.v)
-    a = _band_offset(ell, ctx.eps_powers, rho)
-    if a is None:
+    reps = (build_rep(p1), build_rep(p2), build_rep(q1), build_rep(q2))
+    blocks = _equation_blocks(*reps, ctx.eps)
+    a, a_dist = _band_offset(p1, p2, q1, q2)
+    if not a_dist <= 1e-6:  # NaN included
         raise NoIntertwinerError(
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
     n2 = ell * ell
-    if method in ("band", "band-svd"):
+    if method == "band":
         colX, colJ = _band_index_arrays(ell, a)
         parts = []
         for M, N, shift in blocks:
@@ -283,12 +284,6 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             part -= M[colJ[None, :], rowJ[:, None]] * (colX[None, :] == rowI[:, None])
             parts.append(part)
         S = np.vstack(parts)
-    elif method == "full":
-        I2 = np.eye(n2)
-        S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "band":
         evals, evecs = np.linalg.eigh(S.conj().T @ S)
         sv = np.sqrt(np.clip(evals[::-1], 0.0, None))  # descending
         kernel_vecs = evecs[:, ::-1].T.conj()  # rows, matching sv order
@@ -296,9 +291,12 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
         # refine the tail by explicit residual norms so the kernel gap is honest
         for k in range(1, min(4, len(sv)) + 1):
             sv[-k] = np.linalg.norm(S @ kernel_vecs[-k].conj())
+    elif method == "full":
+        I2 = np.eye(n2)
+        S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
+        _, sv, kernel_vecs = np.linalg.svd(S, full_matrices=False)
     else:
-        _, sv, Vh = np.linalg.svd(S, full_matrices=False)
-        kernel_vecs = Vh
+        raise ValueError(f"unknown method {method!r}")
     rel = sv / sv[0]
     kernel_dim = int(np.sum(rel < kernel_tol))
     with np.errstate(divide="ignore"):
@@ -314,8 +312,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
         raise NonGenericRepresentationError(
             f"singular-value gap {gap:.2e} below threshold {gap_threshold:.1e}")
     vec = kernel_vecs[-1].conj()
-    R = np.zeros((n2, n2), dtype=complex)
-    if method in ("band", "band-svd"):
+    if method == "band":
+        R = np.zeros((n2, n2), dtype=complex)
         R[colX, colJ] = vec
     else:
         R = vec.reshape(n2, n2)
@@ -325,7 +323,18 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     return Intertwiner(R=Rn, kernel_dim=kernel_dim, residual=res,
                        scalar_gauge=gauge, in_params=(p1, p2),
                        out_params=(q1, q2), route="oracle", band_exp=a,
-                       singular_gap=gap, det_raw=det_raw)
+                       reps=reps, singular_gap=gap, det_raw=det_raw)
+
+
+def _spectral_values(cd: ChiData, ctx: RootContext,
+                     base: complex = 1.0) -> np.ndarray:
+    """Eigenvalue orbit of the spectral factor: vals[0] = base and
+    vals[k+1] = vals[k] tau / (1 - sigma eps^(2k))."""
+    vals = np.empty(ctx.ell, dtype=complex)
+    vals[0] = base
+    for k in range(ctx.ell - 1):
+        vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
+    return vals
 
 
 def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -346,6 +355,19 @@ def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.n
     return R1
 
 
+def _twist_core(p1: RepParams, p2: RepParams):
+    """The closed form without its spectral factor: (q1, q2, chi data,
+    twist diagonal D in pair order, B^a, Ug_in, Ug_out), as in closed_form_R."""
+    ctx = p1.ctx
+    q1, q2 = braided_rep_pair(p1, p2)
+    cd = chi_data(p1, p2, q1, q2)
+    n = np.arange(1, ctx.ell + 1)
+    D = (ctx.eps_powers[(2 * np.outer(n, n)) % ctx.ell]
+         * np.outer(cd.chi1 ** -n, cd.chi2 ** n)).ravel()
+    Ba = np.linalg.matrix_power(clock_shift(ctx).B, cd.a_exp)
+    return q1, q2, cd, D, Ba, gauge_U(p2)[0], gauge_U(q2)[0]
+
+
 def closed_form_R(p1: RepParams, p2: RepParams,
                   base: str = "unit", normalize: bool = True,
                   series_order: int = 120) -> Intertwiner:
@@ -363,11 +385,7 @@ def closed_form_R(p1: RepParams, p2: RepParams,
     """
     ctx = p1.ctx
     ell = ctx.ell
-    q1, q2 = braided_rep_pair(p1, p2)
-    cd = chi_data(p1, p2, q1, q2)
-    cs = clock_shift(ctx)
-    U2, _ = gauge_U(p2)
-    Ut2, _ = gauge_U(q2)
+    q1, q2, cd, D, Ba, U2, Ut2 = _twist_core(p1, p2)
     if base == "unit":
         base_val = 1.0 + 0.0j
     elif base == "series":
@@ -376,30 +394,18 @@ def closed_form_R(p1: RepParams, p2: RepParams,
         base_val = phi_series(ctx, series_order)(cd.sigma * ctx.pow(-2))
     else:
         raise ValueError(f"unknown base {base!r}")
-    vals = np.empty(ell, dtype=complex)
-    vals[0] = base_val
-    for k in range(ell - 1):
-        vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
-    R1 = _spectral_factor(ell, ctx.eps_powers, vals)
-    diag = np.empty(ell * ell, dtype=complex)
-    for i in range(ell):
-        for j in range(ell):
-            diag[i * ell + j] = ctx.pow(2 * (i + 1) * (j + 1)) \
-                * cd.chi1 ** (-(i + 1)) * cd.chi2 ** (j + 1)
-    Ba = np.linalg.matrix_power(cs.B, cd.a_exp)
-    R = (diag[:, None] * np.kron(Ba, Ut2)) @ R1 @ np.kron(np.eye(ell), np.linalg.inv(U2))
+    R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx, base_val))
+    R = (D[:, None] * np.kron(Ba, Ut2)) @ R1 @ np.kron(np.eye(ell), np.linalg.inv(U2))
     det_raw = np.linalg.det(R)
-    rin1, rin2 = build_rep(p1), build_rep(p2)
-    rout1, rout2 = build_rep(q1), build_rep(q2)
-    blocks = _equation_blocks(rin1, rin2, rout1, rout2, ctx.eps)
+    reps = (build_rep(p1), build_rep(p2), build_rep(q1), build_rep(q2))
     gauge = 1.0 + 0.0j
     if normalize:
         R, gauge = det_normalize(R)
-    res = intertwining_residual(R, blocks)
+    res = intertwining_residual(R, _equation_blocks(*reps, ctx.eps))
     return Intertwiner(R=R, kernel_dim=1, residual=res, scalar_gauge=gauge,
                        in_params=(p1, p2), out_params=(q1, q2),
-                       route="closed-form", band_exp=cd.a_exp, chi=cd,
-                       det_raw=det_raw)
+                       route="closed-form", band_exp=cd.a_exp, reps=reps,
+                       chi=cd, det_raw=det_raw)
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
@@ -414,30 +420,19 @@ def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float
 
 def central_invariance_residuals(intw: Intertwiner) -> dict[str, float]:
     """Conjugation residuals on the small-center elements (scalars in each slot)."""
-    p1, p2 = intw.in_params
-    q1, q2 = intw.out_params
-    ctx = p1.ctx
+    ctx = intw.in_params[0].ctx
     eps = ctx.eps
     I = np.eye(ctx.ell)
-    out = {}
     Rinv = np.linalg.inv(intw.R)
-
-    def casimir(rep: RepMatrices) -> np.ndarray:
-        return rep.E @ rep.F + rep.K / eps + np.linalg.inv(rep.L) * eps
-
-    reps_in = (build_rep(p1), build_rep(p2))
-    reps_out = (build_rep(q1), build_rep(q2))
-    elems = {
-        "casimir_slot1": (np.kron(casimir(reps_in[0]), I), np.kron(casimir(reps_out[0]), I)),
-        "casimir_slot2": (np.kron(I, casimir(reps_in[1])), np.kron(I, casimir(reps_out[1]))),
-        "kl_ratio_slot1": (np.kron(reps_in[0].K @ np.linalg.inv(reps_in[0].L), I),
-                           np.kron(reps_out[0].K @ np.linalg.inv(reps_out[0].L), I)),
-        "kl_ratio_slot2": (np.kron(I, reps_in[1].K @ np.linalg.inv(reps_in[1].L)),
-                           np.kron(I, reps_out[1].K @ np.linalg.inv(reps_out[1].L))),
-    }
-    for name, (w_in, w_out) in elems.items():
-        lhs = intw.R @ w_in @ Rinv
-        out[name] = float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
+    central = {"casimir": lambda r: r.E @ r.F + r.K / eps + np.linalg.inv(r.L) * eps,
+               "kl_ratio": lambda r: r.K @ np.linalg.inv(r.L)}
+    out = {}
+    for name, elem in central.items():
+        for slot, embed in ((1, lambda m: np.kron(m, I)), (2, lambda m: np.kron(I, m))):
+            w_in, w_out = embed(elem(intw.reps[slot - 1])), embed(elem(intw.reps[slot + 1]))
+            lhs = intw.R @ w_in @ Rinv
+            out[f"{name}_slot{slot}"] = float(np.linalg.norm(lhs - w_out)
+                                              / np.linalg.norm(w_out))
     return out
 
 
@@ -455,13 +450,13 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
     kron = np.kron
     I = np.eye(ell)
     Id = np.eye(ell * ell)
-    K1, L1, E1, F1 = build_rep(p1).as_tuple()
-    K2, L2, E2, F2 = build_rep(p2).as_tuple()
-    Kt1, Lt1, Et1, Ft1 = build_rep(q1).as_tuple()
-    Kt2, Lt2, Et2, Ft2 = build_rep(q2).as_tuple()
+    rin1, rin2, rout1, rout2 = intw.reps
+    K1, F1, E2 = rin1.K, rin1.F, rin2.E
+    Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
+    Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
     R = intw.R
     Rinv = np.linalg.inv(R)
-    G = kron(np.linalg.inv(Kt1) @ Et1, Ft2 @ Lt2)
+    G = _braid_factor(rout1, rout2)
     inv_t = np.linalg.inv(Id - t * G)
     inv_tinv = np.linalg.inv(Id - G / t)
 
@@ -469,11 +464,11 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
         lhs = R @ w_in @ Rinv
         return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
-    checks: list[tuple[str, str, float]] = []
-    checks.append(("slot2_clock_k", "direct", res(kron(I, K2), kron(I, Kt2) @ inv_t)))
-    checks.append(("slot2_clock_l", "direct", res(kron(I, L2), kron(I, Lt2) @ inv_t)))
-    checks.append(("slot1_raising", "direct", res(kron(E1, I), kron(Et1, Lt2))))
-    checks.append(("slot2_lowering", "direct", res(kron(I, F2), kron(np.linalg.inv(Kt1), Ft2))))
+    # the four single-factor equations of the oracle system, read as checks
+    checks: list[tuple[str, str, float]] = [
+        (name, "direct", res(M, N)) for name, (M, N, _) in zip(
+            ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
+            _single_factor_blocks(*intw.reps, inv_t))]
     checks.append(("slot1_clock_k", "direct", res(kron(K1, I), (Id - t * G) @ kron(Kt1, I))))
 
     # ell-th powers are central scalars; the inverted factor's sign variant
@@ -519,25 +514,19 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     ell = ctx.ell
     cs = clock_shift(ctx)
     cd = intw.chi
-    vals = np.empty(ell, dtype=complex)
-    vals[0] = 1.0
-    for k in range(ell - 1):
-        vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
-    R1 = _spectral_factor(ell, ctx.eps_powers, vals)
+    R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx))
     R1inv = np.linalg.inv(R1)
     kron = np.kron
     I = np.eye(ell)
     A, B = cs.A, cs.B
     W = kron(B, np.linalg.inv(B))
-    out = {
-        "clock_pair": float(np.linalg.norm(R1 @ kron(A, A) - kron(A, A) @ R1)
-                            / np.linalg.norm(R1)),
-        "slot2_shift_inv": float(np.linalg.norm(
-            R1 @ kron(I, np.linalg.inv(B)) - kron(I, np.linalg.inv(B)) @ R1)
-            / np.linalg.norm(R1)),
-        "slot1_shift": float(np.linalg.norm(R1 @ kron(B, I) - kron(B, I) @ R1)
-                             / np.linalg.norm(R1)),
-    }
+
+    def commutator(X):
+        return float(np.linalg.norm(R1 @ X - X @ R1) / np.linalg.norm(R1))
+
+    out = {"clock_pair": commutator(kron(A, A)),
+           "slot2_shift_inv": commutator(kron(I, np.linalg.inv(B))),
+           "slot1_shift": commutator(kron(B, I))}
     lhs = R1 @ kron(I, A) @ R1inv
     for name, Wv in (("opposite_shifts", W), ("parallel_shifts", kron(B, B))):
         rhs = cd.tau * kron(I, A) @ np.linalg.inv(np.eye(ell * ell) - cd.sigma * Wv)
@@ -572,12 +561,9 @@ def det_exponent_probe(samples: list[Intertwiner]) -> dict:
         if np.min(factors) < 1e-8:
             continue  # orbit base on a pole
         log_phi0 = -np.dot(np.arange(1, ell + 1) / ell, np.log(factors))
-        vals = np.empty(ell, dtype=complex)
-        vals[0] = 1.0
-        for k in range(ell - 1):
-            vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
         xs_core.append(np.log(abs(1 - cd.sigma**ell)))
-        ys_core.append(ell * ell * log_phi0 + ell * np.log(abs(np.prod(vals))))
+        ys_core.append(ell * ell * log_phi0
+                       + ell * np.log(abs(np.prod(_spectral_values(cd, ctx)))))
 
     def fit(xs, ys):
         xs, ys = np.asarray(xs), np.asarray(ys)

@@ -232,8 +232,9 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
 
     for name, res in rep_checks(p1).items():
         checks[name] = check_entry(res, THRESHOLDS[name])
+    gauge_scale = gauge_variant_evidence(p1)
     checks["gauge_conjugation"] = check_entry(
-        gauge_conjugation_residual(p1), THRESHOLDS["gauge_conjugation"])
+        gauge_scale["geometric"], THRESHOLDS["gauge_conjugation"])
 
     cx, cy = z0_character(p1), z0_character(p2)
     for name, res in character_checks(cx, cy).items():
@@ -244,7 +245,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     checks["matrix_route"] = check_entry(min(mre.values()), THRESHOLDS["matrix_route"],
                                          variant=min(mre, key=mre.get))
     evidence["braiding_correction_sign"] = sign_variant_evidence(cx, cy)
-    evidence["gauge_scale"] = gauge_variant_evidence(p1)
+    evidence["gauge_scale"] = gauge_scale
     evidence["f_power_prefactor"] = f_power_evidence(p1)
 
     trial: dict = {"index": idx,
@@ -345,14 +346,12 @@ def _aggregate_adjudications(trials: list[dict], ctx: RootContext) -> dict:
     agg: dict[str, dict[str, float]] = {}
     for tr in trials:
         for formula, variants in tr.get("evidence", {}).items():
-            if formula in ("generator_actions",):
-                for f2, vs in variants.items():
-                    slot = agg.setdefault(f2, {})
-                    for v, r in vs.items():
-                        slot[v] = max(slot.get(v, 0.0), float(r))
-            else:
-                slot = agg.setdefault(formula, {})
-                for v, r in variants.items():
+            # generator_actions nests one variant table per formula
+            groups = variants.items() if formula == "generator_actions" \
+                else ((formula, variants),)
+            for f2, vs in groups:
+                slot = agg.setdefault(f2, {})
+                for v, r in vs.items():
                     slot[v] = max(slot.get(v, 0.0), float(r))
     agg["phi_step_factor"] = {k: float(v)
                               for k, v in phi_variant_evidence(ctx).items()}

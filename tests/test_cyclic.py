@@ -4,7 +4,7 @@ import pytest
 from holobraid.cyclic import (RepParams, build_rep, clock_shift, f_weights,
                               f_power_scalar_variants,
                               gauge_conjugation_residual, gauge_U, is_generic,
-                              lift_character, projector, z0_character)
+                              lift_character, z0_character)
 from holobraid.errors import (DegenerateCharacterError, InconsistentLiftError,
                               InvalidParamsError, NonGenericRepresentationError)
 from holobraid.glstar import Z0Char
@@ -190,8 +190,3 @@ class TestGenericity:
     def test_sampled_pairs_pass(self, ctx3):
         p1, p2 = sample_params(ctx3, 99, 0, count=2)
         assert is_generic(p1, p2)
-
-
-def test_projector_utility(ctx3):
-    P = projector(ctx3, 2)
-    assert P[1, 1] == 1.0 and np.sum(np.abs(P)) == 1.0

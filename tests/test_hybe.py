@@ -18,20 +18,21 @@ class TestEmbeddings:
         for emb in (embed_12, embed_23, embed_13):
             assert np.array_equal(emb(I2, ell), np.eye(ell**3))
 
-    def test_slot13_placement(self):
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_slot13_placement(self, ell):
         # (R x 1 on slots 1,3): entry rule against an independent index walk
-        ell = 3
+        n2 = ell * ell
         rng = np.random.default_rng(0)
-        R = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        R = rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))
         M = embed_13(R, ell)
-        ref = np.zeros((27, 27), dtype=complex)
+        ref = np.zeros((ell**3, ell**3), dtype=complex)
         for i in range(ell):
             for j in range(ell):
                 for k in range(ell):
                     for i2 in range(ell):
                         for k2 in range(ell):
-                            ref[i * 9 + j * 3 + k, i2 * 9 + j * 3 + k2] = \
-                                R[i * 3 + k, i2 * 3 + k2]
+                            ref[i * n2 + j * ell + k, i2 * n2 + j * ell + k2] = \
+                                R[i * ell + k, i2 * ell + k2]
         assert np.array_equal(M, ref)
 
     def test_diagonal_core_satisfies_constant_ybe(self):

@@ -65,12 +65,10 @@ class TestOracle:
         assert intw.singular_gap > 1e6
         assert intw.residual < 1e-10
 
-    def test_full_band_and_bandsvd_agree(self, pair3):
+    def test_full_and_band_agree(self, pair3):
         a = solve_intertwiner(*pair3, method="full")
         b = solve_intertwiner(*pair3, method="band")
-        c = solve_intertwiner(*pair3, method="band-svd")
         assert compare_up_to_scalar(a.R, b.R)[1] < 1e-10
-        assert compare_up_to_scalar(a.R, c.R)[1] < 1e-10
 
     def test_coproduct_blocks_alone_leave_one_kernel_per_branch(self, pair3):
         # regression: the four coproduct equations admit one intertwiner per
@@ -168,12 +166,8 @@ class TestClosedForm:
         q1, q2 = braided_rep_pair(p1, p2)
         cd = chi_data(p1, p2, q1, q2)
         assert abs(cd.sigma) < 0.35
-        from holobraid.intertwiner import _spectral_factor
-        vals = np.empty(3, dtype=complex)
-        vals[0] = 1.0
-        for k in range(2):
-            vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx3.pow(2 * k))
-        R1 = _spectral_factor(3, ctx3.eps_powers, vals)
+        from holobraid.intertwiner import _spectral_factor, _spectral_values
+        R1 = _spectral_factor(3, ctx3.eps_powers, _spectral_values(cd, ctx3))
         assert np.linalg.norm(R1 - np.eye(9)) < 6 * abs(cd.sigma)
 
     def test_r1_identities(self, pair3):

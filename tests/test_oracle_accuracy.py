@@ -1,0 +1,73 @@
+"""Known oracle-accuracy failures at ell 7, pinned as strict expected failures.
+
+Each case is a gate miss of a suite run at radius 0.1 with one BLAS thread.
+The closed form passes the same gate on the same pair or triple, so the loss
+is the oracle's.  The residuals depend on the BLAS thread count through
+rounding, so every case runs in a child interpreter limited to one BLAS
+thread.  The markers are strict: a fix to the oracle makes these tests fail,
+and that fix then removes the markers.
+"""
+import os
+import subprocess
+import sys
+
+import pytest
+
+import holobraid
+from holobraid.suite import THRESHOLDS
+
+ORACLE_ACCURACY = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                    reason="oracle accuracy at ell 7, ROADMAP item 2")
+
+PRELUDE = """
+from holobraid.hybe import hybe_residual
+from holobraid.intertwiner import check_generator_action, solve_intertwiner
+from holobraid.roots import primitive_root
+from holobraid.sampling import sample_params
+
+ctx = primitive_root(7)
+"""
+
+
+def _one_blas_thread(code: str) -> float:
+    """Run PRELUDE + code with one BLAS thread; code prints one float."""
+    src = os.path.dirname(os.path.dirname(holobraid.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", PRELUDE + code], env=env,
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+@ORACLE_ACCURACY
+def test_slot1_raising_seed_100_trial_2():
+    res = _one_blas_thread("""
+p1, p2 = sample_params(ctx, 100, 2, radius=0.1, count=2)
+rows = check_generator_action(solve_intertwiner(p1, p2))
+print(next(r for f, _, r in rows if f == "slot1_raising"))
+""")
+    assert res < THRESHOLDS["generator_actions"]
+
+
+@ORACLE_ACCURACY
+def test_generator_actions_seed_184614912_trial_2():
+    res = _one_blas_thread("""
+p1, p2 = sample_params(ctx, 184614912, 2, radius=0.1, count=2)
+by = {}
+for formula, variant, r in check_generator_action(solve_intertwiner(p1, p2)):
+    by.setdefault(formula, {})[variant] = r
+print(max(min(vs.values()) for vs in by.values()))
+""")
+    assert res < THRESHOLDS["generator_actions"]
+
+
+@ORACLE_ACCURACY
+def test_hybe_c_modulus_seed_33751040_trial_0():
+    res = _one_blas_thread("""
+p1, p2 = sample_params(ctx, 33751040, 0, radius=0.1, count=2)
+p3, = sample_params(ctx, 33751040, 1 << 32, radius=0.1, count=1)
+c, _, _ = hybe_residual(p1, p2, p3, route="oracle")
+print(abs(abs(c) - 1))
+""")
+    assert res < THRESHOLDS["hybe_c_modulus"]
