@@ -103,12 +103,19 @@ def build_rep(p: RepParams) -> RepMatrices:
     return RepMatrices(K=K, L=L, E=E, F=F, params=p)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays, bit for bit (each entry is the one product
+    a[i, j] * b[k, l]), without np.kron's shape handling for any ndim."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _braid_factor(out1: RepMatrices, out2: RepMatrices) -> np.ndarray:
     """G = K1^-1 E1 x F2 L2 on a braided output pair.
 
     The braid images of the slot-2 clock generators carry (1 - eps G)^-1.
     """
-    return np.kron(np.linalg.inv(out1.K) @ out1.E, out2.F @ out2.L)
+    return _kron(np.linalg.inv(out1.K) @ out1.E, out2.F @ out2.L)
 
 
 def z0_character(p: RepParams) -> Z0Char:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import RepParams
+from .cyclic import RepParams, _kron
 from .errors import AssemblyError
 from .intertwiner import (_twist_core, braided_rep_pair, closed_form_R,
                           solve_intertwiner)
@@ -72,11 +72,11 @@ def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple
 
 
 def embed_12(R: np.ndarray, ell: int) -> np.ndarray:
-    return np.kron(R, np.eye(ell))
+    return _kron(R, np.eye(ell))
 
 
 def embed_23(R: np.ndarray, ell: int) -> np.ndarray:
-    return np.kron(np.eye(ell), R)
+    return _kron(np.eye(ell), R)
 
 
 def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
@@ -140,7 +140,7 @@ def s0_diagnostic(p1: RepParams, p2: RepParams) -> tuple[float, bool]:
     """
     ell = p1.ctx.ell
     _, _, _, D, Ba, U2, Ut2 = _twist_core(p1, p2)
-    R0 = D[:, None] * np.kron(Ba, Ut2 @ np.linalg.inv(U2))
+    R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
     lhs = embed_12(R0, ell) @ embed_13(R0, ell) @ embed_23(R0, ell)
     rhs = embed_23(R0, ell) @ embed_13(R0, ell) @ embed_12(R0, ell)
     residual = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import dumps
-from .cyclic import (RepParams, build_rep, f_power_scalar_variants,
+from .cyclic import (RepParams, _kron, build_rep, f_power_scalar_variants,
                      gauge_conjugation_residual, z0_character)
 from .errors import HolobraidError
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
@@ -51,7 +51,7 @@ THRESHOLDS = {
     "hybe_residual": 1e-7,
     "hybe_c_modulus": 1e-8,
 }
-ROUTE_DEVIATION_TOL = {3: 1e-8, 5: 1e-8, 7: 1e-6}
+ROUTE_DEVIATION_TOL = {3: 1e-8, 5: 1e-8, 7: 1e-8}
 ADJUDICATION_PASS = 1e-8
 
 
@@ -132,7 +132,7 @@ def commutant_dimension(p: RepParams) -> int:
     rep = build_rep(p)
     ell = p.ctx.ell
     I = np.eye(ell)
-    S = np.vstack([np.kron(m, I) - np.kron(I, m.T) for m in rep.as_tuple()])
+    S = np.vstack([_kron(m, I) - _kron(I, m.T) for m in rep.as_tuple()])
     sv = np.linalg.svd(S, compute_uv=False)
     return int(np.sum(sv < sv[0] * 1e-10))
 

@@ -12,7 +12,22 @@ from holobraid.intertwiner import (_equation_blocks, braided_rep_pair,
                                    coproduct_rep, det_exponent_probe,
                                    r1_conjugation_residuals, solve_intertwiner)
 from holobraid.cyclic import lift_character
+from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+
+
+def full_reference(p1, p2):
+    """Kernel line of the unreduced eight-block stack by dense SVD: the
+    reference the band oracle is compared against (small ell only)."""
+    q1, q2 = braided_rep_pair(p1, p2)
+    blocks = _equation_blocks(build_rep(p1), build_rep(p2), build_rep(q1),
+                              build_rep(q2), p1.ctx.eps)
+    n2 = p1.ctx.ell ** 2
+    I2 = np.eye(n2)
+    S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
+    _, sv, vh = np.linalg.svd(S, full_matrices=False)
+    assert sv[-2] > 1e6 * sv[-1]  # a line
+    return vh[-1].conj().reshape(n2, n2)
 
 
 class TestCoproduct:
@@ -66,9 +81,28 @@ class TestOracle:
         assert intw.residual < 1e-10
 
     def test_full_and_band_agree(self, pair3):
-        a = solve_intertwiner(*pair3, method="full")
-        b = solve_intertwiner(*pair3, method="band")
-        assert compare_up_to_scalar(a.R, b.R)[1] < 1e-10
+        oracle = solve_intertwiner(*pair3)
+        assert compare_up_to_scalar(full_reference(*pair3), oracle.R)[1] < 1e-10
+
+    def test_reads_no_closed_form_data(self, pair3, monkeypatch):
+        import holobraid.intertwiner as it
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle read closed-form data")
+
+        for name in ("chi_data", "_twist_core", "_spectral_values"):
+            monkeypatch.setattr(it, name, forbidden)
+        assert solve_intertwiner(*pair3).kernel_dim == 1
+
+    @pytest.mark.parametrize("ell", [9, 11, 13])
+    def test_large_ell_accuracy(self, ell):
+        # det-normalizing a unit-norm ell^2 x ell^2 kernel vector underflowed
+        # np.linalg.det at ell 13; the gap and accuracy must not decay with ell
+        p1, p2 = sample_params(primitive_root(ell), 42, 0, count=2)
+        oracle = solve_intertwiner(p1, p2)
+        assert oracle.singular_gap >= 1e13
+        assert compare_up_to_scalar(oracle.R, closed_form_R(p1, p2).R)[1] <= 1e-13
+        assert abs(np.linalg.det(oracle.R) - 1) <= 1e-9
 
     def test_coproduct_blocks_alone_leave_one_kernel_per_branch(self, pair3):
         # regression: the four coproduct equations admit one intertwiner per

@@ -1,23 +1,18 @@
-"""Known oracle-accuracy failures at ell 7, pinned as strict expected failures.
+"""Ell-7 oracle-accuracy regressions, one per former gate miss.
 
-Each case is a gate miss of a suite run at radius 0.1 with one BLAS thread.
-The closed form passes the same gate on the same pair or triple, so the loss
-is the oracle's.  The residuals depend on the BLAS thread count through
-rounding, so every case runs in a child interpreter limited to one BLAS
-thread.  The markers are strict: a fix to the oracle makes these tests fail,
-and that fix then removes the markers.
+Each case is a pair or triple on which a suite run at radius 0.1 with one
+BLAS thread once failed a gate through the oracle alone (the closed form
+passed it): slot1_raising at 5.3e-8, generator_actions at 1.42e-8 and
+hybe_c_modulus at 2.53e-8.  The residuals depend on the BLAS thread count
+through rounding, so every case runs in a child interpreter limited to one
+BLAS thread.
 """
 import os
 import subprocess
 import sys
 
-import pytest
-
 import holobraid
 from holobraid.suite import THRESHOLDS
-
-ORACLE_ACCURACY = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                    reason="oracle accuracy at ell 7, ROADMAP item 2")
 
 PRELUDE = """
 from holobraid.hybe import hybe_residual
@@ -40,7 +35,6 @@ def _one_blas_thread(code: str) -> float:
     return float(out.stdout)
 
 
-@ORACLE_ACCURACY
 def test_slot1_raising_seed_100_trial_2():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 100, 2, radius=0.1, count=2)
@@ -50,7 +44,6 @@ print(next(r for f, _, r in rows if f == "slot1_raising"))
     assert res < THRESHOLDS["generator_actions"]
 
 
-@ORACLE_ACCURACY
 def test_generator_actions_seed_184614912_trial_2():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 184614912, 2, radius=0.1, count=2)
@@ -62,7 +55,6 @@ print(max(min(vs.values()) for vs in by.values()))
     assert res < THRESHOLDS["generator_actions"]
 
 
-@ORACLE_ACCURACY
 def test_hybe_c_modulus_seed_33751040_trial_0():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 33751040, 0, radius=0.1, count=2)
