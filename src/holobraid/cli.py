@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a triple test every N-th trial (0 disables)")
     p.add_argument("--dump-dir", default=None,
                    help="write TSV matrix dumps of the first trial here")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HOLOBRAID_THREADS or 1)")
 
     p = sub.add_parser("braid-map", help="coloring-map checks only")
     _add_common(p)
@@ -89,7 +87,7 @@ def _cmd_suite(args) -> int:
     cfg = SuiteConfig(ell=args.ell, trials=args.trials, seed=args.seed,
                       tol=args.tol, radius=args.radius, route=args.route,
                       report_path=args.report, dump_dir=args.dump_dir,
-                      hybe_every=args.hybe_every, threads=args.threads)
+                      hybe_every=args.hybe_every)
     code, report = run_suite(cfg)
     s = report["summary"]
     print(f"suite ell={cfg.ell}: {s['passed']}/{s['trials']} trials passed, "

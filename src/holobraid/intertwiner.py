@@ -352,7 +352,7 @@ class Intertwiner:
     reps: tuple[RepMatrices, ...]  # generator matrices of in1, in2, out1, out2
     singular_gap: float | None = None
     chi: ChiData | None = None
-    det_raw: complex | None = None
+    log_abs_det: float | None = None  # log|det R| of R before det normalization
 
     @property
     def ell(self) -> int:
@@ -410,13 +410,14 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             f"singular-value gap {gap:.2e} below threshold {gap_threshold:.1e}")
     R = np.zeros((ell * ell, ell * ell), dtype=complex)
     R[colX, colJ] = vecs[:, 0]
-    det_raw = np.linalg.det(R)
+    _, log_abs_det = np.linalg.slogdet(R)
     Rn, gauge = det_normalize(R)
     res = intertwining_residual(Rn, blocks)
     return Intertwiner(R=Rn, kernel_dim=kernel_dim, residual=res,
                        scalar_gauge=gauge, in_params=(p1, p2),
                        out_params=(q1, q2), route="oracle", band_exp=a,
-                       reps=reps, singular_gap=gap, det_raw=det_raw)
+                       reps=reps, singular_gap=gap,
+                       log_abs_det=float(log_abs_det))
 
 
 def _spectral_values(cd: ChiData, ctx: RootContext,
@@ -489,7 +490,7 @@ def closed_form_R(p1: RepParams, p2: RepParams,
         raise ValueError(f"unknown base {base!r}")
     R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx, base_val))
     R = (D[:, None] * _kron(Ba, Ut2)) @ R1 @ _kron(np.eye(ell), np.linalg.inv(U2))
-    det_raw = np.linalg.det(R)
+    _, log_abs_det = np.linalg.slogdet(R)
     reps = (build_rep(p1), build_rep(p2), build_rep(q1), build_rep(q2))
     gauge = 1.0 + 0.0j
     if normalize:
@@ -498,7 +499,7 @@ def closed_form_R(p1: RepParams, p2: RepParams,
     return Intertwiner(R=R, kernel_dim=1, residual=res, scalar_gauge=gauge,
                        in_params=(p1, p2), out_params=(q1, q2),
                        route="closed-form", band_exp=cd.a_exp, reps=reps,
-                       chi=cd, det_raw=det_raw)
+                       chi=cd, log_abs_det=float(log_abs_det))
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
@@ -637,7 +638,7 @@ def det_exponent_probe(samples: list[Intertwiner]) -> dict:
     an exact monomial.  Candidate exponents +-ell(ell+2)/2 and
     +-ell(ell+1)/2 are compared against the stable fit.
     """
-    usable = [s for s in samples if s.chi is not None and s.det_raw is not None]
+    usable = [s for s in samples if s.chi is not None and s.log_abs_det is not None]
     if len(usable) < 10:
         return {"inconclusive": True, "reason": f"only {len(usable)} usable samples"}
     ell = usable[0].ell
@@ -646,7 +647,7 @@ def det_exponent_probe(samples: list[Intertwiner]) -> dict:
     for s in usable:
         cd = s.chi
         xs_full.append(np.log(abs(1 - cd.s**ell)))
-        ys_full.append(np.log(abs(s.det_raw)))
+        ys_full.append(s.log_abs_det)
         # |Phi| at the orbit base point, from the finite product: the modulus
         # of a fractional power is branch-free, and only moduli enter the fit
         z0 = cd.sigma * ctx.pow(-2)

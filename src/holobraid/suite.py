@@ -1,13 +1,11 @@
 """Trial orchestration: per-trial check battery, adjudications, reports.
 
-Each trial is a pure function of (seed, trial index, config); the suite
-fans trials out to an optional thread pool and merges results by index, so
-serial and parallel runs emit identical reports.
+Each trial is a pure function of (seed, trial index, config), so a
+report is identical for a fixed config up to its timestamp.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -51,7 +49,7 @@ THRESHOLDS = {
     "hybe_residual": 1e-7,
     "hybe_c_modulus": 1e-8,
 }
-ROUTE_DEVIATION_TOL = {3: 1e-8, 5: 1e-8, 7: 1e-8}
+ROUTE_DEVIATION_TOL = {3: 1e-8, 5: 1e-8, 7: 1e-8, 9: 1e-8, 11: 1e-8, 13: 1e-8}
 ADJUDICATION_PASS = 1e-8
 
 
@@ -66,7 +64,6 @@ class SuiteConfig:
     report_path: str | None = None
     dump_dir: str | None = None
     hybe_every: int = 5
-    threads: int | None = None
 
     def __post_init__(self):
         if self.ell < 3 or self.ell % 2 == 0:
@@ -371,14 +368,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the whole battery; returns (exit code, report dict)."""
     ctx = primitive_root(cfg.ell)
     report = new_report(cfg.to_dict())
-    indices = list(range(cfg.trials))
-    workers = cfg.threads or int(os.environ.get("HOLOBRAID_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda i: run_trial(cfg, ctx, i), indices))
-    else:
-        trials = [run_trial(cfg, ctx, i) for i in indices]
-    trials.sort(key=lambda tr: tr["index"])
+    trials = [run_trial(cfg, ctx, i) for i in range(cfg.trials)]
 
     det_samples = [tr.pop("_det_sample") for tr in trials if "_det_sample" in tr]
     report["det_probe"] = det_exponent_probe(det_samples) if det_samples else {

@@ -254,3 +254,9 @@ def test_criterion_7_adjudication_completeness():
                    f"closest {probe.get('closest_candidate')})")
     _line(7, "adjudication completeness", ok, "; ".join(details))
     assert ok
+
+
+def test_suite_ell9_every_trial_a_triple():
+    code, report = run_suite(SuiteConfig(ell=9, trials=2, seed=42, hybe_every=1))
+    assert code == 0
+    assert report["summary"]["hybe_triples"] == 2

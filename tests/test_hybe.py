@@ -1,9 +1,39 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import holobraid.hybe as hybe
+from holobraid.cyclic import _kron, clock_shift
+from holobraid.errors import AssemblyError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
+from holobraid.intertwiner import _twist_core, closed_form_R, solve_intertwiner
+from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+
+
+def dense_products(factors, ell):
+    """LHS and RHS of the triple test from dense ell^3 x ell^3 embeddings;
+    factors are the six matrices in the order hybe_residual builds them."""
+    f12, f13, f23, g23, g13, g12 = factors
+    lhs = embed_12(f12, ell) @ embed_13(f13, ell) @ embed_23(f23, ell)
+    rhs = embed_23(g23, ell) @ embed_13(g13, ell) @ embed_12(g12, ell)
+    return lhs, rhs
+
+
+def dense_hybe(factors, ell):
+    """(c, deviation) of hybe_residual, computed densely."""
+    lhs, rhs = dense_products(factors, ell)
+    c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
+    return c, float(np.linalg.norm(lhs - c * rhs) / np.linalg.norm(lhs))
+
+
+def chain_factors(x, y, z, solve):
+    col = derive_colorings(x, y, z)
+    return [solve(a, b).R for a, b in (
+        (col.x1, col.y1), (col.x, col.z1), (col.y, col.z),
+        (col.ya, col.za), (col.xa, col.z), (col.x, col.y))]
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +118,64 @@ class TestMatrixHYBE:
         c2, dev2, _ = hybe_residual(*triple3, route="closed-form")
         assert abs(c1 - c2) < 1e-9
         assert dev2 < 10 * max(dev1, 1e-12)
+
+
+class TestGradeBlocks:
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("route", ["oracle", "closed-form"])
+    def test_matches_dense(self, ell, route):
+        ctx = primitive_root(ell)
+        x, y = sample_params(ctx, 42, 0, count=2)
+        z, = sample_params(ctx, 42, 1 << 32, count=1)
+        solve = solve_intertwiner if route == "oracle" else closed_form_R
+        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, solve), ell)
+        c, dev, _ = hybe_residual(x, y, z, route=route)
+        assert abs(c - c_ref) < 1e-14
+        assert abs(dev - dev_ref) < 1e-14
+
+    @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15)])
+    def test_s0_matches_dense(self, ell, trial):
+        # seed 42, ell 7, trial 15 is a pair whose core residual is O(1)
+        p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
+        _, _, _, D, Ba, U2, Ut2 = _twist_core(p1, p2)
+        R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
+        lhs, rhs = dense_products([R0] * 6, ell)
+        ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
+        res, _ = s0_diagnostic(p1, p2)
+        assert abs(res - ref) < 1e-14
+        if trial == 15:
+            assert res > 1.0
+
+    def test_off_band_entry_raises(self):
+        ell = 3
+        R = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))  # band 1
+        hybe._grade_blocks(R, 1, (0, 1))
+        R[0, 0] = 1e-300
+        with pytest.raises(AssemblyError):
+            hybe._grade_blocks(R, 1, (0, 1))
+
+    def test_mismatched_shifts(self, triple3, monkeypatch):
+        # the first factor moves the grade by 1, the other five by 0: the
+        # two products have disjoint supports, as in the dense reference
+        ell = 3
+        shifted = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))
+        factors = [shifted] + [np.eye(ell * ell)] * 5
+        fakes = iter([SimpleNamespace(R=shifted, band_exp=1)]
+                     + [SimpleNamespace(R=np.eye(ell * ell), band_exp=0)] * 5)
+        monkeypatch.setattr(hybe, "closed_form_R", lambda a, b: next(fakes))
+        c, dev, info = hybe_residual(*triple3, route="closed-form")
+        c_ref, dev_ref = dense_hybe(factors, ell)
+        assert (c, dev, info["c_entry_ratio_gap"]) == (0, 1.0, 0.0)
+        assert (c_ref, dev_ref) == (0, 1.0)
+
+    def test_large_ell_closed_form(self):
+        ctx = primitive_root(13)
+        x, y = sample_params(ctx, 42, 0, count=2)
+        z, = sample_params(ctx, 42, 1 << 32, count=1)
+        c, dev, _ = hybe_residual(x, y, z, route="closed-form")
+        assert dev <= 1e-12
+        assert abs(abs(c) - 1) <= 1e-12
+        assert np.isfinite(s0_diagnostic(x, y)[0])
 
 
 class TestS0Diagnostic:

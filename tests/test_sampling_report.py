@@ -84,13 +84,6 @@ class TestReports:
         rep1["generated_at"] = rep2["generated_at"] = "T"
         assert emit_report(rep1) == emit_report(rep2)
 
-    def test_parallel_matches_serial(self):
-        _, serial = run_suite(SuiteConfig(ell=3, trials=6, seed=9))
-        _, parallel = run_suite(SuiteConfig(ell=3, trials=6, seed=9, threads=3))
-        serial["generated_at"] = parallel["generated_at"] = "T"
-        serial["config"]["threads"] = parallel["config"]["threads"] = None
-        assert emit_report(serial) == emit_report(parallel)
-
     def test_exit_zero_and_file(self, tmp_path):
         path = tmp_path / "out.json"
         code, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=2,
@@ -115,14 +108,6 @@ class TestReports:
             SuiteConfig(ell=3, trials=0, seed=0)
         with pytest.raises(ValueError):
             SuiteConfig(ell=3, trials=1, seed=0, radius=1.5)
-
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("HOLOBRAID_THREADS", "2")
-        _, rep = run_suite(SuiteConfig(ell=3, trials=4, seed=9))
-        _, ref = run_suite(SuiteConfig(ell=3, trials=4, seed=9, threads=1))
-        rep["generated_at"] = ref["generated_at"] = "T"
-        rep["config"]["threads"] = ref["config"]["threads"] = None
-        assert emit_report(rep) == emit_report(ref)
 
     def test_empty_report_is_valid_json(self):
         from holobraid.report import new_report
