@@ -17,7 +17,8 @@ import numpy as np
 from . import dumps
 from .cyclic import z0_character
 from .hybe import derive_colorings, hybe_residual
-from .intertwiner import closed_form_R, compare_up_to_scalar, solve_intertwiner
+from .intertwiner import (PairContext, closed_form_R, compare_up_to_scalar,
+                          solve_intertwiner)
 from .qseries import (check_f_functional, pairing_monomial, phi_orbit_closure,
                       q_factorial_b, q_shift_coefficient_check, series_f,
                       series_f_product)
@@ -129,13 +130,14 @@ def _cmd_rmatrix(args) -> int:
            "trial": args.trial,
            "params": [params_entry(p1), params_entry(p2)]}
     intw = None
+    pair = PairContext(p1, p2)
     if args.route in ("oracle", "both"):
-        intw = solve_intertwiner(p1, p2)
+        intw = solve_intertwiner(p1, p2, pair=pair)
         out["oracle"] = {"residual": residual_entry(intw.residual),
                          "kernel_dim": intw.kernel_dim,
                          "band_exp": intw.band_exp}
     if args.route in ("closed-form", "both"):
-        closed = closed_form_R(p1, p2)
+        closed = closed_form_R(p1, p2, pair=pair)
         out["closed_form"] = {"residual": residual_entry(closed.residual),
                               "a_exp": closed.chi.a_exp,
                               "s": complex_pair(closed.chi.s)}

@@ -14,7 +14,7 @@ index i standing for basis vector v_{i+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,9 +24,20 @@ from .glstar import Z0Char
 from .roots import RootContext, primitive_root
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class RepParams:
-    """Nonzero parameter quadruple of a cyclic representation."""
+    """Nonzero parameter quadruple of a cyclic representation.
+
+    The lowering weights, generator matrices, central character and
+    geometric gauge are computed once per instance (the cached properties
+    below, returned by f_weights, build_rep, z0_character and gauge_U).
+    Their arrays are read-only, because every caller shares them.
+    """
 
     ctx: RootContext
     u: complex
@@ -40,6 +51,41 @@ class RepParams:
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return self.u, self.v, self.x, self.y
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        ctx, (u, v, x, y) = self.ctx, self.as_tuple()
+        ms = np.arange(1, ctx.ell + 1)
+        return _read_only(((x / v) * ctx.eps_powers[(1 - 2 * ms) % ctx.ell] - 1)
+                          * (v * ctx.eps_powers[(2 * ms - 1) % ctx.ell] - 1 / x))
+
+    @cached_property
+    def _matrices(self) -> RepMatrices:
+        ell = self.ctx.ell
+        u, v, x, y = self.as_tuple()
+        cs = clock_shift(self.ctx)
+        F = np.zeros((ell, ell), dtype=complex)
+        w = self._weights
+        for i in range(ell):  # F v_{i+1} = (u/y) c_{i+1} v_i
+            F[(i - 1) % ell, i] = (u / y) * w[i]
+        return RepMatrices(K=_read_only(u * v * cs.A), L=_read_only((v / u) * cs.A),
+                           E=_read_only(y * cs.B), F=_read_only(F))
+
+    @cached_property
+    def _character(self) -> Z0Char:
+        ell = self.ctx.ell
+        u, v, x, y = self.as_tuple()
+        return Z0Char(
+            kappa=(u * v) ** ell,
+            lam=(v / u) ** ell,
+            eta=y**ell,
+            phi=u**ell / y**ell * (x**ell + x ** (-ell) - v**ell - v ** (-ell)),
+        )
+
+    @cached_property
+    def _gauge(self) -> tuple[np.ndarray, complex]:
+        U, z = _compute_gauge(self, "geometric")
+        return _read_only(U), z
 
 
 @dataclass(frozen=True)
@@ -56,7 +102,6 @@ class RepMatrices:
     L: np.ndarray
     E: np.ndarray
     F: np.ndarray
-    params: RepParams
 
     def as_tuple(self):
         return self.K, self.L, self.E, self.F
@@ -69,9 +114,7 @@ def _clock_shift_arrays(ell: int) -> tuple[np.ndarray, np.ndarray]:
     B = np.zeros((ell, ell), dtype=complex)
     for i in range(ell):
         B[(i + 1) % ell, i] = 1.0
-    A.setflags(write=False)
-    B.setflags(write=False)
-    return A, B
+    return _read_only(A), _read_only(B)
 
 
 def clock_shift(ctx: RootContext) -> ClockShift:
@@ -81,26 +124,17 @@ def clock_shift(ctx: RootContext) -> ClockShift:
 
 
 def f_weights(p: RepParams) -> np.ndarray:
-    """The lowering weights c_1..c_ell."""
-    ctx, (u, v, x, y) = p.ctx, p.as_tuple()
-    ms = np.arange(1, ctx.ell + 1)
-    return ((x / v) * ctx.eps_powers[(1 - 2 * ms) % ctx.ell] - 1) * \
-        (v * ctx.eps_powers[(2 * ms - 1) % ctx.ell] - 1 / x)
+    """The lowering weights c_1..c_ell (computed once per p, read-only)."""
+    return p._weights
 
 
 def build_rep(p: RepParams) -> RepMatrices:
-    """Assemble the four generator matrices."""
-    ctx = p.ctx
-    u, v, x, y = p.as_tuple()
-    cs = clock_shift(ctx)
-    K = u * v * cs.A
-    L = (v / u) * cs.A
-    E = y * cs.B
-    F = np.zeros((ctx.ell, ctx.ell), dtype=complex)
-    w = f_weights(p)
-    for i in range(ctx.ell):  # F v_{i+1} = (u/y) c_{i+1} v_i
-        F[(i - 1) % ctx.ell, i] = (u / y) * w[i]
-    return RepMatrices(K=K, L=L, E=E, F=F, params=p)
+    """The four generator matrices.
+
+    They are built once per p and shared by every caller, so the arrays
+    are read-only: copy one before writing to it.
+    """
+    return p._matrices
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,16 +156,9 @@ def z0_character(p: RepParams) -> Z0Char:
     """Central character: the scalars by which the ell-th powers act.
 
     The F^ell scalar carries the y^(-ell) prefactor; this is pinned against
-    the matrix power of F in the tests.
+    the matrix power of F in the tests.  Computed once per p.
     """
-    ell = p.ctx.ell
-    u, v, x, y = p.as_tuple()
-    return Z0Char(
-        kappa=(u * v) ** ell,
-        lam=(v / u) ** ell,
-        eta=y**ell,
-        phi=u**ell / y**ell * (x**ell + x ** (-ell) - v**ell - v ** (-ell)),
-    )
+    return p._character
 
 
 def f_power_scalar_variants(p: RepParams) -> dict[str, complex]:
@@ -182,7 +209,17 @@ def gauge_U(p: RepParams, convention: str = "geometric"
     Fhat = (y/u) F.  convention "constant" uses the single-z prefactor
     U_nn = z prod c_m^(-1) instead; it fails the wrap-around and is kept
     only for the adjudication report.
+
+    The geometric gauge is computed once per p and shared, so its U is
+    read-only; the constant one is computed on each call.
     """
+    if convention == "geometric":
+        return p._gauge
+    return _compute_gauge(p, convention)
+
+
+def _compute_gauge(p: RepParams, convention: str) -> tuple[np.ndarray, complex]:
+    """(U, z) of gauge_U, computed."""
     ell = p.ctx.ell
     w = f_weights(p)
     if np.min(np.abs(w)) < 1e-12:

@@ -23,8 +23,9 @@ import numpy as np
 
 from .cyclic import RepParams, _kron
 from .errors import AssemblyError
-from .intertwiner import (_band_index_arrays, _twist_core, braided_rep_pair,
-                          closed_form_R, solve_intertwiner)
+from .intertwiner import (Intertwiner, PairContext, _band_index_arrays,
+                          _pair_of, braided_rep_pair, closed_form_R,
+                          solve_intertwiner)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,8 @@ def _chain(factors: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
 
 
 def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
-                  route: str = "oracle") -> tuple[complex, float, dict]:
+                  route: str = "oracle", *,
+                  xy: Intertwiner | None = None) -> tuple[complex, float, dict]:
     """Up-to-scalar holonomy Yang-Baxter deviation for one triple.
 
     Builds the six det-normalized intertwiners along the two chains, embeds
@@ -171,6 +173,10 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
     _chain): O(ell^7) work, no ell^3 x ell^3 array.  Products whose total
     shifts differ have disjoint supports: then c = 0 and the deviation is 1,
     as for the dense matrices.
+
+    A caller that has one already passes xy, an intertwiner of (x, y): it
+    is the (x, y) factor when its route is `route`, and is solved again
+    otherwise.
     """
     col = derive_colorings(x, y, z)
     dev_params = col.finals_deviation()
@@ -178,7 +184,10 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
         raise AssemblyError("coloring chains failed to produce finite finals")
 
     def factor(a: RepParams, b: RepParams, slots: tuple[int, int]):
-        if route == "oracle":
+        if xy is not None and xy.route == route and xy.in_params[0] is a \
+                and xy.in_params[1] is b:
+            intw = xy
+        elif route == "oracle":
             intw = solve_intertwiner(a, b)
         elif route == "closed-form":
             intw = closed_form_R(a, b)
@@ -210,7 +219,8 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
     return complex(c), dev, info
 
 
-def s0_diagnostic(p1: RepParams, p2: RepParams) -> tuple[float, bool]:
+def s0_diagnostic(p1: RepParams, p2: RepParams, *,
+                  pair: PairContext | None = None) -> tuple[float, bool]:
     """Constant Yang-Baxter residual of the zero-spectral-parameter core.
 
     Substitutes the identity for the spectral factor, leaving
@@ -219,8 +229,10 @@ def s0_diagnostic(p1: RepParams, p2: RepParams) -> tuple[float, bool]:
     three slots.  R0 maps pair grade g to g + a, so both products are
     formed on grade blocks as in hybe_residual.  Purely diagnostic:
     returns (relative residual, conclusive flag); no threshold is attached.
+    pair is the PairContext of (p1, p2), if the caller shares one: its twist
+    core, built by closed_form_R, is read instead of being built again.
     """
-    _, _, cd, D, Ba, U2, Ut2 = _twist_core(p1, p2)
+    cd, D, Ba, U2, Ut2 = _pair_of(p1, p2, pair).twist
     R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
     a = cd.a_exp
     b12, b13, b23 = [(_grade_blocks(R0, a, slots), a)

@@ -17,12 +17,17 @@ n' + m' = n + m + a (mod ell) forced by the clock equations.  Every factor
 is monomial (K, L diagonal, E, F shifts), so each equation row has at most
 four unknowns; the rows are scaled to unit norm and the kernel is found by
 inverse subspace iteration on the sparse-built normal matrix.
+
+A PairContext holds what both routes and their checks read of one pair
+(the output pair, the four generator matrix sets, the band, the equation
+blocks); the suite builds one per trial and passes it to each of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .errors import (AssemblyError, BranchMismatchError, InvalidInputError,
                      NoIntertwinerError, NonGenericRepresentationError)
 from .glstar import beta_inverse
 from .qseries import phi_series
-from .roots import RootContext
+from .roots import RootContext, primitive_root
 
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
@@ -228,7 +233,15 @@ def intertwining_residual(R: np.ndarray, blocks) -> float:
     return float(max(np.linalg.norm(N @ R - R @ M) for M, N, _ in blocks) / nr)
 
 
-def det_normalize(R: np.ndarray) -> tuple[np.ndarray, complex]:
+@lru_cache(maxsize=16)
+def _golden_weights(size: int) -> np.ndarray:
+    """The fixed golden-angle unit weights of det_normalize."""
+    w = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(size))
+    w.setflags(write=False)
+    return w
+
+
+def det_normalize(R: np.ndarray, slogdet=None) -> tuple[np.ndarray, complex]:
     """Scale to det 1, then fix the residual root-of-unity phase.
 
     After the det scaling a matrix is determined up to an n-th root of
@@ -236,17 +249,17 @@ def det_normalize(R: np.ndarray) -> tuple[np.ndarray, complex]:
     arg(sum_j w_j R_j) into [0, 2 pi / n), where w are fixed golden-angle
     unit weights: a generic functional, immune to the modulus ties that a
     largest-entry rule hits on these highly structured matrices.  Scaled
-    inputs c*R therefore normalize to the identical matrix.
+    inputs c*R therefore normalize to the identical matrix.  slogdet is
+    np.linalg.slogdet(R), if the caller has it already.
     """
     n = R.shape[0]
     # log det, not det: a unit-norm ell^2 x ell^2 matrix underflows det at ell 13
-    sign, logabs = np.linalg.slogdet(R)
+    sign, logabs = np.linalg.slogdet(R) if slogdet is None else slogdet
     if sign == 0:
         raise InvalidInputError("singular matrix cannot be det-normalized")
     scale = np.exp(-(logabs + 1j * np.angle(sign)) / n)
     R1 = R * scale
-    w = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(R1.size))
-    sigma = np.dot(w, R1.ravel())
+    sigma = np.dot(_golden_weights(R1.size), R1.ravel())
     if abs(sigma) < 1e-8 * np.linalg.norm(R1):  # fallback, never hit in practice
         sigma = R1.flat[int(np.argmax(np.abs(R1)))]
     ang = float(np.angle(sigma) % (2 * np.pi))
@@ -359,15 +372,79 @@ class Intertwiner:
         return self.in_params[0].ctx.ell
 
 
+class TwistCore(NamedTuple):
+    """The closed form without its spectral factor (see closed_form_R)."""
+
+    chi: ChiData
+    D: np.ndarray  # twist diagonal in pair order
+    Ba: np.ndarray  # B^a
+    U_in: np.ndarray  # geometric gauge of the slot-2 input
+    U_out: np.ndarray  # geometric gauge of the slot-2 output
+
+
+class PairContext:
+    """The ingredients of one pair (p1, p2), built once and read by both
+    routes, their checks and the s0 diagnostic.
+
+    Holds the output pair (braided, or the oracle's target), the four
+    RepMatrices (in1, in2, out1, out2), and the band exponent with its
+    distance.  The eight _equation_blocks, the closed form's twist core and
+    its unit-base spectral factor R1 are built on first use, so the oracle
+    computes nothing of the closed form.  release() drops the ell^4-sized
+    blocks and R1; they would be rebuilt if read again.
+    """
+
+    def __init__(self, p1: RepParams, p2: RepParams,
+                 target: tuple[RepParams, RepParams] | None = None):
+        self.in_params = (p1, p2)
+        self.braided = target is None
+        self.out_params = braided_rep_pair(p1, p2) if target is None else tuple(target)
+        self.reps = tuple(build_rep(p) for p in (*self.in_params, *self.out_params))
+        self.band_exp, self.band_dist = _band_offset(*self.in_params, *self.out_params)
+
+    @cached_property
+    def blocks(self) -> list:
+        return _equation_blocks(*self.reps, self.in_params[0].ctx.eps)
+
+    @cached_property
+    def twist(self) -> TwistCore:
+        if not self.braided:
+            raise InvalidInputError("the closed form needs the braided output pair")
+        return _twist_core(*self.in_params, *self.out_params)
+
+    @cached_property
+    def spectral(self) -> np.ndarray:
+        ctx = self.in_params[0].ctx
+        return _spectral_factor(ctx.ell, ctx.eps_powers,
+                                _spectral_values(self.twist.chi, ctx))
+
+    def release(self) -> None:
+        for name in ("blocks", "spectral"):
+            self.__dict__.pop(name, None)
+
+
+def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
+             target=None) -> PairContext:
+    """pair, checked to belong to (p1, p2), or a new PairContext."""
+    if pair is None:
+        return PairContext(p1, p2, target)
+    if pair.in_params[0] is not p1 or pair.in_params[1] is not p2 or target is not None:
+        raise InvalidInputError("the pair context belongs to another pair or target")
+    return pair
+
+
 def solve_intertwiner(p1: RepParams, p2: RepParams,
                       target: tuple[RepParams, RepParams] | None = None,
                       gap_threshold: float = 1e6,
-                      kernel_tol: float = 1e-6) -> Intertwiner:
+                      kernel_tol: float = 1e-6, *,
+                      pair: PairContext | None = None) -> Intertwiner:
     """Nullspace solve of the stacked intertwining system.
 
     target overrides the braided output pair (used by the negative
-    controls).  Raises NoIntertwinerError on an empty nullspace and
-    NonGenericRepresentationError when the nullspace is not a line.
+    controls).  pair is the PairContext of (p1, p2) when the caller shares
+    one; it is built here otherwise.  Raises NoIntertwinerError on an
+    empty nullspace and NonGenericRepresentationError when the nullspace
+    is not a line.
 
     The solve reads only the four representation matrices and the braid
     factor G.  It restricts the six equations of _band_blocks to the
@@ -383,16 +460,14 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     """
     ctx = p1.ctx
     ell = ctx.ell
-    q1, q2 = target if target is not None else braided_rep_pair(p1, p2)
-    reps = (build_rep(p1), build_rep(p2), build_rep(q1), build_rep(q2))
-    a, a_dist = _band_offset(p1, p2, q1, q2)
-    if not a_dist <= 1e-6:  # NaN included
+    pair = _pair_of(p1, p2, pair, target)
+    a = pair.band_exp
+    if not pair.band_dist <= 1e-6:  # NaN included
         raise NoIntertwinerError(
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
-    blocks = _equation_blocks(*reps, ctx.eps)
     colX, colJ = _band_index_arrays(ell, a)
-    cols, vals = _band_rows(_band_blocks(blocks, reps, ctx.eps), ell, a)
+    cols, vals = _band_rows(_band_blocks(pair.blocks, pair.reps, ctx.eps), ell, a)
     tail, vecs, sv_max = _tail_singular(cols, vals, len(colX))
     sv = np.concatenate([[sv_max], tail[::-1]])  # descending
     rel = sv / sv[0]
@@ -410,14 +485,14 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             f"singular-value gap {gap:.2e} below threshold {gap_threshold:.1e}")
     R = np.zeros((ell * ell, ell * ell), dtype=complex)
     R[colX, colJ] = vecs[:, 0]
-    _, log_abs_det = np.linalg.slogdet(R)
-    Rn, gauge = det_normalize(R)
-    res = intertwining_residual(Rn, blocks)
+    slogdet = np.linalg.slogdet(R)
+    Rn, gauge = det_normalize(R, slogdet)
+    res = intertwining_residual(Rn, pair.blocks)
     return Intertwiner(R=Rn, kernel_dim=kernel_dim, residual=res,
                        scalar_gauge=gauge, in_params=(p1, p2),
-                       out_params=(q1, q2), route="oracle", band_exp=a,
-                       reps=reps, singular_gap=gap,
-                       log_abs_det=float(log_abs_det))
+                       out_params=pair.out_params, route="oracle", band_exp=a,
+                       reps=pair.reps, singular_gap=gap,
+                       log_abs_det=float(slogdet.logabsdet))
 
 
 def _spectral_values(cd: ChiData, ctx: RootContext,
@@ -449,22 +524,22 @@ def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.n
     return R1
 
 
-def _twist_core(p1: RepParams, p2: RepParams):
-    """The closed form without its spectral factor: (q1, q2, chi data,
-    twist diagonal D in pair order, B^a, Ug_in, Ug_out), as in closed_form_R."""
+def _twist_core(p1: RepParams, p2: RepParams, q1: RepParams,
+                q2: RepParams) -> TwistCore:
+    """The twist core of the pair (p1, p2) with braided output (q1, q2)."""
     ctx = p1.ctx
-    q1, q2 = braided_rep_pair(p1, p2)
     cd = chi_data(p1, p2, q1, q2)
     n = np.arange(1, ctx.ell + 1)
     D = (ctx.eps_powers[(2 * np.outer(n, n)) % ctx.ell]
          * np.outer(cd.chi1 ** -n, cd.chi2 ** n)).ravel()
     Ba = np.linalg.matrix_power(clock_shift(ctx).B, cd.a_exp)
-    return q1, q2, cd, D, Ba, gauge_U(p2)[0], gauge_U(q2)[0]
+    return TwistCore(cd, D, Ba, gauge_U(p2)[0], gauge_U(q2)[0])
 
 
 def closed_form_R(p1: RepParams, p2: RepParams,
                   base: str = "unit", normalize: bool = True,
-                  series_order: int = 120) -> Intertwiner:
+                  series_order: int = 120, *,
+                  pair: PairContext | None = None) -> Intertwiner:
     """Assemble the explicit intertwiner from diagonal twists and the
     spectral factor.
 
@@ -475,31 +550,33 @@ def closed_form_R(p1: RepParams, p2: RepParams,
     tau/(1 - sigma eps^(2k)) with the scalars of chi_data.  base "unit"
     starts the orbit at 1; base "series" starts at the Taylor value of the
     staircase function (needed only by the determinant probe, requires
-    |sigma| < 1).
+    |sigma| < 1).  pair is the PairContext of (p1, p2) when the caller
+    shares one; the unit-base R1 and the twist core stay on it for
+    r1_conjugation_residuals and s0_diagnostic.
     """
     ctx = p1.ctx
     ell = ctx.ell
-    q1, q2, cd, D, Ba, U2, Ut2 = _twist_core(p1, p2)
+    pair = _pair_of(p1, p2, pair)
+    cd, D, Ba, U2, Ut2 = pair.twist
     if base == "unit":
-        base_val = 1.0 + 0.0j
+        R1 = pair.spectral
     elif base == "series":
         if abs(cd.sigma) >= 0.95:
             raise AssemblyError(f"|sigma| = {abs(cd.sigma):.3f} too large for the series base")
         base_val = phi_series(ctx, series_order)(cd.sigma * ctx.pow(-2))
+        R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx, base_val))
     else:
         raise ValueError(f"unknown base {base!r}")
-    R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx, base_val))
     R = (D[:, None] * _kron(Ba, Ut2)) @ R1 @ _kron(np.eye(ell), np.linalg.inv(U2))
-    _, log_abs_det = np.linalg.slogdet(R)
-    reps = (build_rep(p1), build_rep(p2), build_rep(q1), build_rep(q2))
+    slogdet = np.linalg.slogdet(R)
     gauge = 1.0 + 0.0j
     if normalize:
-        R, gauge = det_normalize(R)
-    res = intertwining_residual(R, _equation_blocks(*reps, ctx.eps))
+        R, gauge = det_normalize(R, slogdet)
+    res = intertwining_residual(R, pair.blocks)
     return Intertwiner(R=R, kernel_dim=1, residual=res, scalar_gauge=gauge,
-                       in_params=(p1, p2), out_params=(q1, q2),
-                       route="closed-form", band_exp=cd.a_exp, reps=reps,
-                       chi=cd, log_abs_det=float(log_abs_det))
+                       in_params=(p1, p2), out_params=pair.out_params,
+                       route="closed-form", band_exp=cd.a_exp, reps=pair.reps,
+                       chi=cd, log_abs_det=float(slogdet.logabsdet))
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
@@ -597,10 +674,13 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
     return checks
 
 
-def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
+def r1_conjugation_residuals(intw: Intertwiner, *,
+                             pair: PairContext | None = None) -> dict[str, float]:
     """Commutation identities of the spectral factor, both tensor readings.
 
-    Requires a closed-form intertwiner (chi data present).
+    Requires a closed-form intertwiner (chi data present).  pair is the
+    PairContext closed_form_R built intw from, if the caller shares one:
+    its unit-base R1 is read instead of being built again.
     """
     if intw.chi is None:
         raise InvalidInputError("needs a closed-form intertwiner")
@@ -608,7 +688,10 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     ell = ctx.ell
     cs = clock_shift(ctx)
     cd = intw.chi
-    R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx))
+    if pair is None:
+        R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx))
+    else:
+        R1 = _pair_of(*intw.in_params, pair).spectral
     R1inv = np.linalg.inv(R1)
     kron = _kron
     I = np.eye(ell)
@@ -628,7 +711,15 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     return out
 
 
-def det_exponent_probe(samples: list[Intertwiner]) -> dict:
+class DetSample(NamedTuple):
+    """What det_exponent_probe reads of a closed-form Intertwiner."""
+
+    chi: ChiData
+    log_abs_det: float
+    ell: int
+
+
+def det_exponent_probe(samples: list[Intertwiner | DetSample]) -> dict:
     """Least-squares fit of the determinant growth exponent.
 
     Two fits are reported: the raw determinant of the assembled closed form
@@ -642,7 +733,7 @@ def det_exponent_probe(samples: list[Intertwiner]) -> dict:
     if len(usable) < 10:
         return {"inconclusive": True, "reason": f"only {len(usable)} usable samples"}
     ell = usable[0].ell
-    ctx = usable[0].in_params[0].ctx
+    ctx = primitive_root(ell)
     xs_full, ys_full, xs_core, ys_core = [], [], [], []
     for s in usable:
         cd = s.chi

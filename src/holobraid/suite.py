@@ -18,10 +18,10 @@ from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
                      matrix_route_beta)
 from .hybe import derive_colorings, hybe_residual, s0_diagnostic
-from .intertwiner import (central_invariance_residuals, check_generator_action,
-                          closed_form_R, compare_up_to_scalar,
-                          det_exponent_probe, r1_conjugation_residuals,
-                          solve_intertwiner)
+from .intertwiner import (DetSample, PairContext, central_invariance_residuals,
+                          check_generator_action, closed_form_R,
+                          compare_up_to_scalar, det_exponent_probe,
+                          r1_conjugation_residuals, solve_intertwiner)
 from .qseries import phi_orbit, phi_series
 from .report import (check_entry, complex_pair, new_report, params_entry,
                      residual_entry, write_report)
@@ -222,7 +222,12 @@ def f_power_evidence(p: RepParams) -> dict[str, float]:
 
 
 def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
-    """Full check battery for one trial; returns the trial record."""
+    """Full check battery for one trial; returns the trial record.
+
+    The pair's ingredients are built once (one PairContext) and shared by
+    both routes, r1_conjugation_residuals and s0_diagnostic; the trial's
+    intertwiner is the triple's (x, y) factor.
+    """
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
     checks: dict[str, dict] = {}
     evidence: dict[str, dict] = {}
@@ -249,9 +254,10 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
                    "params": [params_entry(p1), params_entry(p2)],
                    "checks": checks}
 
+    pair = PairContext(p1, p2)
     oracle = closed = None
     if cfg.route in ("oracle", "both"):
-        oracle = solve_intertwiner(p1, p2)
+        oracle = solve_intertwiner(p1, p2, pair=pair)
         checks["oracle_residual"] = check_entry(oracle.residual, cfg.tol)
         checks["oracle_kernel_dim"] = {"variant": "direct",
                                        "residual": residual_entry(0.0),
@@ -262,7 +268,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
                            "singular_gap": float(oracle.singular_gap),
                            "residual": residual_entry(oracle.residual)}
     if cfg.route in ("closed-form", "both"):
-        closed = closed_form_R(p1, p2)
+        closed = closed_form_R(p1, p2, pair=pair)
         checks["closed_form_residual"] = check_entry(closed.residual, cfg.tol)
         cd = closed.chi
         trial["chi"] = {
@@ -282,7 +288,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         }
         trial["chi"]["chi1_band_tie"] = residual_entry(
             cd.legacy_relation_residuals["chi1_band_tie"])
-        r1res = r1_conjugation_residuals(closed)
+        r1res = r1_conjugation_residuals(closed, pair=pair)
         evidence["r1_clock_conjugation"] = {
             "opposite_shifts": r1res["slot2_clock_opposite_shifts"],
             "parallel_shifts": r1res["slot2_clock_parallel_shifts"],
@@ -290,7 +296,11 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         checks["r1_commutants"] = check_entry(
             max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
             1e-11)
-        sres, sconcl = s0_diagnostic(p1, p2)
+    # both routes have their residuals: drop the ell^4-sized blocks and R1
+    # before the s0 core and the triple, where memory peaks
+    pair.release()
+    if closed is not None:
+        sres, sconcl = s0_diagnostic(p1, p2, pair=pair)
         trial["s0_diagnostic"] = {"residual": residual_entry(sres),
                                   "conclusive": sconcl}
     if cfg.route == "both":
@@ -318,8 +328,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         try:
             col = derive_colorings(p1, p2, p3)
             checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
-            c, dev, info = hybe_residual(
-                p1, p2, p3, route="oracle" if cfg.route != "closed-form" else "closed-form")
+            c, dev, info = hybe_residual(p1, p2, p3, route=intw.route, xy=intw)
             checks["hybe_residual"] = check_entry(dev, THRESHOLDS["hybe_residual"])
             checks["hybe_c_modulus"] = check_entry(
                 abs(abs(c) - 1), THRESHOLDS["hybe_c_modulus"])
@@ -333,8 +342,8 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
 
     trial["evidence"] = evidence
     trial["pass"] = all(c["pass"] for c in checks.values())
-    if closed is not None:
-        trial["_det_sample"] = closed  # stripped before serialization
+    if closed is not None:  # stripped before serialization
+        trial["_det_sample"] = DetSample(closed.chi, closed.log_abs_det, closed.ell)
     return trial
 
 

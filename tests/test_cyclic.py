@@ -45,6 +45,19 @@ class TestBuildRep:
         assert np.allclose(rep.K, cs.A)
         assert np.allclose(rep.L, cs.A)
 
+    def test_shared_and_read_only(self, ctx3):
+        p = params(ctx3, x=1.3, y=0.8)
+        rep = build_rep(p)
+        assert build_rep(p) is rep
+        with pytest.raises(ValueError):
+            rep.K[0, 0] = 1.0
+        U, _ = gauge_U(p)
+        assert gauge_U(p)[0] is U and not U.flags.writeable
+        assert f_weights(p) is f_weights(p) and not f_weights(p).flags.writeable
+        assert z0_character(p) is z0_character(p)
+        # the constant convention is computed on each call
+        assert gauge_U(p, "constant")[0] is not gauge_U(p, "constant")[0]
+
     def test_zero_parameter_rejected(self, ctx3):
         with pytest.raises(InvalidParamsError):
             params(ctx3, u=0.0)

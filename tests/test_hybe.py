@@ -8,7 +8,7 @@ from holobraid.cyclic import _kron, clock_shift
 from holobraid.errors import AssemblyError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
-from holobraid.intertwiner import _twist_core, closed_form_R, solve_intertwiner
+from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 
@@ -137,7 +137,7 @@ class TestGradeBlocks:
     def test_s0_matches_dense(self, ell, trial):
         # seed 42, ell 7, trial 15 is a pair whose core residual is O(1)
         p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
-        _, _, _, D, Ba, U2, Ut2 = _twist_core(p1, p2)
+        _, D, Ba, U2, Ut2 = PairContext(p1, p2).twist
         R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
         lhs, rhs = dense_products([R0] * 6, ell)
         ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)

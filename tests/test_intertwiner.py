@@ -5,7 +5,8 @@ from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
-from holobraid.intertwiner import (_equation_blocks, braided_rep_pair,
+from holobraid.intertwiner import (DetSample, PairContext, _equation_blocks,
+                                   braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action, chi_data,
                                    closed_form_R, compare_up_to_scalar,
@@ -93,6 +94,10 @@ class TestOracle:
         for name in ("chi_data", "_twist_core", "_spectral_values"):
             monkeypatch.setattr(it, name, forbidden)
         assert solve_intertwiner(*pair3).kernel_dim == 1
+        # the shared pair context builds its closed-form data only on demand
+        pair = PairContext(*pair3)
+        assert solve_intertwiner(*pair3, pair=pair).kernel_dim == 1
+        assert "twist" not in vars(pair) and "spectral" not in vars(pair)
 
     @pytest.mark.parametrize("ell", [9, 11, 13])
     def test_large_ell_accuracy(self, ell):
@@ -143,6 +148,10 @@ class TestOracle:
         for c in (2.0, -1.3 + 0.7j, 1e-3j):
             Rn, _ = det_normalize(c * intw.R)
             assert np.max(np.abs(Rn - intw.R)) < 1e-10
+        # a caller's slogdet gives the same bits as det_normalize's own
+        R = 2.0 * intw.R
+        assert det_normalize(R, np.linalg.slogdet(R))[0].tobytes() == \
+            det_normalize(R)[0].tobytes()
 
 
 class TestChiData:
@@ -262,6 +271,9 @@ class TestDetProbe:
             samples.append(closed_form_R(*ps))
         out = det_exponent_probe(samples)
         assert not out["inconclusive"]
+        # the suite keeps only what the probe reads
+        assert det_exponent_probe([DetSample(s.chi, s.log_abs_det, s.ell)
+                                   for s in samples]) == out
         core = out["core_fit"]
         assert core["fit_residual"] < 1e-6
         assert abs(core["alpha"] + 6.0) < 1e-6

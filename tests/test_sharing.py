@@ -1,0 +1,45 @@
+"""A suite trial shares its pair data and its intertwiner between stages;
+every shared result must equal a fresh public call's."""
+import pytest
+
+import holobraid.suite as suite
+from holobraid.hybe import hybe_residual, s0_diagnostic
+from holobraid.intertwiner import (central_invariance_residuals,
+                                   check_generator_action, closed_form_R,
+                                   solve_intertwiner)
+from holobraid.roots import primitive_root
+from holobraid.sampling import sample_params
+
+FRESH = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+@pytest.mark.parametrize("route", ["both", "closed-form"])
+def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
+    made = []
+    for name in ("solve_intertwiner", "closed_form_R"):
+        def record(*args, _fn=getattr(suite, name), **kwargs):
+            made.append(_fn(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(suite, name, record)
+    ctx = primitive_root(ell)
+    trial = suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, route=route),
+                            ctx, 0)
+    # new parameter objects, so that nothing computed in the trial is reused
+    p1, p2 = sample_params(ctx, 42, 0, count=2)
+    p3, = sample_params(ctx, 42, 1 << 32, count=1)
+    routes = {"both": ["oracle", "closed-form"], "closed-form": ["closed-form"]}[route]
+    assert [intw.route for intw in made] == routes
+    for intw in made:
+        assert intw.R.tobytes() == FRESH[intw.route](p1, p2).R.tobytes()
+    # the action checks read the shared generator matrices
+    acted = FRESH[routes[0]](p1, p2)
+    assert trial["checks"]["central_invariance"]["residual"]["value"] == \
+        max(central_invariance_residuals(acted).values())
+    actions = trial["evidence"]["generator_actions"]
+    rows = check_generator_action(acted)
+    assert [actions[f][v] for f, v, _ in rows] == [r for _, _, r in rows]
+    assert trial["s0_diagnostic"]["residual"]["value"] == s0_diagnostic(p1, p2)[0]
+    c, dev, _ = hybe_residual(p1, p2, p3, route=routes[0])
+    assert complex(*trial["hybe"]["c"]) == c
+    assert trial["hybe"]["residual"]["value"] == dev
