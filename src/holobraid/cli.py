@@ -2,31 +2,41 @@
 
 Subcommands:
   suite      full per-trial battery with JSON report
-  braid-map  coloring-map checks only (no matrix solves)
-  rmatrix    one pair: solve, closed form, comparison, optional TSV dump
-  hybe       one triple: coloring chains and the Yang-Baxter product test
+  braid-map  the suite's character checks of trial i's pair and the
+             set-theoretic Yang-Baxter check of its triple (no matrix solves)
+  rmatrix    suite trial i without its triple; --dump-dir writes the first
+             representation's K, L, E, F and the trial's R as TSV
+  hybe       suite trial i with its triple, and the triple's 15 colorings
   series     q-series and orbit identities at a given order
+
+Each command builds one JSON report: --report writes it to a file, and
+without --report every command but suite prints it.  braid-map, rmatrix
+and hybe run the suite's own trial code and gate at its THRESHOLDS.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import dumps
-from .cyclic import z0_character
-from .hybe import derive_colorings, hybe_residual
-from .intertwiner import (PairContext, closed_form_R, compare_up_to_scalar,
-                          solve_intertwiner)
+from .cyclic import build_rep, z0_character
+from .hybe import derive_colorings
+from .intertwiner import closed_form_R, solve_intertwiner
 from .qseries import (check_f_functional, pairing_monomial, phi_orbit_closure,
                       q_factorial_b, q_shift_coefficient_check, series_f,
                       series_f_product)
-from .report import (complex_pair, emit_report, new_report, params_entry,
+from .report import (check_entry, emit_report, new_report, params_entry,
                      residual_entry, write_report)
 from .roots import primitive_root
 from .sampling import sample_params
-from .suite import SuiteConfig, character_checks, phi_variant_evidence, run_suite
+from .suite import (THRESHOLDS, SuiteConfig, character_record, check_summary,
+                    phi_variant_evidence, run_suite, run_trial, third_params)
+
+ROUTES = ("oracle", "closed-form", "both")
 
 
 def _odd_ell(value: str) -> int:
@@ -53,30 +63,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full verification battery")
     _add_common(p)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=SuiteConfig.tol,
                    help="intertwining residual gate")
-    p.add_argument("--route", choices=["oracle", "closed-form", "both"],
-                   default="both")
+    p.add_argument("--route", choices=ROUTES, default="both")
     p.add_argument("--hybe-every", type=int, default=5,
                    help="run a triple test every N-th trial (0 disables)")
-    p.add_argument("--dump-dir", default=None,
-                   help="write TSV matrix dumps of the first trial here")
 
-    p = sub.add_parser("braid-map", help="coloring-map checks only")
+    p = sub.add_parser("braid-map", help="character and coloring checks only")
     _add_common(p)
     p.add_argument("--trials", type=int, default=50)
 
-    p = sub.add_parser("rmatrix", help="solve one pair and compare routes")
+    p = sub.add_parser("rmatrix", help="one suite trial without its triple")
     _add_common(p)
     p.add_argument("--trial", type=int, default=0, help="trial index to sample")
-    p.add_argument("--route", choices=["oracle", "closed-form", "both"],
-                   default="both")
-    p.add_argument("--dump", default=None, help="TSV path for the solved matrix")
+    p.add_argument("--route", choices=ROUTES, default="both")
+    p.add_argument("--dump-dir", default=None,
+                   help="write the trial's K, L, E, F and R as TSV files here")
 
-    p = sub.add_parser("hybe", help="one holonomy Yang-Baxter triple")
+    p = sub.add_parser("hybe", help="one suite trial with its Yang-Baxter triple")
     _add_common(p)
-    p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--route", choices=["oracle", "closed-form"], default="oracle")
+    p.add_argument("--trial", type=int, default=0, help="trial index to sample")
+    p.add_argument("--route", choices=ROUTES, default="oracle")
 
     p = sub.add_parser("series", help="q-series and orbit identity checks")
     _add_common(p)
@@ -84,106 +91,66 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[int, dict]:
     cfg = SuiteConfig(ell=args.ell, trials=args.trials, seed=args.seed,
                       tol=args.tol, radius=args.radius, route=args.route,
-                      report_path=args.report, dump_dir=args.dump_dir,
                       hybe_every=args.hybe_every)
     code, report = run_suite(cfg)
     s = report["summary"]
     print(f"suite ell={cfg.ell}: {s['passed']}/{s['trials']} trials passed, "
           f"adjudications_resolved={s['adjudications_resolved']}, "
           f"det_probe_ok={s['det_probe_ok']}")
-    if args.report:
-        print(f"report written to {args.report}")
-    return code
+    return code, report
 
 
-def _cmd_braid_map(args) -> int:
+def _cmd_braid_map(args) -> tuple[int, dict]:
     ctx = primitive_root(args.ell)
     report = new_report({"command": "braid-map", "ell": args.ell,
                          "seed": args.seed, "trials": args.trials,
                          "radius": args.radius})
-    worst: dict[str, float] = {}
+    trials = report["trials"]
     for i in range(args.trials):
-        p1, p2, p3 = sample_params(ctx, args.seed, i, radius=args.radius, count=3)
-        res = character_checks(z0_character(p1), z0_character(p2))
-        col = derive_colorings(p1, p2, p3)
-        res["set_ybe"] = col.finals_deviation()
-        report["trials"].append(
-            {"index": i, "checks": {k: residual_entry(v) for k, v in res.items()}})
-        for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    report["summary"] = {k: residual_entry(v) for k, v in sorted(worst.items())}
-    ok = worst["braiding_round_trip"] < 1e-10 and worst["set_ybe"] < 1e-9
-    if args.report:
-        write_report(report, args.report)
-    else:
-        print(emit_report(report))
-    return 0 if ok else 1
+        p1, p2 = sample_params(ctx, args.seed, i, radius=args.radius, count=2)
+        checks, evidence = character_record(z0_character(p1), z0_character(p2))
+        col = derive_colorings(p1, p2, third_params(ctx, args.seed, i, args.radius))
+        checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
+        trials.append({"index": i, "checks": checks, "evidence": evidence,
+                       "pass": all(c["pass"] for c in checks.values())})
+    n_pass = sum(tr["pass"] for tr in trials)
+    report["summary"] = {"trials": args.trials, "passed": n_pass,
+                         "checks": check_summary(trials)}
+    return (0 if n_pass == args.trials else 1), report
 
 
-def _cmd_rmatrix(args) -> int:
+def _cmd_trial(args) -> tuple[int, dict]:
+    """rmatrix and hybe: suite trial args.trial, with its triple for hybe."""
     ctx = primitive_root(args.ell)
+    hybe = args.command == "hybe"
+    cfg = SuiteConfig(ell=args.ell, trials=1, seed=args.seed, radius=args.radius,
+                      route=args.route, hybe_every=int(hybe))
+    trial = run_trial(cfg, ctx, args.trial)
+    trial.pop("_det_sample", None)  # the suite's determinant probe reads it
+    out = {"command": args.command, "ell": args.ell, "seed": args.seed, **trial}
+    rejected = trial.get("hybe", {}).get("rejected", False)
+    dump_dir = getattr(args, "dump_dir", None)
     p1, p2 = sample_params(ctx, args.seed, args.trial, radius=args.radius, count=2)
-    out = {"command": "rmatrix", "ell": args.ell, "seed": args.seed,
-           "trial": args.trial,
-           "params": [params_entry(p1), params_entry(p2)]}
-    intw = None
-    pair = PairContext(p1, p2)
-    if args.route in ("oracle", "both"):
-        intw = solve_intertwiner(p1, p2, pair=pair)
-        out["oracle"] = {"residual": residual_entry(intw.residual),
-                         "kernel_dim": intw.kernel_dim,
-                         "band_exp": intw.band_exp}
-    if args.route in ("closed-form", "both"):
-        closed = closed_form_R(p1, p2, pair=pair)
-        out["closed_form"] = {"residual": residual_entry(closed.residual),
-                              "a_exp": closed.chi.a_exp,
-                              "s": complex_pair(closed.chi.s)}
-        if intw is None:
-            intw = closed
-        else:
-            scalar, dev = compare_up_to_scalar(intw.R, closed.R)
-            out["comparison"] = {"scalar": complex_pair(scalar),
-                                 "deviation": residual_entry(dev)}
-    if args.dump:
-        dumps.dump_intertwiner(args.dump, intw)
-        out["dump"] = args.dump
-    if args.report:
-        write_report(out, args.report)
-    else:
-        print(emit_report(out))
-    return 0 if intw.residual < 1e-8 else 1
+    if hybe and not rejected:
+        col = derive_colorings(p1, p2, third_params(ctx, args.seed, args.trial,
+                                                    args.radius))
+        out["colorings"] = {f.name: params_entry(getattr(col, f.name))
+                            for f in fields(col)}
+    if dump_dir:
+        os.makedirs(dump_dir, exist_ok=True)
+        stem = os.path.join(dump_dir, f"trial{args.trial}_")
+        for kind, m in zip("KLEF", build_rep(p1).as_tuple()):
+            dumps.dump_rep_matrix(f"{stem}{kind}.tsv", m, kind, p1)
+        solve = closed_form_R if args.route == "closed-form" else solve_intertwiner
+        dumps.dump_intertwiner(f"{stem}R.tsv", solve(p1, p2))
+    # a rejected triple does not fail a suite trial, but it fails hybe
+    return (0 if trial["pass"] and not rejected else 1), out
 
 
-def _cmd_hybe(args) -> int:
-    ctx = primitive_root(args.ell)
-    p1, p2 = sample_params(ctx, args.seed, args.trial, radius=args.radius, count=2)
-    p3, = sample_params(ctx, args.seed, args.trial + (1 << 32),
-                        radius=args.radius, count=1)
-    col = derive_colorings(p1, p2, p3)
-    c, dev, info = hybe_residual(p1, p2, p3, route=args.route)
-    out = {"command": "hybe", "ell": args.ell, "seed": args.seed,
-           "trial": args.trial, "route": args.route,
-           "colorings": {
-               name: params_entry(getattr(col, name))
-               for name in ("x", "y", "z", "y1", "z1", "x1", "z2", "x2", "y2",
-                            "xa", "ya", "xb", "za", "yb", "zb")},
-           "set_ybe": residual_entry(col.finals_deviation()),
-           "c": complex_pair(c),
-           "c_modulus": float(abs(c)),
-           "c_argument": float(np.angle(c)),
-           "residual": residual_entry(dev),
-           "info": info}
-    if args.report:
-        write_report(out, args.report)
-    else:
-        print(emit_report(out))
-    return 0 if dev < 1e-7 and abs(abs(c) - 1) < 1e-8 else 1
-
-
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, dict]:
     ctx = primitive_root(args.ell)
     order = args.order
     checks = {}
@@ -214,11 +181,7 @@ def _cmd_series(args) -> int:
                           else {kk: residual_entry(vv) for kk, vv in v.items()})
                       for k, v in checks.items()}}
     flat_ok = all(v < 1e-10 for v in checks.values() if not isinstance(v, dict))
-    if args.report:
-        write_report(out, args.report)
-    else:
-        print(emit_report(out))
-    return 0 if flat_ok else 1
+    return (0 if flat_ok else 1), out
 
 
 def main(argv=None) -> int:
@@ -226,15 +189,21 @@ def main(argv=None) -> int:
     handler = {
         "suite": _cmd_suite,
         "braid-map": _cmd_braid_map,
-        "rmatrix": _cmd_rmatrix,
-        "hybe": _cmd_hybe,
+        "rmatrix": _cmd_trial,
+        "hybe": _cmd_trial,
         "series": _cmd_series,
     }[args.command]
     try:
-        return handler(args)
+        code, report = handler(args)
+        if args.report:
+            write_report(report, args.report)
+            print(f"report written to {args.report}")
+        elif args.command != "suite":
+            print(emit_report(report))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,12 @@ from .errors import (DegenerateCharacterError, InconsistentLiftError,
 from .glstar import Z0Char
 from .roots import RootContext, primitive_root
 
+# genericity (is_generic): smallest weight and eta, largest condition number
+MIN_WEIGHT = 1e-6
+MAX_CONDITION = 1e8
+# largest relative miss of lam and phi that lift_character accepts
+LIFT_TOL = 1e-9
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -173,8 +179,7 @@ def f_power_scalar_variants(p: RepParams) -> dict[str, complex]:
     return {"with_inverse_power": u**ell / y**ell * core, "bare": u**ell * core}
 
 
-def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext,
-                   tol: float = 1e-9) -> RepParams:
+def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext) -> RepParams:
     """Lift a character to representation parameters with given strand data.
 
     v and y are principal ell-th roots of kappa/u^ell and eta; the lift is
@@ -193,7 +198,7 @@ def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext,
     lam_res = abs(c2.lam - c.lam) / abs(c.lam)
     phi_scale = max(abs(c.phi), abs(c2.phi), 1e-9)
     phi_res = abs(c2.phi - c.phi) / phi_scale
-    if lam_res > tol or phi_res > tol:
+    if lam_res > LIFT_TOL or phi_res > LIFT_TOL:
         raise InconsistentLiftError(
             f"lift residuals lam={lam_res:.2e} phi={phi_res:.2e}; wrong strand data?")
     return p
@@ -245,8 +250,7 @@ def gauge_conjugation_residual(p: RepParams, convention: str = "geometric") -> f
     return float(np.linalg.norm(lhs - z * np.linalg.inv(cs.B)) / abs(z))
 
 
-def is_generic(p: RepParams, q: RepParams,
-               min_weight: float = 1e-6, max_condition: float = 1e8) -> bool:
+def is_generic(p: RepParams, q: RepParams) -> bool:
     """Genericity predicate for a representation pair about to be braided.
 
     Requires: nonvanishing lowering weights on both inputs and both braided
@@ -257,28 +261,28 @@ def is_generic(p: RepParams, q: RepParams,
     from .intertwiner import braided_rep_pair  # cycle kept local
 
     for r in (p, q):
-        if np.min(np.abs(f_weights(r))) < min_weight:
+        if np.min(np.abs(f_weights(r))) < MIN_WEIGHT:
             return False
-        if abs(r.y) < min_weight:
+        if abs(r.y) < MIN_WEIGHT:
             return False
     cx, cy = z0_character(p), z0_character(q)
     om = 1 - cx.eta * cy.phi
-    if abs(om) < min_weight:
+    if abs(om) < MIN_WEIGHT:
         return False
-    if abs(cx.eta * cy.phi) < min_weight:  # |1 - s^ell| = |eta phi / om|
+    if abs(cx.eta * cy.phi) < MIN_WEIGHT:  # |1 - s^ell| = |eta phi / om|
         return False
     try:
         q1, q2 = braided_rep_pair(p, q)
     except (DegenerateCharacterError, InconsistentLiftError):
         return False
     for r in (q1, q2):
-        if np.min(np.abs(f_weights(r))) < min_weight:
+        if np.min(np.abs(f_weights(r))) < MIN_WEIGHT:
             return False
     # conditioning of the inverted factor (1 - t G) on the output pair
     t = p.ctx.eps
     G = _braid_factor(build_rep(q1), build_rep(q2))
     eye = np.eye(G.shape[0])
     for factor in (eye - t * G, eye - G / t):
-        if np.linalg.cond(factor) > max_condition:
+        if np.linalg.cond(factor) > MAX_CONDITION:
             return False
     return True

@@ -33,11 +33,17 @@ import numpy as np
 
 from .cyclic import (RepParams, RepMatrices, _braid_factor, _kron, build_rep,
                      clock_shift, gauge_U, lift_character, z0_character)
-from .errors import (AssemblyError, BranchMismatchError, InvalidInputError,
-                     NoIntertwinerError, NonGenericRepresentationError)
+from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
+                     NonGenericRepresentationError)
 from .glstar import beta_inverse
-from .qseries import phi_series
 from .roots import RootContext, primitive_root
+
+# oracle kernel: relative singular value below KERNEL_TOL, gap ratio above
+# GAP_THRESHOLD (see solve_intertwiner)
+KERNEL_TOL = 1e-6
+GAP_THRESHOLD = 1e6
+# largest distance of chi1, chi2 and eps^(2a) from the ell-th roots of unity
+TWIST_ROOT_TOL = 1e-8
 
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
@@ -289,8 +295,7 @@ class ChiData:
     legacy_relation_residuals: dict = field(default_factory=dict)
 
 
-def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams,
-             tol: float = 1e-8) -> ChiData:
+def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams) -> ChiData:
     """Twist scalars of the closed form, all pinned by explicit equations.
 
     chi1 and chi2 are ell-th roots of unity identically (their ell-th powers
@@ -322,7 +327,7 @@ def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams,
     # the weight band is pinned by the clock ratio alone; chi1 is a further,
     # independent root of unity (the two only coincide near the identity)
     a, a_mis = _band_offset(p1, p2, q1, q2)
-    if max(chi1_mis, chi2_mis, a_mis) > tol:
+    if max(chi1_mis, chi2_mis, a_mis) > TWIST_ROOT_TOL:
         raise BranchMismatchError(
             f"twist scalars off the root lattice: chi1 {chi1_mis:.2e}, "
             f"chi2 {chi2_mis:.2e}, a {a_mis:.2e}")
@@ -389,7 +394,7 @@ class PairContext:
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent with its
     distance.  The eight _equation_blocks, the closed form's twist core and
-    its unit-base spectral factor R1 are built on first use, so the oracle
+    its spectral factor R1 are built on first use, so the oracle
     computes nothing of the closed form.  release() drops the ell^4-sized
     blocks and R1; they would be rebuilt if read again.
     """
@@ -434,9 +439,7 @@ def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
 
 
 def solve_intertwiner(p1: RepParams, p2: RepParams,
-                      target: tuple[RepParams, RepParams] | None = None,
-                      gap_threshold: float = 1e6,
-                      kernel_tol: float = 1e-6, *,
+                      target: tuple[RepParams, RepParams] | None = None, *,
                       pair: PairContext | None = None) -> Intertwiner:
     """Nullspace solve of the stacked intertwining system.
 
@@ -452,9 +455,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     the three smallest singular triplets by inverse subspace iteration
     (_tail_singular).  On sampled pairs at radius 0.1 the kernel gap is
     1e12 to 1e15 from ell = 3 to 13.
-    The kernel criterion is relative singular value < kernel_tol, against
+    The kernel criterion is relative singular value < KERNEL_TOL, against
     the bound sqrt(|H|_1) on the largest, together with a gap ratio above
-    gap_threshold; the negative controls sit 4+ orders above the
+    GAP_THRESHOLD; the negative controls sit 4+ orders above the
     tolerance, genuine kernels 7+ orders below.  The residual is measured
     on the full eight-block system of _equation_blocks, inverse included.
     """
@@ -471,7 +474,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     tail, vecs, sv_max = _tail_singular(cols, vals, len(colX))
     sv = np.concatenate([[sv_max], tail[::-1]])  # descending
     rel = sv / sv[0]
-    kernel_dim = int(np.sum(rel < kernel_tol))
+    kernel_dim = int(np.sum(rel < KERNEL_TOL))
     if kernel_dim == 0:
         raise NoIntertwinerError(
             f"empty nullspace: smallest relative singular value {rel[-1]:.3e}")
@@ -480,9 +483,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             f"nullspace dimension {kernel_dim} > 1 (non-generic pair)")
     with np.errstate(divide="ignore"):
         gap = float(sv[-2] / sv[-1])
-    if gap < gap_threshold:
+    if gap < GAP_THRESHOLD:
         raise NonGenericRepresentationError(
-            f"singular-value gap {gap:.2e} below threshold {gap_threshold:.1e}")
+            f"singular-value gap {gap:.2e} below threshold {GAP_THRESHOLD:.1e}")
     R = np.zeros((ell * ell, ell * ell), dtype=complex)
     R[colX, colJ] = vecs[:, 0]
     slogdet = np.linalg.slogdet(R)
@@ -495,12 +498,11 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
                        log_abs_det=float(slogdet.logabsdet))
 
 
-def _spectral_values(cd: ChiData, ctx: RootContext,
-                     base: complex = 1.0) -> np.ndarray:
-    """Eigenvalue orbit of the spectral factor: vals[0] = base and
+def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
+    """Eigenvalue orbit of the spectral factor: vals[0] = 1 and
     vals[k+1] = vals[k] tau / (1 - sigma eps^(2k))."""
     vals = np.empty(ctx.ell, dtype=complex)
-    vals[0] = base
+    vals[0] = 1.0
     for k in range(ctx.ell - 1):
         vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
     return vals
@@ -536,9 +538,7 @@ def _twist_core(p1: RepParams, p2: RepParams, q1: RepParams,
     return TwistCore(cd, D, Ba, gauge_U(p2)[0], gauge_U(q2)[0])
 
 
-def closed_form_R(p1: RepParams, p2: RepParams,
-                  base: str = "unit", normalize: bool = True,
-                  series_order: int = 120, *,
+def closed_form_R(p1: RepParams, p2: RepParams, *,
                   pair: PairContext | None = None) -> Intertwiner:
     """Assemble the explicit intertwiner from diagonal twists and the
     spectral factor.
@@ -547,31 +547,17 @@ def closed_form_R(p1: RepParams, p2: RepParams,
     are the lowering-gauge diagonals of the slot-2 input/output
     representations, D(v_n x v_m) = eps^(2nm) chi1^(-n) chi2^m, and R1 is
     the spectral function of B x B^-1 whose eigenvalue orbit has step
-    tau/(1 - sigma eps^(2k)) with the scalars of chi_data.  base "unit"
-    starts the orbit at 1; base "series" starts at the Taylor value of the
-    staircase function (needed only by the determinant probe, requires
-    |sigma| < 1).  pair is the PairContext of (p1, p2) when the caller
-    shares one; the unit-base R1 and the twist core stay on it for
-    r1_conjugation_residuals and s0_diagnostic.
+    tau/(1 - sigma eps^(2k)) with the scalars of chi_data, starting at 1
+    (det normalization removes any other start).  pair is the PairContext
+    of (p1, p2) when the caller shares one; R1 and the twist core stay on
+    it for r1_conjugation_residuals and s0_diagnostic.
     """
-    ctx = p1.ctx
-    ell = ctx.ell
     pair = _pair_of(p1, p2, pair)
     cd, D, Ba, U2, Ut2 = pair.twist
-    if base == "unit":
-        R1 = pair.spectral
-    elif base == "series":
-        if abs(cd.sigma) >= 0.95:
-            raise AssemblyError(f"|sigma| = {abs(cd.sigma):.3f} too large for the series base")
-        base_val = phi_series(ctx, series_order)(cd.sigma * ctx.pow(-2))
-        R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx, base_val))
-    else:
-        raise ValueError(f"unknown base {base!r}")
-    R = (D[:, None] * _kron(Ba, Ut2)) @ R1 @ _kron(np.eye(ell), np.linalg.inv(U2))
+    R = (D[:, None] * _kron(Ba, Ut2)) @ pair.spectral \
+        @ _kron(np.eye(p1.ctx.ell), np.linalg.inv(U2))
     slogdet = np.linalg.slogdet(R)
-    gauge = 1.0 + 0.0j
-    if normalize:
-        R, gauge = det_normalize(R, slogdet)
+    R, gauge = det_normalize(R, slogdet)
     res = intertwining_residual(R, pair.blocks)
     return Intertwiner(R=R, kernel_dim=1, residual=res, scalar_gauge=gauge,
                        in_params=(p1, p2), out_params=pair.out_params,
@@ -678,9 +664,9 @@ def r1_conjugation_residuals(intw: Intertwiner, *,
                              pair: PairContext | None = None) -> dict[str, float]:
     """Commutation identities of the spectral factor, both tensor readings.
 
-    Requires a closed-form intertwiner (chi data present).  pair is the
-    PairContext closed_form_R built intw from, if the caller shares one:
-    its unit-base R1 is read instead of being built again.
+    Requires a closed-form intertwiner (chi data present).  R1 is read
+    from pair, the PairContext closed_form_R built intw from, if the caller
+    shares one, and from a new one otherwise.
     """
     if intw.chi is None:
         raise InvalidInputError("needs a closed-form intertwiner")
@@ -688,10 +674,7 @@ def r1_conjugation_residuals(intw: Intertwiner, *,
     ell = ctx.ell
     cs = clock_shift(ctx)
     cd = intw.chi
-    if pair is None:
-        R1 = _spectral_factor(ell, ctx.eps_powers, _spectral_values(cd, ctx))
-    else:
-        R1 = _pair_of(*intw.in_params, pair).spectral
+    R1 = _pair_of(*intw.in_params, pair).spectral
     R1inv = np.linalg.inv(R1)
     kron = _kron
     I = np.eye(ell)

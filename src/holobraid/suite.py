@@ -5,12 +5,10 @@ report is identical for a fixed config up to its timestamp.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import dumps
 from .cyclic import (RepParams, _kron, build_rep, f_power_scalar_variants,
                      gauge_conjugation_residual, z0_character)
 from .errors import HolobraidError
@@ -24,7 +22,7 @@ from .intertwiner import (DetSample, PairContext, central_invariance_residuals,
                           r1_conjugation_residuals, solve_intertwiner)
 from .qseries import phi_orbit, phi_series
 from .report import (check_entry, complex_pair, new_report, params_entry,
-                     residual_entry, write_report)
+                     residual_entry)
 from .roots import RootContext, primitive_root
 from .sampling import sample_params
 
@@ -44,6 +42,7 @@ THRESHOLDS = {
     "oracle_residual": 1e-9,
     "central_invariance": 1e-9,
     "closed_form_residual": 1e-9,
+    "r1_commutants": 1e-11,
     "generator_actions": 1e-8,
     "set_ybe": 1e-9,
     "hybe_residual": 1e-7,
@@ -61,8 +60,6 @@ class SuiteConfig:
     tol: float = 1e-9
     radius: float = 0.1
     route: str = "both"  # oracle | closed-form | both
-    report_path: str | None = None
-    dump_dir: str | None = None
     hybe_every: int = 5
 
     def __post_init__(self):
@@ -192,6 +189,18 @@ def sign_variant_evidence(cx: Z0Char, cy: Z0Char) -> dict[str, float]:
     return out
 
 
+def character_record(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
+    """(checks, evidence) of one character pair: the gated character_checks
+    and matrix_route, with the matrix-route and correction-sign evidence."""
+    checks = {name: check_entry(res, THRESHOLDS[name])
+              for name, res in character_checks(cx, cy).items()}
+    mre = matrix_route_evidence(cx, cy)
+    checks["matrix_route"] = check_entry(min(mre.values()), THRESHOLDS["matrix_route"],
+                                         variant=min(mre, key=mre.get))
+    return checks, {"matrix_route": mre,
+                    "braiding_correction_sign": sign_variant_evidence(cx, cy)}
+
+
 def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
     """Orbit-vs-series agreement for both step-factor readings."""
     series = phi_series(ctx, order)
@@ -221,6 +230,12 @@ def f_power_evidence(p: RepParams) -> dict[str, float]:
             for name, val in f_power_scalar_variants(p).items()}
 
 
+def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepParams:
+    """The third coloring of trial idx's triple, drawn at index idx + 2^32."""
+    p3, = sample_params(ctx, seed, idx + (1 << 32), radius=radius, count=1)
+    return p3
+
+
 def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     """Full check battery for one trial; returns the trial record.
 
@@ -229,24 +244,13 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     intertwiner is the triple's (x, y) factor.
     """
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
-    checks: dict[str, dict] = {}
-    evidence: dict[str, dict] = {}
-
-    for name, res in rep_checks(p1).items():
-        checks[name] = check_entry(res, THRESHOLDS[name])
+    checks = {name: check_entry(res, THRESHOLDS[name])
+              for name, res in rep_checks(p1).items()}
     gauge_scale = gauge_variant_evidence(p1)
     checks["gauge_conjugation"] = check_entry(
         gauge_scale["geometric"], THRESHOLDS["gauge_conjugation"])
-
-    cx, cy = z0_character(p1), z0_character(p2)
-    for name, res in character_checks(cx, cy).items():
-        checks[name] = check_entry(res, THRESHOLDS[name])
-
-    mre = matrix_route_evidence(cx, cy)
-    evidence["matrix_route"] = mre
-    checks["matrix_route"] = check_entry(min(mre.values()), THRESHOLDS["matrix_route"],
-                                         variant=min(mre, key=mre.get))
-    evidence["braiding_correction_sign"] = sign_variant_evidence(cx, cy)
+    char_checks, evidence = character_record(z0_character(p1), z0_character(p2))
+    checks.update(char_checks)
     evidence["gauge_scale"] = gauge_scale
     evidence["f_power_prefactor"] = f_power_evidence(p1)
 
@@ -295,7 +299,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         }
         checks["r1_commutants"] = check_entry(
             max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
-            1e-11)
+            THRESHOLDS["r1_commutants"])
     # both routes have their residuals: drop the ell^4-sized blocks and R1
     # before the s0 core and the triple, where memory peaks
     pair.release()
@@ -324,7 +328,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         THRESHOLDS["generator_actions"])
 
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
-        p3, = sample_params(ctx, cfg.seed, idx + (1 << 32), radius=cfg.radius, count=1)
+        p3 = third_params(ctx, cfg.seed, idx, cfg.radius)
         try:
             col = derive_colorings(p1, p2, p3)
             checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
@@ -373,8 +377,26 @@ def _aggregate_adjudications(trials: list[dict], ctx: RootContext) -> dict:
     return out
 
 
+def check_summary(trials: list[dict]) -> dict:
+    """Per check name, sorted: how many trials ran it, passed it, and the
+    worst residual."""
+    stats: dict[str, dict] = {}
+    for tr in trials:
+        for name, c in tr["checks"].items():
+            st = stats.setdefault(name, {"count": 0, "passed": 0, "max_residual": 0.0})
+            st["count"] += 1
+            st["passed"] += int(c["pass"])
+            st["max_residual"] = max(st["max_residual"], c["residual"]["value"])
+    for st in stats.values():
+        st["max_residual"] = residual_entry(st["max_residual"])
+    return dict(sorted(stats.items()))
+
+
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
-    """Execute the whole battery; returns (exit code, report dict)."""
+    """Execute the whole battery; returns (exit code, report dict).
+
+    Writes nothing: report.write_report saves the report.
+    """
     ctx = primitive_root(cfg.ell)
     report = new_report(cfg.to_dict())
     trials = [run_trial(cfg, ctx, i) for i in range(cfg.trials)]
@@ -385,33 +407,11 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     report["adjudications"] = _aggregate_adjudications(trials, ctx)
     report["trials"] = trials
 
-    if cfg.dump_dir:
-        os.makedirs(cfg.dump_dir, exist_ok=True)
-        first = trials[0]
-        p1 = RepParams(ctx=ctx, **{k: complex(*v) for k, v in first["params"][0].items()})
-        rep = build_rep(p1)
-        for kind, m in zip("KLEF", rep.as_tuple()):
-            dumps.dump_rep_matrix(os.path.join(cfg.dump_dir, f"trial0_{kind}.tsv"),
-                                  m, kind, p1)
-        if cfg.route in ("oracle", "both"):
-            intw = solve_intertwiner(p1, RepParams(
-                ctx=ctx, **{k: complex(*v) for k, v in first["params"][1].items()}))
-            dumps.dump_intertwiner(os.path.join(cfg.dump_dir, "trial0_R.tsv"), intw)
-
     n_pass = sum(tr["pass"] for tr in trials)
     adj_ok = all(a["resolved"] for a in report["adjudications"].values())
     probe = report["det_probe"]
     probe_ok = bool(probe.get("inconclusive")) or \
         (probe.get("core_fit") or {}).get("fit_residual", 1.0) < 1e-6
-    check_stats: dict[str, dict] = {}
-    for tr in trials:
-        for name, c in tr["checks"].items():
-            st = check_stats.setdefault(name, {"count": 0, "passed": 0, "max_residual": 0.0})
-            st["count"] += 1
-            st["passed"] += int(c["pass"])
-            st["max_residual"] = max(st["max_residual"], c["residual"]["value"])
-    for st in check_stats.values():
-        st["max_residual"] = residual_entry(st["max_residual"])
     n_hybe = sum("hybe" in tr for tr in trials)
     n_hybe_rejected = sum(tr.get("hybe", {}).get("rejected", False) for tr in trials)
     report["summary"] = {
@@ -422,9 +422,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
         "hybe_rejected": int(n_hybe_rejected),
         "adjudications_resolved": bool(adj_ok),
         "det_probe_ok": bool(probe_ok),
-        "checks": dict(sorted(check_stats.items())),
+        "checks": check_summary(trials),
     }
     exit_code = 0 if (n_pass == cfg.trials and adj_ok and probe_ok) else 1
-    if cfg.report_path:
-        write_report(report, cfg.report_path)
     return exit_code, report

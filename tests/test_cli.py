@@ -2,8 +2,20 @@ import json
 
 import pytest
 
+import holobraid.suite
 from holobraid.cli import main
 from holobraid.dumps import load_matrix
+from holobraid.errors import AssemblyError
+from holobraid.report import emit_report
+from holobraid.roots import primitive_root
+from holobraid.suite import SuiteConfig, run_trial
+
+
+def _trial_record(idx, **cfg):
+    """run_trial's record at idx, as the JSON report carries it."""
+    trial = run_trial(SuiteConfig(trials=idx + 1, **cfg), primitive_root(cfg["ell"]), idx)
+    trial.pop("_det_sample", None)
+    return json.loads(emit_report(trial))
 
 
 def test_suite_command(tmp_path, capsys):
@@ -37,17 +49,36 @@ def test_braid_map_command(tmp_path):
                  "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert len(rep["trials"]) == 4
-    assert rep["summary"]["set_ybe"]["value"] < 1e-9
+    assert rep["summary"]["passed"] == 4
+    assert rep["summary"]["checks"]["set_ybe"]["max_residual"]["value"] < 1e-9
+
+
+def test_braid_map_checks_are_the_suites(tmp_path):
+    out = tmp_path / "b.json"
+    assert main(["braid-map", "--ell", "5", "--trials", "3", "--seed", "9",
+                 "--report", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    names = ("braiding_round_trip", "braiding_product", "conserved_T",
+             "conserved_Dt", "identity_fixed_points", "matrix_route")
+    for i, tr in enumerate(rep["trials"]):
+        suite_checks = _trial_record(i, ell=5, seed=9, route="closed-form",
+                                     hybe_every=1)["checks"]
+        assert set(tr["checks"]) == {*names, "set_ybe"}
+        assert tr["checks"] == {k: suite_checks[k] for k in tr["checks"]}
 
 
 def test_rmatrix_command(tmp_path):
-    dump = tmp_path / "R.tsv"
+    d = tmp_path / "dumps"
     out = tmp_path / "r.json"
-    assert main(["rmatrix", "--ell", "3", "--seed", "5", "--dump", str(dump),
+    assert main(["rmatrix", "--ell", "3", "--seed", "5", "--dump-dir", str(d),
                  "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["comparison"]["deviation"]["value"] < 1e-8
-    meta, m = load_matrix(dump)
+    assert rep["route_comparison"]["deviation"]["value"] < 1e-8
+    assert "hybe" not in rep
+    names = sorted(f.name for f in d.iterdir())
+    assert names == ["trial0_E.tsv", "trial0_F.tsv", "trial0_K.tsv",
+                     "trial0_L.tsv", "trial0_R.tsv"]
+    meta, m = load_matrix(d / "trial0_R.tsv")
     assert m.shape == (9, 9)
 
 
@@ -55,9 +86,37 @@ def test_hybe_command(tmp_path):
     out = tmp_path / "h.json"
     assert main(["hybe", "--ell", "3", "--seed", "11", "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert abs(rep["c_modulus"] - 1) < 1e-8
-    assert rep["residual"]["value"] < 1e-7
-    assert "z2" in rep["colorings"]
+    assert rep["checks"]["hybe_c_modulus"]["residual"]["value"] < 1e-8
+    assert rep["checks"]["hybe_residual"]["residual"]["value"] < 1e-7
+    assert len(rep["colorings"]) == 15 and "z2" in rep["colorings"]
+
+
+@pytest.mark.parametrize("argv, hybe_every", [
+    (["rmatrix", "--trial", "2"], 0),
+    (["hybe", "--trial", "0", "--route", "both"], 1),
+])
+def test_trial_commands_match_run_trial(tmp_path, argv, hybe_every):
+    out = tmp_path / "t.json"
+    assert main([*argv, "--ell", "3", "--seed", "7", "--report", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    trial = _trial_record(int(argv[2]), ell=3, seed=7, hybe_every=hybe_every)
+    assert (rep["command"], rep["ell"], rep["seed"]) == (argv[0], 3, 7)
+    assert "_det_sample" not in rep
+    for key in ("checks", "oracle", "route_comparison"):
+        assert rep[key] == trial[key]
+    assert rep.get("hybe") == trial.get("hybe")
+    assert ("hybe" in rep) == bool(hybe_every)
+
+
+def test_hybe_rejected_triple_exits_one(monkeypatch, capsys):
+    def rejected(*args, **kwargs):
+        raise AssemblyError("forced")
+
+    monkeypatch.setattr(holobraid.suite, "hybe_residual", rejected)
+    assert main(["hybe", "--ell", "3", "--seed", "11"]) == 1
+    rep = json.loads(capsys.readouterr().out)  # printed without --report
+    assert rep["hybe"] == {"rejected": True, "reason": "forced"}
+    assert rep["pass"]  # a rejected triple does not fail the trial itself
 
 
 def test_series_command(tmp_path):

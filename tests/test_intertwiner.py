@@ -195,12 +195,6 @@ class TestClosedForm:
         assert dev < 1e-8
         assert abs(abs(scalar) - 1) < 1e-9  # both det-normalized
 
-    def test_series_base_same_ray(self, pair3):
-        a = closed_form_R(*pair3, base="unit")
-        b = closed_form_R(*pair3, base="series")
-        # normalization removes the base scalar entirely
-        assert np.max(np.abs(a.R - b.R)) < 1e-9
-
     def test_small_spectral_parameter_regime(self, ctx3):
         # x2 near v2 makes the braiding correction (and sigma) small, and
         # the spectral factor collapses toward the identity

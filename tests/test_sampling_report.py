@@ -8,7 +8,7 @@ from holobraid.dumps import dump_intertwiner, dump_rep_matrix, load_matrix
 from holobraid.errors import SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep
-from holobraid.report import emit_report, residual_entry
+from holobraid.report import emit_report, residual_entry, write_report
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, run_suite
 
@@ -86,20 +86,13 @@ class TestReports:
 
     def test_exit_zero_and_file(self, tmp_path):
         path = tmp_path / "out.json"
-        code, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=2,
-                                          report_path=str(path)))
+        code, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=2))
         assert code == 0
+        assert list(tmp_path.iterdir()) == []  # run_suite writes no file
+        write_report(rep, path)
         on_disk = json.loads(path.read_text())
         assert on_disk["summary"]["passed"] == 3
         assert len(on_disk["trials"]) == 3
-
-    def test_dump_dir(self, tmp_path):
-        d = tmp_path / "dumps"
-        code, _ = run_suite(SuiteConfig(ell=3, trials=2, seed=2, dump_dir=str(d)))
-        assert code == 0
-        names = sorted(f.name for f in d.iterdir())
-        assert names == ["trial0_E.tsv", "trial0_F.tsv", "trial0_K.tsv",
-                         "trial0_L.tsv", "trial0_R.tsv"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
