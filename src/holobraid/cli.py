@@ -39,17 +39,27 @@ from .suite import (THRESHOLDS, SuiteConfig, character_record, check_summary,
 ROUTES = ("oracle", "closed-form", "both")
 
 
-def _odd_ell(value: str) -> int:
-    ell = int(value)
-    if ell < 3 or ell % 2 == 0:
-        raise argparse.ArgumentTypeError(f"ell must be odd and >= 3, got {ell}")
-    return ell
+def _bounded(parse, ok, bound: str):
+    """An argparse type: parse the value, and reject it unless ok(value)."""
+    def check(value: str):
+        x = parse(value)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {x}")
+        return x
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+_odd_ell = _bounded(int, lambda n: n >= 3 and n % 2 == 1, "odd and >= 3")
+_count = _bounded(int, lambda n: n >= 1, ">= 1")
+_every = _bounded(int, lambda n: n >= 0, ">= 0")
+_radius = _bounded(float, lambda r: 0 < r <= 1, "in (0, 1]")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_odd_ell, default=3, help="odd root-of-unity degree")
     p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    p.add_argument("--radius", type=float, default=0.1,
+    p.add_argument("--radius", type=_radius, default=0.1,
                    help="half-width of the log-space sampling box")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
@@ -62,16 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full verification battery")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=SuiteConfig.tol,
-                   help="intertwining residual gate")
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--route", choices=ROUTES, default="both")
-    p.add_argument("--hybe-every", type=int, default=5,
+    p.add_argument("--hybe-every", type=_every, default=5,
                    help="run a triple test every N-th trial (0 disables)")
 
     p = sub.add_parser("braid-map", help="character and coloring checks only")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count, default=50)
 
     p = sub.add_parser("rmatrix", help="one suite trial without its triple")
     _add_common(p)
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_suite(args) -> tuple[int, dict]:
     cfg = SuiteConfig(ell=args.ell, trials=args.trials, seed=args.seed,
-                      tol=args.tol, radius=args.radius, route=args.route,
+                      radius=args.radius, route=args.route,
                       hybe_every=args.hybe_every)
     code, report = run_suite(cfg)
     s = report["summary"]

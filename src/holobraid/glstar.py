@@ -39,20 +39,6 @@ class Z0Char:
     def as_array(self) -> np.ndarray:
         return np.array([self.kappa, self.lam, self.eta, self.phi])
 
-    def to_json_dict(self) -> dict:
-        def ri(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
-        return {"kappa": ri(self.kappa), "lambda": ri(self.lam),
-                "eta": ri(self.eta), "phi": ri(self.phi)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Z0Char":
-        def c(v):
-            return complex(v[0], v[1])
-
-        return cls(c(d["kappa"]), c(d["lambda"]), c(d["eta"]), c(d["phi"]))
-
 
 IDENTITY_CHAR = Z0Char(1.0, 1.0, 0.0, 0.0)
 

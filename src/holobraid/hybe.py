@@ -23,9 +23,8 @@ import numpy as np
 
 from .cyclic import RepParams, _kron
 from .errors import AssemblyError
-from .intertwiner import (Intertwiner, PairContext, _band_index_arrays,
-                          _pair_of, braided_rep_pair, closed_form_R,
-                          solve_intertwiner)
+from .intertwiner import (Intertwiner, _band_index_arrays, braided_rep_pair,
+                          closed_form_R, solve_intertwiner)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
     whose modulus must be 1 (it is an (ell^3)-rd root of unity for
     det-normalized factors).
 
-    Each factor maps pair grade g to g + its band_exp, so each product is
+    Each factor maps pair grade g to g + its band exponent, so each product is
     formed as ell grade blocks of size ell^2 x ell^2 (_grade_blocks,
     _chain): O(ell^7) work, no ell^3 x ell^3 array.  Products whose total
     shifts differ have disjoint supports: then c = 0 and the deviation is 1,
@@ -184,8 +183,8 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
         raise AssemblyError("coloring chains failed to produce finite finals")
 
     def factor(a: RepParams, b: RepParams, slots: tuple[int, int]):
-        if xy is not None and xy.route == route and xy.in_params[0] is a \
-                and xy.in_params[1] is b:
+        if xy is not None and xy.route == route and xy.pair.in_params[0] is a \
+                and xy.pair.in_params[1] is b:
             intw = xy
         elif route == "oracle":
             intw = solve_intertwiner(a, b)
@@ -193,7 +192,9 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
             intw = closed_form_R(a, b)
         else:
             raise ValueError(f"unknown route {route!r}")
-        return _grade_blocks(intw.R, intw.band_exp, slots), intw.band_exp
+        R, shift = intw.R, intw.pair.band_exp
+        del intw  # free a fresh factor's PairContext before its grade blocks
+        return _grade_blocks(R, shift, slots), shift
 
     lhs, lhs_shift = _chain([factor(col.x1, col.y1, (0, 1)),
                              factor(col.x, col.z1, (0, 2)),
@@ -219,9 +220,9 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
     return complex(c), dev, info
 
 
-def s0_diagnostic(p1: RepParams, p2: RepParams, *,
-                  pair: PairContext | None = None) -> tuple[float, bool]:
-    """Constant Yang-Baxter residual of the zero-spectral-parameter core.
+def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
+    """Constant Yang-Baxter residual of the zero-spectral-parameter core of
+    the closed-form intertwiner intw.
 
     Substitutes the identity for the spectral factor, leaving
     R0 = D (B^a x Ug_out Ug_in^-1), and tests
@@ -229,10 +230,9 @@ def s0_diagnostic(p1: RepParams, p2: RepParams, *,
     three slots.  R0 maps pair grade g to g + a, so both products are
     formed on grade blocks as in hybe_residual.  Purely diagnostic:
     returns (relative residual, conclusive flag); no threshold is attached.
-    pair is the PairContext of (p1, p2), if the caller shares one: its twist
-    core, built by closed_form_R, is read instead of being built again.
+    The twist core is read from intw's pair, where closed_form_R left it.
     """
-    cd, D, Ba, U2, Ut2 = _pair_of(p1, p2, pair).twist
+    cd, D, Ba, U2, Ut2 = intw.pair.twist
     R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
     a = cd.a_exp
     b12, b13, b23 = [(_grade_blocks(R0, a, slots), a)

@@ -19,13 +19,14 @@ four unknowns; the rows are scaled to unit norm and the kernel is found by
 inverse subspace iteration on the sparse-built normal matrix.
 
 A PairContext holds what both routes and their checks read of one pair
-(the output pair, the four generator matrix sets, the band, the equation
-blocks); the suite builds one per trial and passes it to each of them.
+(the output pair, the four generator matrix sets, the band, the braid
+factor, the equation blocks).  Each Intertwiner carries its PairContext
+to the checks; only the two routes take one, as pair=, from a caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -77,34 +78,23 @@ def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams
     return q1, q2
 
 
-def _single_factor_blocks(rin1: RepMatrices, rin2: RepMatrices,
-                          rout1: RepMatrices, rout2: RepMatrices,
-                          inv_t: np.ndarray):
-    """(M, N, band shift) for 1xK, 1xL, Ex1, 1xF; inv_t = (1 - eps G)^-1."""
+def _single_factor_blocks(pair: PairContext):
+    """(M, N, band shift) for 1xK, 1xL, Ex1, 1xF."""
     kron = _kron
+    rin1, rin2, rout1, rout2 = pair.reps
     I = np.eye(rin1.K.shape[0])
     return [
-        (kron(I, rin2.K), kron(I, rout2.K) @ inv_t, 0),
-        (kron(I, rin2.L), kron(I, rout2.L) @ inv_t, 0),
+        (kron(I, rin2.K), kron(I, rout2.K) @ pair.T_inv, 0),
+        (kron(I, rin2.L), kron(I, rout2.L) @ pair.T_inv, 0),
         (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
         (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1),
     ]
 
 
-def _equation_blocks(rin1: RepMatrices, rin2: RepMatrices,
-                     rout1: RepMatrices, rout2: RepMatrices, eps: complex):
-    """(M, N, band shift) triples of the stacked system N R = R M."""
-    n2 = rin1.K.shape[0] ** 2
-    inv_t = np.linalg.inv(np.eye(n2) - eps * _braid_factor(rout1, rout2))
-    coproducts = zip(_coproducts(rin1, rin2, False), _coproducts(rout1, rout2, True),
-                     (0, 0, 1, -1))
-    return list(coproducts) + _single_factor_blocks(rin1, rin2, rout1, rout2, inv_t)
-
-
-def _band_blocks(blocks, reps: tuple[RepMatrices, ...], eps: complex):
+def _band_blocks(pair: PairContext):
     """(M, N, band shift) of the six equations the oracle solves.
 
-    From the eight blocks of _equation_blocks it keeps the E and F
+    From the eight blocks of PairContext.blocks it keeps the E and F
     coproducts and the Ex1 and 1xF equations.  The two slot-2 clock
     equations are multiplied through by T = 1 - eps G:
     R (1 x K_in^-1) = T (1 x K_out^-1) R, and the same for L, so no inverse
@@ -112,11 +102,11 @@ def _band_blocks(blocks, reps: tuple[RepMatrices, ...], eps: complex):
     matrices.  The K and L coproduct equations vanish identically on the
     band and are left out.
     """
-    _, rin2, rout1, rout2 = reps
+    _, rin2, _, rout2 = pair.reps
     I = np.eye(rin2.K.shape[0])
-    T = np.eye(I.shape[0] ** 2) - eps * _braid_factor(rout1, rout2)
-    clocks = [(_kron(I, np.linalg.inv(g_in)), T @ _kron(I, np.linalg.inv(g_out)), 0)
+    clocks = [(_kron(I, np.linalg.inv(g_in)), pair.T @ _kron(I, np.linalg.inv(g_out)), 0)
               for g_in, g_out in ((rin2.K, rout2.K), (rin2.L, rout2.L))]
+    blocks = pair.blocks
     return [*blocks[2:4], *clocks, *blocks[6:]]
 
 
@@ -234,11 +224,6 @@ def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
     return a, float(dists[a])
 
 
-def intertwining_residual(R: np.ndarray, blocks) -> float:
-    nr = np.linalg.norm(R)
-    return float(max(np.linalg.norm(N @ R - R @ M) for M, N, _ in blocks) / nr)
-
-
 @lru_cache(maxsize=16)
 def _golden_weights(size: int) -> np.ndarray:
     """The fixed golden-angle unit weights of det_normalize."""
@@ -247,7 +232,7 @@ def _golden_weights(size: int) -> np.ndarray:
     return w
 
 
-def det_normalize(R: np.ndarray, slogdet=None) -> tuple[np.ndarray, complex]:
+def det_normalize(R: np.ndarray, slogdet=None) -> np.ndarray:
     """Scale to det 1, then fix the residual root-of-unity phase.
 
     After the det scaling a matrix is determined up to an n-th root of
@@ -263,15 +248,13 @@ def det_normalize(R: np.ndarray, slogdet=None) -> tuple[np.ndarray, complex]:
     sign, logabs = np.linalg.slogdet(R) if slogdet is None else slogdet
     if sign == 0:
         raise InvalidInputError("singular matrix cannot be det-normalized")
-    scale = np.exp(-(logabs + 1j * np.angle(sign)) / n)
-    R1 = R * scale
+    R1 = R * np.exp(-(logabs + 1j * np.angle(sign)) / n)
     sigma = np.dot(_golden_weights(R1.size), R1.ravel())
     if abs(sigma) < 1e-8 * np.linalg.norm(R1):  # fallback, never hit in practice
         sigma = R1.flat[int(np.argmax(np.abs(R1)))]
     ang = float(np.angle(sigma) % (2 * np.pi))
     k = int(ang // (2 * np.pi / n))
-    phase = np.exp(-2j * np.pi * k / n)
-    return R1 * phase, scale * phase
+    return R1 * np.exp(-2j * np.pi * k / n)
 
 
 @dataclass
@@ -283,8 +266,6 @@ class ChiData:
     a_exp: int
     s: complex
     t: complex
-    z2: complex
-    z2_tilde: complex
     sigma: complex
     tau: complex
     chi1_mismatch: float
@@ -346,35 +327,12 @@ def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams) -> ChiD
     legacy["a_exp_gauge_chain"] = float(
         np.min(np.abs(legacy_cand - ctx.eps_powers[(-2 * np.arange(ell)) % ell])))
     return ChiData(
-        chi1=chi1, chi2=chi2, a_exp=a, s=s, t=t, z2=z2, z2_tilde=zt2,
-        sigma=sigma, tau=tau,
+        chi1=chi1, chi2=chi2, a_exp=a, s=s, t=t, sigma=sigma, tau=tau,
         chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis, a_mismatch=a_mis,
         t_power_residual=float(abs(t**ell - (1 - s**ell))),
         sigma_power_residual=float(abs(sigma**ell - eta1 * phi2)),
         legacy_relation_residuals=legacy,
     )
-
-
-@dataclass
-class Intertwiner:
-    """An intertwiner with its normalization and diagnostic metadata."""
-
-    R: np.ndarray
-    kernel_dim: int
-    residual: float
-    scalar_gauge: complex
-    in_params: tuple[RepParams, RepParams]
-    out_params: tuple[RepParams, RepParams]
-    route: str
-    band_exp: int
-    reps: tuple[RepMatrices, ...]  # generator matrices of in1, in2, out1, out2
-    singular_gap: float | None = None
-    chi: ChiData | None = None
-    log_abs_det: float | None = None  # log|det R| of R before det normalization
-
-    @property
-    def ell(self) -> int:
-        return self.in_params[0].ctx.ell
 
 
 class TwistCore(NamedTuple):
@@ -393,10 +351,11 @@ class PairContext:
 
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent with its
-    distance.  The eight _equation_blocks, the closed form's twist core and
-    its spectral factor R1 are built on first use, so the oracle
-    computes nothing of the closed form.  release() drops the ell^4-sized
-    blocks and R1; they would be rebuilt if read again.
+    distance.  The braid factor G, T = 1 - eps G, T^-1, the eight equation
+    blocks, the closed form's twist core and its spectral factor R1 are
+    built on first use, so the oracle computes nothing of the closed form
+    and an unread closed-form residual builds no blocks.  release() drops
+    the ell^4-sized blocks and R1 (rebuilt if read again), not G, T, T^-1.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -408,8 +367,23 @@ class PairContext:
         self.band_exp, self.band_dist = _band_offset(*self.in_params, *self.out_params)
 
     @cached_property
+    def G(self) -> np.ndarray:
+        return _braid_factor(*self.reps[2:])
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        return np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G
+
+    @cached_property
+    def T_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.T)
+
+    @cached_property
     def blocks(self) -> list:
-        return _equation_blocks(*self.reps, self.in_params[0].ctx.eps)
+        """(M, N, band shift) triples of the stacked system N R = R M."""
+        rin1, rin2, rout1, rout2 = self.reps
+        return [*zip(_coproducts(rin1, rin2, False), _coproducts(rout1, rout2, True),
+                     (0, 0, 1, -1)), *_single_factor_blocks(self)]
 
     @cached_property
     def twist(self) -> TwistCore:
@@ -426,6 +400,33 @@ class PairContext:
     def release(self) -> None:
         for name in ("blocks", "spectral"):
             self.__dict__.pop(name, None)
+
+
+@dataclass
+class Intertwiner:
+    """An intertwiner, the PairContext it was built from, and diagnostics;
+    residual (on the pair's equation blocks) is computed on first read."""
+
+    R: np.ndarray
+    pair: PairContext
+    route: str
+    kernel_dim: int = 1
+    singular_gap: float | None = None
+    chi: ChiData | None = None
+    log_abs_det: float | None = None  # log|det R| of R before det normalization
+
+    @property
+    def ell(self) -> int:
+        return self.pair.in_params[0].ctx.ell
+
+    @cached_property
+    def residual(self) -> float:
+        R, nr = self.R, np.linalg.norm(self.R)
+        return float(max(np.linalg.norm(N @ R - R @ M) for M, N, _ in self.pair.blocks) / nr)
+
+    @cached_property
+    def _R_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.R)
 
 
 def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
@@ -458,11 +459,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     The kernel criterion is relative singular value < KERNEL_TOL, against
     the bound sqrt(|H|_1) on the largest, together with a gap ratio above
     GAP_THRESHOLD; the negative controls sit 4+ orders above the
-    tolerance, genuine kernels 7+ orders below.  The residual is measured
-    on the full eight-block system of _equation_blocks, inverse included.
+    tolerance, genuine kernels 7+ orders below.
     """
-    ctx = p1.ctx
-    ell = ctx.ell
+    ell = p1.ctx.ell
     pair = _pair_of(p1, p2, pair, target)
     a = pair.band_exp
     if not pair.band_dist <= 1e-6:  # NaN included
@@ -470,7 +469,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
     colX, colJ = _band_index_arrays(ell, a)
-    cols, vals = _band_rows(_band_blocks(pair.blocks, pair.reps, ctx.eps), ell, a)
+    cols, vals = _band_rows(_band_blocks(pair), ell, a)
     tail, vecs, sv_max = _tail_singular(cols, vals, len(colX))
     sv = np.concatenate([[sv_max], tail[::-1]])  # descending
     rel = sv / sv[0]
@@ -489,13 +488,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     R = np.zeros((ell * ell, ell * ell), dtype=complex)
     R[colX, colJ] = vecs[:, 0]
     slogdet = np.linalg.slogdet(R)
-    Rn, gauge = det_normalize(R, slogdet)
-    res = intertwining_residual(Rn, pair.blocks)
-    return Intertwiner(R=Rn, kernel_dim=kernel_dim, residual=res,
-                       scalar_gauge=gauge, in_params=(p1, p2),
-                       out_params=pair.out_params, route="oracle", band_exp=a,
-                       reps=pair.reps, singular_gap=gap,
-                       log_abs_det=float(slogdet.logabsdet))
+    return Intertwiner(R=det_normalize(R, slogdet), pair=pair, route="oracle",
+                       singular_gap=gap, log_abs_det=float(slogdet.logabsdet))
 
 
 def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
@@ -557,11 +551,7 @@ def closed_form_R(p1: RepParams, p2: RepParams, *,
     R = (D[:, None] * _kron(Ba, Ut2)) @ pair.spectral \
         @ _kron(np.eye(p1.ctx.ell), np.linalg.inv(U2))
     slogdet = np.linalg.slogdet(R)
-    R, gauge = det_normalize(R, slogdet)
-    res = intertwining_residual(R, pair.blocks)
-    return Intertwiner(R=R, kernel_dim=1, residual=res, scalar_gauge=gauge,
-                       in_params=(p1, p2), out_params=pair.out_params,
-                       route="closed-form", band_exp=cd.a_exp, reps=pair.reps,
+    return Intertwiner(R=det_normalize(R, slogdet), pair=pair, route="closed-form",
                        chi=cd, log_abs_det=float(slogdet.logabsdet))
 
 
@@ -575,21 +565,25 @@ def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float
     return complex(scalar), deviation
 
 
+def _conjugation_residual(intw: Intertwiner, w_in: np.ndarray, w_out: np.ndarray) -> float:
+    """|R w_in R^-1 - w_out| / |w_out|."""
+    lhs = intw.R @ w_in @ intw._R_inv
+    return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
+
+
 def central_invariance_residuals(intw: Intertwiner) -> dict[str, float]:
     """Conjugation residuals on the small-center elements (scalars in each slot)."""
-    ctx = intw.in_params[0].ctx
+    ctx = intw.pair.in_params[0].ctx
     eps = ctx.eps
     I = np.eye(ctx.ell)
-    Rinv = np.linalg.inv(intw.R)
+    reps = intw.pair.reps
     central = {"casimir": lambda r: r.E @ r.F + r.K / eps + np.linalg.inv(r.L) * eps,
                "kl_ratio": lambda r: r.K @ np.linalg.inv(r.L)}
     out = {}
     for name, elem in central.items():
         for slot, embed in ((1, lambda m: _kron(m, I)), (2, lambda m: _kron(I, m))):
-            w_in, w_out = embed(elem(intw.reps[slot - 1])), embed(elem(intw.reps[slot + 1]))
-            lhs = intw.R @ w_in @ Rinv
-            out[f"{name}_slot{slot}"] = float(np.linalg.norm(lhs - w_out)
-                                              / np.linalg.norm(w_out))
+            out[f"{name}_slot{slot}"] = _conjugation_residual(
+                intw, embed(elem(reps[slot - 1])), embed(elem(reps[slot + 1])))
     return out
 
 
@@ -600,43 +594,35 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
     formula at least one variant is expected under 1e-8; the suite
     aggregates which one.
     """
-    p1, p2 = intw.in_params
-    q1, q2 = intw.out_params
+    pair = intw.pair
+    p1, p2, q1, q2 = *pair.in_params, *pair.out_params
     ctx = p1.ctx
     ell, t = ctx.ell, ctx.eps
     kron = _kron
     I = np.eye(ell)
-    Id = np.eye(ell * ell)
-    rin1, rin2, rout1, rout2 = intw.reps
+    rin1, rin2, rout1, rout2 = pair.reps
     K1, F1, E2 = rin1.K, rin1.F, rin2.E
     Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
     Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
-    R = intw.R
-    Rinv = np.linalg.inv(R)
-    G = _braid_factor(rout1, rout2)
-    inv_t = np.linalg.inv(Id - t * G)
-    inv_tinv = np.linalg.inv(Id - G / t)
-
-    def res(w_in, rhs):
-        lhs = R @ w_in @ Rinv
-        return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    inv_t = pair.T_inv
+    inv_tinv = np.linalg.inv(np.eye(ell * ell) - pair.G / t)
+    res = partial(_conjugation_residual, intw)
 
     # the four single-factor equations of the oracle system, read as checks
     checks: list[tuple[str, str, float]] = [
         (name, "direct", res(M, N)) for name, (M, N, _) in zip(
             ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
-            _single_factor_blocks(*intw.reps, inv_t))]
-    checks.append(("slot1_clock_k", "direct", res(kron(K1, I), (Id - t * G) @ kron(Kt1, I))))
+            _single_factor_blocks(pair))]
+    checks.append(("slot1_clock_k", "direct", res(kron(K1, I), pair.T @ kron(Kt1, I))))
 
     # ell-th powers are central scalars; the inverted factor's sign variant
     # is exactly the braiding-sign adjudication at the character level
-    c_in2, c_out1, c_out2 = z0_character(p2), z0_character(q1), z0_character(q2)
+    c_in1, c_in2, c_out1, c_out2 = (z0_character(p) for p in (p1, p2, q1, q2))
     w = c_out1.eta * c_out2.phi * c_out2.lam / c_out1.kappa
     for sign, name in ((-1, "minus"), (+1, "plus")):
         rhs = c_out2.kappa / (1 + sign * w)
         checks.append(("power_slot2_clock_k", name,
                        float(abs(c_in2.kappa - rhs) / abs(rhs))))
-    c_in1 = z0_character(p1)
     checks.append(("power_slot1_raising", "direct",
                    float(abs(c_in1.eta - c_out1.eta * c_out2.lam) / abs(c_in1.eta))))
     checks.append(("power_slot2_lowering", "direct",
@@ -660,21 +646,19 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
     return checks
 
 
-def r1_conjugation_residuals(intw: Intertwiner, *,
-                             pair: PairContext | None = None) -> dict[str, float]:
+def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     """Commutation identities of the spectral factor, both tensor readings.
 
-    Requires a closed-form intertwiner (chi data present).  R1 is read
-    from pair, the PairContext closed_form_R built intw from, if the caller
-    shares one, and from a new one otherwise.
+    Requires a closed-form intertwiner (chi data present); R1 is read from
+    its pair, where closed_form_R left it.
     """
     if intw.chi is None:
         raise InvalidInputError("needs a closed-form intertwiner")
-    ctx = intw.in_params[0].ctx
+    ctx = intw.pair.in_params[0].ctx
     ell = ctx.ell
     cs = clock_shift(ctx)
     cd = intw.chi
-    R1 = _pair_of(*intw.in_params, pair).spectral
+    R1 = intw.pair.spectral
     R1inv = np.linalg.inv(R1)
     kron = _kron
     I = np.eye(ell)

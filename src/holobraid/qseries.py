@@ -39,10 +39,6 @@ class Series:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls(np.zeros(order + 1, dtype=complex))
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         c = np.zeros(order + 1, dtype=complex)
         c[0] = 1.0

@@ -32,10 +32,6 @@ class RootContext:
         """eps^k for any integer k (reduced mod ell)."""
         return self.eps_powers[k % self.ell]
 
-    @property
-    def dim(self) -> int:
-        return self.ell
-
 
 def primitive_root(ell: int) -> RootContext:
     """Build the context for eps = exp(2*pi*i/ell).

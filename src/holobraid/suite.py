@@ -57,7 +57,6 @@ class SuiteConfig:
     ell: int
     trials: int
     seed: int
-    tol: float = 1e-9
     radius: float = 0.1
     route: str = "both"  # oracle | closed-form | both
     hybe_every: int = 5
@@ -67,12 +66,12 @@ class SuiteConfig:
             raise ValueError("ell must be odd and >= 3")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if not (0 < self.radius <= 1):
             raise ValueError("radius must be in (0, 1]")
         if self.route not in ("oracle", "closed-form", "both"):
             raise ValueError(f"unknown route {self.route!r}")
+        if self.hybe_every < 0:
+            raise ValueError("hybe_every must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -239,9 +238,9 @@ def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepPar
 def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     """Full check battery for one trial; returns the trial record.
 
-    The pair's ingredients are built once (one PairContext) and shared by
-    both routes, r1_conjugation_residuals and s0_diagnostic; the trial's
-    intertwiner is the triple's (x, y) factor.
+    The pair's ingredients are built once (one PairContext), shared by both
+    routes and carried by their intertwiners to every check that reads
+    them; the trial's intertwiner is the triple's (x, y) factor.
     """
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
     checks = {name: check_entry(res, THRESHOLDS[name])
@@ -262,18 +261,19 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     oracle = closed = None
     if cfg.route in ("oracle", "both"):
         oracle = solve_intertwiner(p1, p2, pair=pair)
-        checks["oracle_residual"] = check_entry(oracle.residual, cfg.tol)
+        checks["oracle_residual"] = check_entry(oracle.residual, THRESHOLDS["oracle_residual"])
         checks["oracle_kernel_dim"] = {"variant": "direct",
                                        "residual": residual_entry(0.0),
                                        "threshold": 1.0,
                                        "pass": oracle.kernel_dim == 1}
         trial["oracle"] = {"kernel_dim": oracle.kernel_dim,
-                           "band_exp": oracle.band_exp,
+                           "band_exp": pair.band_exp,
                            "singular_gap": float(oracle.singular_gap),
                            "residual": residual_entry(oracle.residual)}
     if cfg.route in ("closed-form", "both"):
         closed = closed_form_R(p1, p2, pair=pair)
-        checks["closed_form_residual"] = check_entry(closed.residual, cfg.tol)
+        checks["closed_form_residual"] = check_entry(
+            closed.residual, THRESHOLDS["closed_form_residual"])
         cd = closed.chi
         trial["chi"] = {
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
@@ -292,7 +292,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         }
         trial["chi"]["chi1_band_tie"] = residual_entry(
             cd.legacy_relation_residuals["chi1_band_tie"])
-        r1res = r1_conjugation_residuals(closed, pair=pair)
+        r1res = r1_conjugation_residuals(closed)
         evidence["r1_clock_conjugation"] = {
             "opposite_shifts": r1res["slot2_clock_opposite_shifts"],
             "parallel_shifts": r1res["slot2_clock_parallel_shifts"],
@@ -304,7 +304,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     # before the s0 core and the triple, where memory peaks
     pair.release()
     if closed is not None:
-        sres, sconcl = s0_diagnostic(p1, p2, pair=pair)
+        sres, sconcl = s0_diagnostic(closed)
         trial["s0_diagnostic"] = {"residual": residual_entry(sres),
                                   "conclusive": sconcl}
     if cfg.route == "both":

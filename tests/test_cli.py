@@ -21,7 +21,7 @@ def _trial_record(idx, **cfg):
 def test_suite_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["suite", "--ell", "3", "--trials", "3", "--seed", "42",
-                 "--tol", "1e-9", "--report", str(out)])
+                 "--report", str(out)])
     assert code == 0
     assert "3/3 trials passed" in capsys.readouterr().out
     rep = json.loads(out.read_text())
@@ -30,9 +30,17 @@ def test_suite_command(tmp_path, capsys):
 
 
 def test_even_degree_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["suite", "--ell", "4", "--trials", "1", "--seed", "0"])
-    assert exc.value.code == 2
+    # and every other out-of-range value: each would run, check nothing or
+    # end in a traceback
+    for argv in (["suite", "--ell", "4", "--trials", "1", "--seed", "0"],
+                 ["braid-map", "--trials", "0"],
+                 ["suite", "--trials", "0"],
+                 ["suite", "--trials", "1", "--hybe-every", "-1"],
+                 ["suite", "--trials", "1", "--radius", "2"],
+                 ["rmatrix", "--radius", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_route_both_emits_comparison(tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,11 +207,3 @@ class TestMatrixRoute:
         for variant in ("first_conjugates", "second_conjugates"):
             m1, m2 = matrix_route_beta(x, y, variant)
             assert char_distance(m1, f[0]) > 1e-3 or char_distance(m2, f[1]) > 1e-3
-
-
-def test_json_serialization_roundtrip():
-    p = Z0Char(1.25 - 0.5j, 0.75, 0.3 + 0.1j, -0.2)
-    d = p.to_json_dict()
-    assert set(d) == {"kappa", "lambda", "eta", "phi"}
-    assert json.loads(json.dumps(d)) == d
-    assert char_distance(Z0Char.from_json_dict(d), p) == 0

@@ -141,7 +141,7 @@ class TestGradeBlocks:
         R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
         lhs, rhs = dense_products([R0] * 6, ell)
         ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
-        res, _ = s0_diagnostic(p1, p2)
+        res, _ = s0_diagnostic(closed_form_R(p1, p2))
         assert abs(res - ref) < 1e-14
         if trial == 15:
             assert res > 1.0
@@ -160,8 +160,9 @@ class TestGradeBlocks:
         ell = 3
         shifted = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))
         factors = [shifted] + [np.eye(ell * ell)] * 5
-        fakes = iter([SimpleNamespace(R=shifted, band_exp=1)]
-                     + [SimpleNamespace(R=np.eye(ell * ell), band_exp=0)] * 5)
+        fakes = iter([SimpleNamespace(R=shifted, pair=SimpleNamespace(band_exp=1))]
+                     + [SimpleNamespace(R=np.eye(ell * ell),
+                                        pair=SimpleNamespace(band_exp=0))] * 5)
         monkeypatch.setattr(hybe, "closed_form_R", lambda a, b: next(fakes))
         c, dev, info = hybe_residual(*triple3, route="closed-form")
         c_ref, dev_ref = dense_hybe(factors, ell)
@@ -175,11 +176,11 @@ class TestGradeBlocks:
         c, dev, _ = hybe_residual(x, y, z, route="closed-form")
         assert dev <= 1e-12
         assert abs(abs(c) - 1) <= 1e-12
-        assert np.isfinite(s0_diagnostic(x, y)[0])
+        assert np.isfinite(s0_diagnostic(closed_form_R(x, y))[0])
 
 
 class TestS0Diagnostic:
     def test_reports_finite(self, pair3):
-        res, conclusive = s0_diagnostic(*pair3)
+        res, conclusive = s0_diagnostic(closed_form_R(*pair3))
         assert conclusive
         assert np.isfinite(res)

@@ -5,8 +5,7 @@ from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
-from holobraid.intertwiner import (DetSample, PairContext, _equation_blocks,
-                                   braided_rep_pair,
+from holobraid.intertwiner import (DetSample, PairContext, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action, chi_data,
                                    closed_form_R, compare_up_to_scalar,
@@ -20,9 +19,7 @@ from holobraid.sampling import sample_params
 def full_reference(p1, p2):
     """Kernel line of the unreduced eight-block stack by dense SVD: the
     reference the band oracle is compared against (small ell only)."""
-    q1, q2 = braided_rep_pair(p1, p2)
-    blocks = _equation_blocks(build_rep(p1), build_rep(p2), build_rep(q1),
-                              build_rep(q2), p1.ctx.eps)
+    blocks = PairContext(p1, p2).blocks
     n2 = p1.ctx.ell ** 2
     I2 = np.eye(n2)
     S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
@@ -99,6 +96,15 @@ class TestOracle:
         assert solve_intertwiner(*pair3, pair=pair).kernel_dim == 1
         assert "twist" not in vars(pair) and "spectral" not in vars(pair)
 
+    def test_unread_residual_builds_no_blocks(self, pair3):
+        intw = closed_form_R(*pair3)
+        assert "blocks" not in vars(intw.pair)
+        # read late, the residual is the one built with the intertwiner
+        R, blocks = intw.R, PairContext(*pair3).blocks
+        ref = max(np.linalg.norm(N @ R - R @ M) for M, N, _ in blocks) / np.linalg.norm(R)
+        assert intw.residual == float(ref)
+        assert "blocks" in vars(intw.pair)
+
     @pytest.mark.parametrize("ell", [9, 11, 13])
     def test_large_ell_accuracy(self, ell):
         # det-normalizing a unit-norm ell^2 x ell^2 kernel vector underflowed
@@ -112,10 +118,7 @@ class TestOracle:
     def test_coproduct_blocks_alone_leave_one_kernel_per_branch(self, pair3):
         # regression: the four coproduct equations admit one intertwiner per
         # Casimir branch, i.e. an ell-dimensional nullspace
-        p1, p2 = pair3
-        q1, q2 = braided_rep_pair(p1, p2)
-        blocks = _equation_blocks(build_rep(p1), build_rep(p2),
-                                  build_rep(q1), build_rep(q2), p1.ctx.eps)[:4]
+        blocks = PairContext(*pair3).blocks[:4]
         I2 = np.eye(9)
         S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
         sv = np.linalg.svd(S, compute_uv=False)
@@ -129,10 +132,10 @@ class TestOracle:
 
     def test_band_exponent_matches_weight_ratio(self, pair5):
         intw = solve_intertwiner(*pair5)
-        p1, p2 = intw.in_params
-        q1, q2 = intw.out_params
+        p1, p2 = intw.pair.in_params
+        q1, q2 = intw.pair.out_params
         rho = (p1.u * p1.v * p2.u * p2.v) / (q1.u * q1.v * q2.u * q2.v)
-        assert abs(rho - p1.ctx.pow(2 * intw.band_exp)) < 1e-10
+        assert abs(rho - p1.ctx.pow(2 * intw.pair.band_exp)) < 1e-10
 
     def test_central_invariance(self, pair3):
         intw = solve_intertwiner(*pair3)
@@ -146,12 +149,12 @@ class TestOracle:
         assert abs(np.linalg.det(intw.R) - 1) < 1e-9
         # the gauge is scale-free: any scalar multiple normalizes identically
         for c in (2.0, -1.3 + 0.7j, 1e-3j):
-            Rn, _ = det_normalize(c * intw.R)
+            Rn = det_normalize(c * intw.R)
             assert np.max(np.abs(Rn - intw.R)) < 1e-10
         # a caller's slogdet gives the same bits as det_normalize's own
         R = 2.0 * intw.R
-        assert det_normalize(R, np.linalg.slogdet(R))[0].tobytes() == \
-            det_normalize(R)[0].tobytes()
+        assert det_normalize(R, np.linalg.slogdet(R)).tobytes() == \
+            det_normalize(R).tobytes()
 
 
 class TestChiData:

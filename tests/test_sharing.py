@@ -1,7 +1,9 @@
 """A suite trial shares its pair data and its intertwiner between stages;
 every shared result must equal a fresh public call's."""
+import numpy as np
 import pytest
 
+import holobraid.intertwiner as intertwiner
 import holobraid.suite as suite
 from holobraid.hybe import hybe_residual, s0_diagnostic
 from holobraid.intertwiner import (central_invariance_residuals,
@@ -39,7 +41,34 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
     actions = trial["evidence"]["generator_actions"]
     rows = check_generator_action(acted)
     assert [actions[f][v] for f, v, _ in rows] == [r for _, _, r in rows]
-    assert trial["s0_diagnostic"]["residual"]["value"] == s0_diagnostic(p1, p2)[0]
+    assert trial["s0_diagnostic"]["residual"]["value"] == \
+        s0_diagnostic(closed_form_R(p1, p2))[0]
     c, dev, _ = hybe_residual(p1, p2, p3, route=routes[0])
     assert complex(*trial["hybe"]["c"]) == c
     assert trial["hybe"]["residual"]["value"] == dev
+
+
+def test_trial_builds_braid_factor_once(monkeypatch):
+    # the trial's PairContext owns G, 1 - eps G and its inverse; the six
+    # ell^2 x ell^2 inverses left are (1 - eps G)^-1, one R^-1 shared by the
+    # two action checks, (1 - G / eps)^-1, and R1^-1 with the two spectral
+    # readings of r1_conjugation_residuals
+    ell = 3
+    braids, inverses = [], []
+    braid_factor, inv = intertwiner._braid_factor, np.linalg.inv
+
+    def count_braid(*args):
+        braids.append(args)
+        return braid_factor(*args)
+
+    def count_inv(a):
+        if a.shape == (ell * ell, ell * ell):
+            inverses.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(intertwiner, "_braid_factor", count_braid)
+    monkeypatch.setattr(np.linalg, "inv", count_inv)
+    suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, hybe_every=0),
+                    primitive_root(ell), 0)
+    assert len(braids) == 1
+    assert len(inverses) == 6
