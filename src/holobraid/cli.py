@@ -33,7 +33,7 @@ from .report import (check_entry, emit_report, new_report, params_entry,
                      residual_entry, write_report)
 from .roots import primitive_root
 from .sampling import sample_params
-from .suite import (THRESHOLDS, SuiteConfig, character_record, check_summary,
+from .suite import (THRESHOLDS, SuiteConfig, character_checks, check_summary,
                     phi_variant_evidence, run_suite, run_trial, third_params)
 
 ROUTES = ("oracle", "closed-form", "both")
@@ -83,19 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmatrix", help="one suite trial without its triple")
     _add_common(p)
-    p.add_argument("--trial", type=int, default=0, help="trial index to sample")
+    p.add_argument("--trial", type=_every, default=0, help="trial index to sample")
     p.add_argument("--route", choices=ROUTES, default="both")
     p.add_argument("--dump-dir", default=None,
                    help="write the trial's K, L, E, F and R as TSV files here")
 
     p = sub.add_parser("hybe", help="one suite trial with its Yang-Baxter triple")
     _add_common(p)
-    p.add_argument("--trial", type=int, default=0, help="trial index to sample")
+    p.add_argument("--trial", type=_every, default=0, help="trial index to sample")
     p.add_argument("--route", choices=ROUTES, default="oracle")
 
     p = sub.add_parser("series", help="q-series and orbit identity checks")
     _add_common(p)
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=_count, default=30)
     return ap
 
 
@@ -119,7 +119,7 @@ def _cmd_braid_map(args) -> tuple[int, dict]:
     trials = report["trials"]
     for i in range(args.trials):
         p1, p2 = sample_params(ctx, args.seed, i, radius=args.radius, count=2)
-        checks, evidence = character_record(z0_character(p1), z0_character(p2))
+        checks, evidence = character_checks(z0_character(p1), z0_character(p2))
         col = derive_colorings(p1, p2, third_params(ctx, args.seed, i, args.radius))
         checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
         trials.append({"index": i, "checks": checks, "evidence": evidence,

@@ -587,12 +587,12 @@ def central_invariance_residuals(intw: Intertwiner) -> dict[str, float]:
     return out
 
 
-def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
-    """Residuals of every explicit braid-image formula, per variant.
+def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
+    """Residuals of every explicit braid-image formula, per reading.
 
-    Returns (formula id, variant, relative residual) triples.  For each
-    formula at least one variant is expected under 1e-8; the suite
-    aggregates which one.
+    Returns {formula id: {reading: relative residual}}.  For each formula
+    at least one reading is expected under 1e-8; the suite aggregates
+    which one.
     """
     pair = intw.pair
     p1, p2, q1, q2 = *pair.in_params, *pair.out_params
@@ -604,46 +604,43 @@ def check_generator_action(intw: Intertwiner) -> list[tuple[str, str, float]]:
     K1, F1, E2 = rin1.K, rin1.F, rin2.E
     Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
     Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
-    inv_t = pair.T_inv
-    inv_tinv = np.linalg.inv(np.eye(ell * ell) - pair.G / t)
+    # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
+    inv_powers = (("t", pair.T_inv),
+                  ("t_inverse", np.linalg.inv(np.eye(ell * ell) - pair.G / t)))
     res = partial(_conjugation_residual, intw)
 
     # the four single-factor equations of the oracle system, read as checks
-    checks: list[tuple[str, str, float]] = [
-        (name, "direct", res(M, N)) for name, (M, N, _) in zip(
-            ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
-            _single_factor_blocks(pair))]
-    checks.append(("slot1_clock_k", "direct", res(kron(K1, I), pair.T @ kron(Kt1, I))))
+    out = {name: {"direct": res(M, N)} for name, (M, N, _) in zip(
+        ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
+        _single_factor_blocks(pair))}
+    out["slot1_clock_k"] = {"direct": res(kron(K1, I), pair.T @ kron(Kt1, I))}
 
     # ell-th powers are central scalars; the inverted factor's sign variant
     # is exactly the braiding-sign adjudication at the character level
     c_in1, c_in2, c_out1, c_out2 = (z0_character(p) for p in (p1, p2, q1, q2))
     w = c_out1.eta * c_out2.phi * c_out2.lam / c_out1.kappa
-    for sign, name in ((-1, "minus"), (+1, "plus")):
-        rhs = c_out2.kappa / (1 + sign * w)
-        checks.append(("power_slot2_clock_k", name,
-                       float(abs(c_in2.kappa - rhs) / abs(rhs))))
-    checks.append(("power_slot1_raising", "direct",
-                   float(abs(c_in1.eta - c_out1.eta * c_out2.lam) / abs(c_in1.eta))))
-    checks.append(("power_slot2_lowering", "direct",
-                   float(abs(c_in2.phi - c_out2.phi / c_out1.kappa)
-                         / max(abs(c_in2.phi), 1e-12))))
+    rhs = {name: c_out2.kappa / (1 + sign * w)
+           for sign, name in ((-1, "minus"), (+1, "plus"))}
+    out["power_slot2_clock_k"] = {name: float(abs(c_in2.kappa - r) / abs(r))
+                                  for name, r in rhs.items()}
+    out["power_slot1_raising"] = {"direct": float(
+        abs(c_in1.eta - c_out1.eta * c_out2.lam) / abs(c_in1.eta))}
+    out["power_slot2_lowering"] = {"direct": float(
+        abs(c_in2.phi - c_out2.phi / c_out1.kappa) / max(abs(c_in2.phi), 1e-12))}
 
     # second-slot raising: inverted factor to the left; t-power adjudicated
     lead = kron(Et1, I) + kron(Kt1, Et2)
     tailE = kron(Et1, Kt2 @ Lt2)
-    checks.append(("slot2_raising", "t", res(kron(I, E2), lead - inv_t @ tailE)))
-    checks.append(("slot2_raising", "t_inverse", res(kron(I, E2), lead - inv_tinv @ tailE)))
+    out["slot2_raising"] = {tname: res(kron(I, E2), lead - inv @ tailE)
+                            for tname, inv in inv_powers}
 
     # first-slot lowering: prefactor and t-power adjudicated
     baseF = kron(Ft1, np.linalg.inv(Lt2)) + kron(I, Ft2)
     pref = {"product_inverse": kron(np.linalg.inv(Kt1 @ Lt1), Ft2),
             "ratio": kron(Kt1 @ np.linalg.inv(Lt1), Ft2)}
-    for pname, X in pref.items():
-        checks.append(("slot1_lowering", f"{pname}_t", res(kron(F1, I), baseF - X @ inv_t)))
-        checks.append(("slot1_lowering", f"{pname}_t_inverse",
-                       res(kron(F1, I), baseF - X @ inv_tinv)))
-    return checks
+    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I), baseF - X @ inv)
+                             for pname, X in pref.items() for tname, inv in inv_powers}
+    return out
 
 
 def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:

@@ -2,6 +2,15 @@
 
 Each trial is a pure function of (seed, trial index, config), so a
 report is identical for a fixed config up to its timestamp.
+
+A trial's evidence is one flat table {formula: {reading: residual}} over
+every adjudicated formula, merged from one producer per stage: the
+representation (_rep_evidence), the character pair (character_checks),
+the closed form (_closed_form_evidence) and the action intertwiner
+(check_generator_action).  A gate over an adjudicated formula reads its
+evidence.  _aggregate_adjudications keeps each reading's worst residual
+over the trials, adds phi_step_factor once per suite, and resolves each
+formula to the readings under ADJUDICATION_PASS.
 """
 from __future__ import annotations
 
@@ -16,7 +25,7 @@ from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
                      matrix_route_beta)
 from .hybe import derive_colorings, hybe_residual, s0_diagnostic
-from .intertwiner import (DetSample, PairContext, central_invariance_residuals,
+from .intertwiner import (ChiData, DetSample, PairContext, central_invariance_residuals,
                           check_generator_action, closed_form_R,
                           compare_up_to_scalar, det_exponent_probe,
                           r1_conjugation_residuals, solve_intertwiner)
@@ -42,13 +51,13 @@ THRESHOLDS = {
     "oracle_residual": 1e-9,
     "central_invariance": 1e-9,
     "closed_form_residual": 1e-9,
+    "route_deviation": 1e-8,
     "r1_commutants": 1e-11,
     "generator_actions": 1e-8,
     "set_ybe": 1e-9,
     "hybe_residual": 1e-7,
     "hybe_c_modulus": 1e-8,
 }
-ROUTE_DEVIATION_TOL = {3: 1e-8, 5: 1e-8, 7: 1e-8, 9: 1e-8, 11: 1e-8, 13: 1e-8}
 ADJUDICATION_PASS = 1e-8
 
 
@@ -130,74 +139,74 @@ def commutant_dimension(p: RepParams) -> int:
     return int(np.sum(sv < sv[0] * 1e-10))
 
 
+def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
+    """gauge_scale and f_power_prefactor of one representation."""
+    P = np.linalg.matrix_power(build_rep(p).F, p.ctx.ell)
+    scalar = np.trace(P) / p.ctx.ell
+    return {"gauge_scale": {conv: gauge_conjugation_residual(p, conv)
+                            for conv in ("geometric", "constant")},
+            "f_power_prefactor": {name: float(abs(val - scalar) / _scale(scalar))
+                                  for name, val in f_power_scalar_variants(p).items()}}
+
+
 def _char_dev(a: Z0Char, b: Z0Char) -> float:
     return char_distance(a, b) / _scale(*b.as_array())
 
 
-def character_checks(cx: Z0Char, cy: Z0Char) -> dict[str, float]:
-    """Braiding-map invariants on one character pair."""
-    p, q = beta_forward(cx, cy)
-    P, Q = beta_inverse(cx, cy)
-    rx, ry = beta_inverse(p, q)
-    sx, sy = beta_forward(P, Q)
-    round_trip = max(_char_dev(rx, cx), _char_dev(ry, cy),
-                     _char_dev(sx, cx), _char_dev(sy, cy))
-    prod_dev = _char_dev(glstar_multiply(p, q), glstar_multiply(cy, cx))
-    t_dev = dt_dev = 0.0
-    for (o1, o2) in ((p, q), (P, Q)):
-        for o, i in ((o1, cx), (o2, cy)):
-            To, Do = conserved_quantities(o)
-            Ti, Di = conserved_quantities(i)
-            t_dev = max(t_dev, abs(To - Ti) / _scale(Ti))
-            dt_dev = max(dt_dev, abs(Do - Di) / _scale(Di))
-    fx = beta_forward(cx, IDENTITY_CHAR)
-    fy = beta_forward(IDENTITY_CHAR, cy)
-    fixed = max(_char_dev(fx[0], cx), char_distance(fx[1], IDENTITY_CHAR),
-                char_distance(fy[0], IDENTITY_CHAR), _char_dev(fy[1], cy))
-    return {"braiding_round_trip": float(round_trip),
-            "braiding_product": float(prod_dev),
-            "conserved_T": float(t_dev),
-            "conserved_Dt": float(dt_dev),
-            "identity_fixed_points": float(fixed)}
+def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
+    """(checks, evidence) of one character pair.
 
+    The evidence tables are braiding_correction_sign (slot-wise
+    conservation of T under both correction signs) and matrix_route (the
+    deviation of every conjugation-route reading from the character route).
+    conserved_T gates the "minus" sign's reading and matrix_route the best
+    reading; the other checks are the braiding-map invariants.  Each
+    braiding of (cx, cy) is computed once.
+    """
+    braided = {name: (beta_forward(cx, cy, sign=sign), beta_inverse(cx, cy, sign=sign))
+               for sign, name in ((-1, "minus"), (+1, "plus"))}
+    invariants = [conserved_quantities(c) for c in (cx, cy)]
 
-def matrix_route_evidence(cx: Z0Char, cy: Z0Char) -> dict[str, float]:
-    """Deviation of every conjugation-route reading from the character route."""
-    targets = {"forward": beta_forward(cx, cy), "inverse": beta_inverse(cx, cy)}
-    out = {}
+    def drift(outs, k: int) -> float:
+        """Worst slot-wise relative change of invariant k (0: T, 1: Dt)
+        from (cx, cy) to the braided pairs outs."""
+        worst = 0.0
+        for out in outs:
+            for o, i in zip(out, invariants):
+                worst = max(worst, abs(conserved_quantities(o)[k] - i[k]) / _scale(i[k]))
+        return float(worst)
+
+    targets = braided["minus"]
+    (p, q), (P, Q) = targets
+    mre = {}
     for variant in ("first_conjugates", "second_conjugates"):
         m1, m2 = matrix_route_beta(cx, cy, variant)
-        for tname, (t1, t2) in targets.items():
-            out[f"{variant}:{tname}:direct"] = max(_char_dev(m1, t1), _char_dev(m2, t2))
-            out[f"{variant}:{tname}:swapped"] = max(_char_dev(m2, t1), _char_dev(m1, t2))
-    return out
+        for tname, (t1, t2) in zip(("forward", "inverse"), targets):
+            mre[f"{variant}:{tname}:direct"] = max(_char_dev(m1, t1), _char_dev(m2, t2))
+            mre[f"{variant}:{tname}:swapped"] = max(_char_dev(m2, t1), _char_dev(m1, t2))
+    evidence = {"matrix_route": mre,
+                "braiding_correction_sign": {name: drift(outs, 0)
+                                             for name, outs in braided.items()}}
 
-
-def sign_variant_evidence(cx: Z0Char, cy: Z0Char) -> dict[str, float]:
-    """Slot-wise invariant conservation under both correction signs."""
-    out = {}
-    for sign, name in ((-1, "minus"), (+1, "plus")):
-        dev = 0.0
-        for mp in (beta_forward, beta_inverse):
-            o1, o2 = mp(cx, cy, sign=sign)
-            for o, i in ((o1, cx), (o2, cy)):
-                To, _ = conserved_quantities(o)
-                Ti, _ = conserved_quantities(i)
-                dev = max(dev, abs(To - Ti) / _scale(Ti))
-        out[name] = float(dev)
-    return out
-
-
-def character_record(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
-    """(checks, evidence) of one character pair: the gated character_checks
-    and matrix_route, with the matrix-route and correction-sign evidence."""
-    checks = {name: check_entry(res, THRESHOLDS[name])
-              for name, res in character_checks(cx, cy).items()}
-    mre = matrix_route_evidence(cx, cy)
+    rx, ry = beta_inverse(p, q)
+    sx, sy = beta_forward(P, Q)
+    fx = beta_forward(cx, IDENTITY_CHAR)
+    fy = beta_forward(IDENTITY_CHAR, cy)
+    residuals = {
+        "braiding_round_trip": max(_char_dev(rx, cx), _char_dev(ry, cy),
+                                   _char_dev(sx, cx), _char_dev(sy, cy)),
+        "braiding_product": _char_dev(glstar_multiply(p, q), glstar_multiply(cy, cx)),
+        "conserved_T": evidence["braiding_correction_sign"]["minus"],
+        "conserved_Dt": drift(targets, 1),
+        "identity_fixed_points": max(
+            _char_dev(fx[0], cx), char_distance(fx[1], IDENTITY_CHAR),
+            char_distance(fy[0], IDENTITY_CHAR), _char_dev(fy[1], cy)),
+    }
+    checks = {name: check_entry(float(res), THRESHOLDS[name])
+              for name, res in residuals.items()}
     checks["matrix_route"] = check_entry(min(mre.values()), THRESHOLDS["matrix_route"],
                                          variant=min(mre, key=mre.get))
-    return checks, {"matrix_route": mre,
-                    "braiding_correction_sign": sign_variant_evidence(cx, cy)}
+    return checks, evidence
 
 
 def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
@@ -216,17 +225,22 @@ def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
     return out
 
 
-def gauge_variant_evidence(p: RepParams) -> dict[str, float]:
-    return {conv: gauge_conjugation_residual(p, conv)
-            for conv in ("geometric", "constant")}
+def _closed_form_evidence(cd: ChiData, r1res: dict[str, float]) -> dict:
+    """assembly_scalars and r1_clock_conjugation of a closed-form intertwiner,
+    from its chi data and its r1_conjugation_residuals.
 
-
-def f_power_evidence(p: RepParams) -> dict[str, float]:
-    rep = build_rep(p)
-    P = np.linalg.matrix_power(rep.F, p.ctx.ell)
-    scalar = np.trace(P) / p.ctx.ell
-    return {name: float(abs(val - scalar) / _scale(scalar))
-            for name, val in f_power_scalar_variants(p).items()}
+    chi1_band_tie is a diagnostic (intermittently zero near the identity),
+    not a competing recipe, so it stays out of assembly_scalars.
+    """
+    return {
+        "assembly_scalars": {
+            "derived": float(max(cd.chi1_mismatch, cd.chi2_mismatch,
+                                 cd.a_mismatch, cd.sigma_power_residual)),
+            **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()
+               if k != "chi1_band_tie"}},
+        "r1_clock_conjugation": {shifts: r1res[f"slot2_clock_{shifts}"]
+                                 for shifts in ("opposite_shifts", "parallel_shifts")},
+    }
 
 
 def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepParams:
@@ -245,13 +259,12 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
     checks = {name: check_entry(res, THRESHOLDS[name])
               for name, res in rep_checks(p1).items()}
-    gauge_scale = gauge_variant_evidence(p1)
+    rep_evidence = _rep_evidence(p1)
     checks["gauge_conjugation"] = check_entry(
-        gauge_scale["geometric"], THRESHOLDS["gauge_conjugation"])
-    char_checks, evidence = character_record(z0_character(p1), z0_character(p2))
+        rep_evidence["gauge_scale"]["geometric"], THRESHOLDS["gauge_conjugation"])
+    char_checks, evidence = character_checks(z0_character(p1), z0_character(p2))
     checks.update(char_checks)
-    evidence["gauge_scale"] = gauge_scale
-    evidence["f_power_prefactor"] = f_power_evidence(p1)
+    evidence.update(rep_evidence)
 
     trial: dict = {"index": idx,
                    "params": [params_entry(p1), params_entry(p2)],
@@ -281,22 +294,10 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
             "sigma": complex_pair(cd.sigma),
             "t_power_residual": residual_entry(cd.t_power_residual),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
+            "chi1_band_tie": residual_entry(cd.legacy_relation_residuals["chi1_band_tie"]),
         }
-        # chi1_band_tie is a diagnostic (intermittently zero near the
-        # identity), not a competing recipe; keep it out of the adjudication
-        evidence["assembly_scalars"] = {
-            "derived": float(max(cd.chi1_mismatch, cd.chi2_mismatch,
-                                 cd.a_mismatch, cd.sigma_power_residual)),
-            **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()
-               if k != "chi1_band_tie"},
-        }
-        trial["chi"]["chi1_band_tie"] = residual_entry(
-            cd.legacy_relation_residuals["chi1_band_tie"])
         r1res = r1_conjugation_residuals(closed)
-        evidence["r1_clock_conjugation"] = {
-            "opposite_shifts": r1res["slot2_clock_opposite_shifts"],
-            "parallel_shifts": r1res["slot2_clock_parallel_shifts"],
-        }
+        evidence.update(_closed_form_evidence(cd, r1res))
         checks["r1_commutants"] = check_entry(
             max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
             THRESHOLDS["r1_commutants"])
@@ -309,8 +310,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
                                   "conclusive": sconcl}
     if cfg.route == "both":
         scalar, dev = compare_up_to_scalar(oracle.R, closed.R)
-        tol = ROUTE_DEVIATION_TOL.get(cfg.ell, 1e-6)
-        checks["route_deviation"] = check_entry(dev, tol)
+        checks["route_deviation"] = check_entry(dev, THRESHOLDS["route_deviation"])
         trial["route_comparison"] = {"scalar": complex_pair(scalar),
                                      "deviation": residual_entry(dev)}
 
@@ -319,13 +319,10 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     cinv = central_invariance_residuals(intw)
     checks["central_invariance"] = check_entry(
         max(cinv.values()), THRESHOLDS["central_invariance"])
-    by_formula: dict[str, dict[str, float]] = {}
-    for formula, variant, res in check_generator_action(intw):
-        by_formula.setdefault(formula, {})[variant] = res
-    evidence["generator_actions"] = by_formula
+    actions = check_generator_action(intw)
+    evidence.update(actions)
     checks["generator_actions"] = check_entry(
-        max(min(vs.values()) for vs in by_formula.values()),
-        THRESHOLDS["generator_actions"])
+        max(min(vs.values()) for vs in actions.values()), THRESHOLDS["generator_actions"])
 
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
         p3 = third_params(ctx, cfg.seed, idx, cfg.radius)
@@ -355,16 +352,11 @@ def _aggregate_adjudications(trials: list[dict], ctx: RootContext) -> dict:
     """Merge per-trial variant evidence into one verdict per formula."""
     agg: dict[str, dict[str, float]] = {}
     for tr in trials:
-        for formula, variants in tr.get("evidence", {}).items():
-            # generator_actions nests one variant table per formula
-            groups = variants.items() if formula == "generator_actions" \
-                else ((formula, variants),)
-            for f2, vs in groups:
-                slot = agg.setdefault(f2, {})
-                for v, r in vs.items():
-                    slot[v] = max(slot.get(v, 0.0), float(r))
-    agg["phi_step_factor"] = {k: float(v)
-                              for k, v in phi_variant_evidence(ctx).items()}
+        for formula, variants in tr["evidence"].items():
+            slot = agg.setdefault(formula, {})
+            for v, r in variants.items():
+                slot[v] = max(slot.get(v, 0.0), float(r))
+    agg["phi_step_factor"] = phi_variant_evidence(ctx)
     out = {}
     for formula, variants in agg.items():
         passing = sorted(v for v, r in variants.items() if r < ADJUDICATION_PASS)

@@ -3,7 +3,9 @@
 Each criterion prints one PASS/FAIL line (run with -s to stream them).
 The heavy solved-pair pools are session fixtures shared across criteria.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, rep_checks, run_suite
 
+EXPECTED_ADJUDICATIONS = (Path(__file__).resolve().parents[1] / "perfbench"
+                          / "expected_adjudications.json")
 ELLS = (3, 5, 7)
 POOL_SIZE = 100
 
@@ -254,6 +258,11 @@ def test_criterion_7_adjudication_completeness():
                    f"closest {probe.get('closest_candidate')})")
     _line(7, "adjudication completeness", ok, "; ".join(details))
     assert ok
+    # the benchmark's gate compares against this table; a renamed formula or
+    # reading must fail here too, and in the same order
+    expected = json.loads(EXPECTED_ADJUDICATIONS.read_text())["chosen"]
+    assert list({f: entry["chosen"] for f, entry in adj.items()}.items()) == \
+        list(expected.items())
 
 
 def test_suite_ell9_every_trial_a_triple():

@@ -37,7 +37,11 @@ def test_even_degree_is_usage_error(capsys):
                  ["suite", "--trials", "0"],
                  ["suite", "--trials", "1", "--hybe-every", "-1"],
                  ["suite", "--trials", "1", "--radius", "2"],
-                 ["rmatrix", "--radius", "0"]):
+                 ["rmatrix", "--radius", "0"],
+                 ["series", "--order", "0"],
+                 ["series", "--order", "-3"],
+                 ["rmatrix", "--trial", "-1"],
+                 ["hybe", "--trial", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -241,10 +241,7 @@ class TestCompare:
 class TestGeneratorActions:
     def test_expected_variants_win(self, pair3):
         intw = solve_intertwiner(*pair3)
-        rows = check_generator_action(intw)
-        by = {}
-        for formula, variant, res in rows:
-            by.setdefault(formula, {})[variant] = res
+        by = check_generator_action(intw)
         for formula in ("slot2_clock_k", "slot2_clock_l", "slot1_raising",
                         "slot2_lowering", "slot1_clock_k",
                         "power_slot1_raising", "power_slot2_lowering"):

@@ -38,8 +38,7 @@ def _one_blas_thread(code: str) -> float:
 def test_slot1_raising_seed_100_trial_2():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 100, 2, radius=0.1, count=2)
-rows = check_generator_action(solve_intertwiner(p1, p2))
-print(next(r for f, _, r in rows if f == "slot1_raising"))
+print(check_generator_action(solve_intertwiner(p1, p2))["slot1_raising"]["direct"])
 """)
     assert res < THRESHOLDS["generator_actions"]
 
@@ -47,9 +46,7 @@ print(next(r for f, _, r in rows if f == "slot1_raising"))
 def test_generator_actions_seed_184614912_trial_2():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 184614912, 2, radius=0.1, count=2)
-by = {}
-for formula, variant, r in check_generator_action(solve_intertwiner(p1, p2)):
-    by.setdefault(formula, {})[variant] = r
+by = check_generator_action(solve_intertwiner(p1, p2))
 print(max(min(vs.values()) for vs in by.values()))
 """)
     assert res < THRESHOLDS["generator_actions"]
