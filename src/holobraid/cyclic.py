@@ -39,9 +39,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class RepParams:
     """Nonzero parameter quadruple of a cyclic representation.
 
-    The lowering weights, generator matrices, central character and
-    geometric gauge are computed once per instance (the cached properties
-    below, returned by f_weights, build_rep, z0_character and gauge_U).
+    The lowering weights, generator matrices, their ell-th powers, central
+    character and geometric gauge are computed once per instance (the
+    cached properties below, returned by f_weights, build_rep, ell_powers,
+    z0_character and gauge_U).
     Their arrays are read-only, because every caller shares them.
     """
 
@@ -76,6 +77,13 @@ class RepParams:
             F[(i - 1) % ell, i] = (u / y) * w[i]
         return RepMatrices(K=_read_only(u * v * cs.A), L=_read_only((v / u) * cs.A),
                            E=_read_only(y * cs.B), F=_read_only(F))
+
+    @cached_property
+    def _powers(self) -> tuple[tuple[np.ndarray, complex], ...]:
+        ell = self.ctx.ell
+        powers = (_read_only(np.linalg.matrix_power(m, ell))
+                  for m in self._matrices.as_tuple())
+        return tuple((P, np.trace(P) / ell) for P in powers)
 
     @cached_property
     def _character(self) -> Z0Char:
@@ -141,6 +149,12 @@ def build_rep(p: RepParams) -> RepMatrices:
     are read-only: copy one before writing to it.
     """
     return p._matrices
+
+
+def ell_powers(p: RepParams) -> tuple[tuple[np.ndarray, complex], ...]:
+    """(K^ell, its trace / ell), then the same for L, E and F: each ell-th
+    power with the scalar it is numerically (computed once per p, read-only)."""
+    return p._powers
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

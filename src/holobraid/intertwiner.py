@@ -15,8 +15,11 @@ ell-dimensional nullspace); the single-factor equations cut it to a line.
 The oracle solves these equations on the conserved weight band
 n' + m' = n + m + a (mod ell) forced by the clock equations.  Every factor
 is monomial (K, L diagonal, E, F shifts), so each equation row has at most
-four unknowns; the rows are scaled to unit norm and the kernel is found by
-inverse subspace iteration on the sparse-built normal matrix.
+four unknowns, and the rows are scaled to unit norm.  The Ex1 and 1xF rows
+have two unknowns each and split the ell^3 band unknowns into ell
+components of ell^2, each fixed by one entry.  Propagating them leaves ell
+unknowns: a dense SVD of all the rows on that ell-column basis picks the
+kernel line, and a few CGLS steps on the full sparse rows refine it.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -104,8 +107,8 @@ def _band_blocks(pair: PairContext):
     """
     _, rin2, _, rout2 = pair.reps
     I = np.eye(rin2.K.shape[0])
-    clocks = [(_kron(I, np.linalg.inv(g_in)), pair.T @ _kron(I, np.linalg.inv(g_out)), 0)
-              for g_in, g_out in ((rin2.K, rout2.K), (rin2.L, rout2.L))]
+    inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
+    clocks = [(_kron(I, inv[i]), pair.T @ _kron(I, inv[i + 1]), 0) for i in (0, 2)]
     blocks = pair.blocks
     return [*blocks[2:4], *clocks, *blocks[6:]]
 
@@ -122,9 +125,14 @@ def _band_positions(ell: int, a: int) -> np.ndarray:
 
 def _two_per_row(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cols, vals) with A[..., i, cols[..., i, t]] = vals[..., i, t] for the
-    (at most) two nonzeros of each row; a missing one has value 0."""
-    cols = np.argsort(A == 0, axis=-1, kind="stable")[..., :2]
-    return cols, np.take_along_axis(A, cols, axis=-1)
+    (at most) two nonzeros of each row, first and last; a missing second
+    one repeats the first's column with value 0."""
+    nz = A != 0
+    cols = np.stack([nz.argmax(axis=-1),
+                     A.shape[-1] - 1 - nz[..., ::-1].argmax(axis=-1)], axis=-1)
+    vals = np.take_along_axis(A, cols, axis=-1)
+    vals[..., 1] *= cols[..., 0] != cols[..., 1]
+    return cols, vals
 
 
 def _band_rows(blocks, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,68 +145,139 @@ def _band_rows(blocks, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     exactly shift, every unknown a nonzero names lies on the band.
     """
     pos = _band_positions(ell, a)
-    rowI, rowJ = (np.stack(r) for r in zip(
-        *(_band_index_arrays(ell, a + shift) for _, _, shift in blocks)))
+    rowI, rowJ = _block_rows(ell, a, tuple(shift for _, _, shift in blocks))
     b = np.arange(len(blocks))[:, None]
     nc, nv = _two_per_row(np.stack([N for _, N, _ in blocks]))
     mc, mv = _two_per_row(np.stack([M.T for M, _, _ in blocks]))
     cols = np.concatenate([pos[nc[b, rowI], rowJ[..., None]],
                            pos[rowI[..., None], mc[b, rowJ]]], axis=-1).reshape(-1, 4)
     vals = np.concatenate([nv[b, rowI], -mv[b, rowJ]], axis=-1).reshape(-1, 4)
-    # merge an unknown named twice in a row (the clock blocks' diagonals):
-    # H would otherwise cancel the two large products it forms
-    for p, q in combinations(range(4), 2):
+    # merge an unknown named on both sides of a row (the clock blocks'
+    # diagonals), so the unit-norm scaling sees its coefficient, not two
+    # large parts; one side names distinct unknowns, or repeats one at 0
+    for p, q in product((0, 1), (2, 3)):
         same = cols[:, p] == cols[:, q]
         vals[same, p] += vals[same, q]
         vals[same, q] = 0
     return cols, vals / np.linalg.norm(vals, axis=1)[:, None]
 
 
-def _apply_rows(cols: np.ndarray, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """S @ X for the sparse rows of _band_rows."""
-    return np.einsum("rt,rtk->rk", vals, X[cols])
+@lru_cache(maxsize=64)
+def _block_rows(ell: int, a: int,
+                shifts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(rowI, rowJ): the pairs (I, J) of each block's rows, block by block."""
+    rowI, rowJ = (np.stack(r) for r in zip(
+        *(_band_index_arrays(ell, a + shift) for shift in shifts)))
+    rowI.setflags(write=False)
+    rowJ.setflags(write=False)
+    return rowI, rowJ
 
 
-def _normal_matrix(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """H = S^H S, summed over the pairs of entries that share a row."""
-    flat = (cols[:, :, None] * n + cols[:, None, :]).ravel()
-    w = (vals.conj()[:, :, None] * vals[:, None, :]).ravel()
-    H = np.empty(n * n, dtype=complex)
-    H.real = np.bincount(flat, w.real, n * n)
-    H.imag = np.bincount(flat, w.imag, n * n)
-    return H.reshape(n, n)
+def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S @ x for the sparse rows of _band_rows."""
+    return np.einsum("rt,rt->r", vals, x[cols])
 
 
-@lru_cache(maxsize=16)
-def _start_block(n: int) -> np.ndarray:
-    """Fixed seeded start of the subspace iteration, so reports are stable."""
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    X.setflags(write=False)
-    return X
+@lru_cache(maxsize=64)
+def _components(ell: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, rows, comp): how the Ex1 and 1xF rows of _band_rows join the
+    band-a unknowns.
 
-
-def _tail_singular(cols: np.ndarray, vals: np.ndarray, n: int
-                   ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The three smallest singular values of S (ascending), their right
-    singular vectors (columns), and the bound sqrt(|H|_1) >= sigma_max.
-
-    Inverse subspace iteration from a fixed seeded block: two solves with
-    H + delta I, delta = 1e-16 |H|_1 so LU never meets an exact zero pivot,
-    each followed by a QR, then Rayleigh-Ritz.  The singular values are
-    the explicit residual norms |S v| of the Ritz vectors, so they are
-    not floored at sqrt(machine eps) as normal-matrix eigenvalues are.
+    grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
+    indices mod ell.  Ex1 shifts the slot-1 index of both sides of R and
+    1xF the slot-2 index, so c = n' - n is constant along both steps:
+    they split the ell^3 unknowns into ell components of ell^2, and
+    comp[k] is the component of unknown k.  rows[0, c, s, t] is the Ex1
+    row joining grid[c, s, t] to grid[c, s + 1, t], rows[1, c, s, t] the
+    1xF row joining it to grid[c, s, t + 1]; row indices count the blocks
+    of _band_blocks (Ex1 fifth, 1xF sixth).
     """
-    H = _normal_matrix(cols, vals, n)
-    h_norm = float(np.abs(H).sum(axis=0).max())
-    H.flat[::n + 1] += 1e-16 * h_norm
-    X = _start_block(n)
-    for _ in range(2):
-        X, _ = np.linalg.qr(np.linalg.solve(H, X))
-    SX = _apply_rows(cols, vals, X)
-    _, U = np.linalg.eigh(SX.conj().T @ SX)
-    V = X @ U
-    return np.linalg.norm(_apply_rows(cols, vals, V), axis=0), V, np.sqrt(h_norm)
+    n = ell ** 3
+    c, s, t = np.ogrid[:ell, :ell, :ell]
+
+    def at(n1, m1, n0, m0):
+        return (n1 % ell) * ell + m1 % ell, (n0 % ell) * ell + m0 % ell
+
+    grid = _band_positions(ell, a)[at(s + c, t + a - c, s, t)]
+    rows = np.stack([
+        4 * n + _band_positions(ell, (a + 1) % ell)[at(s + c + 1, t + a - c, s, t)],
+        5 * n + _band_positions(ell, (a - 1) % ell)[at(s + c, t + a - c, s, t + 1)]])
+    comp = np.empty(n, dtype=np.intp)
+    comp[grid] = c
+    for arr in (grid, rows, comp):
+        arr.setflags(write=False)
+    return grid, rows, comp
+
+
+def _propagate(ratio: np.ndarray) -> np.ndarray:
+    """x[c, s, t] with x[c, 0, 0] = 1 and the step ratios of the grid
+    (ratio[0] along s, ratio[1] along t): along s at t = 0, then along t."""
+    x = np.ones(ratio.shape[1:], dtype=complex)
+    x[:, 1:, 0] = np.cumprod(ratio[0, :, :-1, 0], axis=1)
+    x[:, :, 1:] = np.cumprod(ratio[1, :, :, :-1], axis=2) * x[:, :, :1]
+    return x
+
+
+def _reduced_system(cols: np.ndarray, vals: np.ndarray, ell: int,
+                    a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S Z, z, comp) for the basis Z of the two-term rows' kernel: column c
+    of Z is z on the unknowns with comp == c and 0 elsewhere, unit norm,
+    and S Z is a dense (rows x ell) matrix.
+
+    Each component is propagated twice: from grid[c, 0, 0], then again
+    from its largest entry, whose paths lose less to the spread of the
+    entries (4 to 6 decades at radius 0.1).
+    """
+    grid, rows, comp = _components(ell, a)
+    # x[to] / x[from] across each two-term row; a row's coefficient of an
+    # unknown sums the slots naming it, wherever _band_rows' merge put it
+    v = vals[rows]
+    w_from = (v * (cols[rows] == grid[..., None])).sum(axis=-1)
+    ratio = -w_from / (v.sum(axis=-1) - w_from)
+    s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
+    r = np.arange(ell)
+    seeded = (r[:, None, None], (r[:, None] + s0[:, None, None]) % ell,
+              (r + t0[:, None, None]) % ell)
+    x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
+    z = np.empty(ell ** 3, dtype=complex)
+    z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
+    SZ = np.zeros((len(cols), ell), dtype=complex)
+    every_row, col_comp, col_vals = np.arange(len(cols)), comp[cols], vals * z[cols]
+    for t in range(cols.shape[1]):
+        SZ[every_row, col_comp[:, t]] += col_vals[:, t]
+    return SZ, z, comp
+
+
+def _cgls(cols: np.ndarray, vals: np.ndarray, v: np.ndarray, r: np.ndarray,
+          steps: int) -> np.ndarray:
+    """v after CGLS steps toward min |S v| from v, r = -S v (both are
+    updated in place).
+
+    Conjugate gradients on the least-squares problem: each step is one
+    product with S and one with S^H.  From a vector near the kernel line
+    they shrink the rest of it, leaving the line.
+    """
+    # S^H y as one bincount over the interleaved real and imaginary parts
+    slots = (2 * cols[..., None] + np.arange(2)).ravel()
+    vals_h = vals.conj()
+
+    def adjoint(y):
+        return np.bincount(slots, (vals_h * y[:, None]).view(float).ravel(),
+                           2 * len(v)).view(complex)
+
+    s = adjoint(r)
+    p, gamma = s, np.vdot(s, s).real
+    for i in range(steps):
+        q = _apply_rows(cols, vals, p)
+        alpha = gamma / np.vdot(q, q).real
+        v += alpha * p
+        if i == steps - 1:
+            return v
+        r -= alpha * q
+        s = adjoint(r)
+        gamma, gamma_old = np.vdot(s, s).real, gamma
+        p *= gamma / gamma_old
+        p += s
 
 
 @lru_cache(maxsize=64)
@@ -452,14 +531,22 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
 
     The solve reads only the four representation matrices and the braid
     factor G.  It restricts the six equations of _band_blocks to the
-    conserved weight band, scales each sparse row to unit norm and takes
-    the three smallest singular triplets by inverse subspace iteration
-    (_tail_singular).  On sampled pairs at radius 0.1 the kernel gap is
-    1e12 to 1e15 from ell = 3 to 13.
-    The kernel criterion is relative singular value < KERNEL_TOL, against
-    the bound sqrt(|H|_1) on the largest, together with a gap ratio above
-    GAP_THRESHOLD; the negative controls sit 4+ orders above the
-    tolerance, genuine kernels 7+ orders below.
+    conserved weight band and scales each sparse row of that system S to
+    unit norm.  The Ex1 and 1xF rows have two unknowns each: propagated
+    through them, the ell^3 band unknowns reduce to a basis Z of ell
+    orthonormal columns (_reduced_system) that holds the kernel.  A
+    dense SVD of S Z, with all six blocks and so every closure row outside
+    the propagation, gives the kernel coefficients c, and 2 ell - 3 CGLS
+    steps on S refine v = Z c (CG needs more steps as the band grows).
+    The kernel criterion is relative singular value < KERNEL_TOL against
+    the largest singular value of S Z, with the smallest read as |S v| of
+    the refined unit vector v.  By interlacing, S Z has no singular value
+    below S's smallest, so an empty kernel of S stays empty.  The gap is
+    sigma_2(S Z) / |S v|, and sigma_2(S Z) is 1.2 to 1.9 times S's own
+    sigma_2 (ell = 3 to 7).  It must exceed GAP_THRESHOLD; on sampled pairs
+    at radius 0.1 it is 1e14 to 1e15 from ell = 3 to 13.  The negative
+    controls sit 4+ orders above the tolerance, genuine kernels 7+ orders
+    below.
     """
     ell = p1.ctx.ell
     pair = _pair_of(p1, p2, pair, target)
@@ -468,10 +555,13 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
         raise NoIntertwinerError(
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
-    colX, colJ = _band_index_arrays(ell, a)
     cols, vals = _band_rows(_band_blocks(pair), ell, a)
-    tail, vecs, sv_max = _tail_singular(cols, vals, len(colX))
-    sv = np.concatenate([[sv_max], tail[::-1]])  # descending
+    SZ, z, comp = _reduced_system(cols, vals, ell, a)
+    _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
+    c = vh[-1].conj()
+    v = _cgls(cols, vals, z * c[comp], -(SZ @ c), steps=2 * ell - 3)
+    v /= np.linalg.norm(v)
+    sv[-1] = np.linalg.norm(_apply_rows(cols, vals, v))
     rel = sv / sv[0]
     kernel_dim = int(np.sum(rel < KERNEL_TOL))
     if kernel_dim == 0:
@@ -485,8 +575,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     if gap < GAP_THRESHOLD:
         raise NonGenericRepresentationError(
             f"singular-value gap {gap:.2e} below threshold {GAP_THRESHOLD:.1e}")
+    colX, colJ = _band_index_arrays(ell, a)
     R = np.zeros((ell * ell, ell * ell), dtype=complex)
-    R[colX, colJ] = vecs[:, 0]
+    R[colX, colJ] = v
     slogdet = np.linalg.slogdet(R)
     return Intertwiner(R=det_normalize(R, slogdet), pair=pair, route="oracle",
                        singular_gap=gap, log_abs_det=float(slogdet.logabsdet))

@@ -18,8 +18,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .cyclic import (RepParams, _kron, build_rep, f_power_scalar_variants,
-                     gauge_conjugation_residual, z0_character)
+from .cyclic import (RepParams, _kron, build_rep, ell_powers,
+                     f_power_scalar_variants, gauge_conjugation_residual,
+                     z0_character)
 from .errors import HolobraidError
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
@@ -113,9 +114,7 @@ def rep_checks(p: RepParams) -> dict[str, float]:
     ch = z0_character(p)
     I = np.eye(ctx.ell)
     central = 0.0
-    for m, s in ((K, ch.kappa), (L, ch.lam), (E, ch.eta), (F, ch.phi)):
-        P = np.linalg.matrix_power(m, ctx.ell)
-        scalar = np.trace(P) / ctx.ell
+    for (P, scalar), s in zip(ell_powers(p), (ch.kappa, ch.lam, ch.eta, ch.phi)):
         central = max(central,
                       np.linalg.norm(P - scalar * I) / _scale(scalar),
                       abs(scalar - s) / _scale(s))
@@ -141,8 +140,7 @@ def commutant_dimension(p: RepParams) -> int:
 
 def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
     """gauge_scale and f_power_prefactor of one representation."""
-    P = np.linalg.matrix_power(build_rep(p).F, p.ctx.ell)
-    scalar = np.trace(P) / p.ctx.ell
+    _, scalar = ell_powers(p)[3]  # F^ell, shared with rep_checks
     return {"gauge_scale": {conv: gauge_conjugation_residual(p, conv)
                             for conv in ("geometric", "constant")},
             "f_power_prefactor": {name: float(abs(val - scalar) / _scale(scalar))

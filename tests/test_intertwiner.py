@@ -5,7 +5,9 @@ from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
-from holobraid.intertwiner import (DetSample, PairContext, braided_rep_pair,
+from holobraid.intertwiner import (DetSample, PairContext, _band_blocks,
+                                   _band_index_arrays, _band_rows, _components,
+                                   _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action, chi_data,
                                    closed_form_R, compare_up_to_scalar,
@@ -124,11 +126,64 @@ class TestOracle:
         sv = np.linalg.svd(S, compute_uv=False)
         assert np.sum(sv < sv[0] * 1e-10) == 3
 
-    def test_negative_control_unbraided(self, pair3):
-        p1, p2 = pair3
-        assert abs(z0_character(p1).eta * z0_character(p2).phi) > 1e-6
-        with pytest.raises(NoIntertwinerError):
-            solve_intertwiner(p1, p2, target=(p1, p2))
+    def test_negative_control_unbraided(self, pair3, pair5, pair7):
+        # the closure rows stay in the reduced system, so a wrong target
+        # leaves no kernel at any ell
+        for p1, p2 in (pair3, pair5, pair7):
+            assert abs(z0_character(p1).eta * z0_character(p2).phi) > 1e-6
+            with pytest.raises(NoIntertwinerError):
+                solve_intertwiner(p1, p2, target=(p1, p2))
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_two_term_rows_split_band_into_ell_components(self, ell):
+        # union-find over the unknowns that each Ex1 and 1xF row names with
+        # a nonzero coefficient, independent of _components' index arithmetic
+        p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
+        pair = PairContext(p1, p2)
+        a, n = pair.band_exp, ell ** 3
+        cols, vals = _band_rows(_band_blocks(pair), ell, a)
+        parent = list(range(n))
+
+        def find(k):
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        for r in range(4 * n, 6 * n):
+            named = {int(k) for k, v in zip(cols[r], vals[r]) if v != 0}
+            assert len(named) == 2
+            i, j = named
+            parent[find(i)] = find(j)
+        roots = np.array([find(k) for k in range(n)])
+        _, sizes = np.unique(roots, return_counts=True)
+        assert sorted(sizes) == [ell * ell] * ell
+        # _components labels the same partition, and its rows join grid steps
+        grid, rows, comp = _components(ell, a)
+        assert all(len(set(roots[grid[c].ravel()])) == 1 for c in range(ell))
+        assert len(set(roots[grid[:, 0, 0]])) == ell
+        assert (comp[grid] == np.arange(ell)[:, None, None]).all()
+        for step, nxt in ((0, np.roll(grid, -1, axis=1)), (1, np.roll(grid, -1, axis=2))):
+            named = cols[rows[step]]
+            assert (named == grid[..., None]).any(-1).all()
+            assert (named == nxt[..., None]).any(-1).all()
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_matches_dense_svd_of_band_system(self, ell):
+        # reference: the dense SVD of the full unit-row band system S
+        p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
+        intw = solve_intertwiner(p1, p2)
+        a, n = intw.pair.band_exp, ell ** 3
+        cols, vals = _band_rows(_band_blocks(intw.pair), ell, a)
+        S = np.zeros((len(cols), n), dtype=complex)
+        np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
+        _, sv, vh = np.linalg.svd(S)
+        R = np.zeros_like(intw.R)
+        R[_band_index_arrays(ell, a)] = vh[-1].conj()
+        assert compare_up_to_scalar(intw.R, R)[1] <= 1e-13
+        # sigma_2 of S Z, the gap's numerator, is at least S's (interlacing)
+        SZ, _, _ = _reduced_system(cols, vals, ell, a)
+        assert np.linalg.svd(SZ, compute_uv=False)[-2] >= sv[-2]
 
     def test_band_exponent_matches_weight_ratio(self, pair5):
         intw = solve_intertwiner(*pair5)
