@@ -127,8 +127,8 @@ class TestOracle:
         assert np.sum(sv < sv[0] * 1e-10) == 3
 
     def test_negative_control_unbraided(self, pair3, pair5, pair7):
-        # the closure rows stay in the reduced system, so a wrong target
-        # leaves no kernel at any ell
+        # the reduced system only restricts S, so a wrong target leaves no
+        # kernel at any ell
         for p1, p2 in (pair3, pair5, pair7):
             assert abs(z0_character(p1).eta * z0_character(p2).phi) > 1e-6
             with pytest.raises(NoIntertwinerError):
