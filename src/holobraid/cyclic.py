@@ -164,12 +164,35 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _braid_factor(out1: RepMatrices, out2: RepMatrices) -> np.ndarray:
-    """G = K1^-1 E1 x F2 L2 on a braided output pair.
+@lru_cache(maxsize=None)
+def _grade_order(ell: int) -> np.ndarray:
+    """order[g, n] = n ell + (g - n) mod ell: the pair indices n ell + m of
+    pair grade n + m = g (mod ell), ascending in n."""
+    n = np.arange(ell)
+    return _read_only(n * ell + (n[:, None] - n) % ell)
 
-    The braid images of the slot-2 clock generators carry (1 - eps G)^-1.
+
+def _from_grade_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The pair-basis matrix with the ell x ell grade blocks blocks[g] (on
+    the indices _grade_order(ell)[g]) and zeros off them."""
+    order = _grade_order(len(blocks))
+    M = np.zeros((order.size, order.size), dtype=blocks.dtype)
+    M[order[:, :, None], order[:, None, :]] = blocks
+    return M
+
+
+def _braid_factor(out1: RepMatrices, out2: RepMatrices) -> np.ndarray:
+    """G = K1^-1 E1 x F2 L2 on a braided output pair, as its grade blocks.
+
+    G moves v_n x v_m to v_(n+1) x v_(m-1), so it keeps the pair grade
+    n + m and is zero off its ell diagonal blocks: blocks[g] is G on the
+    indices _grade_order(ell)[g], each entry the one product the Kronecker
+    form takes.  The braid images of the slot-2 clock generators carry
+    (1 - eps G)^-1, which is inverted block by block.
     """
-    return _kron(np.linalg.inv(out1.K) @ out1.E, out2.F @ out2.L)
+    slot2 = _grade_order(len(out1.K)) % len(out1.K)
+    return (np.linalg.inv(out1.K) @ out1.E) \
+        * (out2.F @ out2.L)[slot2[:, :, None], slot2[:, None, :]]
 
 
 def z0_character(p: RepParams) -> Z0Char:
@@ -292,11 +315,12 @@ def is_generic(p: RepParams, q: RepParams) -> bool:
     for r in (q1, q2):
         if np.min(np.abs(f_weights(r))) < MIN_WEIGHT:
             return False
-    # conditioning of the inverted factor (1 - t G) on the output pair
+    # conditioning of the inverted factors (1 - t^(+-1) G) on the output
+    # pair: the largest singular value over the smallest, across G's blocks
     t = p.ctx.eps
     G = _braid_factor(build_rep(q1), build_rep(q2))
-    eye = np.eye(G.shape[0])
-    for factor in (eye - t * G, eye - G / t):
-        if np.linalg.cond(factor) > MAX_CONDITION:
-            return False
-    return True
+    eye = np.eye(len(G))
+    sv = np.linalg.svd(np.stack([eye - t * G, eye - G / t]), compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = sv[..., 0].max(axis=1) / sv[..., -1].min(axis=1)
+    return not np.any(cond > MAX_CONDITION)

@@ -11,8 +11,12 @@ band exponent, so a factor embedded on two of the three tensor slots maps
 total grade n1 + n2 + n3 to that grade plus the same shift.  The triple
 products are therefore formed on the ell grade blocks of size
 ell^2 x ell^2 (_grade_blocks, _chain), in O(ell^7) instead of the O(ell^9)
-of dense ell^3 x ell^3 products.  The dense slot embeddings embed_12,
-embed_13 and embed_23 are kept as the reference the tests compare against.
+of dense ell^3 x ell^3 products.  The zero-spectral-parameter core of
+s0_diagnostic is monomial, one nonzero entry per column, and so is each of
+its slot embeddings: its triple products are composed as (target index,
+weight) pairs over the ell^3 triple indices (_slot_index, _compose), in
+O(ell^3).  The dense slot embeddings embed_12, embed_13 and embed_23 are
+kept as the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -121,6 +125,34 @@ def _off_band(ell: int, shift: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pair, rest, place) for a pair-basis map on tensor slots (a, b)
+    (0-based) of the triple space: triple index j has pair index
+    pair[j] = n_a ell + n_b, and j = rest[j] + place[pair[j]], where place[P]
+    is the triple index with pair P on slots (a, b) and 0 on the third."""
+    a, b = slots
+    stride = ell ** (2 - np.arange(3))
+    P = np.arange(ell * ell)
+    place = P // ell * stride[a] + P % ell * stride[b]
+    n = np.indices((ell,) * 3).reshape(3, -1)
+    pair = n[a] * ell + n[b]
+    rest = np.arange(ell ** 3) - place[pair]
+    for arr in (pair, rest, place):
+        arr.setflags(write=False)
+    return pair, rest, place
+
+
+def _compose(factors: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Product F_1 F_2 ... of monomial maps, each (target, weight) with
+    F e_j = weight[j] e_target[j]; returns the product in the same form."""
+    target, weight = factors[-1]
+    for t, w in reversed(factors[:-1]):
+        weight = w[target] * weight
+        target = t[target]
+    return target, weight
+
+
 def _rotate(stack: np.ndarray, k: int) -> np.ndarray:
     """stack[(G + k) % ell] at position G, as np.roll(stack, -k, axis=0)."""
     k %= len(stack)
@@ -227,18 +259,27 @@ def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
     Substitutes the identity for the spectral factor, leaving
     R0 = D (B^a x Ug_out Ug_in^-1), and tests
     R0_12 R0_13 R0_23 = R0_23 R0_13 R0_12 with this single matrix in all
-    three slots.  R0 maps pair grade g to g + a, so both products are
-    formed on grade blocks as in hybe_residual.  Purely diagnostic:
-    returns (relative residual, conclusive flag); no threshold is attached.
-    The twist core is read from intw's pair, where closed_form_R left it.
+    three slots; the residual is |lhs - rhs|_F / |lhs|_F.  R0 is monomial
+    (B^a a shift, the rest diagonal), and so are its slot embeddings and
+    their products, each kept as a (target index, weight) pair over the
+    ell^3 triple indices: O(ell^3).  Purely diagnostic: returns (relative
+    residual, conclusive flag); no threshold is attached.  The twist core
+    is read from intw's pair, where closed_form_R left it.
     """
-    cd, D, Ba, U2, Ut2 = intw.pair.twist
-    R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
-    a = cd.a_exp
-    b12, b13, b23 = [(_grade_blocks(R0, a, slots), a)
-                     for slots in ((0, 1), (0, 2), (1, 2))]
-    lhs, _ = _chain([b12, b13, b23])
-    rhs, _ = _chain([b23, b13, b12])
-    residual = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    _, D, Ba, U2, Ut2 = intw.pair.twist
+    ell = len(Ba)
+    n, m = np.divmod(np.arange(ell * ell), ell)
+    target = Ba.argmax(axis=0)[n] * ell + m
+    weight = D[target] * (np.diag(Ut2) / np.diag(U2))[m]
+
+    def embedded(slots):
+        pair, rest, place = _slot_index(ell, slots)
+        return rest + place[target[pair]], weight[pair]
+
+    r12, r13, r23 = (embedded(slots) for slots in ((0, 1), (0, 2), (1, 2)))
+    (lt, lw), (rt, rw) = _compose([r12, r13, r23]), _compose([r23, r13, r12])
+    # a column the two products send to different rows leaves both entries
+    diff = np.where(lt == rt, np.abs(lw - rw) ** 2, np.abs(lw) ** 2 + np.abs(rw) ** 2)
+    residual = float(np.sqrt(diff.sum()) / np.linalg.norm(lw))
     conclusive = bool(np.isfinite(residual))
     return residual, conclusive

@@ -35,8 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, _braid_factor, _kron, build_rep,
-                     clock_shift, gauge_U, lift_character, z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, _from_grade_blocks,
+                     _kron, build_rep, clock_shift, gauge_U, lift_character,
+                     z0_character)
 from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
                      NonGenericRepresentationError)
 from .glstar import beta_inverse
@@ -52,6 +53,11 @@ TWIST_ROOT_TOL = 1e-8
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
     """Coproducts of K, L, E, F on r1 x r2 (slot 1 the left Kronecker factor)."""
+    return [_kron(r1.K, r2.K), _kron(r1.L, r2.L), *_ef_coproducts(r1, r2, opposite)]
+
+
+def _ef_coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
+    """The E and F entries of _coproducts."""
     kron = _kron
     I = np.eye(r1.K.shape[0])
     if opposite:
@@ -60,7 +66,7 @@ def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.nda
     else:
         E = kron(r1.E, r2.K) + kron(I, r2.E)
         F = kron(r1.F, I) + kron(np.linalg.inv(r1.L), r2.F)
-    return [kron(r1.K, r2.K), kron(r1.L, r2.L), E, F]
+    return [E, F]
 
 
 def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.ndarray:
@@ -84,11 +90,21 @@ def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams
 def _single_factor_blocks(pair: PairContext):
     """(M, N, band shift) for 1xK, 1xL, Ex1, 1xF."""
     kron = _kron
-    rin1, rin2, rout1, rout2 = pair.reps
-    I = np.eye(rin1.K.shape[0])
+    _, rin2, _, rout2 = pair.reps
+    I = np.eye(rin2.K.shape[0])
     return [
         (kron(I, rin2.K), kron(I, rout2.K) @ pair.T_inv, 0),
         (kron(I, rin2.L), kron(I, rout2.L) @ pair.T_inv, 0),
+        *_shift_factor_blocks(pair),
+    ]
+
+
+def _shift_factor_blocks(pair: PairContext):
+    """The Ex1 and 1xF entries of _single_factor_blocks."""
+    kron = _kron
+    rin1, rin2, rout1, rout2 = pair.reps
+    I = np.eye(rin1.K.shape[0])
+    return [
         (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
         (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1),
     ]
@@ -97,7 +113,7 @@ def _single_factor_blocks(pair: PairContext):
 def _band_blocks(pair: PairContext):
     """(M, N, band shift) of the six equations the oracle solves.
 
-    From the eight blocks of PairContext.blocks it keeps the E and F
+    Of the eight blocks of PairContext.blocks it builds only the E and F
     coproducts and the Ex1 and 1xF equations.  The two slot-2 clock
     equations are multiplied through by T = 1 - eps G:
     R (1 x K_in^-1) = T (1 x K_out^-1) R, and the same for L, so no inverse
@@ -105,12 +121,13 @@ def _band_blocks(pair: PairContext):
     matrices.  The K and L coproduct equations vanish identically on the
     band and are left out.
     """
-    _, rin2, _, rout2 = pair.reps
+    rin1, rin2, rout1, rout2 = pair.reps
     I = np.eye(rin2.K.shape[0])
     inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
     clocks = [(_kron(I, inv[i]), pair.T @ _kron(I, inv[i + 1]), 0) for i in (0, 2)]
-    blocks = pair.blocks
-    return [*blocks[2:4], *clocks, *blocks[6:]]
+    coproducts = zip(_ef_coproducts(rin1, rin2, False), _ef_coproducts(rout1, rout2, True),
+                     (1, -1))
+    return [*coproducts, *clocks, *_shift_factor_blocks(pair)]
 
 
 @lru_cache(maxsize=64)
@@ -430,11 +447,13 @@ class PairContext:
 
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent with its
-    distance.  The braid factor G, T = 1 - eps G, T^-1, the eight equation
-    blocks, the closed form's twist core and its spectral factor R1 are
-    built on first use, so the oracle computes nothing of the closed form
-    and an unread closed-form residual builds no blocks.  release() drops
-    the ell^4-sized blocks and R1 (rebuilt if read again), not G, T, T^-1.
+    distance.  The braid factor G (as its grade blocks, see
+    cyclic._braid_factor), T = 1 - eps G, T^-1, the eight equation blocks,
+    the closed form's twist core and its spectral factor R1 are built on
+    first use, so the oracle computes nothing of the closed form and an
+    unread closed-form residual builds no blocks.  T and T^-1 are dense,
+    T^-1 inverted block by block.  release() drops the ell^4-sized blocks
+    and R1 (rebuilt if read again), not G, T, T^-1.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -450,12 +469,16 @@ class PairContext:
         return _braid_factor(*self.reps[2:])
 
     @cached_property
-    def T(self) -> np.ndarray:
+    def _T_blocks(self) -> np.ndarray:
         return np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G
 
     @cached_property
+    def T(self) -> np.ndarray:
+        return _from_grade_blocks(self._T_blocks)
+
+    @cached_property
     def T_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.T)
+        return _from_grade_blocks(np.linalg.inv(self._T_blocks))
 
     @cached_property
     def blocks(self) -> list:
@@ -697,7 +720,7 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
     inv_powers = (("t", pair.T_inv),
-                  ("t_inverse", np.linalg.inv(np.eye(ell * ell) - pair.G / t)))
+                  ("t_inverse", _from_grade_blocks(np.linalg.inv(np.eye(ell) - pair.G / t))))
     res = partial(_conjugation_residual, intw)
 
     # the four single-factor equations of the oracle system, read as checks

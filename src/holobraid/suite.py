@@ -156,7 +156,8 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
 
     The evidence tables are braiding_correction_sign (slot-wise
     conservation of T under both correction signs) and matrix_route (the
-    deviation of every conjugation-route reading from the character route).
+    deviation of every conjugation-route reading from the character route;
+    inf for each reading of a variant whose evaluation raises).
     conserved_T gates the "minus" sign's reading and matrix_route the best
     reading; the other checks are the braiding-map invariants.  Each
     braiding of (cx, cy) is computed once.
@@ -178,7 +179,13 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     (p, q), (P, Q) = targets
     mre = {}
     for variant in ("first_conjugates", "second_conjugates"):
-        m1, m2 = matrix_route_beta(cx, cy, variant)
+        try:
+            m1, m2 = matrix_route_beta(cx, cy, variant)
+        except HolobraidError:  # a reading that cannot be evaluated fails it
+            mre.update({f"{variant}:{tname}:{slots}": float("inf")
+                        for tname in ("forward", "inverse")
+                        for slots in ("direct", "swapped")})
+            continue
         for tname, (t1, t2) in zip(("forward", "inverse"), targets):
             mre[f"{variant}:{tname}:direct"] = max(_char_dev(m1, t1), _char_dev(m2, t2))
             mre[f"{variant}:{tname}:swapped"] = max(_char_dev(m2, t1), _char_dev(m1, t2))

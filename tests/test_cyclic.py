@@ -1,19 +1,47 @@
 import numpy as np
 import pytest
 
-from holobraid.cyclic import (RepParams, build_rep, clock_shift, f_weights,
+import holobraid.cyclic as cyclic
+from holobraid.cyclic import (MIN_WEIGHT, RepParams, _from_grade_blocks,
+                              build_rep, clock_shift, f_weights,
                               f_power_scalar_variants,
                               gauge_conjugation_residual, gauge_U, is_generic,
                               lift_character, z0_character)
 from holobraid.errors import (DegenerateCharacterError, InconsistentLiftError,
                               InvalidParamsError, NonGenericRepresentationError)
 from holobraid.glstar import Z0Char
+from holobraid.intertwiner import PairContext, braided_rep_pair
 from holobraid.roots import primitive_root
-from holobraid.sampling import sample_params
+from holobraid.sampling import _draw_params, sample_params, trial_rng
 
 
 def params(ctx, u=1.0, v=1.0, x=1.0, y=1.0):
     return RepParams(ctx=ctx, u=u, v=v, x=x, y=y)
+
+
+def dense_braid_factor(out1, out2):
+    """G = K1^-1 E1 x F2 L2 as a dense ell^2 x ell^2 matrix."""
+    r1, r2 = build_rep(out1), build_rep(out2)
+    return np.kron(np.linalg.inv(r1.K) @ r1.E, r2.F @ r2.L)
+
+
+def dense_is_generic(p, q, max_condition):
+    """is_generic with np.linalg.cond of the dense factors (1 - t^(+-1) G)."""
+    for r in (p, q):
+        if np.min(np.abs(f_weights(r))) < MIN_WEIGHT or abs(r.y) < MIN_WEIGHT:
+            return False
+    s = z0_character(p).eta * z0_character(q).phi
+    if abs(1 - s) < MIN_WEIGHT or abs(s) < MIN_WEIGHT:
+        return False
+    try:
+        q1, q2 = braided_rep_pair(p, q)
+    except (DegenerateCharacterError, InconsistentLiftError):
+        return False
+    if any(np.min(np.abs(f_weights(r))) < MIN_WEIGHT for r in (q1, q2)):
+        return False
+    G, t = dense_braid_factor(q1, q2), p.ctx.eps
+    I = np.eye(len(G))
+    return all(np.linalg.cond(f) <= max_condition for f in (I - t * G, I - G / t))
 
 
 class TestClockShift:
@@ -203,3 +231,38 @@ class TestGenericity:
     def test_sampled_pairs_pass(self, ctx3):
         p1, p2 = sample_params(ctx3, 99, 0, count=2)
         assert is_generic(p1, p2)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_condition_on_grade_blocks(self, ell):
+        ctx = primitive_root(ell)
+        pair = PairContext(*sample_params(ctx, 42, 0, count=2))
+        G = dense_braid_factor(*pair.out_params)
+        assert np.array_equal(_from_grade_blocks(pair.G), G)
+        I, Ib, t = np.eye(ell * ell), np.eye(ell), ctx.eps
+        for dense, blocks in ((I - t * G, Ib - t * pair.G), (I - G / t, Ib - pair.G / t)):
+            sv = np.linalg.svd(blocks, compute_uv=False)
+            cond = sv[:, 0].max() / sv[:, -1].min()
+            assert abs(cond / np.linalg.cond(dense) - 1) < 1e-10
+        assert np.array_equal(pair.T, I - t * G)
+        ref = np.linalg.inv(pair.T)
+        assert np.linalg.norm(pair.T_inv - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_matches_dense_reference(self, monkeypatch):
+        # 200 draws at radius 1.0, ell 9: four fail |eta phi| >= MIN_WEIGHT;
+        # with MAX_CONDITION between two condition numbers of the draws,
+        # about half fail the conditioning instead
+        ctx = primitive_root(9)
+        draws = []
+        for i in range(200):
+            rng = trial_rng(4, i)
+            draws.append([_draw_params(ctx, rng, 1.0) for _ in range(2)])
+        verdicts = [is_generic(p, q) for p, q in draws]
+        assert verdicts == [dense_is_generic(p, q, cyclic.MAX_CONDITION) for p, q in draws]
+        assert verdicts.count(False) == 4
+        conds = sorted(np.linalg.cond(np.eye(81) - ctx.eps * dense_braid_factor(
+            *braided_rep_pair(p, q))) for (p, q), ok in zip(draws, verdicts) if ok)
+        bound = float(np.sqrt(conds[len(conds) // 2] * conds[len(conds) // 2 + 1]))
+        monkeypatch.setattr(cyclic, "MAX_CONDITION", bound)
+        verdicts = [is_generic(p, q) for p, q in draws]
+        assert verdicts == [dense_is_generic(p, q, bound) for p, q in draws]
+        assert 50 < verdicts.count(False) < 150

@@ -133,9 +133,11 @@ class TestGradeBlocks:
         assert abs(c - c_ref) < 1e-14
         assert abs(dev - dev_ref) < 1e-14
 
-    @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15)])
+    @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
+                                            (7, 68), (9, 0)])
     def test_s0_matches_dense(self, ell, trial):
-        # seed 42, ell 7, trial 15 is a pair whose core residual is O(1)
+        # seed 42, ell 7, trials 15, 17 and 68 are the pairs of the first 100
+        # whose core residual is O(1)
         p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
         _, D, Ba, U2, Ut2 = PairContext(p1, p2).twist
         R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
@@ -143,8 +145,7 @@ class TestGradeBlocks:
         ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         res, _ = s0_diagnostic(closed_form_R(p1, p2))
         assert abs(res - ref) < 1e-14
-        if trial == 15:
-            assert res > 1.0
+        assert (res > 1.0) == (trial in (15, 17, 68))
 
     def test_off_band_entry_raises(self):
         ell = 3

@@ -107,6 +107,16 @@ class TestOracle:
         assert intw.residual == float(ref)
         assert "blocks" in vars(intw.pair)
 
+    def test_solve_builds_only_band_blocks(self, pair3):
+        # the oracle builds its six blocks itself: neither the eight blocks
+        # of the residual nor T^-1, which only they read
+        pair = solve_intertwiner(*pair3).pair
+        assert "blocks" not in vars(pair) and "T_inv" not in vars(pair)
+        built = _band_blocks(pair)
+        for (M, N, shift), (M0, N0, shift0) in zip(built[:2] + built[4:],
+                                                   pair.blocks[2:4] + pair.blocks[6:]):
+            assert np.array_equal(M, M0) and np.array_equal(N, N0) and shift == shift0
+
     @pytest.mark.parametrize("ell", [9, 11, 13])
     def test_large_ell_accuracy(self, ell):
         # det-normalizing a unit-norm ell^2 x ell^2 kernel vector underflowed

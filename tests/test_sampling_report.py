@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import holobraid.sampling as sampling
+import holobraid.suite as suite
 from holobraid.dumps import dump_intertwiner, dump_rep_matrix, load_matrix
-from holobraid.errors import SamplingExhaustedError
+from holobraid.errors import NonFactorizableError, SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep
 from holobraid.report import emit_report, residual_entry, write_report
@@ -93,6 +94,36 @@ class TestReports:
         on_disk = json.loads(path.read_text())
         assert on_disk["summary"]["passed"] == 3
         assert len(on_disk["trials"]) == 3
+
+    def test_raising_reading_is_evidence(self, tmp_path, monkeypatch):
+        # a matrix-route variant whose evaluation raises (second_conjugates
+        # on trial 4 of ell 7, radius 1.0, seed 42) fails its four readings
+        # with residual inf instead of stopping the run
+        route = suite.matrix_route_beta
+
+        def second_raises(x, y, variant):
+            if variant == "second_conjugates":
+                raise NonFactorizableError("forced")
+            return route(x, y, variant)
+
+        monkeypatch.setattr(suite, "matrix_route_beta", second_raises)
+        code, rep = run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))
+        path = tmp_path / "out.json"
+        write_report(rep, path)
+        on_disk = json.loads(path.read_text())
+        assert code == 0
+        for trial in on_disk["trials"]:
+            readings = trial["evidence"]["matrix_route"]
+            assert len(readings) == 8
+            assert all((v == float("inf")) == k.startswith("second_conjugates:")
+                       for k, v in readings.items())
+            check = trial["checks"]["matrix_route"]
+            assert check["residual"]["value"] == min(readings.values())
+            assert check["variant"] == "first_conjugates:inverse:swapped"
+            assert check["pass"]
+        adjudication = on_disk["adjudications"]["matrix_route"]
+        assert adjudication["chosen"] == "first_conjugates:inverse:swapped"
+        assert adjudication["variants"]["second_conjugates:forward:direct"]["approx"] == "inf"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

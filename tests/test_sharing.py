@@ -48,12 +48,13 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 
 
 def test_trial_builds_braid_factor_once(monkeypatch):
-    # the trial's PairContext owns G, 1 - eps G and its inverse; the six
-    # ell^2 x ell^2 inverses left are (1 - eps G)^-1, one R^-1 shared by the
-    # two action checks, (1 - G / eps)^-1, and R1^-1 with the two spectral
-    # readings of r1_conjugation_residuals
+    # the trial's PairContext owns G, 1 - eps G and its inverse; the four
+    # ell^2 x ell^2 inverses left are one R^-1 shared by the two action
+    # checks, and R1^-1 with the two spectral readings of
+    # r1_conjugation_residuals; (1 - eps G)^-1 and (1 - G / eps)^-1 are
+    # each one inverse of G's ell grade blocks of ell x ell
     ell = 3
-    braids, inverses = [], []
+    braids, inverses, block_inverses = [], [], []
     braid_factor, inv = intertwiner._braid_factor, np.linalg.inv
 
     def count_braid(*args):
@@ -63,6 +64,8 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     def count_inv(a):
         if a.shape == (ell * ell, ell * ell):
             inverses.append(a)
+        elif a.shape == (ell, ell, ell):
+            block_inverses.append(a)
         return inv(a)
 
     monkeypatch.setattr(intertwiner, "_braid_factor", count_braid)
@@ -70,4 +73,5 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, hybe_every=0),
                     primitive_root(ell), 0)
     assert len(braids) == 1
-    assert len(inverses) == 6
+    assert len(inverses) == 4
+    assert len(block_inverses) == 2
