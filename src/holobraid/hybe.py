@@ -14,8 +14,8 @@ ell^2 x ell^2 (_grade_blocks, _chain), in O(ell^7) instead of the O(ell^9)
 of dense ell^3 x ell^3 products.  The zero-spectral-parameter core of
 s0_diagnostic is monomial, one nonzero entry per column, and so is each of
 its slot embeddings: its triple products are composed as (target index,
-weight) pairs over the ell^3 triple indices (_slot_index, _compose), in
-O(ell^3).  The dense slot embeddings embed_12, embed_13 and embed_23 are
+weight) pairs over the ell^3 triple indices (_embed_monomial, _compose),
+in O(ell^3).  The dense slot embeddings embed_12, embed_13 and embed_23 are
 kept as the reference the tests compare against.
 """
 from __future__ import annotations
@@ -130,7 +130,8 @@ def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarra
     """(pair, rest, place) for a pair-basis map on tensor slots (a, b)
     (0-based) of the triple space: triple index j has pair index
     pair[j] = n_a ell + n_b, and j = rest[j] + place[pair[j]], where place[P]
-    is the triple index with pair P on slots (a, b) and 0 on the third."""
+    is the triple index with pair P on slots (a, b) and 0 on the third.
+    """
     a, b = slots
     stride = ell ** (2 - np.arange(3))
     P = np.arange(ell * ell)
@@ -143,14 +144,33 @@ def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarra
     return pair, rest, place
 
 
+def _embed_monomial(R: tuple[np.ndarray, np.ndarray],
+                    slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A monomial pair-basis map R = (target, weight), with
+    R e_J = weight[J] e_target[J], embedded on tensor slots (a, b) of the
+    triple space, in the same form over the triple indices."""
+    target, weight = R
+    pair, rest, place = _slot_index(round(np.sqrt(len(target))), slots)
+    return rest + place[target[pair]], weight[pair]
+
+
 def _compose(factors: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Product F_1 F_2 ... of monomial maps, each (target, weight) with
-    F e_j = weight[j] e_target[j]; returns the product in the same form."""
+    """Product F_1 F_2 ... of monomial maps (target, weight), left to right;
+    returns the product in the same form."""
     target, weight = factors[-1]
     for t, w in reversed(factors[:-1]):
         weight = w[target] * weight
         target = t[target]
     return target, weight
+
+
+def _relative_distance(A: tuple[np.ndarray, np.ndarray],
+                       B: tuple[np.ndarray, np.ndarray]) -> float:
+    """|A - B|_F / |A|_F of two monomial maps (target, weight): a column the
+    two send to different rows contributes both of its entries."""
+    (at, aw), (bt, bw) = A, B
+    diff = np.where(at == bt, np.abs(aw - bw) ** 2, np.abs(aw) ** 2 + np.abs(bw) ** 2)
+    return float(np.sqrt(diff.sum()) / np.linalg.norm(aw))
 
 
 def _rotate(stack: np.ndarray, k: int) -> np.ndarray:
@@ -270,16 +290,8 @@ def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
     ell = len(Ba)
     n, m = np.divmod(np.arange(ell * ell), ell)
     target = Ba.argmax(axis=0)[n] * ell + m
-    weight = D[target] * (np.diag(Ut2) / np.diag(U2))[m]
-
-    def embedded(slots):
-        pair, rest, place = _slot_index(ell, slots)
-        return rest + place[target[pair]], weight[pair]
-
-    r12, r13, r23 = (embedded(slots) for slots in ((0, 1), (0, 2), (1, 2)))
-    (lt, lw), (rt, rw) = _compose([r12, r13, r23]), _compose([r23, r13, r12])
-    # a column the two products send to different rows leaves both entries
-    diff = np.where(lt == rt, np.abs(lw - rw) ** 2, np.abs(lw) ** 2 + np.abs(rw) ** 2)
-    residual = float(np.sqrt(diff.sum()) / np.linalg.norm(lw))
+    R0 = target, D[target] * (np.diag(Ut2) / np.diag(U2))[m]
+    r12, r13, r23 = (_embed_monomial(R0, slots) for slots in ((0, 1), (0, 2), (1, 2)))
+    residual = _relative_distance(_compose([r12, r13, r23]), _compose([r23, r13, r12]))
     conclusive = bool(np.isfinite(residual))
     return residual, conclusive

@@ -147,6 +147,38 @@ class TestGradeBlocks:
         assert abs(res - ref) < 1e-14
         assert (res > 1.0) == (trial in (15, 17, 68))
 
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_monomial_products_match_dense(self, ell):
+        # random weights on permutations that each swap two pair indices,
+        # so that the two products send some columns, not all, to
+        # different rows
+        rng = np.random.default_rng(ell)
+        n2, n3 = ell * ell, ell ** 3
+
+        def dense(R, n):
+            M = np.zeros((n, n), dtype=complex)
+            M[R[0], np.arange(n)] = R[1]
+            return M
+
+        def swap_two():
+            target = np.arange(n2)
+            i, j = rng.choice(n2, 2, replace=False)
+            target[[i, j]] = target[[j, i]]
+            return target
+
+        f, g, h = [(swap_two(), rng.normal(size=n2) + 1j * rng.normal(size=n2))
+                   for _ in range(3)]
+        F, G, H = (dense(R, n2) for R in (f, g, h))
+        emb = hybe._embed_monomial
+        lhs = hybe._compose([emb(f, (0, 1)), emb(g, (0, 2)), emb(h, (1, 2))])
+        rhs = hybe._compose([emb(h, (1, 2)), emb(g, (0, 2)), emb(f, (0, 1))])
+        lhs_ref, rhs_ref = dense_products([F, G, H, H, G, F], ell)
+        for R, ref in ((lhs, lhs_ref), (rhs, rhs_ref)):
+            assert np.max(np.abs(dense(R, n3) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert 0 < np.sum(lhs[0] != rhs[0]) < n3
+        ref = np.linalg.norm(lhs_ref - rhs_ref) / np.linalg.norm(lhs_ref)
+        assert abs(hybe._relative_distance(lhs, rhs) - ref) < 1e-14
+
     def test_off_band_entry_raises(self):
         ell = 3
         R = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))  # band 1
