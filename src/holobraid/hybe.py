@@ -130,8 +130,7 @@ def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarra
     """(pair, rest, place) for a pair-basis map on tensor slots (a, b)
     (0-based) of the triple space: triple index j has pair index
     pair[j] = n_a ell + n_b, and j = rest[j] + place[pair[j]], where place[P]
-    is the triple index with pair P on slots (a, b) and 0 on the third.
-    """
+    is the triple index with pair P on slots (a, b) and 0 on the third."""
     a, b = slots
     stride = ell ** (2 - np.arange(3))
     P = np.arange(ell * ell)
