@@ -5,14 +5,14 @@ from .roots import RootContext, primitive_root
 from .qseries import (Series, check_f_functional, pairing_monomial, phi_orbit,
                       phi_series, q_factorial_b, q_shift_coefficient_check,
                       series_f, series_f_product)
-from .cyclic import (ClockShift, RepMatrices, RepParams, build_rep, clock_shift,
-                     gauge_U, is_generic, lift_character, z0_character)
+from .cyclic import (ClockShift, RepMatrices, RepParams, braided_rep_pair,
+                     build_rep, clock_shift, gauge_U, is_generic, lift_character,
+                     z0_character)
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      conserved_quantities, glstar_multiply, matrix_route_beta,
                      refactor_gl2)
-from .intertwiner import (ChiData, Intertwiner, braided_rep_pair,
-                          check_generator_action, chi_data, closed_form_R,
-                          compare_up_to_scalar, coproduct_rep,
+from .intertwiner import (ChiData, Intertwiner, check_generator_action, chi_data,
+                          closed_form_R, compare_up_to_scalar, coproduct_rep,
                           det_exponent_probe, solve_intertwiner)
 from .hybe import ColoringTriple, derive_colorings, hybe_residual, s0_diagnostic
 from .sampling import sample_params

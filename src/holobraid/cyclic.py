@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateCharacterError, InconsistentLiftError,
                      InvalidParamsError, NonGenericRepresentationError)
-from .glstar import Z0Char
+from .glstar import Z0Char, beta_inverse
 from .roots import RootContext, primitive_root
 
 # genericity (is_generic): smallest weight and eta, largest condition number
@@ -241,6 +241,14 @@ def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext) -> RepPa
     return p
 
 
+def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams]:
+    """Output-slot parameters: coloring map on characters plus strand lifts."""
+    o1, o2 = beta_inverse(z0_character(p1), z0_character(p2))
+    q1 = lift_character(o1, p1.u, p1.x, p1.ctx)
+    q2 = lift_character(o2, p2.u, p2.x, p2.ctx)
+    return q1, q2
+
+
 def gauge_U(p: RepParams, convention: str = "geometric"
             ) -> tuple[np.ndarray, complex]:
     """Diagonal gauge conjugating the normalized lowering operator to a shift.
@@ -295,8 +303,6 @@ def is_generic(p: RepParams, q: RepParams) -> bool:
     1 - s^ell bounded away from zero, a consistent strand-preserving lift,
     and well-conditioned inverted factors in the generator-action checks.
     """
-    from .intertwiner import braided_rep_pair  # cycle kept local
-
     for r in (p, q):
         if np.min(np.abs(f_weights(r))) < MIN_WEIGHT:
             return False
@@ -316,11 +322,14 @@ def is_generic(p: RepParams, q: RepParams) -> bool:
         if np.min(np.abs(f_weights(r))) < MIN_WEIGHT:
             return False
     # conditioning of the inverted factors (1 - t^(+-1) G) on the output
-    # pair: the largest singular value over the smallest, across G's blocks
+    # pair, read on grade block 0: each block of G is a weighted cyclic
+    # shift whose weight moduli are the same cyclic sequence up to
+    # relabelling and whose product around the cycle is the same, so the
+    # blocks are unitarily equivalent and share their singular values
     t = p.ctx.eps
-    G = _braid_factor(build_rep(q1), build_rep(q2))
-    eye = np.eye(len(G))
-    sv = np.linalg.svd(np.stack([eye - t * G, eye - G / t]), compute_uv=False)
+    G0 = _braid_factor(build_rep(q1), build_rep(q2))[0]
+    eye = np.eye(len(G0))
+    sv = np.linalg.svd(np.stack([eye - t * G0, eye - G0 / t]), compute_uv=False)
     with np.errstate(divide="ignore"):
-        cond = sv[..., 0].max(axis=1) / sv[..., -1].min(axis=1)
+        cond = sv[:, 0] / sv[:, -1]
     return not np.any(cond > MAX_CONDITION)

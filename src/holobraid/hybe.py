@@ -25,10 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, _kron
+from .cyclic import RepParams, _kron, braided_rep_pair
 from .errors import AssemblyError
-from .intertwiner import (Intertwiner, _band_index_arrays, braided_rep_pair,
-                          closed_form_R, solve_intertwiner)
+from .intertwiner import (Intertwiner, _band_index_arrays, closed_form_R,
+                          solve_intertwiner)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ for w running over the coproducts of the four generators *and* the four
 single-factor elements 1xK, 1xL, Ex1, 1xF whose braid images are explicit.
 The coproduct equations alone leave one solution per Casimir branch (an
 ell-dimensional nullspace); the single-factor equations cut it to a line.
+PairContext.blocks builds this system once per pair, with the slot-2
+clocks multiplied through by T = 1 - eps G so that no inverse of T is
+read; the oracle, Intertwiner.residual and check_generator_action read it.
 
 The oracle solves these equations on the conserved weight band
 n' + m' = n + m + a (mod ell) forced by the clock equations.  Every factor
@@ -36,11 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclic import (RepParams, RepMatrices, _braid_factor, _from_grade_blocks,
-                     _kron, build_rep, clock_shift, gauge_U, lift_character,
+                     _kron, braided_rep_pair, build_rep, clock_shift, gauge_U,
                      z0_character)
 from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
                      NonGenericRepresentationError)
-from .glstar import beta_inverse
 from .roots import RootContext, primitive_root
 
 # oracle kernel: relative singular value below KERNEL_TOL, gap ratio above
@@ -53,11 +55,6 @@ TWIST_ROOT_TOL = 1e-8
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
     """Coproducts of K, L, E, F on r1 x r2 (slot 1 the left Kronecker factor)."""
-    return [_kron(r1.K, r2.K), _kron(r1.L, r2.L), *_ef_coproducts(r1, r2, opposite)]
-
-
-def _ef_coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
-    """The E and F entries of _coproducts."""
     kron = _kron
     I = np.eye(r1.K.shape[0])
     if opposite:
@@ -66,7 +63,7 @@ def _ef_coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.
     else:
         E = kron(r1.E, r2.K) + kron(I, r2.E)
         F = kron(r1.F, I) + kron(np.linalg.inv(r1.L), r2.F)
-    return [E, F]
+    return [kron(r1.K, r2.K), kron(r1.L, r2.L), E, F]
 
 
 def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.ndarray:
@@ -77,57 +74,6 @@ def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.nd
     if g not in ("K", "L", "E", "F"):
         raise ValueError(f"unknown generator {g!r}")
     return _coproducts(build_rep(p1), build_rep(p2), opposite)["KLEF".index(g)]
-
-
-def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams]:
-    """Output-slot parameters: coloring map on characters plus strand lifts."""
-    o1, o2 = beta_inverse(z0_character(p1), z0_character(p2))
-    q1 = lift_character(o1, p1.u, p1.x, p1.ctx)
-    q2 = lift_character(o2, p2.u, p2.x, p2.ctx)
-    return q1, q2
-
-
-def _single_factor_blocks(pair: PairContext):
-    """(M, N, band shift) for 1xK, 1xL, Ex1, 1xF."""
-    kron = _kron
-    _, rin2, _, rout2 = pair.reps
-    I = np.eye(rin2.K.shape[0])
-    return [
-        (kron(I, rin2.K), kron(I, rout2.K) @ pair.T_inv, 0),
-        (kron(I, rin2.L), kron(I, rout2.L) @ pair.T_inv, 0),
-        *_shift_factor_blocks(pair),
-    ]
-
-
-def _shift_factor_blocks(pair: PairContext):
-    """The Ex1 and 1xF entries of _single_factor_blocks."""
-    kron = _kron
-    rin1, rin2, rout1, rout2 = pair.reps
-    I = np.eye(rin1.K.shape[0])
-    return [
-        (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
-        (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1),
-    ]
-
-
-def _band_blocks(pair: PairContext):
-    """(M, N, band shift) of the six equations the oracle solves.
-
-    Of the eight blocks of PairContext.blocks it builds only the E and F
-    coproducts and the Ex1 and 1xF equations.  The two slot-2 clock
-    equations are multiplied through by T = 1 - eps G:
-    R (1 x K_in^-1) = T (1 x K_out^-1) R, and the same for L, so no inverse
-    of T is read, and every M and N is a sum of at most two monomial
-    matrices.  The K and L coproduct equations vanish identically on the
-    band and are left out.
-    """
-    rin1, rin2, rout1, rout2 = pair.reps
-    I = np.eye(rin2.K.shape[0])
-    inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
-    clocks = [(_kron(I, inv[i]), pair.T @ _kron(I, inv[i + 1]), 0) for i in (0, 2)]
-    coproducts = zip(_ef_coproducts(rin1, rin2, False), _ef_coproducts(rout1, rout2, True),
-                     (1, -1))
-    return [*coproducts, *clocks, *_shift_factor_blocks(pair)]
 
 
 @lru_cache(maxsize=64)
@@ -207,7 +153,7 @@ def _components(ell: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comp[k] is the component of unknown k.  rows[0, c, s, t] is the Ex1
     row joining grid[c, s, t] to grid[c, s + 1, t], rows[1, c, s, t] the
     1xF row joining it to grid[c, s, t + 1]; row indices count the blocks
-    of _band_blocks (Ex1 fifth, 1xF sixth).
+    of PairContext.blocks[2:] (Ex1 fifth, 1xF sixth).
     """
     n = ell ** 3
     c, s, t = np.ogrid[:ell, :ell, :ell]
@@ -448,12 +394,11 @@ class PairContext:
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent with its
     distance.  The braid factor G (as its grade blocks, see
-    cyclic._braid_factor), T = 1 - eps G, T^-1, the eight equation blocks,
-    the closed form's twist core and its spectral factor R1 are built on
-    first use, so the oracle computes nothing of the closed form and an
-    unread closed-form residual builds no blocks.  T and T^-1 are dense,
-    T^-1 inverted block by block.  release() drops the ell^4-sized blocks
-    and R1 (rebuilt if read again), not G, T, T^-1.
+    cyclic._braid_factor), the dense T = 1 - eps G, the eight equation
+    blocks, the closed form's twist core and its spectral factor R1 are
+    built on first use, so the oracle computes nothing of the closed form
+    and an unread closed-form residual builds no blocks.  release() drops
+    the ell^4-sized blocks and R1 (rebuilt if read again), not G or T.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -469,23 +414,29 @@ class PairContext:
         return _braid_factor(*self.reps[2:])
 
     @cached_property
-    def _T_blocks(self) -> np.ndarray:
-        return np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G
-
-    @cached_property
     def T(self) -> np.ndarray:
-        return _from_grade_blocks(self._T_blocks)
-
-    @cached_property
-    def T_inv(self) -> np.ndarray:
-        return _from_grade_blocks(np.linalg.inv(self._T_blocks))
+        return _from_grade_blocks(np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G)
 
     @cached_property
     def blocks(self) -> list:
-        """(M, N, band shift) triples of the stacked system N R = R M."""
+        """(M, N, band shift) triples of the pair's equations N R = R M.
+
+        0-3: the K, L, E, F coproducts (in, and opposite on out).  4-5: the
+        slot-2 clocks multiplied through by T = 1 - eps G,
+        R (1 x K_in^-1) = T (1 x K_out^-1) R and the same for L, so no
+        inverse of T is read.  6-7: Ex1 and 1xF.  Every M and N but the
+        K and L coproducts' is a sum of at most two monomial matrices; those
+        two vanish identically on the band, so the oracle reads blocks[2:].
+        """
+        kron = _kron
         rin1, rin2, rout1, rout2 = self.reps
+        I = np.eye(rin2.K.shape[0])
+        inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
         return [*zip(_coproducts(rin1, rin2, False), _coproducts(rout1, rout2, True),
-                     (0, 0, 1, -1)), *_single_factor_blocks(self)]
+                     (0, 0, 1, -1)),
+                *((kron(I, inv[i]), self.T @ kron(I, inv[i + 1]), 0) for i in (0, 2)),
+                (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
+                (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1)]
 
     @cached_property
     def twist(self) -> TwistCore:
@@ -553,7 +504,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     is not a line.
 
     The solve reads only the four representation matrices and the braid
-    factor G.  It restricts the six equations of _band_blocks to the
+    factor G.  It restricts the six equations of pair.blocks[2:] to the
     conserved weight band and scales each sparse row of that system S to
     unit norm.  The Ex1 and 1xF rows have two unknowns each: propagated
     through them, the ell^3 band unknowns reduce to a basis Z of ell
@@ -578,7 +529,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
         raise NoIntertwinerError(
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
-    cols, vals = _band_rows(_band_blocks(pair), ell, a)
+    cols, vals = _band_rows(pair.blocks[2:], ell, a)
     SZ, z, comp = _reduced_system(cols, vals, ell, a)
     _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
     c = vh[-1].conj()
@@ -719,14 +670,14 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
     Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
-    inv_powers = (("t", pair.T_inv),
-                  ("t_inverse", _from_grade_blocks(np.linalg.inv(np.eye(ell) - pair.G / t))))
+    inverses = np.linalg.inv(np.stack([I - t * pair.G, I - pair.G / t]))
+    inv_powers = tuple(zip(("t", "t_inverse"), map(_from_grade_blocks, inverses)))
     res = partial(_conjugation_residual, intw)
 
-    # the four single-factor equations of the oracle system, read as checks
+    # the four single-factor equations of the pair's system, read as checks
     out = {name: {"direct": res(M, N)} for name, (M, N, _) in zip(
         ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
-        _single_factor_blocks(pair))}
+        pair.blocks[4:])}
     out["slot1_clock_k"] = {"direct": res(kron(K1, I), pair.T @ kron(Kt1, I))}
 
     # ell-th powers are central scalars; the inverted factor's sign variant

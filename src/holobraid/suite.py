@@ -306,9 +306,6 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
         checks["r1_commutants"] = check_entry(
             max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
             THRESHOLDS["r1_commutants"])
-    # both routes have their residuals: drop the ell^4-sized blocks and R1
-    # before the s0 core and the triple, where memory peaks
-    pair.release()
     if closed is not None:
         sres, sconcl = s0_diagnostic(closed)
         trial["s0_diagnostic"] = {"residual": residual_entry(sres),
@@ -328,6 +325,9 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     evidence.update(actions)
     checks["generator_actions"] = check_entry(
         max(min(vs.values()) for vs in actions.values()), THRESHOLDS["generator_actions"])
+    # every reader of the ell^4-sized blocks and R1 is done: drop them
+    # before the triple, where memory peaks
+    pair.release()
 
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
         p3 = third_params(ctx, cfg.seed, idx, cfg.radius)

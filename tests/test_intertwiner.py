@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import holobraid.intertwiner as intertwiner
 from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
-from holobraid.intertwiner import (DetSample, PairContext, _band_blocks,
+from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
                                    _band_index_arrays, _band_rows, _components,
                                    _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
@@ -16,6 +17,7 @@ from holobraid.intertwiner import (DetSample, PairContext, _band_blocks,
 from holobraid.cyclic import lift_character
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+from holobraid.suite import THRESHOLDS
 
 
 def full_reference(p1, p2):
@@ -107,15 +109,21 @@ class TestOracle:
         assert intw.residual == float(ref)
         assert "blocks" in vars(intw.pair)
 
-    def test_solve_builds_only_band_blocks(self, pair3):
-        # the oracle builds its six blocks itself: neither the eight blocks
-        # of the residual nor T^-1, which only they read
-        pair = solve_intertwiner(*pair3).pair
-        assert "blocks" not in vars(pair) and "T_inv" not in vars(pair)
-        built = _band_blocks(pair)
-        for (M, N, shift), (M0, N0, shift0) in zip(built[:2] + built[4:],
-                                                   pair.blocks[2:4] + pair.blocks[6:]):
-            assert np.array_equal(M, M0) and np.array_equal(N, N0) and shift == shift0
+    def test_solve_builds_blocks_once(self, pair3, monkeypatch):
+        # the oracle reads pair.blocks[2:] and the residual all eight: one
+        # build of the system serves both, and no inverse of T is kept
+        calls = {"_coproducts": 0, "_kron": 0}
+        for name in calls:
+            def count(*args, _fn=getattr(intertwiner, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(intertwiner, name, count)
+        intw = solve_intertwiner(*pair3)
+        blocks, built = intw.pair.blocks, dict(calls)
+        assert built["_coproducts"] == 2
+        assert intw.residual < 1e-10
+        assert calls == built and intw.pair.blocks is blocks
+        assert not hasattr(intw.pair, "T_inv")
 
     @pytest.mark.parametrize("ell", [9, 11, 13])
     def test_large_ell_accuracy(self, ell):
@@ -151,7 +159,7 @@ class TestOracle:
         p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
         pair = PairContext(p1, p2)
         a, n = pair.band_exp, ell ** 3
-        cols, vals = _band_rows(_band_blocks(pair), ell, a)
+        cols, vals = _band_rows(pair.blocks[2:], ell, a)
         parent = list(range(n))
 
         def find(k):
@@ -184,7 +192,7 @@ class TestOracle:
         p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
         intw = solve_intertwiner(p1, p2)
         a, n = intw.pair.band_exp, ell ** 3
-        cols, vals = _band_rows(_band_blocks(intw.pair), ell, a)
+        cols, vals = _band_rows(intw.pair.blocks[2:], ell, a)
         S = np.zeros((len(cols), n), dtype=complex)
         np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
         _, sv, vh = np.linalg.svd(S)
@@ -255,6 +263,33 @@ class TestClosedForm:
         p1, p2 = request.getfixturevalue(fixture)
         cf = closed_form_R(p1, p2)
         assert cf.residual < 1e-10
+
+    @pytest.mark.parametrize("fixture", ["pair3", "pair5"])
+    def test_residual_sees_every_entry(self, fixture, request):
+        # scaling any one nonzero entry of R by 1 + 1e-6 fails the gate
+        cf = closed_form_R(*request.getfixturevalue(fixture))
+        assert cf.residual < THRESHOLDS["closed_form_residual"]
+        for k in np.flatnonzero(cf.R):
+            R = cf.R.copy()
+            R.flat[k] *= 1 + 1e-6
+            bad = Intertwiner(R=R, pair=cf.pair, route="closed-form")
+            assert bad.residual > THRESHOLDS["closed_form_residual"]
+
+    @pytest.mark.parametrize("fixture", ["pair3", "pair5"])
+    def test_satisfies_inverted_clock_equations(self, fixture, request):
+        # reference: the slot-2 clocks in their (1 x K_out) T^-1 form, with a
+        # dense T^-1, where the pair's blocks multiply through by T
+        p1, p2 = request.getfixturevalue(fixture)
+        cf = closed_form_R(p1, p2)
+        rin2 = build_rep(p2)
+        rout1, rout2 = (build_rep(q) for q in cf.pair.out_params)
+        I = np.eye(p1.ctx.ell)
+        G = np.kron(np.linalg.inv(rout1.K) @ rout1.E, rout2.F @ rout2.L)
+        T_inv = np.linalg.inv(np.eye(len(G)) - p1.ctx.eps * G)
+        for M_in, M_out in ((rin2.K, rout2.K), (rin2.L, rout2.L)):
+            N = np.kron(I, M_out) @ T_inv
+            res = np.linalg.norm(N @ cf.R - cf.R @ np.kron(I, M_in)) / np.linalg.norm(cf.R)
+            assert res <= 1e-12
 
     def test_matches_oracle(self, pair3):
         oracle = solve_intertwiner(*pair3)

@@ -48,30 +48,39 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 
 
 def test_trial_builds_braid_factor_once(monkeypatch):
-    # the trial's PairContext owns G, 1 - eps G and its inverse; the four
-    # ell^2 x ell^2 inverses left are one R^-1 shared by the two action
-    # checks, and R1^-1 with the two spectral readings of
-    # r1_conjugation_residuals; (1 - eps G)^-1 and (1 - G / eps)^-1 are
-    # each one inverse of G's ell grade blocks of ell x ell
+    # the trial's PairContext owns G and 1 - eps G, and builds its equation
+    # blocks once (one _coproducts call for each side) for the residuals and
+    # the action checks; the four ell^2 x ell^2 inverses left are one R^-1
+    # shared by the two action checks, and R1^-1 with the two spectral
+    # readings of r1_conjugation_residuals; the stacked inverses are the
+    # blocks' one of the four slot-2 clock matrices, then (1 - eps G)^-1 and
+    # (1 - G / eps)^-1 as one inverse of the stack of G's grade blocks
     ell = 3
-    braids, inverses, block_inverses = [], [], []
-    braid_factor, inv = intertwiner._braid_factor, np.linalg.inv
+    braids, coproducts, inverses, block_inverses = [], [], [], []
+    braid_factor, coproduct, inv = (intertwiner._braid_factor, intertwiner._coproducts,
+                                    np.linalg.inv)
 
     def count_braid(*args):
         braids.append(args)
         return braid_factor(*args)
 
+    def count_coproduct(*args):
+        coproducts.append(args)
+        return coproduct(*args)
+
     def count_inv(a):
         if a.shape == (ell * ell, ell * ell):
             inverses.append(a)
-        elif a.shape == (ell, ell, ell):
-            block_inverses.append(a)
+        elif a.shape[-2:] == (ell, ell) and a.ndim > 2:
+            block_inverses.append(a.shape)
         return inv(a)
 
     monkeypatch.setattr(intertwiner, "_braid_factor", count_braid)
+    monkeypatch.setattr(intertwiner, "_coproducts", count_coproduct)
     monkeypatch.setattr(np.linalg, "inv", count_inv)
     suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, hybe_every=0),
                     primitive_root(ell), 0)
     assert len(braids) == 1
+    assert len(coproducts) == 2
     assert len(inverses) == 4
-    assert len(block_inverses) == 2
+    assert block_inverses == [(4, ell, ell), (2, ell, ell, ell)]
