@@ -23,9 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import dumps
-from .cyclic import build_rep, z0_character
+from .cyclic import z0_character
 from .hybe import derive_colorings
-from .intertwiner import closed_form_R, solve_intertwiner
 from .qseries import (check_f_functional, pairing_monomial, phi_orbit_closure,
                       q_factorial_b, q_shift_coefficient_check, series_f,
                       series_f_product)
@@ -132,29 +131,22 @@ def _cmd_braid_map(args) -> tuple[int, dict]:
 
 def _cmd_trial(args) -> tuple[int, dict]:
     """rmatrix and hybe: suite trial args.trial, with its triple for hybe."""
-    ctx = primitive_root(args.ell)
-    hybe = args.command == "hybe"
     cfg = SuiteConfig(ell=args.ell, trials=1, seed=args.seed, radius=args.radius,
-                      route=args.route, hybe_every=int(hybe))
-    trial = run_trial(cfg, ctx, args.trial)
-    trial.pop("_det_sample", None)  # the suite's determinant probe reads it
+                      route=args.route, hybe_every=int(args.command == "hybe"))
+    trial, intw, col, _ = run_trial(cfg, primitive_root(args.ell), args.trial)
     out = {"command": args.command, "ell": args.ell, "seed": args.seed, **trial}
-    rejected = trial.get("hybe", {}).get("rejected", False)
-    dump_dir = getattr(args, "dump_dir", None)
-    p1, p2 = sample_params(ctx, args.seed, args.trial, radius=args.radius, count=2)
-    if hybe and not rejected:
-        col = derive_colorings(p1, p2, third_params(ctx, args.seed, args.trial,
-                                                    args.radius))
+    if col is not None:
         out["colorings"] = {f.name: params_entry(getattr(col, f.name))
                             for f in fields(col)}
+    dump_dir = getattr(args, "dump_dir", None)
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
         stem = os.path.join(dump_dir, f"trial{args.trial}_")
-        for kind, m in zip("KLEF", build_rep(p1).as_tuple()):
-            dumps.dump_rep_matrix(f"{stem}{kind}.tsv", m, kind, p1)
-        solve = closed_form_R if args.route == "closed-form" else solve_intertwiner
-        dumps.dump_intertwiner(f"{stem}R.tsv", solve(p1, p2))
+        for kind, m in zip("KLEF", intw.pair.reps[0].as_tuple()):
+            dumps.dump_rep_matrix(f"{stem}{kind}.tsv", m, kind, intw.pair.in_params[0])
+        dumps.dump_intertwiner(f"{stem}R.tsv", intw)
     # a rejected triple does not fail a suite trial, but it fails hybe
+    rejected = trial.get("hybe", {}).get("rejected", False)
     return (0 if trial["pass"] and not rejected else 1), out
 
 

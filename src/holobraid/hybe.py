@@ -4,7 +4,10 @@ A crossing consumes the colorings of the two strands it braids and emits
 new ones; chaining three crossings in the two bracketing orders must give
 the same final triple of colorings (the set-theoretic Yang-Baxter property
 of the coloring map), and the corresponding product of slot-embedded
-intertwiners must agree up to one scalar of modulus 1.
+intertwiners must agree up to one scalar of modulus 1.  hybe_residual
+reads the chain that derive_colorings built for the set-theoretic check
+and the trial's own (x, y) intertwiner, so a triple derives its colorings
+once and solves five new factors.
 
 Every intertwiner maps pair grade n + m (mod ell) to that grade plus its
 band exponent, so a factor embedded on two of the three tensor slots maps
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclic import RepParams, _kron, braided_rep_pair
-from .errors import AssemblyError
+from .errors import AssemblyError, InvalidInputError
 from .intertwiner import (Intertwiner, _band_index_arrays, closed_form_R,
                           solve_intertwiner)
 
@@ -102,15 +105,14 @@ def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _layout(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, rest), each of shape (ell, ell^2): row G lists, for the triples
-    (n1, n2, n3) of total grade n1 + n2 + n3 = G (mod ell) in ascending
-    triple index, the pair index n_a ell + n_b of slots (a, b) (0-based) and
-    the index of the remaining slot."""
-    n = np.indices((ell,) * 3).reshape(3, -1)
-    order = np.argsort(n.sum(axis=0) % ell, kind="stable").reshape(ell, ell * ell)
-    a, b = slots
-    pair = (n[a] * ell + n[b])[order]
-    rest = n[3 - a - b][order]
+    """(pair, rest), each of shape (ell, ell^2): _slot_index's pair and rest
+    with row G listing the triples (n1, n2, n3) of total grade
+    n1 + n2 + n3 = G (mod ell), in ascending triple index."""
+    pair, rest, _ = _slot_index(ell, slots)
+    j = np.arange(ell ** 3)
+    grade = (j // (ell * ell) + j // ell + j) % ell
+    order = np.argsort(grade, kind="stable").reshape(ell, ell * ell)
+    pair, rest = pair[order], rest[order]
     pair.setflags(write=False)
     rest.setflags(write=False)
     return pair, rest
@@ -207,16 +209,16 @@ def _chain(factors: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
     return blocks, total
 
 
-def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
-                  route: str = "oracle", *,
-                  xy: Intertwiner | None = None) -> tuple[complex, float, dict]:
+def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float, dict]:
     """Up-to-scalar holonomy Yang-Baxter deviation for one triple.
 
-    Builds the six det-normalized intertwiners along the two chains, embeds
-    them into the triple space and compares the ordered products.  Returns
-    (c, deviation, info): LHS = c * RHS with the least-squares scalar c,
-    whose modulus must be 1 (it is an (ell^3)-rd root of unity for
-    det-normalized factors).
+    col is the triple's coloring chain (derive_colorings) and xy an
+    intertwiner of its pair (col.x, col.y), which is the (x, y) factor; the
+    other five factors are solved on xy's route.  Embeds the six
+    det-normalized intertwiners into the triple space and compares the
+    ordered products.  Returns (c, deviation, info): LHS = c * RHS with the
+    least-squares scalar c, whose modulus must be 1 (it is an (ell^3)-rd
+    root of unity for det-normalized factors).
 
     Each factor maps pair grade g to g + its band exponent, so each product is
     formed as ell grade blocks of size ell^2 x ell^2 (_grade_blocks,
@@ -224,27 +226,20 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
     shifts differ have disjoint supports: then c = 0 and the deviation is 1,
     as for the dense matrices.
 
-    A caller that has one already passes xy, an intertwiner of (x, y): it
-    is the (x, y) factor when its route is `route`, and is solved again
-    otherwise.
+    Raises InvalidInputError when xy's input pair is not (col.x, col.y)
+    itself.
     """
-    col = derive_colorings(x, y, z)
+    if xy.pair.in_params[0] is not col.x or xy.pair.in_params[1] is not col.y:
+        raise InvalidInputError("xy is not an intertwiner of the triple's pair (x, y)")
     dev_params = col.finals_deviation()
     if not np.isfinite(dev_params):
         raise AssemblyError("coloring chains failed to produce finite finals")
+    solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
 
     def factor(a: RepParams, b: RepParams, slots: tuple[int, int]):
-        if xy is not None and xy.route == route and xy.pair.in_params[0] is a \
-                and xy.pair.in_params[1] is b:
-            intw = xy
-        elif route == "oracle":
-            intw = solve_intertwiner(a, b)
-        elif route == "closed-form":
-            intw = closed_form_R(a, b)
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        intw = solve(a, b)
         R, shift = intw.R, intw.pair.band_exp
-        del intw  # free a fresh factor's PairContext before its grade blocks
+        del intw  # free the factor's PairContext before its grade blocks
         return _grade_blocks(R, shift, slots), shift
 
     lhs, lhs_shift = _chain([factor(col.x1, col.y1, (0, 1)),
@@ -252,7 +247,8 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
                              factor(col.y, col.z, (1, 2))])
     rhs, rhs_shift = _chain([factor(col.ya, col.za, (1, 2)),
                              factor(col.xa, col.z, (0, 2)),
-                             factor(col.x, col.y, (0, 1))])
+                             (_grade_blocks(xy.R, xy.pair.band_exp, (0, 1)),
+                              xy.pair.band_exp)])
     if lhs_shift != rhs_shift:
         c, dev, gap = 0j, 1.0, 0.0
     else:
@@ -266,7 +262,7 @@ def hybe_residual(x: RepParams, y: RepParams, z: RepParams,
         "c_modulus": float(abs(c)),
         "c_argument": float(np.angle(c)),
         "c_entry_ratio_gap": gap,
-        "route": route,
+        "route": xy.route,
     }
     return complex(c), dev, info
 

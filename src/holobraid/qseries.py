@@ -82,19 +82,6 @@ class Series:
             b[n] = np.dot(ks[1 : n + 1] * a[1 : n + 1], b[n - 1 :: -1]) / n
         return Series(b)
 
-    def log(self) -> "Series":
-        """log(self); requires constant term 1."""
-        a = self.coeffs
-        if abs(a[0] - 1.0) > 1e-12:
-            raise SingularParameterError("log requires constant term 1")
-        b = np.zeros_like(a)
-        for n in range(1, len(a)):
-            acc = a[n]
-            for k in range(1, n):
-                acc -= k * b[k] * a[n - k] / n
-            b[n] = acc
-        return Series(b)
-
     def shift_scale(self, c: complex) -> "Series":
         """Substitute z -> c*z."""
         return Series(self.coeffs * c ** np.arange(len(self.coeffs)))

@@ -15,6 +15,7 @@ formula to the readings under ADJUDICATION_PASS.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .errors import HolobraidError
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
                      matrix_route_beta)
-from .hybe import derive_colorings, hybe_residual, s0_diagnostic
-from .intertwiner import (ChiData, DetSample, PairContext, central_invariance_residuals,
+from .hybe import ColoringTriple, derive_colorings, hybe_residual, s0_diagnostic
+from .intertwiner import (ChiData, DetSample, Intertwiner, PairContext,
+                          central_invariance_residuals,
                           check_generator_action, closed_form_R,
                           compare_up_to_scalar, det_exponent_probe,
                           r1_conjugation_residuals, solve_intertwiner)
@@ -254,12 +256,22 @@ def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepPar
     return p3
 
 
-def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
-    """Full check battery for one trial; returns the trial record.
+class TrialRun(NamedTuple):
+    """What run_trial built."""
+
+    record: dict  # the trial's report record
+    intertwiner: Intertwiner  # the one the action checks and the triple read
+    colorings: ColoringTriple | None  # None unless a triple ran and was not rejected
+    det_sample: DetSample | None  # for det_exponent_probe; None on the oracle route
+
+
+def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
+    """Full check battery for one trial; returns its record with what it built.
 
     The pair's ingredients are built once (one PairContext), shared by both
     routes and carried by their intertwiners to every check that reads
-    them; the trial's intertwiner is the triple's (x, y) factor.
+    them; the trial's intertwiner is the triple's (x, y) factor, and one
+    coloring chain serves both triple checks.
     """
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
     checks = {name: check_entry(res, THRESHOLDS[name])
@@ -329,12 +341,13 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
     # before the triple, where memory peaks
     pair.release()
 
+    colorings = None
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
         p3 = third_params(ctx, cfg.seed, idx, cfg.radius)
         try:
             col = derive_colorings(p1, p2, p3)
             checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
-            c, dev, info = hybe_residual(p1, p2, p3, route=intw.route, xy=intw)
+            c, dev, info = hybe_residual(col, intw)
             checks["hybe_residual"] = check_entry(dev, THRESHOLDS["hybe_residual"])
             checks["hybe_c_modulus"] = check_entry(
                 abs(abs(c) - 1), THRESHOLDS["hybe_c_modulus"])
@@ -343,14 +356,15 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> dict:
                              "residual": residual_entry(dev),
                              "info": {k: (float(v) if isinstance(v, (int, float))
                                           else v) for k, v in info.items()}}
+            colorings = col
         except HolobraidError as exc:
             trial["hybe"] = {"rejected": True, "reason": str(exc)}
 
     trial["evidence"] = evidence
     trial["pass"] = all(c["pass"] for c in checks.values())
-    if closed is not None:  # stripped before serialization
-        trial["_det_sample"] = DetSample(closed.chi, closed.log_abs_det, closed.ell)
-    return trial
+    det_sample = (DetSample(closed.chi, closed.log_abs_det, closed.ell)
+                  if closed is not None else None)
+    return TrialRun(trial, intw, colorings, det_sample)
 
 
 def _aggregate_adjudications(trials: list[dict], ctx: RootContext) -> dict:
@@ -396,9 +410,12 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """
     ctx = primitive_root(cfg.ell)
     report = new_report(cfg.to_dict())
-    trials = [run_trial(cfg, ctx, i) for i in range(cfg.trials)]
-
-    det_samples = [tr.pop("_det_sample") for tr in trials if "_det_sample" in tr]
+    trials, det_samples = [], []
+    for i in range(cfg.trials):
+        record, _, _, det_sample = run_trial(cfg, ctx, i)
+        trials.append(record)
+        if det_sample is not None:
+            det_samples.append(det_sample)
     report["det_probe"] = det_exponent_probe(det_samples) if det_samples else {
         "inconclusive": True, "reason": "closed-form route disabled"}
     report["adjudications"] = _aggregate_adjudications(trials, ctx)

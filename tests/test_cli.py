@@ -1,21 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
+import holobraid.cli
 import holobraid.suite
 from holobraid.cli import main
 from holobraid.dumps import load_matrix
 from holobraid.errors import AssemblyError
-from holobraid.report import emit_report
+from holobraid.report import emit_report, params_entry
 from holobraid.roots import primitive_root
 from holobraid.suite import SuiteConfig, run_trial
 
 
 def _trial_record(idx, **cfg):
     """run_trial's record at idx, as the JSON report carries it."""
-    trial = run_trial(SuiteConfig(trials=idx + 1, **cfg), primitive_root(cfg["ell"]), idx)
-    trial.pop("_det_sample", None)
-    return json.loads(emit_report(trial))
+    run = run_trial(SuiteConfig(trials=idx + 1, **cfg), primitive_root(cfg["ell"]), idx)
+    return json.loads(emit_report(run.record))
 
 
 def test_suite_command(tmp_path, capsys):
@@ -113,11 +114,48 @@ def test_trial_commands_match_run_trial(tmp_path, argv, hybe_every):
     rep = json.loads(out.read_text())
     trial = _trial_record(int(argv[2]), ell=3, seed=7, hybe_every=hybe_every)
     assert (rep["command"], rep["ell"], rep["seed"]) == (argv[0], 3, 7)
-    assert "_det_sample" not in rep
     for key in ("checks", "oracle", "route_comparison"):
         assert rep[key] == trial[key]
     assert rep.get("hybe") == trial.get("hybe")
     assert ("hybe" in rep) == bool(hybe_every)
+
+
+def _count_steps(monkeypatch):
+    """Calls of each trial step through the suite's and the CLI's bindings,
+    as (name, count keyword) pairs, and the TrialRuns the CLI received."""
+    calls, runs = [], []
+    for module in (holobraid.suite, holobraid.cli):
+        for name in ("sample_params", "derive_colorings", "solve_intertwiner"):
+            if hasattr(module, name):
+                def record(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls.append((_name, kwargs.get("count")))
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, record)
+
+    def keep(*args, _fn=holobraid.cli.run_trial):
+        runs.append(_fn(*args))
+        return runs[-1]
+    monkeypatch.setattr(holobraid.cli, "run_trial", keep)
+    return calls, runs
+
+
+def test_trial_commands_run_each_step_once(tmp_path, monkeypatch, capsys):
+    calls, runs = _count_steps(monkeypatch)
+    assert main(["hybe", "--ell", "3", "--seed", "11"]) == 0
+    assert calls.count(("derive_colorings", None)) == 1
+    assert calls.count(("sample_params", 2)) == 1  # the pair; the third is count=1
+    assert calls.count(("solve_intertwiner", None)) == 1
+    assert json.loads(capsys.readouterr().out)["colorings"]["x"] == \
+        params_entry(runs[0].colorings.x)
+
+    calls.clear()
+    d = tmp_path / "dumps"
+    assert main(["rmatrix", "--ell", "3", "--seed", "5", "--trial", "2",
+                 "--dump-dir", str(d), "--report", str(tmp_path / "r.json")]) == 0
+    assert calls.count(("solve_intertwiner", None)) == 1
+    assert calls.count(("sample_params", 2)) == 1
+    _, R = load_matrix(d / "trial2_R.tsv")
+    assert np.array_equal(R, runs[1].intertwiner.R)
 
 
 def test_hybe_rejected_triple_exits_one(monkeypatch, capsys):

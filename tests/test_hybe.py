@@ -5,7 +5,7 @@ import pytest
 
 import holobraid.hybe as hybe
 from holobraid.cyclic import _kron, clock_shift
-from holobraid.errors import AssemblyError
+from holobraid.errors import AssemblyError, InvalidInputError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
@@ -27,6 +27,14 @@ def dense_hybe(factors, ell):
     lhs, rhs = dense_products(factors, ell)
     c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
     return c, float(np.linalg.norm(lhs - c * rhs) / np.linalg.norm(lhs))
+
+
+SOLVE = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
+
+
+def triple_hybe(x, y, z, route):
+    """hybe_residual of (x, y, z), with the (x, y) factor solved on route."""
+    return hybe_residual(derive_colorings(x, y, z), SOLVE[route](x, y))
 
 
 def chain_factors(x, y, z, solve):
@@ -103,21 +111,27 @@ class TestColorings:
 
 class TestMatrixHYBE:
     def test_oracle_route(self, triple3):
-        c, dev, info = hybe_residual(*triple3, route="oracle")
+        c, dev, info = triple_hybe(*triple3, "oracle")
         assert dev < 1e-9
         assert abs(abs(c) - 1) < 1e-10
         assert info["c_entry_ratio_gap"] < 1e-9
 
     def test_scalar_is_cube_root_power(self, triple3):
         # det-normalized factors force c^(ell^3) = 1
-        c, _, _ = hybe_residual(*triple3, route="oracle")
+        c, _, _ = triple_hybe(*triple3, "oracle")
         assert abs(c**27 - 1) < 1e-8
 
     def test_routes_agree(self, triple3):
-        c1, dev1, _ = hybe_residual(*triple3, route="oracle")
-        c2, dev2, _ = hybe_residual(*triple3, route="closed-form")
+        c1, dev1, _ = triple_hybe(*triple3, "oracle")
+        c2, dev2, _ = triple_hybe(*triple3, "closed-form")
         assert abs(c1 - c2) < 1e-9
         assert dev2 < 10 * max(dev1, 1e-12)
+
+    def test_rejects_intertwiner_of_another_pair(self, triple3):
+        col = derive_colorings(*triple3)
+        for a, b in ((col.x1, col.y1), (col.y, col.x)):
+            with pytest.raises(InvalidInputError):
+                hybe_residual(col, closed_form_R(a, b))
 
 
 class TestGradeBlocks:
@@ -127,9 +141,8 @@ class TestGradeBlocks:
         ctx = primitive_root(ell)
         x, y = sample_params(ctx, 42, 0, count=2)
         z, = sample_params(ctx, 42, 1 << 32, count=1)
-        solve = solve_intertwiner if route == "oracle" else closed_form_R
-        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, solve), ell)
-        c, dev, _ = hybe_residual(x, y, z, route=route)
+        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
+        c, dev, _ = triple_hybe(x, y, z, route)
         assert abs(c - c_ref) < 1e-14
         assert abs(dev - dev_ref) < 1e-14
 
@@ -193,11 +206,14 @@ class TestGradeBlocks:
         ell = 3
         shifted = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))
         factors = [shifted] + [np.eye(ell * ell)] * 5
+        col = derive_colorings(*triple3)
+        identity = SimpleNamespace(R=np.eye(ell * ell), route="closed-form",
+                                   pair=SimpleNamespace(band_exp=0,
+                                                        in_params=(col.x, col.y)))
         fakes = iter([SimpleNamespace(R=shifted, pair=SimpleNamespace(band_exp=1))]
-                     + [SimpleNamespace(R=np.eye(ell * ell),
-                                        pair=SimpleNamespace(band_exp=0))] * 5)
+                     + [identity] * 4)
         monkeypatch.setattr(hybe, "closed_form_R", lambda a, b: next(fakes))
-        c, dev, info = hybe_residual(*triple3, route="closed-form")
+        c, dev, info = hybe_residual(col, identity)
         c_ref, dev_ref = dense_hybe(factors, ell)
         assert (c, dev, info["c_entry_ratio_gap"]) == (0, 1.0, 0.0)
         assert (c_ref, dev_ref) == (0, 1.0)
@@ -206,7 +222,7 @@ class TestGradeBlocks:
         ctx = primitive_root(13)
         x, y = sample_params(ctx, 42, 0, count=2)
         z, = sample_params(ctx, 42, 1 << 32, count=1)
-        c, dev, _ = hybe_residual(x, y, z, route="closed-form")
+        c, dev, _ = triple_hybe(x, y, z, "closed-form")
         assert dev <= 1e-12
         assert abs(abs(c) - 1) <= 1e-12
         assert np.isfinite(s0_diagnostic(closed_form_R(x, y))[0])

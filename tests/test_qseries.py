@@ -24,11 +24,13 @@ class TestSeriesArithmetic:
         assert np.max(np.abs(prod.coeffs[1:])) < 1e-12
 
     def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(1)
-        a = Series(rng.normal(size=10) * 0.3)
-        a.coeffs[0] = 0.0
-        back = a.exp().log()
-        assert np.max(np.abs(back.coeffs - a.coeffs)) < 1e-12
+        # exp(z) = sum z^n / n!, and exp(-log(1 - z)) = 1 / (1 - z)
+        n = np.arange(20)
+        z = Series((n == 1).astype(float))
+        ref = [1 / math.factorial(k) for k in n]
+        assert np.max(np.abs(z.exp().coeffs - ref)) < 1e-15
+        minus_log = Series(np.r_[0.0, 1 / n[1:]])
+        assert np.max(np.abs(minus_log.exp().coeffs - 1)) < 1e-12
 
     def test_reciprocal_requires_unit(self):
         with pytest.raises(SingularParameterError):

@@ -5,7 +5,7 @@ import pytest
 
 import holobraid.intertwiner as intertwiner
 import holobraid.suite as suite
-from holobraid.hybe import hybe_residual, s0_diagnostic
+from holobraid.hybe import derive_colorings, hybe_residual, s0_diagnostic
 from holobraid.intertwiner import (central_invariance_residuals,
                                    check_generator_action, closed_form_R,
                                    solve_intertwiner)
@@ -26,7 +26,7 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
         monkeypatch.setattr(suite, name, record)
     ctx = primitive_root(ell)
     trial = suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, route=route),
-                            ctx, 0)
+                            ctx, 0).record
     # new parameter objects, so that nothing computed in the trial is reused
     p1, p2 = sample_params(ctx, 42, 0, count=2)
     p3, = sample_params(ctx, 42, 1 << 32, count=1)
@@ -42,7 +42,7 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
         assert trial["evidence"][formula] == readings
     assert trial["s0_diagnostic"]["residual"]["value"] == \
         s0_diagnostic(closed_form_R(p1, p2))[0]
-    c, dev, _ = hybe_residual(p1, p2, p3, route=routes[0])
+    c, dev, _ = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))
     assert complex(*trial["hybe"]["c"]) == c
     assert trial["hybe"]["residual"]["value"] == dev
 
