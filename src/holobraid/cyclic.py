@@ -10,9 +10,19 @@ acts on a basis v_1..v_ell (cyclically, v_{ell+1} = v_1) by
 F is defined entrywise by the weights c_m; the equivalent operator-product
 presentation is ordering-sensitive and not used.  Arrays are 0-indexed with
 index i standing for basis vector v_{i+1}.
+
+Every operator on pairs v_n x v_m built here (an intertwiner, its equations,
+the braid factor G, the spectral factor) moves the pair grade n + m (mod ell)
+by a fixed shift.  It is held as its stack, an (ell, ell, ell) array whose
+blocks[g] maps grade g to grade g + shift: blocks[g][i, j] is the entry in
+row (i, g + shift - i) and column (j, g - j), slot indices mod ell.  This
+module alone knows that layout: _kron_blocks builds X x Y as a stack,
+_chain multiplies stacks (pair stacks here, triple stacks in hybe) and
+_dense scatters one into its ell^2 x ell^2 matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -164,35 +174,64 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def _rotate(stack: np.ndarray, k: int) -> np.ndarray:
+    """stack[(g + k) % ell] at position g, as np.roll(stack, -k, axis=0)."""
+    k %= len(stack)
+    return np.concatenate((stack[k:], stack[:k])) if k else stack
+
+
 @lru_cache(maxsize=None)
-def _grade_order(ell: int) -> np.ndarray:
-    """order[g, n] = n ell + (g - n) mod ell: the pair indices n ell + m of
-    pair grade n + m = g (mod ell), ascending in n."""
-    n = np.arange(ell)
-    return _read_only(n * ell + (n[:, None] - n) % ell)
+def _stack_index(ell: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, slot2) of the entries blocks[g][i, j] of a stack of grade shift
+    `shift`, in row (i, m') and column (j, m): flat is the entry's row-major
+    index in the dense ell^2 x ell^2 matrix, slot2 = m' ell + m."""
+    g, i, j = np.ogrid[:ell, :ell, :ell]
+    m_row, m_col = (g + shift - i) % ell, (g - j) % ell
+    return (_read_only((i * ell + m_row) * ell * ell + j * ell + m_col),
+            _read_only(m_row * ell + m_col))
 
 
-def _from_grade_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The pair-basis matrix with the ell x ell grade blocks blocks[g] (on
-    the indices _grade_order(ell)[g]) and zeros off them."""
-    order = _grade_order(len(blocks))
-    M = np.zeros((order.size, order.size), dtype=blocks.dtype)
-    M[order[:, :, None], order[:, None, :]] = blocks
-    return M
+def _kron_blocks(X: np.ndarray, Y: np.ndarray, shift: int) -> np.ndarray:
+    """X x Y as a stack of grade shift `shift` (entries off that band are
+    dropped): entry X[i, j] Y[m', m], the one product np.kron takes."""
+    return X * Y.ravel()[_stack_index(len(X), shift)[1]]
+
+
+def _diag_blocks(d: np.ndarray) -> np.ndarray:
+    """diag(d), d over the ell^2 pair indices, as a stack (grade shift 0)."""
+    ell = math.isqrt(len(d))
+    return d[_stack_index(ell, 0)[0] // len(d)] * np.eye(ell)
+
+
+def _dense(blocks: np.ndarray, shift: int) -> np.ndarray:
+    """The dense ell^2 x ell^2 matrix of a stack of grade shift `shift`."""
+    ell = len(blocks)
+    M = np.zeros(ell ** 4, dtype=blocks.dtype)
+    M[_stack_index(ell, shift)[0]] = blocks
+    return M.reshape(ell * ell, ell * ell)
+
+
+def _chain(factors: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """Product F_1 F_2 ... of (stack, shift) factors, left to right; returns
+    the product's (stack, shift) in the same form."""
+    blocks, total = factors[-1]
+    ell = blocks.shape[0]
+    total %= ell
+    for stack, shift in reversed(factors[:-1]):
+        # the factor acts on grade g + total, where the product so far lands
+        blocks = _rotate(stack, total) @ blocks
+        total = (total + shift) % ell
+    return blocks, total
 
 
 def _braid_factor(out1: RepMatrices, out2: RepMatrices) -> np.ndarray:
-    """G = K1^-1 E1 x F2 L2 on a braided output pair, as its grade blocks.
+    """G = K1^-1 E1 x F2 L2 on a braided output pair, as its stack.
 
-    G moves v_n x v_m to v_(n+1) x v_(m-1), so it keeps the pair grade
-    n + m and is zero off its ell diagonal blocks: blocks[g] is G on the
-    indices _grade_order(ell)[g], each entry the one product the Kronecker
-    form takes.  The braid images of the slot-2 clock generators carry
-    (1 - eps G)^-1, which is inverted block by block.
+    G moves v_n x v_m to v_(n+1) x v_(m-1), so it keeps the pair grade.
+    The braid images of the slot-2 clock generators carry (1 - eps G)^-1,
+    which is inverted block by block.
     """
-    slot2 = _grade_order(len(out1.K)) % len(out1.K)
-    return (np.linalg.inv(out1.K) @ out1.E) \
-        * (out2.F @ out2.L)[slot2[:, :, None], slot2[:, None, :]]
+    return _kron_blocks(np.linalg.inv(out1.K) @ out1.E, out2.F @ out2.L, 0)
 
 
 def z0_character(p: RepParams) -> Z0Char:

@@ -33,20 +33,3 @@ def dump_intertwiner(path: str | Path, intw: Intertwiner) -> None:
     header = (f"# ell={intw.ell} kind=R residual={intw.residual:.6e}"
               f" kernel_dim={intw.kernel_dim}")
     Path(path).write_text("\n".join([header] + _matrix_lines(intw.R)) + "\n")
-
-
-def load_matrix(path: str | Path) -> tuple[dict, np.ndarray]:
-    """Read back a dump; returns (header metadata, matrix)."""
-    lines = Path(path).read_text().strip().splitlines()
-    meta = {}
-    for tok in lines[0].lstrip("# ").split():
-        k, _, v = tok.partition("=")
-        meta[k] = v
-    rows = []
-    for line in lines[1:]:
-        row = []
-        for cell in line.split(","):
-            cell = cell.replace("i", "j")
-            row.append(complex(cell))
-        rows.append(row)
-    return meta, np.array(rows)

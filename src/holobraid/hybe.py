@@ -9,12 +9,12 @@ reads the chain that derive_colorings built for the set-theoretic check
 and the trial's own (x, y) intertwiner, so a triple derives its colorings
 once and solves five new factors.
 
-Every intertwiner maps pair grade n + m (mod ell) to that grade plus its
-band exponent, so a factor embedded on two of the three tensor slots maps
-total grade n1 + n2 + n3 to that grade plus the same shift.  The triple
-products are therefore formed on the ell grade blocks of size
-ell^2 x ell^2 (_grade_blocks, _chain), in O(ell^7) instead of the O(ell^9)
-of dense ell^3 x ell^3 products.  The zero-spectral-parameter core of
+Every intertwiner is a stack of grade shift its band exponent (see
+cyclic), so a factor embedded on two of the three tensor slots maps total
+grade n1 + n2 + n3 to that grade plus the same shift.  _grade_blocks embeds
+the stack as ell blocks of ell^2 x ell^2, and cyclic's _chain forms the
+triple products on them in O(ell^7), not the O(ell^9) of dense
+ell^3 x ell^3 products.  The zero-spectral-parameter core of
 s0_diagnostic is monomial, one nonzero entry per column, and so is each of
 its slot embeddings: its triple products are composed as (target index,
 weight) pairs over the ell^3 triple indices (_embed_monomial, _compose),
@@ -28,10 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, _kron, braided_rep_pair
+from .cyclic import RepParams, _chain, _kron, _rotate, braided_rep_pair
 from .errors import AssemblyError, InvalidInputError
-from .intertwiner import (Intertwiner, _band_index_arrays, closed_form_R,
-                          solve_intertwiner)
+from .intertwiner import Intertwiner, closed_form_R, solve_intertwiner
 
 
 @dataclass(frozen=True)
@@ -119,15 +118,6 @@ def _layout(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _off_band(ell: int, shift: int) -> np.ndarray:
-    """Mask of the pair-basis entries (I, J) with grade(I) != grade(J) + shift."""
-    mask = np.ones((ell * ell, ell * ell), dtype=bool)
-    mask[_band_index_arrays(ell, shift)] = False
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=64)
 def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pair, rest, place) for a pair-basis map on tensor slots (a, b)
     (0-based) of the triple space: triple index j has pair index
@@ -174,39 +164,18 @@ def _relative_distance(A: tuple[np.ndarray, np.ndarray],
     return float(np.sqrt(diff.sum()) / np.linalg.norm(aw))
 
 
-def _rotate(stack: np.ndarray, k: int) -> np.ndarray:
-    """stack[(G + k) % ell] at position G, as np.roll(stack, -k, axis=0)."""
-    k %= len(stack)
-    return np.concatenate((stack[k:], stack[:k])) if k else stack
-
-
 def _grade_blocks(R: np.ndarray, shift: int, slots: tuple[int, int]) -> np.ndarray:
-    """R embedded on tensor slots (a, b) of the triple space, as the stack of
-    its ell blocks: blocks[G] maps the triples of total grade G to those of
-    grade G + shift, both in the order of _layout.
-
-    R must map pair grade g to g + shift; an entry off that band would be
-    dropped, so any nonzero there raises AssemblyError.
+    """The pair stack R of grade shift `shift` (see cyclic) embedded on
+    tensor slots (a, b) of the triple space, as the stack of its ell blocks:
+    blocks[G] maps the triples of total grade G to those of grade
+    G + shift, both in the order of _layout.  Pair entry (I, J), J of pair
+    grade g, is R[g][I // ell, J // ell], kept where the third slot agrees.
     """
-    ell = round(np.sqrt(R.shape[0]))
-    if np.any(R[_off_band(ell, shift)]):
-        raise AssemblyError(f"matrix has nonzero entries off its band {shift}")
+    ell = len(R)
     pair, rest = _layout(ell, slots)
+    rows, cols = _rotate(pair, shift)[:, :, None] // ell, pair[:, None, :]
     same_rest = _rotate(rest, shift)[:, :, None] == rest[:, None, :]
-    return R[_rotate(pair, shift)[:, :, None], pair[:, None, :]] * same_rest
-
-
-def _chain(factors: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
-    """Product F_1 F_2 ... of (grade blocks, shift) factors, left to right;
-    returns the product's (blocks, shift) in the same form."""
-    blocks, total = factors[-1]
-    ell = blocks.shape[0]
-    total %= ell
-    for stack, shift in reversed(factors[:-1]):
-        # the factor acts on grade G + total, where the product so far lands
-        blocks = _rotate(stack, total) @ blocks
-        total = (total + shift) % ell
-    return blocks, total
+    return R[(cols // ell + cols) % ell, rows, cols // ell] * same_rest
 
 
 def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float, dict]:
@@ -217,14 +186,15 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     other five factors are solved on xy's route.  Embeds the six
     det-normalized intertwiners into the triple space and compares the
     ordered products.  Returns (c, deviation, info): LHS = c * RHS with the
-    least-squares scalar c, whose modulus must be 1 (it is an (ell^3)-rd
-    root of unity for det-normalized factors).
+    least-squares scalar c, whose modulus must be 1.  For det-normalized
+    factors c is an ell^2-th root of unity: both products have determinant
+    1 on each of their ell^2 x ell^2 grade blocks.
 
-    Each factor maps pair grade g to g + its band exponent, so each product is
-    formed as ell grade blocks of size ell^2 x ell^2 (_grade_blocks,
-    _chain): O(ell^7) work, no ell^3 x ell^3 array.  Products whose total
-    shifts differ have disjoint supports: then c = 0 and the deviation is 1,
-    as for the dense matrices.
+    Each factor is a stack of grade shift its band exponent, so each
+    product is formed as ell grade blocks of size ell^2 x ell^2
+    (_grade_blocks, _chain): O(ell^7) work, no ell^3 x ell^3 array.
+    Products whose total shifts differ have disjoint supports: then c = 0
+    and the deviation is 1, as for the dense matrices.
 
     Raises InvalidInputError when xy's input pair is not (col.x, col.y)
     itself.
@@ -236,19 +206,15 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
         raise AssemblyError("coloring chains failed to produce finite finals")
     solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
 
-    def factor(a: RepParams, b: RepParams, slots: tuple[int, int]):
-        intw = solve(a, b)
-        R, shift = intw.R, intw.pair.band_exp
-        del intw  # free the factor's PairContext before its grade blocks
-        return _grade_blocks(R, shift, slots), shift
+    def embedded(intw: Intertwiner, slots: tuple[int, int]):
+        return _grade_blocks(intw.blocks, intw.pair.band_exp, slots), intw.pair.band_exp
 
-    lhs, lhs_shift = _chain([factor(col.x1, col.y1, (0, 1)),
-                             factor(col.x, col.z1, (0, 2)),
-                             factor(col.y, col.z, (1, 2))])
-    rhs, rhs_shift = _chain([factor(col.ya, col.za, (1, 2)),
-                             factor(col.xa, col.z, (0, 2)),
-                             (_grade_blocks(xy.R, xy.pair.band_exp, (0, 1)),
-                              xy.pair.band_exp)])
+    lhs, lhs_shift = _chain([embedded(solve(col.x1, col.y1), (0, 1)),
+                             embedded(solve(col.x, col.z1), (0, 2)),
+                             embedded(solve(col.y, col.z), (1, 2))])
+    rhs, rhs_shift = _chain([embedded(solve(col.ya, col.za), (1, 2)),
+                             embedded(solve(col.xa, col.z), (0, 2)),
+                             embedded(xy, (0, 1))])
     if lhs_shift != rhs_shift:
         c, dev, gap = 0j, 1.0, 0.0
     else:

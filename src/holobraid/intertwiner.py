@@ -15,14 +15,17 @@ PairContext.blocks builds this system once per pair, with the slot-2
 clocks multiplied through by T = 1 - eps G so that no inverse of T is
 read; the oracle, Intertwiner.residual and check_generator_action read it.
 
-The oracle solves these equations on the conserved weight band
-n' + m' = n + m + a (mod ell) forced by the clock equations.  Every factor
-is monomial (K, L diagonal, E, F shifts), so each equation row has at most
-four unknowns, and the rows are scaled to unit norm.  The Ex1 and 1xF rows
-have two unknowns each and split the ell^3 band unknowns into ell
-components of ell^2, each fixed by one entry.  Propagating them leaves ell
-unknowns: a dense SVD of all the rows on that ell-column basis picks the
-kernel line, and a few CGLS steps on the full sparse rows refine it.
+The clock equations force R onto the band n' + m' = n + m + a (mod ell):
+R, its equations, G, T and the spectral factor are all stacks (see
+cyclic), R of grade shift a, and every check reads them as stacks; the
+dense Intertwiner.R is built only when read.  The band unknowns are the
+ell^3 entries of R's stack.  Every factor is monomial (K, L diagonal, E, F
+shifts), so each equation row has at most four unknowns, and the rows are
+scaled to unit norm.  The Ex1 and 1xF rows have two unknowns each and split
+the unknowns into ell components of ell^2, each fixed by one entry.
+Propagating them leaves ell unknowns: a dense SVD of all the rows on that
+ell-column basis picks the kernel line, and a few CGLS steps on the full
+sparse rows refine it.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -38,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, _braid_factor, _from_grade_blocks,
-                     _kron, braided_rep_pair, build_rep, clock_shift, gauge_U,
-                     z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense,
+                     _diag_blocks, _kron_blocks, _stack_index, _rotate, braided_rep_pair,
+                     build_rep, clock_shift, gauge_U, z0_character)
 from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
                      NonGenericRepresentationError)
 from .roots import RootContext, primitive_root
@@ -51,19 +54,22 @@ KERNEL_TOL = 1e-6
 GAP_THRESHOLD = 1e6
 # largest distance of chi1, chi2 and eps^(2a) from the ell-th roots of unity
 TWIST_ROOT_TOL = 1e-8
+# grade shifts of the eight equation blocks of PairContext.blocks
+BLOCK_SHIFTS = (0, 0, 1, -1, 0, 0, 1, -1)
 
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
-    """Coproducts of K, L, E, F on r1 x r2 (slot 1 the left Kronecker factor)."""
-    kron = _kron
-    I = np.eye(r1.K.shape[0])
+    """Stacks of the coproducts of K, L, E, F on r1 x r2 (slot 1 the left
+    Kronecker factor), of grade shifts BLOCK_SHIFTS[:4]."""
+    kron = _kron_blocks
+    I = np.eye(len(r1.K))
     if opposite:
-        E = kron(r1.K, r2.E) + kron(r1.E, I)
-        F = kron(I, r2.F) + kron(r1.F, np.linalg.inv(r2.L))
+        E = kron(r1.K, r2.E, 1) + kron(r1.E, I, 1)
+        F = kron(I, r2.F, -1) + kron(r1.F, np.linalg.inv(r2.L), -1)
     else:
-        E = kron(r1.E, r2.K) + kron(I, r2.E)
-        F = kron(r1.F, I) + kron(np.linalg.inv(r1.L), r2.F)
-    return [kron(r1.K, r2.K), kron(r1.L, r2.L), E, F]
+        E = kron(r1.E, r2.K, 1) + kron(I, r2.E, 1)
+        F = kron(r1.F, I, -1) + kron(np.linalg.inv(r1.L), r2.F, -1)
+    return [kron(r1.K, r2.K, 0), kron(r1.L, r2.L, 0), E, F]
 
 
 def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.ndarray:
@@ -73,17 +79,8 @@ def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.nd
     """
     if g not in ("K", "L", "E", "F"):
         raise ValueError(f"unknown generator {g!r}")
-    return _coproducts(build_rep(p1), build_rep(p2), opposite)["KLEF".index(g)]
-
-
-@lru_cache(maxsize=64)
-def _band_positions(ell: int, a: int) -> np.ndarray:
-    """pos[X, J] = k for unknown k = R[X, J] on band a, and 0 off the band."""
-    colX, colJ = _band_index_arrays(ell, a)
-    pos = np.zeros((ell * ell, ell * ell), dtype=np.intp)
-    pos[colX, colJ] = np.arange(len(colX))
-    pos.setflags(write=False)
-    return pos
+    k = "KLEF".index(g)
+    return _dense(_coproducts(build_rep(p1), build_rep(p2), opposite)[k], BLOCK_SHIFTS[k])
 
 
 def _two_per_row(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,23 +95,31 @@ def _two_per_row(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, vals
 
 
-def _band_rows(blocks, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """The band system S as (cols, vals), each of shape (rows, 4): row r has
-    vals[r, t] in column cols[r, t] and unit norm.
+def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
+               a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band system S of blocks 2-7 of PairContext.blocks as
+    (cols, vals), each of shape (rows, 4): row r has vals[r, t] in column
+    cols[r, t] and unit norm.
 
-    Unknown k is R[colX[k], colJ[k]] of _band_index_arrays(ell, a).  The row
-    of block (M, N, shift) at pair (I, J) is (N R - R M)[I, J], where M and
-    N have at most two nonzeros per column and row; as they move grades by
-    exactly shift, every unknown a nonzero names lies on the band.
+    Unknown k = g ell^2 + i ell + j is R's stack entry R[g][i, j], R of
+    grade shift a.  Row b ell^3 + k is (N R - R M)[g][i, j] of block b + 2
+    (grade shift s), with (N R)[g] = N[g + a] R[g] and
+    (R M)[g] = R[g + s] M[g]: N has at most two nonzeros per row and M per
+    column, so their indices give each row's four unknowns by arithmetic.
     """
-    pos = _band_positions(ell, a)
-    rowI, rowJ = _block_rows(ell, a, tuple(shift for _, _, shift in blocks))
-    b = np.arange(len(blocks))[:, None]
-    nc, nv = _two_per_row(np.stack([N for _, N, _ in blocks]))
-    mc, mv = _two_per_row(np.stack([M.T for M, _, _ in blocks]))
-    cols = np.concatenate([pos[nc[b, rowI], rowJ[..., None]],
-                           pos[rowI[..., None], mc[b, rowJ]]], axis=-1).reshape(-1, 4)
-    vals = np.concatenate([nv[b, rowI], -mv[b, rowJ]], axis=-1).reshape(-1, 4)
+    M, N = (X[2:] for X in blocks)
+    ell = M.shape[1]
+    r = np.arange(ell)
+    nc, nv = _two_per_row(N[:, (r + a) % ell])  # [b, g, i, t]
+    mc, mv = _two_per_row(M.swapaxes(-1, -2))  # [b, g, j, t]
+    # axes [b, g, i, j, t]
+    g, i, j = r[:, None, None, None], r[:, None, None], r[:, None]
+    gs = (g + np.array(BLOCK_SHIFTS[2:])[:, None, None, None, None]) % ell
+    cols = np.concatenate(np.broadcast_arrays((g * ell + nc[:, :, :, None]) * ell + j,
+                                              (gs * ell + i) * ell + mc[:, :, None]),
+                          axis=-1).reshape(-1, 4)
+    vals = np.concatenate(np.broadcast_arrays(nv[:, :, :, None], -mv[:, :, None]),
+                          axis=-1).reshape(-1, 4)
     # merge an unknown named on both sides of a row (the clock blocks'
     # diagonals), so the unit-norm scaling sees its coefficient, not two
     # large parts; one side names distinct unknowns, or repeats one at 0
@@ -123,17 +128,6 @@ def _band_rows(blocks, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
         vals[same, p] += vals[same, q]
         vals[same, q] = 0
     return cols, vals / np.linalg.norm(vals, axis=1)[:, None]
-
-
-@lru_cache(maxsize=64)
-def _block_rows(ell: int, a: int,
-                shifts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(rowI, rowJ): the pairs (I, J) of each block's rows, block by block."""
-    rowI, rowJ = (np.stack(r) for r in zip(
-        *(_band_index_arrays(ell, a + shift) for shift in shifts)))
-    rowI.setflags(write=False)
-    rowJ.setflags(write=False)
-    return rowI, rowJ
 
 
 def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -147,24 +141,23 @@ def _components(ell: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     band-a unknowns.
 
     grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
-    indices mod ell.  Ex1 shifts the slot-1 index of both sides of R and
-    1xF the slot-2 index, so c = n' - n is constant along both steps:
-    they split the ell^3 unknowns into ell components of ell^2, and
-    comp[k] is the component of unknown k.  rows[0, c, s, t] is the Ex1
-    row joining grid[c, s, t] to grid[c, s + 1, t], rows[1, c, s, t] the
-    1xF row joining it to grid[c, s, t + 1]; row indices count the blocks
-    of PairContext.blocks[2:] (Ex1 fifth, 1xF sixth).
+    indices mod ell: stack entry R[s + t][s + c, s].  Ex1 shifts the
+    slot-1 index of both sides of R and 1xF the slot-2 index, so
+    c = n' - n is constant along both steps: they split the ell^3 unknowns
+    into ell components of ell^2, and comp[k] is the component of unknown
+    k.  rows[0, c, s, t] is the Ex1 row joining grid[c, s, t] to
+    grid[c, s + 1, t], rows[1, c, s, t] the 1xF row joining it to
+    grid[c, s, t + 1]; row indices count the blocks of PairContext.blocks
+    from the third (Ex1 fifth, 1xF sixth).
     """
     n = ell ** 3
     c, s, t = np.ogrid[:ell, :ell, :ell]
 
-    def at(n1, m1, n0, m0):
-        return (n1 % ell) * ell + m1 % ell, (n0 % ell) * ell + m0 % ell
+    def at(g, i, j):  # the index g ell^2 + i ell + j of stack entry [g][i, j]
+        return ((g % ell) * ell + i % ell) * ell + j % ell
 
-    grid = _band_positions(ell, a)[at(s + c, t + a - c, s, t)]
-    rows = np.stack([
-        4 * n + _band_positions(ell, (a + 1) % ell)[at(s + c + 1, t + a - c, s, t)],
-        5 * n + _band_positions(ell, (a - 1) % ell)[at(s + c, t + a - c, s, t + 1)]])
+    grid = at(s + t, s + c, s)
+    rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
     comp = np.empty(n, dtype=np.intp)
     comp[grid] = c
     for arr in (grid, rows, comp):
@@ -243,18 +236,6 @@ def _cgls(cols: np.ndarray, vals: np.ndarray, v: np.ndarray, r: np.ndarray,
         p += s
 
 
-@lru_cache(maxsize=64)
-def _band_index_arrays(ell: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (I, J) of pair-basis indices with grade(I) - grade(J) = offset."""
-    n2 = ell * ell
-    g = (np.arange(n2) // ell + np.arange(n2) % ell) % ell
-    gd = (g[:, None] - g[None, :]) % ell
-    rows, cols = np.nonzero(gd == offset % ell)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
                  q2: RepParams) -> tuple[int, float]:
     """Band exponent a nearest the clock-weight ratio rho = eps^(2a), and
@@ -266,37 +247,35 @@ def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
     return a, float(dists[a])
 
 
-@lru_cache(maxsize=16)
-def _golden_weights(size: int) -> np.ndarray:
-    """The fixed golden-angle unit weights of det_normalize."""
-    w = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(size))
-    w.setflags(write=False)
-    return w
+def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
+    """A stack of grade shift `shift` scaled to det 1, with its residual
+    root-of-unity phase fixed, and log|det| of the stack before.
 
-
-def det_normalize(R: np.ndarray, slogdet=None) -> np.ndarray:
-    """Scale to det 1, then fix the residual root-of-unity phase.
-
+    The stack's blocks sit on a permutation of the ell grades made of odd
+    cycles (ell is odd), which is even: det is the product of the blocks'.
     After the det scaling a matrix is determined up to an n-th root of
-    unity (n the matrix size).  The representative is pinned by rotating
+    unity (n = ell^2 its size).  The representative is pinned by rotating
     arg(sum_j w_j R_j) into [0, 2 pi / n), where w are fixed golden-angle
-    unit weights: a generic functional, immune to the modulus ties that a
+    unit weights at the dense flat indices j (those cyclic._dense scatters
+    with): a generic functional, immune to the modulus ties that a
     largest-entry rule hits on these highly structured matrices.  Scaled
-    inputs c*R therefore normalize to the identical matrix.  slogdet is
-    np.linalg.slogdet(R), if the caller has it already.
+    inputs c*R therefore normalize to the identical matrix.
     """
-    n = R.shape[0]
+    ell = len(blocks)
+    n = ell * ell
     # log det, not det: a unit-norm ell^2 x ell^2 matrix underflows det at ell 13
-    sign, logabs = np.linalg.slogdet(R) if slogdet is None else slogdet
+    signs, logabs = np.linalg.slogdet(blocks)
+    sign, logabs = np.prod(signs), float(logabs.sum())
     if sign == 0:
         raise InvalidInputError("singular matrix cannot be det-normalized")
-    R1 = R * np.exp(-(logabs + 1j * np.angle(sign)) / n)
-    sigma = np.dot(_golden_weights(R1.size), R1.ravel())
+    R1 = blocks * np.exp(-(logabs + 1j * np.angle(sign)) / n)
+    w = np.exp(2j * np.pi * 0.6180339887498949 * _stack_index(ell, shift)[0])
+    sigma = np.dot(w.ravel(), R1.ravel())
     if abs(sigma) < 1e-8 * np.linalg.norm(R1):  # fallback, never hit in practice
         sigma = R1.flat[int(np.argmax(np.abs(R1)))]
     ang = float(np.angle(sigma) % (2 * np.pi))
     k = int(ang // (2 * np.pi / n))
-    return R1 * np.exp(-2j * np.pi * k / n)
+    return R1 * np.exp(-2j * np.pi * k / n), logabs
 
 
 @dataclass
@@ -392,13 +371,13 @@ class PairContext:
     routes, their checks and the s0 diagnostic.
 
     Holds the output pair (braided, or the oracle's target), the four
-    RepMatrices (in1, in2, out1, out2), and the band exponent with its
-    distance.  The braid factor G (as its grade blocks, see
-    cyclic._braid_factor), the dense T = 1 - eps G, the eight equation
-    blocks, the closed form's twist core and its spectral factor R1 are
-    built on first use, so the oracle computes nothing of the closed form
-    and an unread closed-form residual builds no blocks.  release() drops
-    the ell^4-sized blocks and R1 (rebuilt if read again), not G or T.
+    RepMatrices (in1, in2, out1, out2), and the band exponent a, the grade
+    shift of every intertwiner of the pair, with its distance.  The braid
+    factor G, T = 1 - eps G, the eight equation blocks, the closed form's
+    twist core and its spectral factor R1 are built on first use, so the
+    oracle computes nothing of the closed form and an unread closed-form
+    residual builds no blocks.  G, T, the blocks and R1 are stacks (see
+    cyclic), of ell^3 entries each.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -415,28 +394,30 @@ class PairContext:
 
     @cached_property
     def T(self) -> np.ndarray:
-        return _from_grade_blocks(np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G)
+        return np.eye(len(self.G)) - self.in_params[0].ctx.eps * self.G
 
     @cached_property
-    def blocks(self) -> list:
-        """(M, N, band shift) triples of the pair's equations N R = R M.
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, N): the stacks M[b], N[b] of grade shift BLOCK_SHIFTS[b] of
+        the pair's equations N R = R M, each of shape (8, ell, ell, ell).
 
         0-3: the K, L, E, F coproducts (in, and opposite on out).  4-5: the
         slot-2 clocks multiplied through by T = 1 - eps G,
         R (1 x K_in^-1) = T (1 x K_out^-1) R and the same for L, so no
         inverse of T is read.  6-7: Ex1 and 1xF.  Every M and N but the
         K and L coproducts' is a sum of at most two monomial matrices; those
-        two vanish identically on the band, so the oracle reads blocks[2:].
+        two vanish identically on the band, so the oracle reads blocks 2-7.
         """
-        kron = _kron
+        kron = _kron_blocks
         rin1, rin2, rout1, rout2 = self.reps
-        I = np.eye(rin2.K.shape[0])
+        I = np.eye(len(rin2.K))
         inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
-        return [*zip(_coproducts(rin1, rin2, False), _coproducts(rout1, rout2, True),
-                     (0, 0, 1, -1)),
-                *((kron(I, inv[i]), self.T @ kron(I, inv[i + 1]), 0) for i in (0, 2)),
-                (kron(rin1.E, I), kron(rout1.E, rout2.L), 1),
-                (kron(I, rin2.F), kron(np.linalg.inv(rout1.K), rout2.F), -1)]
+        M = [*_coproducts(rin1, rin2, False), kron(I, inv[0], 0), kron(I, inv[2], 0),
+             kron(rin1.E, I, 1), kron(I, rin2.F, -1)]
+        N = [*_coproducts(rout1, rout2, True), self.T @ kron(I, inv[1], 0),
+             self.T @ kron(I, inv[3], 0), kron(rout1.E, rout2.L, 1),
+             kron(np.linalg.inv(rout1.K), rout2.F, -1)]
+        return np.stack(M), np.stack(N)
 
     @cached_property
     def twist(self) -> TwistCore:
@@ -450,17 +431,14 @@ class PairContext:
         return _spectral_factor(ctx.ell, ctx.eps_powers,
                                 _spectral_values(self.twist.chi, ctx))
 
-    def release(self) -> None:
-        for name in ("blocks", "spectral"):
-            self.__dict__.pop(name, None)
-
 
 @dataclass
 class Intertwiner:
-    """An intertwiner, the PairContext it was built from, and diagnostics;
-    residual (on the pair's equation blocks) is computed on first read."""
+    """An intertwiner as its stack (grade shift pair.band_exp), its
+    PairContext and diagnostics; residual (on the pair's equation blocks)
+    and R, the dense matrix that no check reads, are built on first read."""
 
-    R: np.ndarray
+    blocks: np.ndarray
     pair: PairContext
     route: str
     kernel_dim: int = 1
@@ -473,13 +451,23 @@ class Intertwiner:
         return self.pair.in_params[0].ctx.ell
 
     @cached_property
+    def R(self) -> np.ndarray:
+        return _dense(self.blocks, self.pair.band_exp)
+
+    @cached_property
     def residual(self) -> float:
-        R, nr = self.R, np.linalg.norm(self.R)
-        return float(max(np.linalg.norm(N @ R - R @ M) for M, N, _ in self.pair.blocks) / nr)
+        """max over the blocks of |N R - R M| / |R|, all eight at once."""
+        M, N = self.pair.blocks
+        R, g = self.blocks, np.arange(self.ell)
+        diff = N[:, (g + self.pair.band_exp) % self.ell] @ R \
+            - R[(g + np.array(BLOCK_SHIFTS)[:, None]) % self.ell] @ M
+        return float(np.linalg.norm(diff.reshape(len(diff), -1), axis=1).max()
+                     / np.linalg.norm(R))
 
     @cached_property
     def _R_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.R)
+        """The stack of R^-1, of grade shift -pair.band_exp."""
+        return _rotate(np.linalg.inv(self.blocks), -self.pair.band_exp)
 
 
 def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
@@ -504,14 +492,15 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     is not a line.
 
     The solve reads only the four representation matrices and the braid
-    factor G.  It restricts the six equations of pair.blocks[2:] to the
-    conserved weight band and scales each sparse row of that system S to
-    unit norm.  The Ex1 and 1xF rows have two unknowns each: propagated
-    through them, the ell^3 band unknowns reduce to a basis Z of ell
-    orthonormal columns (_reduced_system) that holds the kernel.  A
-    dense SVD of S Z, with all six blocks and so every closure row outside
-    the propagation, gives the kernel coefficients c, and 2 ell - 3 CGLS
-    steps on S refine v = Z c (CG needs more steps as the band grows).
+    factor G.  It writes blocks 2-7 of pair.blocks on the conserved weight
+    band, whose unknowns are the entries of R's stack, and scales each
+    sparse row of that system S to unit norm.  The Ex1 and 1xF rows have
+    two unknowns each: propagated through them, the ell^3 band unknowns
+    reduce to a basis Z of ell orthonormal columns (_reduced_system) that
+    holds the kernel.  A dense SVD of S Z, with all six blocks and so
+    every closure row outside the propagation, gives the kernel
+    coefficients c, and 2 ell - 3 CGLS steps on S refine v = Z c (CG needs
+    more steps as the band grows).
     The kernel criterion is relative singular value < KERNEL_TOL against
     the largest singular value of S Z, with the smallest read as |S v| of
     the refined unit vector v.  By interlacing, S Z has no singular value
@@ -529,7 +518,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
         raise NoIntertwinerError(
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
-    cols, vals = _band_rows(pair.blocks[2:], ell, a)
+    cols, vals = _band_rows(pair.blocks, a)
     SZ, z, comp = _reduced_system(cols, vals, ell, a)
     _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
     c = vh[-1].conj()
@@ -549,12 +538,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     if gap < GAP_THRESHOLD:
         raise NonGenericRepresentationError(
             f"singular-value gap {gap:.2e} below threshold {GAP_THRESHOLD:.1e}")
-    colX, colJ = _band_index_arrays(ell, a)
-    R = np.zeros((ell * ell, ell * ell), dtype=complex)
-    R[colX, colJ] = v
-    slogdet = np.linalg.slogdet(R)
-    return Intertwiner(R=det_normalize(R, slogdet), pair=pair, route="oracle",
-                       singular_gap=gap, log_abs_det=float(slogdet.logabsdet))
+    blocks, log_abs_det = det_normalize(v.reshape(ell, ell, ell), a)
+    return Intertwiner(blocks=blocks, pair=pair, route="oracle", singular_gap=gap,
+                       log_abs_det=log_abs_det)
 
 
 def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
@@ -568,21 +554,16 @@ def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
 
 
 def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Function of the split shift W = B x B^-1 with given eigenvalues.
+    """Function of the split shift W = B x B^-1 with given eigenvalues, as
+    its stack (grade shift 0).
 
     W^j moves (n, m) to (n+j, m-j); eigenvalue vals[k] sits on the
-    eps^(2k)-eigenspace, so the matrix has entry coef_j at those index
-    pairs with coef = inverse discrete transform of vals.
+    eps^(2k)-eigenspace, so with coef the inverse discrete transform of
+    vals, every block is the circulant with coef[(i - j) % ell] at (i, j).
     """
     ks = np.arange(ell)
     coef = (vals[None, :] * eps_powers[(-2 * np.outer(ks, ks)) % ell]).sum(axis=1) / ell
-    n2 = ell * ell
-    R1 = np.zeros((n2, n2), dtype=complex)
-    idx = np.arange(n2)
-    n, m = idx // ell, idx % ell
-    for j in range(ell):
-        R1[((n + j) % ell) * ell + ((m - j) % ell), idx] = coef[j]
-    return R1
+    return np.broadcast_to(coef[(ks[:, None] - ks) % ell], (ell, ell, ell))
 
 
 def _twist_core(p1: RepParams, p2: RepParams, q1: RepParams,
@@ -613,11 +594,13 @@ def closed_form_R(p1: RepParams, p2: RepParams, *,
     """
     pair = _pair_of(p1, p2, pair)
     cd, D, Ba, U2, Ut2 = pair.twist
-    R = (D[:, None] * _kron(Ba, Ut2)) @ pair.spectral \
-        @ _kron(np.eye(p1.ctx.ell), np.linalg.inv(U2))
-    slogdet = np.linalg.slogdet(R)
-    return Intertwiner(R=det_normalize(R, slogdet), pair=pair, route="closed-form",
-                       chi=cd, log_abs_det=float(slogdet.logabsdet))
+    a = cd.a_exp
+    blocks, _ = _chain([(_diag_blocks(D), 0), (_kron_blocks(Ba, Ut2, a), a),
+                        (pair.spectral, 0),
+                        (_kron_blocks(np.eye(p1.ctx.ell), np.linalg.inv(U2), 0), 0)])
+    blocks, log_abs_det = det_normalize(blocks, a)
+    return Intertwiner(blocks=blocks, pair=pair, route="closed-form", chi=cd,
+                       log_abs_det=log_abs_det)
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
@@ -630,9 +613,12 @@ def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float
     return complex(scalar), deviation
 
 
-def _conjugation_residual(intw: Intertwiner, w_in: np.ndarray, w_out: np.ndarray) -> float:
-    """|R w_in R^-1 - w_out| / |w_out|."""
-    lhs = intw.R @ w_in @ intw._R_inv
+def _conjugation_residual(intw: Intertwiner, w_in: np.ndarray, w_out: np.ndarray,
+                          shift: int) -> float:
+    """|R w_in R^-1 - w_out| / |w_out| for stacks w_in, w_out of grade shift
+    `shift`."""
+    a = intw.pair.band_exp
+    lhs, _ = _chain([(intw.blocks, a), (w_in, shift), (intw._R_inv, -a)])
     return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
 
 
@@ -646,9 +632,10 @@ def central_invariance_residuals(intw: Intertwiner) -> dict[str, float]:
                "kl_ratio": lambda r: r.K @ np.linalg.inv(r.L)}
     out = {}
     for name, elem in central.items():
-        for slot, embed in ((1, lambda m: _kron(m, I)), (2, lambda m: _kron(I, m))):
+        for slot, embed in ((1, lambda m: _kron_blocks(m, I, 0)),
+                            (2, lambda m: _kron_blocks(I, m, 0))):
             out[f"{name}_slot{slot}"] = _conjugation_residual(
-                intw, embed(elem(reps[slot - 1])), embed(elem(reps[slot + 1])))
+                intw, embed(elem(reps[slot - 1])), embed(elem(reps[slot + 1])), 0)
     return out
 
 
@@ -657,28 +644,29 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
 
     Returns {formula id: {reading: relative residual}}.  For each formula
     at least one reading is expected under 1e-8; the suite aggregates
-    which one.
+    which one.  Every operator is a stack (see cyclic).
     """
     pair = intw.pair
     p1, p2, q1, q2 = *pair.in_params, *pair.out_params
     ctx = p1.ctx
     ell, t = ctx.ell, ctx.eps
-    kron = _kron
+    kron = _kron_blocks
     I = np.eye(ell)
     rin1, rin2, rout1, rout2 = pair.reps
     K1, F1, E2 = rin1.K, rin1.F, rin2.E
     Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
     Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
-    inverses = np.linalg.inv(np.stack([I - t * pair.G, I - pair.G / t]))
-    inv_powers = tuple(zip(("t", "t_inverse"), map(_from_grade_blocks, inverses)))
+    inv_powers = tuple(zip(("t", "t_inverse"),
+                           np.linalg.inv(np.stack([I - t * pair.G, I - pair.G / t]))))
     res = partial(_conjugation_residual, intw)
 
     # the four single-factor equations of the pair's system, read as checks
-    out = {name: {"direct": res(M, N)} for name, (M, N, _) in zip(
+    M, N = pair.blocks
+    out = {name: {"direct": res(m, n, shift)} for name, m, n, shift in zip(
         ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
-        pair.blocks[4:])}
-    out["slot1_clock_k"] = {"direct": res(kron(K1, I), pair.T @ kron(Kt1, I))}
+        M[4:], N[4:], BLOCK_SHIFTS[4:])}
+    out["slot1_clock_k"] = {"direct": res(kron(K1, I, 0), pair.T @ kron(Kt1, I, 0), 0)}
 
     # ell-th powers are central scalars; the inverted factor's sign variant
     # is exactly the braiding-sign adjudication at the character level
@@ -693,17 +681,18 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     out["power_slot2_lowering"] = {"direct": float(
         abs(c_in2.phi - c_out2.phi / c_out1.kappa) / max(abs(c_in2.phi), 1e-12))}
 
-    # second-slot raising: inverted factor to the left; t-power adjudicated
-    lead = kron(Et1, I) + kron(Kt1, Et2)
-    tailE = kron(Et1, Kt2 @ Lt2)
-    out["slot2_raising"] = {tname: res(kron(I, E2), lead - inv @ tailE)
+    # second-slot raising: inverted factor to the left, acting on the grade
+    # tailE lands on; t-power adjudicated
+    lead = kron(Et1, I, 1) + kron(Kt1, Et2, 1)
+    tailE = kron(Et1, Kt2 @ Lt2, 1)
+    out["slot2_raising"] = {tname: res(kron(I, E2, 1), lead - _rotate(inv, 1) @ tailE, 1)
                             for tname, inv in inv_powers}
 
     # first-slot lowering: prefactor and t-power adjudicated
-    baseF = kron(Ft1, np.linalg.inv(Lt2)) + kron(I, Ft2)
-    pref = {"product_inverse": kron(np.linalg.inv(Kt1 @ Lt1), Ft2),
-            "ratio": kron(Kt1 @ np.linalg.inv(Lt1), Ft2)}
-    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I), baseF - X @ inv)
+    baseF = kron(Ft1, np.linalg.inv(Lt2), -1) + kron(I, Ft2, -1)
+    pref = {"product_inverse": kron(np.linalg.inv(Kt1 @ Lt1), Ft2, -1),
+            "ratio": kron(Kt1 @ np.linalg.inv(Lt1), Ft2, -1)}
+    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I, -1), baseF - X @ inv, -1)
                              for pname, X in pref.items() for tname, inv in inv_powers}
     return out
 
@@ -721,22 +710,29 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     cs = clock_shift(ctx)
     cd = intw.chi
     R1 = intw.pair.spectral
-    R1inv = np.linalg.inv(R1)
-    kron = _kron
+    kron = _kron_blocks
     I = np.eye(ell)
-    A, B = cs.A, cs.B
-    W = kron(B, np.linalg.inv(B))
+    A, B, Binv = cs.A, cs.B, np.linalg.inv(cs.B)
 
-    def commutator(X):
-        return float(np.linalg.norm(R1 @ X - X @ R1) / np.linalg.norm(R1))
+    def commutator(X, shift):
+        RX, _ = _chain([(R1, 0), (X, shift)])
+        return float(np.linalg.norm(RX - X @ R1) / np.linalg.norm(R1))
 
-    out = {"clock_pair": commutator(kron(A, A)),
-           "slot2_shift_inv": commutator(kron(I, np.linalg.inv(B))),
-           "slot1_shift": commutator(kron(B, I))}
-    lhs = R1 @ kron(I, A) @ R1inv
-    for name, Wv in (("opposite_shifts", W), ("parallel_shifts", kron(B, B))):
-        rhs = cd.tau * kron(I, A) @ np.linalg.inv(np.eye(ell * ell) - cd.sigma * Wv)
-        out[f"slot2_clock_{name}"] = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    out = {"clock_pair": commutator(kron(A, A, 0), 0),
+           "slot2_shift_inv": commutator(kron(I, Binv, -1), -1),
+           "slot1_shift": commutator(kron(B, I, 1), 1)}
+    IA = kron(I, A, 0)
+    lhs = R1 @ IA @ np.linalg.inv(R1)
+    rhs = cd.tau * IA @ np.linalg.inv(I - cd.sigma * kron(B, Binv, 0))
+    out["slot2_clock_opposite_shifts"] = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    # B x B moves the grade by 2 and has order ell, so the rhs
+    # tau (1 x A) (1 - sigma B x B)^-1 is sum_k tau sigma^k (B^k x A B^k) / (1 - sigma^ell),
+    # its term k of grade shift 2k: only term 0 meets lhs
+    powers = [np.linalg.matrix_power(B, k) for k in range(ell)]
+    terms = np.stack([cd.tau * cd.sigma**k / (1 - cd.sigma**ell) * kron(Bk, A @ Bk, 2 * k)
+                      for k, Bk in enumerate(powers)])
+    out["slot2_clock_parallel_shifts"] = float(
+        np.linalg.norm(np.concatenate([[lhs - terms[0]], terms[1:]])) / np.linalg.norm(terms))
     return out
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, _kron, build_rep, ell_powers,
+from .cyclic import (RepParams, build_rep, ell_powers,
                      f_power_scalar_variants, gauge_conjugation_residual,
                      z0_character)
 from .errors import HolobraidError
@@ -128,16 +128,6 @@ def rep_checks(p: RepParams) -> dict[str, float]:
     center_rel = abs(prod - ch.eta * ch.phi) / _scale(ch.eta * ch.phi)
     return {"rep_relations": float(rel), "central_powers": float(central),
             "casimir_scalar": float(casimir), "center_relation": float(center_rel)}
-
-
-def commutant_dimension(p: RepParams) -> int:
-    """Dimension of the joint commutant (1 certifies irreducibility)."""
-    rep = build_rep(p)
-    ell = p.ctx.ell
-    I = np.eye(ell)
-    S = np.vstack([_kron(m, I) - _kron(I, m.T) for m in rep.as_tuple()])
-    sv = np.linalg.svd(S, compute_uv=False)
-    return int(np.sum(sv < sv[0] * 1e-10))
 
 
 def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
@@ -323,7 +313,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
         trial["s0_diagnostic"] = {"residual": residual_entry(sres),
                                   "conclusive": sconcl}
     if cfg.route == "both":
-        scalar, dev = compare_up_to_scalar(oracle.R, closed.R)
+        scalar, dev = compare_up_to_scalar(oracle.blocks, closed.blocks)
         checks["route_deviation"] = check_entry(dev, THRESHOLDS["route_deviation"])
         trial["route_comparison"] = {"scalar": complex_pair(scalar),
                                      "deviation": residual_entry(dev)}
@@ -337,9 +327,6 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
     evidence.update(actions)
     checks["generator_actions"] = check_entry(
         max(min(vs.values()) for vs in actions.values()), THRESHOLDS["generator_actions"])
-    # every reader of the ell^4-sized blocks and R1 is done: drop them
-    # before the triple, where memory peaks
-    pair.release()
 
     colorings = None
     if cfg.hybe_every and idx % cfg.hybe_every == 0:

@@ -1,0 +1,180 @@
+"""Dense ell^2 x ell^2 references for the stack code of holobraid, and the
+helpers only tests read.
+
+Each reference is written out with np.kron and dense products, the way the
+package computed it before pair-space operators became grade-block stacks;
+the tests compare the stack code against it entry by entry.
+"""
+from pathlib import Path
+
+import numpy as np
+
+from holobraid.cyclic import build_rep, clock_shift
+from holobraid.roots import primitive_root
+from holobraid.sampling import sample_params
+from holobraid.suite import third_params
+
+kron = np.kron
+
+# (ell, radius, trial) of seed-42 pairs whose band exponent is not 0: no
+# trial at radius 0.1 has one at ell 3 or 5, so a wrong grade rotation
+# would pass on the default pairs alone
+SHIFTED = [(3, 1.0, 2), (7, 0.1, 15)]
+
+
+def seed42_pair(ell, radius, trial):
+    return sample_params(primitive_root(ell), 42, trial, radius=radius, count=2)
+
+
+def seed42_triple(ell, radius, trial):
+    ctx = primitive_root(ell)
+    return (*seed42_pair(ell, radius, trial), third_params(ctx, 42, trial, radius))
+
+
+def dense_G(pair):
+    """G = K1^-1 E1 x F2 L2 on the output pair."""
+    r1, r2 = pair.reps[2:]
+    return kron(np.linalg.inv(r1.K) @ r1.E, r2.F @ r2.L)
+
+
+def dense_coproducts(r1, r2, opposite):
+    I = np.eye(len(r1.K))
+    if opposite:
+        E = kron(r1.K, r2.E) + kron(r1.E, I)
+        F = kron(I, r2.F) + kron(r1.F, np.linalg.inv(r2.L))
+    else:
+        E = kron(r1.E, r2.K) + kron(I, r2.E)
+        F = kron(r1.F, I) + kron(np.linalg.inv(r1.L), r2.F)
+    return [kron(r1.K, r2.K), kron(r1.L, r2.L), E, F]
+
+
+def dense_blocks(pair):
+    """The eight (M, N) of PairContext.blocks as dense matrices."""
+    rin1, rin2, rout1, rout2 = pair.reps
+    I = np.eye(len(rin2.K))
+    T = np.eye(len(I) ** 2) - pair.in_params[0].ctx.eps * dense_G(pair)
+    inv = np.linalg.inv
+    return [*zip(dense_coproducts(rin1, rin2, False), dense_coproducts(rout1, rout2, True)),
+            (kron(I, inv(rin2.K)), T @ kron(I, inv(rout2.K))),
+            (kron(I, inv(rin2.L)), T @ kron(I, inv(rout2.L))),
+            (kron(rin1.E, I), kron(rout1.E, rout2.L)),
+            (kron(I, rin2.F), kron(inv(rout1.K), rout2.F))]
+
+
+def dense_det_normalize(R):
+    """det_normalize on a dense matrix: golden-angle weights at the
+    row-major flat indices of all its entries."""
+    n = len(R)
+    sign, logabs = np.linalg.slogdet(R)
+    R1 = R * np.exp(-(logabs + 1j * np.angle(sign)) / n)
+    w = np.exp(2j * np.pi * 0.6180339887498949 * np.arange(R1.size))
+    k = int(float(np.angle(np.dot(w, R1.ravel())) % (2 * np.pi)) // (2 * np.pi / n))
+    return R1 * np.exp(-2j * np.pi * k / n)
+
+
+def dense_residual(R, pair):
+    return max(np.linalg.norm(N @ R - R @ M) for M, N in dense_blocks(pair)) / np.linalg.norm(R)
+
+
+def dense_conjugation(R, w_in, w_out):
+    lhs = R @ w_in @ np.linalg.inv(R)
+    return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
+
+
+def dense_central_invariance(R, pair):
+    eps = pair.in_params[0].ctx.eps
+    I = np.eye(len(pair.reps[0].K))
+    central = {"casimir": lambda r: r.E @ r.F + r.K / eps + np.linalg.inv(r.L) * eps,
+               "kl_ratio": lambda r: r.K @ np.linalg.inv(r.L)}
+    out = {}
+    for name, elem in central.items():
+        for slot, embed in ((1, lambda m: kron(m, I)), (2, lambda m: kron(I, m))):
+            out[f"{name}_slot{slot}"] = dense_conjugation(
+                R, embed(elem(pair.reps[slot - 1])), embed(elem(pair.reps[slot + 1])))
+    return out
+
+
+def dense_generator_action(R, pair):
+    """The matrix readings of check_generator_action (its scalar ones read
+    no matrix)."""
+    t = pair.in_params[0].ctx.eps
+    rin1, rin2, rout1, rout2 = pair.reps
+    I = np.eye(len(rin1.K))
+    inv = np.linalg.inv
+    Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
+    Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
+    G = dense_G(pair)
+    I2 = np.eye(len(G))
+    inv_powers = (("t", inv(I2 - t * G)), ("t_inverse", inv(I2 - G / t)))
+    blocks = dense_blocks(pair)
+    out = {name: {"direct": dense_conjugation(R, M, N)} for name, (M, N) in zip(
+        ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"), blocks[4:])}
+    T = I2 - t * G
+    out["slot1_clock_k"] = {"direct": dense_conjugation(R, kron(rin1.K, I), T @ kron(Kt1, I))}
+    lead = kron(Et1, I) + kron(Kt1, Et2)
+    tailE = kron(Et1, Kt2 @ Lt2)
+    out["slot2_raising"] = {name: dense_conjugation(R, kron(I, rin2.E), lead - X @ tailE)
+                            for name, X in inv_powers}
+    baseF = kron(Ft1, inv(Lt2)) + kron(I, Ft2)
+    pref = {"product_inverse": kron(inv(Kt1 @ Lt1), Ft2), "ratio": kron(Kt1 @ inv(Lt1), Ft2)}
+    out["slot1_lowering"] = {f"{p}_{name}": dense_conjugation(R, kron(rin1.F, I), baseF - X @ Y)
+                             for p, X in pref.items() for name, Y in inv_powers}
+    return out
+
+
+def dense_spectral_factor(ell, eps_powers, vals):
+    """The spectral factor of W = B x B^-1, written out entry by entry."""
+    ks = np.arange(ell)
+    coef = (vals[None, :] * eps_powers[(-2 * np.outer(ks, ks)) % ell]).sum(axis=1) / ell
+    n2 = ell * ell
+    R1 = np.zeros((n2, n2), dtype=complex)
+    idx = np.arange(n2)
+    n, m = idx // ell, idx % ell
+    for j in range(ell):
+        R1[((n + j) % ell) * ell + ((m - j) % ell), idx] = coef[j]
+    return R1
+
+
+def dense_closed_form(pair, R1):
+    """D (B^a x Ug_out) R1 (1 x Ug_in^-1), before det normalization."""
+    _, D, Ba, U2, Ut2 = pair.twist
+    return (D[:, None] * kron(Ba, Ut2)) @ R1 @ kron(np.eye(len(Ba)), np.linalg.inv(U2))
+
+
+def dense_r1_residuals(R1, cd, ctx):
+    ell = ctx.ell
+    cs = clock_shift(ctx)
+    I = np.eye(ell)
+    A, B = cs.A, cs.B
+    inv = np.linalg.inv
+
+    def commutator(X):
+        return float(np.linalg.norm(R1 @ X - X @ R1) / np.linalg.norm(R1))
+
+    out = {"clock_pair": commutator(kron(A, A)),
+           "slot2_shift_inv": commutator(kron(I, inv(B))),
+           "slot1_shift": commutator(kron(B, I))}
+    lhs = R1 @ kron(I, A) @ inv(R1)
+    for name, Wv in (("opposite_shifts", kron(B, inv(B))), ("parallel_shifts", kron(B, B))):
+        rhs = cd.tau * kron(I, A) @ inv(np.eye(ell * ell) - cd.sigma * Wv)
+        out[f"slot2_clock_{name}"] = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    return out
+
+
+def commutant_dimension(p):
+    """Dimension of the joint commutant of a representation (1 certifies
+    irreducibility)."""
+    ell = p.ctx.ell
+    I = np.eye(ell)
+    S = np.vstack([kron(m, I) - kron(I, m.T) for m in build_rep(p).as_tuple()])
+    sv = np.linalg.svd(S, compute_uv=False)
+    return int(np.sum(sv < sv[0] * 1e-10))
+
+
+def load_matrix(path):
+    """Read back a holobraid TSV dump; returns (header metadata, matrix)."""
+    lines = Path(path).read_text().strip().splitlines()
+    meta = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
+    rows = [[complex(cell.replace("i", "j")) for cell in line.split(",")]
+            for line in lines[1:]]
+    return meta, np.array(rows)

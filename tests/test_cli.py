@@ -6,11 +6,11 @@ import pytest
 import holobraid.cli
 import holobraid.suite
 from holobraid.cli import main
-from holobraid.dumps import load_matrix
 from holobraid.errors import AssemblyError
 from holobraid.report import emit_report, params_entry
 from holobraid.roots import primitive_root
 from holobraid.suite import SuiteConfig, run_trial
+from reference import load_matrix
 
 
 def _trial_record(idx, **cfg):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import holobraid.cyclic as cyclic
-from holobraid.cyclic import (MIN_WEIGHT, RepParams, _from_grade_blocks,
+from holobraid.cyclic import (MIN_WEIGHT, RepParams, _dense,
                               braided_rep_pair, build_rep, clock_shift, f_weights,
                               f_power_scalar_variants,
                               gauge_conjugation_residual, gauge_U, is_generic,
@@ -241,12 +241,12 @@ class TestGenericity:
         for radius in (0.1, 1.0):
             pair = PairContext(*sample_params(ctx, 42, 0, radius=radius, count=2))
             G = dense_braid_factor(*pair.out_params)
-            assert np.array_equal(_from_grade_blocks(pair.G), G)
+            assert np.array_equal(_dense(pair.G, 0), G)
             for dense, blocks in ((I - t * G, Ib - t * pair.G), (I - G / t, Ib - pair.G / t)):
                 sv = np.linalg.svd(blocks, compute_uv=False)
                 assert np.max(np.abs(sv - sv[0])) <= 1e-12 * sv[0, 0]
                 assert abs(sv[0, 0] / sv[0, -1] / np.linalg.cond(dense) - 1) < 1e-10
-            assert np.array_equal(pair.T, I - t * G)
+            assert np.array_equal(_dense(pair.T, 0), I - t * G)
 
     def test_matches_dense_reference(self, monkeypatch):
         # 200 draws at radius 1.0, ell 9: four fail |eta phi| >= MIN_WEIGHT;

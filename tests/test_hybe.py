@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import holobraid.hybe as hybe
-from holobraid.cyclic import _kron, clock_shift
-from holobraid.errors import AssemblyError, InvalidInputError
+from holobraid.cyclic import _dense, _kron, _kron_blocks, clock_shift
+from holobraid.errors import InvalidInputError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+from reference import SHIFTED, seed42_triple
 
 
 def dense_products(factors, ell):
@@ -38,6 +39,7 @@ def triple_hybe(x, y, z, route):
 
 
 def chain_factors(x, y, z, solve):
+    """The six factors of the triple as dense matrices (Intertwiner.R)."""
     col = derive_colorings(x, y, z)
     return [solve(a, b).R for a, b in (
         (col.x1, col.y1), (col.x, col.z1), (col.y, col.z),
@@ -117,9 +119,20 @@ class TestMatrixHYBE:
         assert info["c_entry_ratio_gap"] < 1e-9
 
     def test_scalar_is_cube_root_power(self, triple3):
-        # det-normalized factors force c^(ell^3) = 1
-        c, _, _ = triple_hybe(*triple3, "oracle")
-        assert abs(c**27 - 1) < 1e-8
+        # det-normalized factors force c^(ell^2) = 1: each product has
+        # determinant 1 on every ell^2 x ell^2 grade block; c^ell is not 1
+        for route in ("oracle", "closed-form"):
+            c, _, _ = triple_hybe(*triple3, route)
+            assert abs(c**9 - 1) < 1e-12
+            assert abs(c**3 - 1) > 0.1
+
+    def test_scalar_root_on_shifted_triple(self):
+        # ell 7, seed 42, trial 15: two factors have band exponents 4 and 3,
+        # c^49 = 1 and c^7 is not
+        for route in ("oracle", "closed-form"):
+            c, _, _ = triple_hybe(*seed42_triple(7, 0.1, 15), route)
+            assert abs(c**49 - 1) < 1e-12
+            assert abs(c**7 - 1) > 1e-3
 
     def test_routes_agree(self, triple3):
         c1, dev1, _ = triple_hybe(*triple3, "oracle")
@@ -145,6 +158,32 @@ class TestGradeBlocks:
         c, dev, _ = triple_hybe(x, y, z, route)
         assert abs(c - c_ref) < 1e-14
         assert abs(dev - dev_ref) < 1e-14
+
+    @pytest.mark.parametrize("ell, radius, trial", SHIFTED)
+    @pytest.mark.parametrize("route", ["oracle", "closed-form"])
+    def test_matches_dense_on_shifted_pairs(self, ell, radius, trial, route):
+        x, y, z = seed42_triple(ell, radius, trial)
+        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
+        c, dev, _ = triple_hybe(x, y, z, route)
+        assert abs(c - c_ref) < 1e-14
+        assert abs(dev - dev_ref) < 1e-14
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_embeds_stack_like_dense(self, ell):
+        # a random stack of every shift, embedded on each slot pair, against
+        # the dense embedding of its dense matrix
+        rng = np.random.default_rng(ell)
+        j = np.arange(ell ** 3)
+        order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
+        order = order.reshape(ell, ell * ell)
+        embed = {(0, 1): embed_12, (0, 2): embed_13, (1, 2): embed_23}
+        for shift in range(ell):
+            R = rng.normal(size=(ell,) * 3) + 1j * rng.normal(size=(ell,) * 3)
+            for slots, dense_embed in embed.items():
+                blocks = hybe._grade_blocks(R, shift, slots)
+                M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
+                M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = blocks
+                assert np.array_equal(M, dense_embed(_dense(R, shift), ell))
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])
@@ -192,25 +231,19 @@ class TestGradeBlocks:
         ref = np.linalg.norm(lhs_ref - rhs_ref) / np.linalg.norm(lhs_ref)
         assert abs(hybe._relative_distance(lhs, rhs) - ref) < 1e-14
 
-    def test_off_band_entry_raises(self):
-        ell = 3
-        R = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))  # band 1
-        hybe._grade_blocks(R, 1, (0, 1))
-        R[0, 0] = 1e-300
-        with pytest.raises(AssemblyError):
-            hybe._grade_blocks(R, 1, (0, 1))
-
     def test_mismatched_shifts(self, triple3, monkeypatch):
         # the first factor moves the grade by 1, the other five by 0: the
         # two products have disjoint supports, as in the dense reference
         ell = 3
-        shifted = _kron(clock_shift(primitive_root(ell)).B, np.eye(ell))
-        factors = [shifted] + [np.eye(ell * ell)] * 5
+        B, I = clock_shift(primitive_root(ell)).B, np.eye(ell)
+        shifted = _kron_blocks(B, I, 1)
+        assert np.array_equal(_dense(shifted, 1), _kron(B, I))
+        factors = [_kron(B, I)] + [np.eye(ell * ell)] * 5
         col = derive_colorings(*triple3)
-        identity = SimpleNamespace(R=np.eye(ell * ell), route="closed-form",
+        identity = SimpleNamespace(blocks=_kron_blocks(I, I, 0), route="closed-form",
                                    pair=SimpleNamespace(band_exp=0,
                                                         in_params=(col.x, col.y)))
-        fakes = iter([SimpleNamespace(R=shifted, pair=SimpleNamespace(band_exp=1))]
+        fakes = iter([SimpleNamespace(blocks=shifted, pair=SimpleNamespace(band_exp=1))]
                      + [identity] * 4)
         monkeypatch.setattr(hybe, "closed_form_R", lambda a, b: next(fakes))
         c, dev, info = hybe_residual(col, identity)

@@ -7,7 +7,7 @@ from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
 from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
-                                   _band_index_arrays, _band_rows, _components,
+                                   _band_rows, _components,
                                    _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action, chi_data,
@@ -18,15 +18,16 @@ from holobraid.cyclic import lift_character
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
+from reference import dense_blocks
 
 
 def full_reference(p1, p2):
     """Kernel line of the unreduced eight-block stack by dense SVD: the
     reference the band oracle is compared against (small ell only)."""
-    blocks = PairContext(p1, p2).blocks
+    blocks = dense_blocks(PairContext(p1, p2))
     n2 = p1.ctx.ell ** 2
     I2 = np.eye(n2)
-    S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
+    S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N in blocks])
     _, sv, vh = np.linalg.svd(S, full_matrices=False)
     assert sv[-2] > 1e6 * sv[-1]  # a line
     return vh[-1].conj().reshape(n2, n2)
@@ -104,15 +105,14 @@ class TestOracle:
         intw = closed_form_R(*pair3)
         assert "blocks" not in vars(intw.pair)
         # read late, the residual is the one built with the intertwiner
-        R, blocks = intw.R, PairContext(*pair3).blocks
-        ref = max(np.linalg.norm(N @ R - R @ M) for M, N, _ in blocks) / np.linalg.norm(R)
-        assert intw.residual == float(ref)
+        ref = Intertwiner(blocks=intw.blocks, pair=PairContext(*pair3), route=intw.route)
+        assert intw.residual == ref.residual
         assert "blocks" in vars(intw.pair)
 
     def test_solve_builds_blocks_once(self, pair3, monkeypatch):
         # the oracle reads pair.blocks[2:] and the residual all eight: one
         # build of the system serves both, and no inverse of T is kept
-        calls = {"_coproducts": 0, "_kron": 0}
+        calls = {"_coproducts": 0, "_kron_blocks": 0}
         for name in calls:
             def count(*args, _fn=getattr(intertwiner, name), _name=name):
                 calls[_name] += 1
@@ -138,9 +138,9 @@ class TestOracle:
     def test_coproduct_blocks_alone_leave_one_kernel_per_branch(self, pair3):
         # regression: the four coproduct equations admit one intertwiner per
         # Casimir branch, i.e. an ell-dimensional nullspace
-        blocks = PairContext(*pair3).blocks[:4]
+        blocks = dense_blocks(PairContext(*pair3))[:4]
         I2 = np.eye(9)
-        S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N, _ in blocks])
+        S = np.vstack([np.kron(N, I2) - np.kron(I2, M.T) for M, N in blocks])
         sv = np.linalg.svd(S, compute_uv=False)
         assert np.sum(sv < sv[0] * 1e-10) == 3
 
@@ -159,7 +159,7 @@ class TestOracle:
         p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
         pair = PairContext(p1, p2)
         a, n = pair.band_exp, ell ** 3
-        cols, vals = _band_rows(pair.blocks[2:], ell, a)
+        cols, vals = _band_rows(pair.blocks, a)
         parent = list(range(n))
 
         def find(k):
@@ -188,17 +188,16 @@ class TestOracle:
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_matches_dense_svd_of_band_system(self, ell):
-        # reference: the dense SVD of the full unit-row band system S
+        # reference: the dense SVD of the full unit-row band system S, whose
+        # unknowns are the entries of R's stack
         p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
         intw = solve_intertwiner(p1, p2)
         a, n = intw.pair.band_exp, ell ** 3
-        cols, vals = _band_rows(intw.pair.blocks[2:], ell, a)
+        cols, vals = _band_rows(intw.pair.blocks, a)
         S = np.zeros((len(cols), n), dtype=complex)
         np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
         _, sv, vh = np.linalg.svd(S)
-        R = np.zeros_like(intw.R)
-        R[_band_index_arrays(ell, a)] = vh[-1].conj()
-        assert compare_up_to_scalar(intw.R, R)[1] <= 1e-13
+        assert compare_up_to_scalar(intw.blocks, vh[-1].conj().reshape(ell, ell, ell))[1] <= 1e-13
         # sigma_2 of S Z, the gap's numerator, is at least S's (interlacing)
         SZ, _, _ = _reduced_system(cols, vals, ell, a)
         assert np.linalg.svd(SZ, compute_uv=False)[-2] >= sv[-2]
@@ -219,15 +218,15 @@ class TestOracle:
         from holobraid.intertwiner import det_normalize
 
         intw = solve_intertwiner(*pair3)
+        a = intw.pair.band_exp
         assert abs(np.linalg.det(intw.R) - 1) < 1e-9
         # the gauge is scale-free: any scalar multiple normalizes identically
         for c in (2.0, -1.3 + 0.7j, 1e-3j):
-            Rn = det_normalize(c * intw.R)
-            assert np.max(np.abs(Rn - intw.R)) < 1e-10
-        # a caller's slogdet gives the same bits as det_normalize's own
-        R = 2.0 * intw.R
-        assert det_normalize(R, np.linalg.slogdet(R)).tobytes() == \
-            det_normalize(R).tobytes()
+            Rn, _ = det_normalize(c * intw.blocks, a)
+            assert np.max(np.abs(Rn - intw.blocks)) < 1e-10
+        # log|det| is that of the stack before scaling: det(2 R) = 2^9
+        _, log_abs_det = det_normalize(2.0 * intw.blocks, a)
+        assert abs(log_abs_det - 9 * np.log(2.0)) < 1e-12
 
 
 class TestChiData:
@@ -269,10 +268,10 @@ class TestClosedForm:
         # scaling any one nonzero entry of R by 1 + 1e-6 fails the gate
         cf = closed_form_R(*request.getfixturevalue(fixture))
         assert cf.residual < THRESHOLDS["closed_form_residual"]
-        for k in np.flatnonzero(cf.R):
-            R = cf.R.copy()
+        for k in np.flatnonzero(cf.blocks):
+            R = cf.blocks.copy()
             R.flat[k] *= 1 + 1e-6
-            bad = Intertwiner(R=R, pair=cf.pair, route="closed-form")
+            bad = Intertwiner(blocks=R, pair=cf.pair, route="closed-form")
             assert bad.residual > THRESHOLDS["closed_form_residual"]
 
     @pytest.mark.parametrize("fixture", ["pair3", "pair5"])
@@ -308,7 +307,8 @@ class TestClosedForm:
         assert abs(cd.sigma) < 0.35
         from holobraid.intertwiner import _spectral_factor, _spectral_values
         R1 = _spectral_factor(3, ctx3.eps_powers, _spectral_values(cd, ctx3))
-        assert np.linalg.norm(R1 - np.eye(9)) < 6 * abs(cd.sigma)
+        # R1 is a stack: its blocks minus eye(3) hold every entry of R1 - eye(9)
+        assert np.linalg.norm(R1 - np.eye(3)) < 6 * abs(cd.sigma)
 
     def test_r1_identities(self, pair3):
         cf = closed_form_R(*pair3)

@@ -5,13 +5,14 @@ import pytest
 
 import holobraid.sampling as sampling
 import holobraid.suite as suite
-from holobraid.dumps import dump_intertwiner, dump_rep_matrix, load_matrix
+from holobraid.dumps import dump_intertwiner, dump_rep_matrix
 from holobraid.errors import NonFactorizableError, SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep
 from holobraid.report import emit_report, residual_entry, write_report
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, run_suite
+from reference import commutant_dimension, load_matrix
 
 
 class TestSampling:
@@ -144,8 +145,6 @@ class TestReports:
 
 
 def test_commutant_witness_certifies_irreducibility(ctx3, ctx5, ctx7):
-    from holobraid.suite import commutant_dimension
-
     for ctx in (ctx3, ctx5, ctx7):
         (p,) = sample_params(ctx, 3, 1, count=1)
         assert commutant_dimension(p) == 1

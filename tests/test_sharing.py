@@ -50,10 +50,10 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 def test_trial_builds_braid_factor_once(monkeypatch):
     # the trial's PairContext owns G and 1 - eps G, and builds its equation
     # blocks once (one _coproducts call for each side) for the residuals and
-    # the action checks; the four ell^2 x ell^2 inverses left are one R^-1
-    # shared by the two action checks, and R1^-1 with the two spectral
-    # readings of r1_conjugation_residuals; the stacked inverses are the
-    # blocks' one of the four slot-2 clock matrices, then (1 - eps G)^-1 and
+    # the action checks.  No ell^2 x ell^2 matrix is inverted: the stacked
+    # inverses are the blocks' one of the four slot-2 clock matrices, R1^-1
+    # and (1 - sigma B x B^-1)^-1 in r1_conjugation_residuals, one R^-1
+    # shared by the two action checks, then (1 - eps G)^-1 and
     # (1 - G / eps)^-1 as one inverse of the stack of G's grade blocks
     ell = 3
     braids, coproducts, inverses, block_inverses = [], [], [], []
@@ -82,5 +82,5 @@ def test_trial_builds_braid_factor_once(monkeypatch):
                     primitive_root(ell), 0)
     assert len(braids) == 1
     assert len(coproducts) == 2
-    assert len(inverses) == 4
-    assert block_inverses == [(4, ell, ell), (2, ell, ell, ell)]
+    assert len(inverses) == 0
+    assert block_inverses == [(4, ell, ell)] + [(ell, ell, ell)] * 3 + [(2, ell, ell, ell)]
