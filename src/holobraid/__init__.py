@@ -11,8 +11,8 @@ from .cyclic import (ClockShift, RepMatrices, RepParams, braided_rep_pair,
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      conserved_quantities, glstar_multiply, matrix_route_beta,
                      refactor_gl2)
-from .intertwiner import (ChiData, Intertwiner, check_generator_action, chi_data,
-                          closed_form_R, compare_up_to_scalar, coproduct_rep,
+from .intertwiner import (ChiData, Intertwiner, check_generator_action,
+                          closed_form_R, compare_up_to_scalar,
                           det_exponent_probe, solve_intertwiner)
 from .hybe import ColoringTriple, derive_colorings, hybe_residual, s0_diagnostic
 from .sampling import sample_params
@@ -29,8 +29,8 @@ __all__ = [
     "z0_character", "lift_character", "gauge_U", "is_generic",
     "Z0Char", "IDENTITY_CHAR", "glstar_multiply", "beta_forward",
     "beta_inverse", "conserved_quantities", "refactor_gl2", "matrix_route_beta",
-    "Intertwiner", "ChiData", "coproduct_rep", "braided_rep_pair",
-    "solve_intertwiner", "chi_data", "closed_form_R", "compare_up_to_scalar",
+    "Intertwiner", "ChiData", "braided_rep_pair",
+    "solve_intertwiner", "closed_form_R", "compare_up_to_scalar",
     "check_generator_action", "det_exponent_probe",
     "ColoringTriple", "derive_colorings", "hybe_residual", "s0_diagnostic",
     "sample_params", "SuiteConfig", "run_suite",

@@ -15,7 +15,8 @@ grade n1 + n2 + n3 to that grade plus the same shift.  _grade_blocks embeds
 the stack as ell blocks of ell^2 x ell^2, and cyclic's _chain forms the
 triple products on them in O(ell^7), not the O(ell^9) of dense
 ell^3 x ell^3 products.  The zero-spectral-parameter core of
-s0_diagnostic is monomial, one nonzero entry per column, and so is each of
+s0_diagnostic, the pair's twist diagonal times B^a x (a diagonal gauge
+ratio), is monomial, one nonzero entry per column, and so is each of
 its slot embeddings: its triple products are composed as (target index,
 weight) pairs over the ell^3 triple indices (_embed_monomial, _compose),
 in O(ell^3).  The dense slot embeddings embed_12, embed_13 and embed_23 are
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, _chain, _kron, _rotate, braided_rep_pair
+from .cyclic import RepParams, _chain, _kron, _rotate, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
 from .intertwiner import Intertwiner, closed_form_R, solve_intertwiner
 
@@ -244,14 +245,15 @@ def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
     (B^a a shift, the rest diagonal), and so are its slot embeddings and
     their products, each kept as a (target index, weight) pair over the
     ell^3 triple indices: O(ell^3).  Purely diagnostic: returns (relative
-    residual, conclusive flag); no threshold is attached.  The twist core
-    is read from intw's pair, where closed_form_R left it.
+    residual, conclusive flag); no threshold is attached.  D and the band
+    exponent a are read from intw's pair, where closed_form_R left D.
     """
-    _, D, Ba, U2, Ut2 = intw.pair.twist
-    ell = len(Ba)
+    pair = intw.pair
+    ell, a = pair.in_params[0].ctx.ell, pair.band_exp
+    U2, Ut2 = (gauge_U(q)[0] for q in (pair.in_params[1], pair.out_params[1]))
     n, m = np.divmod(np.arange(ell * ell), ell)
-    target = Ba.argmax(axis=0)[n] * ell + m
-    R0 = target, D[target] * (np.diag(Ut2) / np.diag(U2))[m]
+    target = ((n + a) % ell) * ell + m  # B^a x 1 sends v_n x v_m to v_(n+a) x v_m
+    R0 = target, pair.twist[target] * (np.diag(Ut2) / np.diag(U2))[m]
     r12, r13, r23 = (_embed_monomial(R0, slots) for slots in ((0, 1), (0, 2), (1, 2)))
     residual = _relative_distance(_compose([r12, r13, r23]), _compose([r23, r13, r12]))
     conclusive = bool(np.isfinite(residual))

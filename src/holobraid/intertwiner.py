@@ -29,13 +29,15 @@ sparse rows refine it.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
-factor, the equation blocks).  Each Intertwiner carries its PairContext
-to the checks; only the two routes take one, as pair=, from a caller.
+factor, the equation blocks) and owns the closed form's pair data: its
+twist scalars chi, its twist diagonal and its spectral factor, built only
+when the closed form is.  Each Intertwiner carries its PairContext to the
+checks; only the two routes take one, as pair=, from a caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -70,17 +72,6 @@ def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.nda
         E = kron(r1.E, r2.K, 1) + kron(I, r2.E, 1)
         F = kron(r1.F, I, -1) + kron(np.linalg.inv(r1.L), r2.F, -1)
     return [kron(r1.K, r2.K, 0), kron(r1.L, r2.L, 0), E, F]
-
-
-def coproduct_rep(p1: RepParams, p2: RepParams, g: str, opposite: bool) -> np.ndarray:
-    """Matrix of the (possibly opposite) coproduct of one generator.
-
-    Slot 1 is the left Kronecker factor.
-    """
-    if g not in ("K", "L", "E", "F"):
-        raise ValueError(f"unknown generator {g!r}")
-    k = "KLEF".index(g)
-    return _dense(_coproducts(build_rep(p1), build_rep(p2), opposite)[k], BLOCK_SHIFTS[k])
 
 
 def _two_per_row(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,90 +271,18 @@ def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class ChiData:
-    """Scalars entering the closed-form assembly, with coherence diagnostics."""
+    """PairContext.chi: the closed form's scalars, with coherence diagnostics."""
 
     chi1: complex
     chi2: complex
-    a_exp: int
     s: complex
     t: complex
     sigma: complex
-    tau: complex
     chi1_mismatch: float
     chi2_mismatch: float
-    a_mismatch: float
     t_power_residual: float
     sigma_power_residual: float
     legacy_relation_residuals: dict = field(default_factory=dict)
-
-
-def chi_data(p1: RepParams, p2: RepParams, q1: RepParams, q2: RepParams) -> ChiData:
-    """Twist scalars of the closed form, all pinned by explicit equations.
-
-    chi1 and chi2 are ell-th roots of unity identically (their ell-th powers
-    cancel against conserved character combinations); eps^(-2 a) is the
-    root-of-unity ratio of the clock weights.  The step scale of the
-    spectral factor is tau = 1/s exactly, with parameter sigma satisfying
-    sigma^ell = 1 - s^(-ell).  t = (1 - s^ell)^(1/ell) (principal) is kept
-    as the reported branch datum.  The superseded scalar relations that do
-    not pin a root of unity are evaluated into legacy_relation_residuals
-    for the adjudication report.
-    """
-    ctx = p1.ctx
-    ell, eps = ctx.ell, ctx.eps
-    u1, v1, x1, y1 = p1.as_tuple()
-    u2, v2, x2, y2 = p2.as_tuple()
-    ut1, vt1, xt1, yt1 = q1.as_tuple()
-    ut2, vt2, xt2, yt2 = q2.as_tuple()
-    _, z2 = gauge_U(p2)
-    _, zt2 = gauge_U(q2)
-    s = (u2 * v2) / (ut2 * vt2)
-    if abs(1 - s**ell) < 1e-12:
-        raise BranchMismatchError("s^ell = 1: spectral factor degenerate")
-    t = (1 - s**ell) ** (1.0 / ell)
-    chi1 = y1 * ut2 / (yt1 * vt2)
-    chi2 = u2 * z2 * ut1 * vt1 * yt2 / (y2 * zt2 * ut2)
-    roots = ctx.eps_powers[:ell]
-    chi1_mis = float(np.min(np.abs(chi1 - roots)))
-    chi2_mis = float(np.min(np.abs(chi2 - roots)))
-    # the weight band is pinned by the clock ratio alone; chi1 is a further,
-    # independent root of unity (the two only coincide near the identity)
-    a, a_mis = _band_offset(p1, p2, q1, q2)
-    if max(chi1_mis, chi2_mis, a_mis) > TWIST_ROOT_TOL:
-        raise BranchMismatchError(
-            f"twist scalars off the root lattice: chi1 {chi1_mis:.2e}, "
-            f"chi2 {chi2_mis:.2e}, a {a_mis:.2e}")
-    sigma = eps * y1 * u2 * z2 / y2
-    tau = 1.0 / s
-    eta1 = y1**ell
-    phi2 = z0_character(p2).phi
-    legacy = {
-        # chi2 candidate from the slot-1 raising scalar alone
-        "chi2_raising_only": float(np.min(np.abs(yt1 / (y1 * u2 * v2) - roots))),
-        # the single-scalar tie rho = chi1 eps^(-2a) between the band and the
-        # first twist; it fails whenever the lift branches split the two
-        "chi1_band_tie": float(abs(chi1 - ctx.pow(4 * a))),
-    }
-    legacy_cand = zt2 / yt2 * ut2 * (u1 * v1) / (z2 * (yt1 / (y1 * u2 * v2)))
-    legacy["a_exp_gauge_chain"] = float(
-        np.min(np.abs(legacy_cand - ctx.eps_powers[(-2 * np.arange(ell)) % ell])))
-    return ChiData(
-        chi1=chi1, chi2=chi2, a_exp=a, s=s, t=t, sigma=sigma, tau=tau,
-        chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis, a_mismatch=a_mis,
-        t_power_residual=float(abs(t**ell - (1 - s**ell))),
-        sigma_power_residual=float(abs(sigma**ell - eta1 * phi2)),
-        legacy_relation_residuals=legacy,
-    )
-
-
-class TwistCore(NamedTuple):
-    """The closed form without its spectral factor (see closed_form_R)."""
-
-    chi: ChiData
-    D: np.ndarray  # twist diagonal in pair order
-    Ba: np.ndarray  # B^a
-    U_in: np.ndarray  # geometric gauge of the slot-2 input
-    U_out: np.ndarray  # geometric gauge of the slot-2 output
 
 
 class PairContext:
@@ -373,11 +292,11 @@ class PairContext:
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent a, the grade
     shift of every intertwiner of the pair, with its distance.  The braid
-    factor G, T = 1 - eps G, the eight equation blocks, the closed form's
-    twist core and its spectral factor R1 are built on first use, so the
-    oracle computes nothing of the closed form and an unread closed-form
-    residual builds no blocks.  G, T, the blocks and R1 are stacks (see
-    cyclic), of ell^3 entries each.
+    factor G, T = 1 - eps G, the eight equation blocks and the closed
+    form's twist scalars chi, twist diagonal D and spectral factor R1 are
+    built on first use, so the oracle computes nothing of the closed form
+    and an unread closed-form residual builds no blocks.  G, T, the blocks
+    and R1 are stacks (see cyclic), of ell^3 entries each.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -420,16 +339,75 @@ class PairContext:
         return np.stack(M), np.stack(N)
 
     @cached_property
-    def twist(self) -> TwistCore:
+    def chi(self) -> ChiData:
+        """Twist scalars of the closed form, all pinned by explicit equations;
+        InvalidInputError unless the output pair is the braided one.
+
+        chi1 and chi2 are ell-th roots of unity identically (their ell-th
+        powers cancel against conserved character combinations), as is the
+        clock-weight ratio eps^(2a) of band_exp.  The spectral factor's step
+        scale is 1/s exactly, with sigma^ell = 1 - s^(-ell).  The principal
+        t = (1 - s^ell)^(1/ell) is the reported branch datum.  Superseded
+        relations that pin no root of unity go to legacy_relation_residuals.
+        """
         if not self.braided:
             raise InvalidInputError("the closed form needs the braided output pair")
-        return _twist_core(*self.in_params, *self.out_params)
+        (p1, p2), (q1, q2) = self.in_params, self.out_params
+        ctx = p1.ctx
+        ell, eps = ctx.ell, ctx.eps
+        u1, v1, x1, y1 = p1.as_tuple()
+        u2, v2, x2, y2 = p2.as_tuple()
+        ut1, vt1, xt1, yt1 = q1.as_tuple()
+        ut2, vt2, xt2, yt2 = q2.as_tuple()
+        _, z2 = gauge_U(p2)
+        _, zt2 = gauge_U(q2)
+        s = (u2 * v2) / (ut2 * vt2)
+        if abs(1 - s**ell) < 1e-12:
+            raise BranchMismatchError("s^ell = 1: spectral factor degenerate")
+        t = (1 - s**ell) ** (1.0 / ell)
+        chi1 = y1 * ut2 / (yt1 * vt2)
+        chi2 = u2 * z2 * ut1 * vt1 * yt2 / (y2 * zt2 * ut2)
+        roots = ctx.eps_powers[:ell]
+        chi1_mis = float(np.min(np.abs(chi1 - roots)))
+        chi2_mis = float(np.min(np.abs(chi2 - roots)))
+        # the band is pinned by the clock ratio alone; chi1 is a further,
+        # independent root of unity (the two only coincide near the identity)
+        if max(chi1_mis, chi2_mis, self.band_dist) > TWIST_ROOT_TOL:
+            raise BranchMismatchError(
+                f"twist scalars off the root lattice: chi1 {chi1_mis:.2e}, "
+                f"chi2 {chi2_mis:.2e}, a {self.band_dist:.2e}")
+        sigma = eps * y1 * u2 * z2 / y2
+        legacy = {
+            # chi2 candidate from the slot-1 raising scalar alone
+            "chi2_raising_only": float(np.min(np.abs(yt1 / (y1 * u2 * v2) - roots))),
+            # the single-scalar tie rho = chi1 eps^(-2a) between the band and
+            # the first twist; it fails whenever the lift branches split the two
+            "chi1_band_tie": float(abs(chi1 - ctx.pow(4 * self.band_exp))),
+        }
+        legacy_cand = zt2 / yt2 * ut2 * (u1 * v1) / (z2 * (yt1 / (y1 * u2 * v2)))
+        legacy["a_exp_gauge_chain"] = float(
+            np.min(np.abs(legacy_cand - ctx.eps_powers[(-2 * np.arange(ell)) % ell])))
+        return ChiData(
+            chi1=chi1, chi2=chi2, s=s, t=t, sigma=sigma,
+            chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
+            t_power_residual=float(abs(t**ell - (1 - s**ell))),
+            sigma_power_residual=float(abs(sigma**ell - y1**ell * z0_character(p2).phi)),
+            legacy_relation_residuals=legacy,
+        )
+
+    @cached_property
+    def twist(self) -> np.ndarray:
+        """The closed form's twist diagonal D in pair order,
+        D(v_n x v_m) = eps^(2nm) chi1^(-n) chi2^m (n, m = 1, ..., ell)."""
+        ctx, cd = self.in_params[0].ctx, self.chi
+        n = np.arange(1, ctx.ell + 1)
+        return (ctx.eps_powers[(2 * np.outer(n, n)) % ctx.ell]
+                * np.outer(cd.chi1 ** -n, cd.chi2 ** n)).ravel()
 
     @cached_property
     def spectral(self) -> np.ndarray:
         ctx = self.in_params[0].ctx
-        return _spectral_factor(ctx.ell, ctx.eps_powers,
-                                _spectral_values(self.twist.chi, ctx))
+        return _spectral_factor(ctx.ell, ctx.eps_powers, _spectral_values(self.chi, ctx))
 
 
 @dataclass
@@ -443,7 +421,6 @@ class Intertwiner:
     route: str
     kernel_dim: int = 1
     singular_gap: float | None = None
-    chi: ChiData | None = None
     log_abs_det: float | None = None  # log|det R| of R before det normalization
 
     @property
@@ -545,11 +522,12 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
 
 def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
     """Eigenvalue orbit of the spectral factor: vals[0] = 1 and
-    vals[k+1] = vals[k] tau / (1 - sigma eps^(2k))."""
+    vals[k+1] = vals[k] tau / (1 - sigma eps^(2k)), tau = 1/s."""
+    tau = 1.0 / cd.s
     vals = np.empty(ctx.ell, dtype=complex)
     vals[0] = 1.0
     for k in range(ctx.ell - 1):
-        vals[k + 1] = vals[k] * cd.tau / (1 - cd.sigma * ctx.pow(2 * k))
+        vals[k + 1] = vals[k] * tau / (1 - cd.sigma * ctx.pow(2 * k))
     return vals
 
 
@@ -566,41 +544,29 @@ def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.n
     return np.broadcast_to(coef[(ks[:, None] - ks) % ell], (ell, ell, ell))
 
 
-def _twist_core(p1: RepParams, p2: RepParams, q1: RepParams,
-                q2: RepParams) -> TwistCore:
-    """The twist core of the pair (p1, p2) with braided output (q1, q2)."""
-    ctx = p1.ctx
-    cd = chi_data(p1, p2, q1, q2)
-    n = np.arange(1, ctx.ell + 1)
-    D = (ctx.eps_powers[(2 * np.outer(n, n)) % ctx.ell]
-         * np.outer(cd.chi1 ** -n, cd.chi2 ** n)).ravel()
-    Ba = np.linalg.matrix_power(clock_shift(ctx).B, cd.a_exp)
-    return TwistCore(cd, D, Ba, gauge_U(p2)[0], gauge_U(q2)[0])
-
-
 def closed_form_R(p1: RepParams, p2: RepParams, *,
                   pair: PairContext | None = None) -> Intertwiner:
     """Assemble the explicit intertwiner from diagonal twists and the
     spectral factor.
 
-    Structure: R = D . (B^a x Ug_out) . R1 . (1 x Ug_in^-1) where Ug_in/out
-    are the lowering-gauge diagonals of the slot-2 input/output
-    representations, D(v_n x v_m) = eps^(2nm) chi1^(-n) chi2^m, and R1 is
-    the spectral function of B x B^-1 whose eigenvalue orbit has step
-    tau/(1 - sigma eps^(2k)) with the scalars of chi_data, starting at 1
-    (det normalization removes any other start).  pair is the PairContext
-    of (p1, p2) when the caller shares one; R1 and the twist core stay on
-    it for r1_conjugation_residuals and s0_diagnostic.
+    Structure: R = D . (B^a x Ug_out) . R1 . (1 x Ug_in^-1) where a is the
+    band exponent, Ug_in/out are the lowering-gauge diagonals of the slot-2
+    input/output representations, D is the pair's twist diagonal and R1 its
+    spectral factor, the function of B x B^-1 whose eigenvalue orbit has
+    step (1/s)/(1 - sigma eps^(2k)) with the scalars of pair.chi, starting
+    at 1 (det normalization removes any other start).  pair is the
+    PairContext of (p1, p2) when the caller shares one; D, R1 and chi stay
+    on it for r1_conjugation_residuals, s0_diagnostic and the report.
     """
     pair = _pair_of(p1, p2, pair)
-    cd, D, Ba, U2, Ut2 = pair.twist
-    a = cd.a_exp
-    blocks, _ = _chain([(_diag_blocks(D), 0), (_kron_blocks(Ba, Ut2, a), a),
+    ell, a = p1.ctx.ell, pair.band_exp
+    U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
+    Ba = np.linalg.matrix_power(clock_shift(p1.ctx).B, a)
+    blocks, _ = _chain([(_diag_blocks(pair.twist), 0), (_kron_blocks(Ba, Ut2, a), a),
                         (pair.spectral, 0),
-                        (_kron_blocks(np.eye(p1.ctx.ell), np.linalg.inv(U2), 0), 0)])
+                        (_kron_blocks(np.eye(ell), np.linalg.inv(U2), 0), 0)])
     blocks, log_abs_det = det_normalize(blocks, a)
-    return Intertwiner(blocks=blocks, pair=pair, route="closed-form", chi=cd,
-                       log_abs_det=log_abs_det)
+    return Intertwiner(blocks=blocks, pair=pair, route="closed-form", log_abs_det=log_abs_det)
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
@@ -613,29 +579,20 @@ def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float
     return complex(scalar), deviation
 
 
-def _conjugation_residual(intw: Intertwiner, w_in: np.ndarray, w_out: np.ndarray,
-                          shift: int) -> float:
-    """|R w_in R^-1 - w_out| / |w_out| for stacks w_in, w_out of grade shift
-    `shift`."""
-    a = intw.pair.band_exp
-    lhs, _ = _chain([(intw.blocks, a), (w_in, shift), (intw._R_inv, -a)])
-    return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
-
-
 def central_invariance_residuals(intw: Intertwiner) -> dict[str, float]:
-    """Conjugation residuals on the small-center elements (scalars in each slot)."""
-    ctx = intw.pair.in_params[0].ctx
-    eps = ctx.eps
-    I = np.eye(ctx.ell)
+    """|w_in - w_out| / |w_out| for the Casimir and K L^-1 of each slot on
+    its input and output representation.  Both act as scalars, so some R
+    has R w_in R^-1 = w_out exactly when w_in = w_out: R is never read."""
+    eps = intw.pair.in_params[0].ctx.eps
     reps = intw.pair.reps
     central = {"casimir": lambda r: r.E @ r.F + r.K / eps + np.linalg.inv(r.L) * eps,
                "kl_ratio": lambda r: r.K @ np.linalg.inv(r.L)}
     out = {}
     for name, elem in central.items():
-        for slot, embed in ((1, lambda m: _kron_blocks(m, I, 0)),
-                            (2, lambda m: _kron_blocks(I, m, 0))):
-            out[f"{name}_slot{slot}"] = _conjugation_residual(
-                intw, embed(elem(reps[slot - 1])), embed(elem(reps[slot + 1])), 0)
+        for slot in (1, 2):
+            w_in, w_out = elem(reps[slot - 1]), elem(reps[slot + 1])
+            out[f"{name}_slot{slot}"] = float(np.linalg.norm(w_in - w_out)
+                                              / np.linalg.norm(w_out))
     return out
 
 
@@ -659,7 +616,11 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
     inv_powers = tuple(zip(("t", "t_inverse"),
                            np.linalg.inv(np.stack([I - t * pair.G, I - pair.G / t]))))
-    res = partial(_conjugation_residual, intw)
+    a, R_inv = pair.band_exp, intw._R_inv
+
+    def res(w_in, w_out, shift):  # |R w_in R^-1 - w_out| / |w_out|
+        lhs, _ = _chain([(intw.blocks, a), (w_in, shift), (R_inv, -a)])
+        return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
 
     # the four single-factor equations of the pair's system, read as checks
     M, N = pair.blocks
@@ -700,15 +661,16 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
 def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     """Commutation identities of the spectral factor, both tensor readings.
 
-    Requires a closed-form intertwiner (chi data present); R1 is read from
-    its pair, where closed_form_R left it.
+    Requires a closed-form intertwiner; R1 and the scalars are read from
+    its pair, where closed_form_R left them.
     """
-    if intw.chi is None:
+    if intw.route != "closed-form":
         raise InvalidInputError("needs a closed-form intertwiner")
     ctx = intw.pair.in_params[0].ctx
     ell = ctx.ell
     cs = clock_shift(ctx)
-    cd = intw.chi
+    cd = intw.pair.chi
+    tau = 1.0 / cd.s
     R1 = intw.pair.spectral
     kron = _kron_blocks
     I = np.eye(ell)
@@ -723,13 +685,13 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
            "slot1_shift": commutator(kron(B, I, 1), 1)}
     IA = kron(I, A, 0)
     lhs = R1 @ IA @ np.linalg.inv(R1)
-    rhs = cd.tau * IA @ np.linalg.inv(I - cd.sigma * kron(B, Binv, 0))
+    rhs = tau * IA @ np.linalg.inv(I - cd.sigma * kron(B, Binv, 0))
     out["slot2_clock_opposite_shifts"] = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     # B x B moves the grade by 2 and has order ell, so the rhs
     # tau (1 x A) (1 - sigma B x B)^-1 is sum_k tau sigma^k (B^k x A B^k) / (1 - sigma^ell),
     # its term k of grade shift 2k: only term 0 meets lhs
     powers = [np.linalg.matrix_power(B, k) for k in range(ell)]
-    terms = np.stack([cd.tau * cd.sigma**k / (1 - cd.sigma**ell) * kron(Bk, A @ Bk, 2 * k)
+    terms = np.stack([tau * cd.sigma**k / (1 - cd.sigma**ell) * kron(Bk, A @ Bk, 2 * k)
                       for k, Bk in enumerate(powers)])
     out["slot2_clock_parallel_shifts"] = float(
         np.linalg.norm(np.concatenate([[lhs - terms[0]], terms[1:]])) / np.linalg.norm(terms))
@@ -737,14 +699,15 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
 
 
 class DetSample(NamedTuple):
-    """What det_exponent_probe reads of a closed-form Intertwiner."""
+    """What det_exponent_probe reads of a closed form: its pair's chi, and
+    its Intertwiner.log_abs_det and ell."""
 
     chi: ChiData
     log_abs_det: float
     ell: int
 
 
-def det_exponent_probe(samples: list[Intertwiner | DetSample]) -> dict:
+def det_exponent_probe(samples: list[DetSample]) -> dict:
     """Least-squares fit of the determinant growth exponent.
 
     Two fits are reported: the raw determinant of the assembled closed form
@@ -754,13 +717,12 @@ def det_exponent_probe(samples: list[Intertwiner | DetSample]) -> dict:
     an exact monomial.  Candidate exponents +-ell(ell+2)/2 and
     +-ell(ell+1)/2 are compared against the stable fit.
     """
-    usable = [s for s in samples if s.chi is not None and s.log_abs_det is not None]
-    if len(usable) < 10:
-        return {"inconclusive": True, "reason": f"only {len(usable)} usable samples"}
-    ell = usable[0].ell
+    if len(samples) < 10:
+        return {"inconclusive": True, "reason": f"only {len(samples)} usable samples"}
+    ell = samples[0].ell
     ctx = primitive_root(ell)
     xs_full, ys_full, xs_core, ys_core = [], [], [], []
-    for s in usable:
+    for s in samples:
         cd = s.chi
         xs_full.append(np.log(abs(1 - cd.s**ell)))
         ys_full.append(s.log_abs_det)

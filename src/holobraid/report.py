@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -13,9 +14,16 @@ def complex_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def residual_entry(x: float) -> dict:
-    """Three-significant-digit string plus the raw double."""
+def residual_value(x: float) -> float:
+    """x as a float, NaN recorded as inf: a residual that cannot be
+    computed fails its gate and is the worst one, as one that raises."""
     x = float(x)
+    return math.inf if math.isnan(x) else x
+
+
+def residual_entry(x: float) -> dict:
+    """Three-significant-digit string plus the double (residual_value)."""
+    x = residual_value(x)
     return {"approx": f"{x:.3g}", "value": x}
 
 

@@ -8,7 +8,9 @@ every adjudicated formula, merged from one producer per stage: the
 representation (_rep_evidence), the character pair (character_checks),
 the closed form (_closed_form_evidence) and the action intertwiner
 (check_generator_action).  A gate over an adjudicated formula reads its
-evidence.  _aggregate_adjudications keeps each reading's worst residual
+evidence.  A NaN residual is recorded as inf (residual_value), like a
+reading that raises, so that it fails its gate and is never adjudicated
+as passing.  _aggregate_adjudications keeps each reading's worst residual
 over the trials, adds phi_step_factor once per suite, and resolves each
 formula to the readings under ADJUDICATION_PASS.
 """
@@ -27,14 +29,14 @@ from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
                      matrix_route_beta)
 from .hybe import ColoringTriple, derive_colorings, hybe_residual, s0_diagnostic
-from .intertwiner import (ChiData, DetSample, Intertwiner, PairContext,
+from .intertwiner import (DetSample, Intertwiner, PairContext,
                           central_invariance_residuals,
                           check_generator_action, closed_form_R,
                           compare_up_to_scalar, det_exponent_probe,
                           r1_conjugation_residuals, solve_intertwiner)
 from .qseries import phi_orbit, phi_series
 from .report import (check_entry, complex_pair, new_report, params_entry,
-                     residual_entry)
+                     residual_entry, residual_value)
 from .roots import RootContext, primitive_root
 from .sampling import sample_params
 
@@ -222,17 +224,18 @@ def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
     return out
 
 
-def _closed_form_evidence(cd: ChiData, r1res: dict[str, float]) -> dict:
-    """assembly_scalars and r1_clock_conjugation of a closed-form intertwiner,
-    from its chi data and its r1_conjugation_residuals.
+def _closed_form_evidence(pair: PairContext, r1res: dict[str, float]) -> dict:
+    """assembly_scalars and r1_clock_conjugation of a closed-form pair, from
+    its chi data, its band distance and its r1_conjugation_residuals.
 
     chi1_band_tie is a diagnostic (intermittently zero near the identity),
     not a competing recipe, so it stays out of assembly_scalars.
     """
+    cd = pair.chi
     return {
         "assembly_scalars": {
             "derived": float(max(cd.chi1_mismatch, cd.chi2_mismatch,
-                                 cd.a_mismatch, cd.sigma_power_residual)),
+                                 pair.band_dist, cd.sigma_power_residual)),
             **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()
                if k != "chi1_band_tie"}},
         "r1_clock_conjugation": {shifts: r1res[f"slot2_clock_{shifts}"]
@@ -294,17 +297,17 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
         closed = closed_form_R(p1, p2, pair=pair)
         checks["closed_form_residual"] = check_entry(
             closed.residual, THRESHOLDS["closed_form_residual"])
-        cd = closed.chi
+        cd = pair.chi
         trial["chi"] = {
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
-            "a_exp": cd.a_exp, "s": complex_pair(cd.s), "t": complex_pair(cd.t),
+            "a_exp": pair.band_exp, "s": complex_pair(cd.s), "t": complex_pair(cd.t),
             "sigma": complex_pair(cd.sigma),
             "t_power_residual": residual_entry(cd.t_power_residual),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
             "chi1_band_tie": residual_entry(cd.legacy_relation_residuals["chi1_band_tie"]),
         }
         r1res = r1_conjugation_residuals(closed)
-        evidence.update(_closed_form_evidence(cd, r1res))
+        evidence.update(_closed_form_evidence(pair, r1res))
         checks["r1_commutants"] = check_entry(
             max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
             THRESHOLDS["r1_commutants"])
@@ -325,8 +328,10 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
         max(cinv.values()), THRESHOLDS["central_invariance"])
     actions = check_generator_action(intw)
     evidence.update(actions)
+    evidence = {formula: {v: residual_value(r) for v, r in readings.items()}
+                for formula, readings in evidence.items()}
     checks["generator_actions"] = check_entry(
-        max(min(vs.values()) for vs in actions.values()), THRESHOLDS["generator_actions"])
+        max(min(evidence[f].values()) for f in actions), THRESHOLDS["generator_actions"])
 
     colorings = None
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
@@ -349,7 +354,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
 
     trial["evidence"] = evidence
     trial["pass"] = all(c["pass"] for c in checks.values())
-    det_sample = (DetSample(closed.chi, closed.log_abs_det, closed.ell)
+    det_sample = (DetSample(pair.chi, closed.log_abs_det, closed.ell)
                   if closed is not None else None)
     return TrialRun(trial, intw, colorings, det_sample)
 

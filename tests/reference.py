@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from holobraid.cyclic import build_rep, clock_shift
+from holobraid.cyclic import _dense, build_rep, clock_shift, gauge_U
+from holobraid.intertwiner import BLOCK_SHIFTS, _coproducts
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import third_params
@@ -137,8 +138,10 @@ def dense_spectral_factor(ell, eps_powers, vals):
 
 def dense_closed_form(pair, R1):
     """D (B^a x Ug_out) R1 (1 x Ug_in^-1), before det normalization."""
-    _, D, Ba, U2, Ut2 = pair.twist
-    return (D[:, None] * kron(Ba, Ut2)) @ R1 @ kron(np.eye(len(Ba)), np.linalg.inv(U2))
+    ctx = pair.in_params[0].ctx
+    Ba = np.linalg.matrix_power(clock_shift(ctx).B, pair.band_exp)
+    U2, Ut2 = (gauge_U(q)[0] for q in (pair.in_params[1], pair.out_params[1]))
+    return (pair.twist[:, None] * kron(Ba, Ut2)) @ R1 @ kron(np.eye(ctx.ell), np.linalg.inv(U2))
 
 
 def dense_r1_residuals(R1, cd, ctx):
@@ -156,9 +159,18 @@ def dense_r1_residuals(R1, cd, ctx):
            "slot1_shift": commutator(kron(B, I))}
     lhs = R1 @ kron(I, A) @ inv(R1)
     for name, Wv in (("opposite_shifts", kron(B, inv(B))), ("parallel_shifts", kron(B, B))):
-        rhs = cd.tau * kron(I, A) @ inv(np.eye(ell * ell) - cd.sigma * Wv)
+        rhs = (1 / cd.s) * kron(I, A) @ inv(np.eye(ell * ell) - cd.sigma * Wv)
         out[f"slot2_clock_{name}"] = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     return out
+
+
+def coproduct_rep(p1, p2, g, opposite):
+    """Dense matrix of the package's (possibly opposite) coproduct of one
+    generator, slot 1 the left Kronecker factor."""
+    if g not in ("K", "L", "E", "F"):
+        raise ValueError(f"unknown generator {g!r}")
+    k = "KLEF".index(g)
+    return _dense(_coproducts(build_rep(p1), build_rep(p2), opposite)[k], BLOCK_SHIFTS[k])
 
 
 def commutant_dimension(p):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holobraid.hybe as hybe
-from holobraid.cyclic import _dense, _kron, _kron_blocks, clock_shift
+from holobraid.cyclic import _dense, _kron, _kron_blocks, clock_shift, gauge_U
 from holobraid.errors import InvalidInputError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
@@ -187,17 +187,29 @@ class TestGradeBlocks:
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])
-    def test_s0_matches_dense(self, ell, trial):
+    def test_s0_matches_dense(self, ell, trial, monkeypatch):
         # seed 42, ell 7, trials 15, 17 and 68 are the pairs of the first 100
-        # whose core residual is O(1)
+        # whose core residual is O(1): their band exponent is 3, so the two
+        # products send every column to different rows and the residual is
+        # sqrt(2) whatever the core; the core itself is compared too
+        cores = []
+        embed = hybe._embed_monomial
+        monkeypatch.setattr(hybe, "_embed_monomial",
+                            lambda R, slots: cores.append(R) or embed(R, slots))
         p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
-        _, D, Ba, U2, Ut2 = PairContext(p1, p2).twist
-        R0 = D[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
+        pair = PairContext(p1, p2)
+        Ba = np.linalg.matrix_power(clock_shift(pair.in_params[0].ctx).B, pair.band_exp)
+        U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
+        R0 = pair.twist[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
         lhs, rhs = dense_products([R0] * 6, ell)
         ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         res, _ = s0_diagnostic(closed_form_R(p1, p2))
         assert abs(res - ref) < 1e-14
         assert (res > 1.0) == (trial in (15, 17, 68))
+        target, weight = cores[0]
+        core = np.zeros_like(R0)
+        core[target, np.arange(len(target))] = weight
+        assert np.max(np.abs(core - R0)) <= 1e-15 * np.max(np.abs(R0))
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_monomial_products_match_dense(self, ell):

@@ -10,15 +10,15 @@ from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
                                    _band_rows, _components,
                                    _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
-                                   check_generator_action, chi_data,
+                                   check_generator_action,
                                    closed_form_R, compare_up_to_scalar,
-                                   coproduct_rep, det_exponent_probe,
+                                   det_exponent_probe,
                                    r1_conjugation_residuals, solve_intertwiner)
 from holobraid.cyclic import lift_character
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
-from reference import dense_blocks
+from reference import coproduct_rep, dense_blocks
 
 
 def full_reference(p1, p2):
@@ -93,13 +93,14 @@ class TestOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle read closed-form data")
 
-        for name in ("chi_data", "_twist_core", "_spectral_values"):
-            monkeypatch.setattr(it, name, forbidden)
+        monkeypatch.setattr(it, "_spectral_values", forbidden)
+        for name in ("chi", "twist"):
+            monkeypatch.setattr(PairContext, name, property(forbidden))
         assert solve_intertwiner(*pair3).kernel_dim == 1
         # the shared pair context builds its closed-form data only on demand
         pair = PairContext(*pair3)
         assert solve_intertwiner(*pair3, pair=pair).kernel_dim == 1
-        assert "twist" not in vars(pair) and "spectral" not in vars(pair)
+        assert not {"chi", "twist", "spectral"} & set(vars(pair))
 
     def test_unread_residual_builds_no_blocks(self, pair3):
         intw = closed_form_R(*pair3)
@@ -231,29 +232,32 @@ class TestOracle:
 
 class TestChiData:
     def test_power_constraints(self, pair5):
-        p1, p2 = pair5
-        q1, q2 = braided_rep_pair(p1, p2)
-        cd = chi_data(p1, p2, q1, q2)
+        pair = PairContext(*pair5)
+        cd = pair.chi
         assert cd.t_power_residual < 1e-12
         assert cd.sigma_power_residual < 1e-11
         assert cd.chi1_mismatch < 1e-9
         assert cd.chi2_mismatch < 1e-9
-        assert cd.a_mismatch < 1e-9
+        assert pair.band_dist < 1e-9
 
     def test_s_is_v_ratio(self, pair5):
-        p1, p2 = pair5
-        q1, q2 = braided_rep_pair(p1, p2)
-        cd = chi_data(p1, p2, q1, q2)
+        pair = PairContext(*pair5)
+        (_, p2), (_, q2) = pair.in_params, pair.out_params
         assert q2.u == p2.u
-        assert abs(cd.s - p2.v / q2.v) < 1e-13
+        assert abs(pair.chi.s - p2.v / q2.v) < 1e-13
 
     def test_superseded_scalar_relations_fail(self, pair5):
         # the gauge-chain relation and the raising-only chi2 candidate do
         # not land on the root lattice; kept as recorded diagnostics
-        p1, p2 = pair5
-        q1, q2 = braided_rep_pair(p1, p2)
-        cd = chi_data(p1, p2, q1, q2)
+        cd = PairContext(*pair5).chi
         assert cd.legacy_relation_residuals["a_exp_gauge_chain"] > 1e-4
+
+    def test_needs_braided_output(self, pair5):
+        p1, p2 = pair5
+        pair = PairContext(p1, p2, target=braided_rep_pair(p1, p2))
+        for name in ("chi", "twist"):
+            with pytest.raises(InvalidInputError):
+                getattr(pair, name)
 
 
 class TestClosedForm:
@@ -302,8 +306,7 @@ class TestClosedForm:
         # the spectral factor collapses toward the identity
         p1 = RepParams(ctx=ctx3, u=1.05, v=0.93, x=1.2, y=1.02)
         p2 = RepParams(ctx=ctx3, u=0.97, v=1.08, x=1.08 * np.exp(0.02j), y=0.94)
-        q1, q2 = braided_rep_pair(p1, p2)
-        cd = chi_data(p1, p2, q1, q2)
+        cd = PairContext(p1, p2).chi
         assert abs(cd.sigma) < 0.35
         from holobraid.intertwiner import _spectral_factor, _spectral_values
         R1 = _spectral_factor(3, ctx3.eps_powers, _spectral_values(cd, ctx3))
@@ -318,6 +321,12 @@ class TestClosedForm:
         assert res["slot1_shift"] < 1e-13
         assert res["slot2_clock_opposite_shifts"] < 1e-9
         assert res["slot2_clock_parallel_shifts"] > 1e-2
+
+    def test_r1_needs_closed_form(self, pair3):
+        # an oracle intertwiner's pair has chi, but the identities are the
+        # closed form's
+        with pytest.raises(InvalidInputError):
+            r1_conjugation_residuals(solve_intertwiner(*pair3))
 
 
 class TestCompare:
@@ -358,16 +367,11 @@ class TestGeneratorActions:
 class TestDetProbe:
     def test_stable_core_exponent(self, ctx3):
         samples = []
-        i = 0
-        while len(samples) < 12:
-            ps = sample_params(ctx3, 321, i, count=2)
-            i += 1
-            samples.append(closed_form_R(*ps))
+        for i in range(12):
+            cf = closed_form_R(*sample_params(ctx3, 321, i, count=2))
+            samples.append(DetSample(cf.pair.chi, cf.log_abs_det, cf.ell))
         out = det_exponent_probe(samples)
         assert not out["inconclusive"]
-        # the suite keeps only what the probe reads
-        assert det_exponent_probe([DetSample(s.chi, s.log_abs_det, s.ell)
-                                   for s in samples]) == out
         core = out["core_fit"]
         assert core["fit_residual"] < 1e-6
         assert abs(core["alpha"] + 6.0) < 1e-6
@@ -376,5 +380,6 @@ class TestDetProbe:
         assert out["full_fit"] is None or out["full_fit"]["fit_residual"] > 1e-6
 
     def test_insufficient_samples(self, pair3):
-        out = det_exponent_probe([closed_form_R(*pair3)])
+        cf = closed_form_R(*pair3)
+        out = det_exponent_probe([DetSample(cf.pair.chi, cf.log_abs_det, cf.ell)])
         assert out["inconclusive"]

@@ -9,7 +9,7 @@ from holobraid.dumps import dump_intertwiner, dump_rep_matrix
 from holobraid.errors import NonFactorizableError, SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep
-from holobraid.report import emit_report, residual_entry, write_report
+from holobraid.report import check_entry, emit_report, residual_entry, write_report
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, run_suite
 from reference import commutant_dimension, load_matrix
@@ -125,6 +125,38 @@ class TestReports:
         adjudication = on_disk["adjudications"]["matrix_route"]
         assert adjudication["chosen"] == "first_conjugates:inverse:swapped"
         assert adjudication["variants"]["second_conjugates:forward:direct"]["approx"] == "inf"
+
+    def test_nan_reading_is_recorded_as_inf(self, monkeypatch):
+        # Python's max and min drop a NaN that is not their first argument:
+        # a NaN planted in the chosen slot2_raising reading was adjudicated
+        # as passing with residual 0, and one in slot1_clock_k's only
+        # reading passed the generator_actions gate.  Recorded as inf, both
+        # fail like a reading that raises
+        actions = suite.check_generator_action
+
+        def plant_nan(intw):
+            out = actions(intw)
+            out["slot2_raising"]["t_inverse"] = float("nan")
+            out["slot1_clock_k"]["direct"] = float("nan")
+            return out
+
+        monkeypatch.setattr(suite, "check_generator_action", plant_nan)
+        code, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=42))
+        assert code == 1
+        for trial in rep["trials"]:
+            assert trial["evidence"]["slot2_raising"]["t_inverse"] == float("inf")
+            gate = trial["checks"]["generator_actions"]
+            assert not gate["pass"] and gate["residual"]["value"] == float("inf")
+        adjudication = rep["adjudications"]["slot2_raising"]
+        assert adjudication["passing"] == [] and adjudication["chosen"] is None
+        assert adjudication["variants"]["t_inverse"]["value"] == float("inf")
+        assert rep["summary"]["checks"]["generator_actions"]["passed"] == 0
+
+    def test_summary_keeps_a_nan_residual(self):
+        trials = [{"checks": {"x": check_entry(r, 1.0)}} for r in (0.5, float("nan"))]
+        summary = suite.check_summary(trials)["x"]
+        assert summary["passed"] == 1
+        assert summary["max_residual"] == {"approx": "inf", "value": float("inf")}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -48,17 +48,19 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 
 
 def test_trial_builds_braid_factor_once(monkeypatch):
-    # the trial's PairContext owns G and 1 - eps G, and builds its equation
-    # blocks once (one _coproducts call for each side) for the residuals and
-    # the action checks.  No ell^2 x ell^2 matrix is inverted: the stacked
-    # inverses are the blocks' one of the four slot-2 clock matrices, R1^-1
-    # and (1 - sigma B x B^-1)^-1 in r1_conjugation_residuals, one R^-1
-    # shared by the two action checks, then (1 - eps G)^-1 and
-    # (1 - G / eps)^-1 as one inverse of the stack of G's grade blocks
+    # the trial's PairContext owns the band, G and 1 - eps G, and builds
+    # its equation blocks once (one _coproducts call for each side) for the
+    # residuals and the action checks.  No ell^2 x ell^2 matrix is
+    # inverted: the stacked inverses are the blocks' one of the four slot-2
+    # clock matrices, R1^-1 and (1 - sigma B x B^-1)^-1 in
+    # r1_conjugation_residuals, then in check_generator_action
+    # (1 - eps G)^-1 and (1 - G / eps)^-1 as one inverse of the stack of G's
+    # grade blocks, and R^-1 (the central invariance check reads no R)
     ell = 3
-    braids, coproducts, inverses, block_inverses = [], [], [], []
+    braids, coproducts, inverses, block_inverses, bands = [], [], [], [], []
     braid_factor, coproduct, inv = (intertwiner._braid_factor, intertwiner._coproducts,
                                     np.linalg.inv)
+    band_offset = intertwiner._band_offset
 
     def count_braid(*args):
         braids.append(args)
@@ -78,9 +80,13 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     monkeypatch.setattr(intertwiner, "_braid_factor", count_braid)
     monkeypatch.setattr(intertwiner, "_coproducts", count_coproduct)
     monkeypatch.setattr(np.linalg, "inv", count_inv)
+    monkeypatch.setattr(intertwiner, "_band_offset",
+                        lambda *args: bands.append(args) or band_offset(*args))
     suite.run_trial(suite.SuiteConfig(ell=ell, trials=1, seed=42, hybe_every=0),
                     primitive_root(ell), 0)
     assert len(braids) == 1
+    assert len(bands) == 1
     assert len(coproducts) == 2
     assert len(inverses) == 0
-    assert block_inverses == [(4, ell, ell)] + [(ell, ell, ell)] * 3 + [(2, ell, ell, ell)]
+    assert block_inverses == [(4, ell, ell)] + [(ell, ell, ell)] * 2 \
+        + [(2, ell, ell, ell), (ell, ell, ell)]

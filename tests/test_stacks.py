@@ -9,14 +9,14 @@ import pytest
 
 import holobraid.cyclic as cyclic
 import holobraid.intertwiner as intertwiner
-from holobraid.cyclic import _chain, _dense, _kron_blocks, clock_shift
+from holobraid.cyclic import RepParams, _chain, _dense, _kron_blocks, clock_shift
 from holobraid.intertwiner import (BLOCK_SHIFTS, Intertwiner, PairContext,
-                                   central_invariance_residuals,
+                                   braided_rep_pair, central_invariance_residuals,
                                    check_generator_action, closed_form_R,
                                    compare_up_to_scalar, det_normalize,
                                    r1_conjugation_residuals, solve_intertwiner)
 from holobraid.roots import primitive_root
-from holobraid.suite import SuiteConfig, run_trial
+from holobraid.suite import THRESHOLDS, SuiteConfig, run_trial
 from reference import (SHIFTED, dense_blocks, dense_central_invariance,
                        dense_closed_form, dense_det_normalize, dense_G,
                        dense_generator_action, dense_r1_residuals, dense_residual,
@@ -122,18 +122,41 @@ class TestAgainstDense:
         bad = perturbed(intw)
         assert bad.residual > 1e-8
         assert abs(bad.residual / dense_residual(bad.R, bad.pair) - 1) < 1e-8
-        # the central elements act as scalars, so they read R only to rounding
-        for check, ref in ((central_invariance_residuals, dense_central_invariance),
-                           (check_generator_action, dense_generator_action)):
-            for x in (intw, bad):
-                assert_close(check(x), ref(x.R, x.pair))
+        assert_close(central_invariance_residuals(intw),
+                     dense_central_invariance(intw.R, intw.pair))
+        for x in (intw, bad):
+            assert_close(check_generator_action(x), dense_generator_action(x.R, x.pair))
         assert check_generator_action(bad)["slot2_clock_k"]["direct"] > 1e-8
+
+    def test_central_invariance_reads_no_R(self, ell, radius, trial):
+        # the Casimir and K L^-1 act on each slot as scalars, which any
+        # invertible R conjugates alike: a random stack in place of R gives
+        # the same residuals, and the dense conjugation agrees to rounding
+        intw = solve_intertwiner(*seed42_pair(ell, radius, trial))
+        fake = Intertwiner(blocks=random_stack(np.random.default_rng(ell), ell),
+                           pair=intw.pair, route=intw.route)
+        assert central_invariance_residuals(fake) == central_invariance_residuals(intw)
+        assert_close(central_invariance_residuals(fake),
+                     dense_central_invariance(fake.R, fake.pair))
+
+    def test_central_invariance_sees_a_wrong_target(self, ell, radius, trial):
+        # an output pair whose slot-1 x is scaled by 1.01 has another
+        # slot-1 Casimir: the gate fails it, whatever R is
+        p1, p2 = seed42_pair(ell, radius, trial)
+        q1, q2 = braided_rep_pair(p1, p2)
+        q1x = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v, x=1.01 * q1.x, y=q1.y)
+        pair = PairContext(p1, p2, target=(q1x, q2))
+        intw = Intertwiner(blocks=random_stack(np.random.default_rng(ell), ell),
+                           pair=pair, route="oracle")
+        res = central_invariance_residuals(intw)
+        assert res["casimir_slot1"] > THRESHOLDS["central_invariance"]
+        assert max(res["casimir_slot2"], res["kl_ratio_slot2"]) < 1e-13
 
     def test_closed_form_and_log_det(self, ell, radius, trial):
         pair = PairContext(*seed42_pair(ell, radius, trial))
         closed = closed_form_R(*pair.in_params, pair=pair)
         ctx = pair.in_params[0].ctx
-        vals = intertwiner._spectral_values(closed.chi, ctx)
+        vals = intertwiner._spectral_values(pair.chi, ctx)
         R1 = dense_spectral_factor(ell, ctx.eps_powers, vals)
         assert np.array_equal(_dense(pair.spectral, 0), R1)
         ref = dense_closed_form(pair, R1)
@@ -148,14 +171,14 @@ class TestAgainstDense:
         closed = closed_form_R(*seed42_pair(ell, radius, trial))
         ctx = primitive_root(ell)
         assert_close(r1_conjugation_residuals(closed),
-                     dense_r1_residuals(_dense(closed.pair.spectral, 0), closed.chi, ctx))
+                     dense_r1_residuals(_dense(closed.pair.spectral, 0), closed.pair.chi, ctx))
         # R1 is the same circulant on every grade, which hides a misplaced
         # grade rotation; a spectral factor perturbed on one grade shows it
         R1 = closed.pair.spectral.copy()
         R1[1, 0, ell - 1] += 1e-3
         closed.pair.__dict__["spectral"] = R1
         got = r1_conjugation_residuals(closed)
-        assert_close(got, dense_r1_residuals(_dense(R1, 0), closed.chi, ctx))
+        assert_close(got, dense_r1_residuals(_dense(R1, 0), closed.pair.chi, ctx))
         assert got["slot1_shift"] > 1e-8
 
 
