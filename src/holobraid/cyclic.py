@@ -15,10 +15,10 @@ Every operator on pairs v_n x v_m built here (an intertwiner, its equations,
 the braid factor G, the spectral factor) moves the pair grade n + m (mod ell)
 by a fixed shift.  It is held as its stack, an (ell, ell, ell) array whose
 blocks[g] maps grade g to grade g + shift: blocks[g][i, j] is the entry in
-row (i, g + shift - i) and column (j, g - j), slot indices mod ell.  This
-module alone knows that layout: _kron_blocks builds X x Y as a stack,
-_chain multiplies stacks (pair stacks here, triple stacks in hybe) and
-_dense scatters one into its ell^2 x ell^2 matrix.
+row (i, g + shift - i) and column (j, g - j), slot indices mod ell.
+_kron_blocks builds X x Y as a stack, _chain multiplies stacks and _dense
+scatters one into its ell^2 x ell^2 matrix; hybe's _apply applies a stack
+on two slots of the triple space.
 """
 from __future__ import annotations
 
@@ -108,8 +108,11 @@ class RepParams:
 
     @cached_property
     def _gauge(self) -> tuple[np.ndarray, complex]:
-        U, z = _compute_gauge(self, "geometric")
-        return _read_only(U), z
+        ell, w = self.ctx.ell, self._weights
+        if np.min(np.abs(w)) < 1e-12:
+            raise NonGenericRepresentationError("some lowering weight c_m = 0")
+        z = np.prod(w) ** (1.0 / ell)
+        return _read_only(np.diag(z ** np.arange(1, ell + 1) / np.cumprod(w))), z
 
 
 @dataclass(frozen=True)
@@ -288,50 +291,25 @@ def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams
     return q1, q2
 
 
-def gauge_U(p: RepParams, convention: str = "geometric"
-            ) -> tuple[np.ndarray, complex]:
+def gauge_U(p: RepParams) -> tuple[np.ndarray, complex]:
     """Diagonal gauge conjugating the normalized lowering operator to a shift.
 
     Returns (U, z) with z = (prod_m c_m)^(1/ell) principal and
     U_nn = z^n prod_{m<=n} c_m^(-1) (so U_ll = 1).  Then
     U^-1 Fhat U = z B^-1 holds exactly around the cycle, where
-    Fhat = (y/u) F.  convention "constant" uses the single-z prefactor
-    U_nn = z prod c_m^(-1) instead; it fails the wrap-around and is kept
-    only for the adjudication report.
-
-    The geometric gauge is computed once per p and shared, so its U is
-    read-only; the constant one is computed on each call.
+    Fhat = (y/u) F.  The gauge is computed once per p and shared, so its U
+    is read-only.
     """
-    if convention == "geometric":
-        return p._gauge
-    return _compute_gauge(p, convention)
+    return p._gauge
 
 
-def _compute_gauge(p: RepParams, convention: str) -> tuple[np.ndarray, complex]:
-    """(U, z) of gauge_U, computed."""
-    ell = p.ctx.ell
-    w = f_weights(p)
-    if np.min(np.abs(w)) < 1e-12:
-        raise NonGenericRepresentationError("some lowering weight c_m = 0")
-    z = np.prod(w) ** (1.0 / ell)
-    cum = np.cumprod(w)
-    if convention == "geometric":
-        diag = z ** np.arange(1, ell + 1) / cum
-    elif convention == "constant":
-        diag = z / cum
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return np.diag(diag), z
-
-
-def gauge_conjugation_residual(p: RepParams, convention: str = "geometric") -> float:
-    """|| U^-1 Fhat U - z B^-1 || / |z|, the wrap-around included."""
-    U, z = gauge_U(p, convention)
-    rep = build_rep(p)
-    fhat = (p.y / p.u) * rep.F
-    cs = clock_shift(p.ctx)
+def gauge_conjugation_residual(p: RepParams, gauge: tuple[np.ndarray, complex]) -> float:
+    """|| U^-1 Fhat U - z B^-1 || / |z| of a gauge (U, z) of p, the
+    wrap-around included."""
+    U, z = gauge
+    fhat = (p.y / p.u) * build_rep(p).F
     lhs = np.linalg.inv(U) @ fhat @ U
-    return float(np.linalg.norm(lhs - z * np.linalg.inv(cs.B)) / abs(z))
+    return float(np.linalg.norm(lhs - z * np.linalg.inv(clock_shift(p.ctx).B)) / abs(z))
 
 
 def is_generic(p: RepParams, q: RepParams) -> bool:

@@ -151,22 +151,16 @@ def char_from_factorization(m: np.ndarray) -> Z0Char:
     return Z0Char(kappa=d, lam=a, eta=-c, phi=b / a)
 
 
-def matrix_route_beta(x: Z0Char, y: Z0Char, variant: str = "first_conjugates"
-                      ) -> tuple[Z0Char, Z0Char]:
+def matrix_route_beta(first: Z0Char, second: Z0Char) -> tuple[Z0Char, Z0Char]:
     """Braid a character pair through factorization-matrix conjugation.
 
-    variant "first_conjugates": out1 solves I(out1) = x_minus I(y) x_minus^-1,
-    then out2 solves I(out2) = (out1)_plus^-1 I(x) (out1)_plus.  variant
-    "second_conjugates" swaps the roles of x and y in those formulas.  The
-    returned tuple is (out1, out2) as constructed; the suite adjudicates
-    which variant/slot-reading reproduces the character-route braiding.
+    out1 solves I(out1) = first_minus I(second) first_minus^-1, then out2
+    solves I(out2) = (out1)_plus^-1 I(first) (out1)_plus.  The returned
+    tuple is (out1, out2) as constructed.  The printed formulas take
+    (first, second) = (x, y) for the pair (x, y), and the role-swapped
+    reading takes (y, x); the suite adjudicates which argument order and
+    slot reading reproduces the character-route braiding.
     """
-    if variant == "first_conjugates":
-        first, second = x, y
-    elif variant == "second_conjugates":
-        first, second = y, x
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     _, f_minus = realize_char(first)
     m1 = f_minus @ factorization_matrix(second) @ np.linalg.inv(f_minus)
     out1 = char_from_factorization(m1)

@@ -11,9 +11,11 @@ once and solves five new factors.
 
 Every intertwiner is a stack of grade shift its band exponent (see
 cyclic), so a factor embedded on two of the three tensor slots maps total
-grade n1 + n2 + n3 to that grade plus the same shift.  _grade_blocks embeds
-the stack as ell blocks of ell^2 x ell^2, and cyclic's _chain forms the
-triple products on them in O(ell^7), not the O(ell^9) of dense
+grade n1 + n2 + n3 to that grade plus the same shift, and it is
+block-diagonal over the third slot's index.  Each triple product is held
+as its ell blocks of ell^2 x ell^2, one per total grade, and _apply
+multiplies it by one embedded factor's ell^2 blocks of ell x ell in one
+batched matmul: O(ell^6) for the triple, not the O(ell^9) of dense
 ell^3 x ell^3 products.  The zero-spectral-parameter core of
 s0_diagnostic, the pair's twist diagonal times B^a x (a diagonal gauge
 ratio), is monomial, one nonzero entry per column, and so is each of
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, _chain, _kron, _rotate, braided_rep_pair, gauge_U
+from .cyclic import RepParams, _kron, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
 from .intertwiner import Intertwiner, closed_form_R, solve_intertwiner
 
@@ -88,12 +90,12 @@ def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple
 
 
 def embed_12(R: np.ndarray, ell: int) -> np.ndarray:
-    """Dense R x 1 on the triple space (the reference for _grade_blocks)."""
+    """Dense R x 1 on the triple space (the reference for _apply)."""
     return _kron(R, np.eye(ell))
 
 
 def embed_23(R: np.ndarray, ell: int) -> np.ndarray:
-    """Dense 1 x R on the triple space (the reference for _grade_blocks)."""
+    """Dense 1 x R on the triple space (the reference for _apply)."""
     return _kron(np.eye(ell), R)
 
 
@@ -101,21 +103,6 @@ def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
     """R x 1 with tensor slots 2 and 3 exchanged on both sides (dense reference)."""
     n3 = ell**3
     return embed_12(R, ell).reshape((ell,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n3, n3)
-
-
-@lru_cache(maxsize=64)
-def _layout(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, rest), each of shape (ell, ell^2): _slot_index's pair and rest
-    with row G listing the triples (n1, n2, n3) of total grade
-    n1 + n2 + n3 = G (mod ell), in ascending triple index."""
-    pair, rest, _ = _slot_index(ell, slots)
-    j = np.arange(ell ** 3)
-    grade = (j // (ell * ell) + j // ell + j) % ell
-    order = np.argsort(grade, kind="stable").reshape(ell, ell * ell)
-    pair, rest = pair[order], rest[order]
-    pair.setflags(write=False)
-    rest.setflags(write=False)
-    return pair, rest
 
 
 @lru_cache(maxsize=64)
@@ -165,18 +152,36 @@ def _relative_distance(A: tuple[np.ndarray, np.ndarray],
     return float(np.sqrt(diff.sum()) / np.linalg.norm(aw))
 
 
-def _grade_blocks(R: np.ndarray, shift: int, slots: tuple[int, int]) -> np.ndarray:
-    """The pair stack R of grade shift `shift` (see cyclic) embedded on
-    tensor slots (a, b) of the triple space, as the stack of its ell blocks:
-    blocks[G] maps the triples of total grade G to those of grade
-    G + shift, both in the order of _layout.  Pair entry (I, J), J of pair
-    grade g, is R[g][I // ell, J // ell], kept where the third slot agrees.
+def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,
+           s: int) -> np.ndarray:
+    """R, a pair stack of grade shift a (see cyclic), embedded on tensor
+    slots `slots` of the triple space, times the triple stack P of shift s:
+    the product's stack, of shift s + a.
+
+    P[G] maps the triples of total grade G to those of grade G + s, with
+    rows and columns indexed n1 ell + n2 (n3 is fixed by the grade).  The
+    embedded R is block-diagonal over the third (spectator) slot: R's block
+    of pair grade G + s - spectator acts on the pair's first slot.  So it is
+    one batched matmul, written straight into the product, once P[G]'s rows
+    are laid out as (spectator, first slot): a reshape on slots (1, 2), a
+    swap of n1 and n2 on (0, 2), and on (0, 1) a row gather and scatter,
+    one grade at a time so that the gathered copy is one block.
     """
     ell = len(R)
-    pair, rest = _layout(ell, slots)
-    rows, cols = _rotate(pair, shift)[:, :, None] // ell, pair[:, None, :]
-    same_rest = _rotate(rest, shift)[:, :, None] == rest[:, None, :]
-    return R[(cols // ell + cols) % ell, rows, cols // ell] * same_rest
+    k = np.arange(ell)
+    blocks = R[(k[:, None] + s - k) % ell]  # [G, spectator index]
+    out = np.empty_like(P)
+    if slots == (0, 1):  # rows (n3, n1) of P[G], n2 fixed by the grade
+        n3, n1 = k[:, None], k
+        for G in range(ell):
+            n2 = G + s - n3 - n1
+            out[G, n1 * ell + (n2 + a) % ell] = blocks[G] @ P[G, n1 * ell + n2 % ell]
+        return out
+    Q, O = P.reshape(ell, ell, ell, -1), out.reshape(ell, ell, ell, -1)
+    if slots == (0, 2):
+        Q, O = Q.swapaxes(1, 2), O.swapaxes(1, 2)
+    np.matmul(blocks, Q, out=O)
+    return out
 
 
 def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float, dict]:
@@ -192,8 +197,9 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     1 on each of their ell^2 x ell^2 grade blocks.
 
     Each factor is a stack of grade shift its band exponent, so each
-    product is formed as ell grade blocks of size ell^2 x ell^2
-    (_grade_blocks, _chain): O(ell^7) work, no ell^3 x ell^3 array.
+    product is formed as ell grade blocks of size ell^2 x ell^2, starting
+    from the identity and applying the factors right to left (_apply):
+    O(ell^6) work, no ell^3 x ell^3 array.
     Products whose total shifts differ have disjoint supports: then c = 0
     and the deviation is 1, as for the dense matrices.
 
@@ -206,24 +212,30 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     if not np.isfinite(dev_params):
         raise AssemblyError("coloring chains failed to produce finite finals")
     solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
+    ell = col.x.ctx.ell
 
-    def embedded(intw: Intertwiner, slots: tuple[int, int]):
-        return _grade_blocks(intw.blocks, intw.pair.band_exp, slots), intw.pair.band_exp
+    def product(factors):
+        """(triple stack, shift) of the product of (intertwiner, slots) factors."""
+        P, s = np.stack([np.eye(ell * ell, dtype=complex)] * ell), 0
+        for intw, slots in reversed(factors):
+            P, s = _apply(intw.blocks, intw.pair.band_exp, slots, P, s), s + intw.pair.band_exp
+        return P, s % ell
 
-    lhs, lhs_shift = _chain([embedded(solve(col.x1, col.y1), (0, 1)),
-                             embedded(solve(col.x, col.z1), (0, 2)),
-                             embedded(solve(col.y, col.z), (1, 2))])
-    rhs, rhs_shift = _chain([embedded(solve(col.ya, col.za), (1, 2)),
-                             embedded(solve(col.xa, col.z), (0, 2)),
-                             embedded(xy, (0, 1))])
+    lhs, lhs_shift = product([(solve(col.x1, col.y1), (0, 1)),
+                              (solve(col.x, col.z1), (0, 2)),
+                              (solve(col.y, col.z), (1, 2))])
+    rhs, rhs_shift = product([(solve(col.ya, col.za), (1, 2)),
+                              (solve(col.xa, col.z), (0, 2)),
+                              (xy, (0, 1))])
     if lhs_shift != rhs_shift:
         c, dev, gap = 0j, 1.0, 0.0
     else:
         c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
-        dev = float(np.linalg.norm(lhs - c * rhs) / np.linalg.norm(lhs))
         # cross-check scalar from the largest entries
         idx = int(np.argmax(np.abs(rhs)))
         gap = float(abs(c - lhs.flat[idx] / rhs.flat[idx]))
+        diff = c * rhs  # lhs - c rhs, formed in place
+        dev = float(np.linalg.norm(np.subtract(lhs, diff, out=diff)) / np.linalg.norm(lhs))
     info = {
         "colorings_deviation": float(dev_params),
         "c_modulus": float(abs(c)),
@@ -247,6 +259,11 @@ def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
     ell^3 triple indices: O(ell^3).  Purely diagnostic: returns (relative
     residual, conclusive flag); no threshold is attached.  D and the band
     exponent a are read from intw's pair, where closed_form_R left D.
+
+    At a band exponent a != 0 the residual can be sqrt(2): the two products
+    send each column to the same row, but their weight vectors have equal
+    norms and are orthogonal (seed 42, ell 7, trials 15, 17 and 68; the
+    twist diagonal alone gives the same sqrt(2)).
     """
     pair = intw.pair
     ell, a = pair.in_params[0].ctx.ell, pair.band_exp

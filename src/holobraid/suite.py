@@ -21,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, build_rep, ell_powers,
-                     f_power_scalar_variants, gauge_conjugation_residual,
-                     z0_character)
+from .cyclic import (RepParams, build_rep, ell_powers, f_power_scalar_variants,
+                     f_weights, gauge_U, gauge_conjugation_residual, z0_character)
 from .errors import HolobraidError
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
@@ -135,8 +134,11 @@ def rep_checks(p: RepParams) -> dict[str, float]:
 def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
     """gauge_scale and f_power_prefactor of one representation."""
     _, scalar = ell_powers(p)[3]  # F^ell, shared with rep_checks
-    return {"gauge_scale": {conv: gauge_conjugation_residual(p, conv)
-                            for conv in ("geometric", "constant")},
+    U, z = gauge_U(p)
+    # the rejected reading: the single-z prefactor U_nn = z prod_(m<=n) c_m^-1
+    gauges = {"geometric": (U, z), "constant": (np.diag(z / np.cumprod(f_weights(p))), z)}
+    return {"gauge_scale": {name: gauge_conjugation_residual(p, gauge)
+                            for name, gauge in gauges.items()},
             "f_power_prefactor": {name: float(abs(val - scalar) / _scale(scalar))
                                   for name, val in f_power_scalar_variants(p).items()}}
 
@@ -172,9 +174,10 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     targets = braided["minus"]
     (p, q), (P, Q) = targets
     mre = {}
-    for variant in ("first_conjugates", "second_conjugates"):
+    for variant, (first, second) in (("first_conjugates", (cx, cy)),
+                                     ("second_conjugates", (cy, cx))):
         try:
-            m1, m2 = matrix_route_beta(cx, cy, variant)
+            m1, m2 = matrix_route_beta(first, second)
         except HolobraidError:  # a reading that cannot be evaluated fails it
             mre.update({f"{variant}:{tname}:{slots}": float("inf")
                         for tname in ("forward", "inverse")

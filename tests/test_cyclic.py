@@ -83,8 +83,6 @@ class TestBuildRep:
         assert gauge_U(p)[0] is U and not U.flags.writeable
         assert f_weights(p) is f_weights(p) and not f_weights(p).flags.writeable
         assert z0_character(p) is z0_character(p)
-        # the constant convention is computed on each call
-        assert gauge_U(p, "constant")[0] is not gauge_U(p, "constant")[0]
 
     def test_zero_parameter_rejected(self, ctx3):
         with pytest.raises(InvalidParamsError):
@@ -190,7 +188,7 @@ class TestGauge:
             for _ in range(5):
                 d = rng.uniform(-0.2, 0.2, 8)
                 p = params(ctx, *np.exp(d[0::2] + 1j * d[1::2]))
-                assert gauge_conjugation_residual(p) < 1e-11
+                assert gauge_conjugation_residual(p, gauge_U(p)) < 1e-11
 
     def test_last_entry_is_one(self, ctx5):
         p = params(ctx5, u=1.05, v=0.9, x=1.2, y=0.95)
@@ -207,7 +205,10 @@ class TestGauge:
 
     def test_constant_convention_fails_wrap(self, ctx3):
         p = params(ctx3, u=1.05, v=0.9, x=1.2, y=0.95)
-        assert gauge_conjugation_residual(p, "constant") > 1e-3
+        # the single-z prefactor U_nn = z prod_(m<=n) c_m^-1
+        _, z = gauge_U(p)
+        constant = np.diag(z / np.cumprod(f_weights(p)))
+        assert gauge_conjugation_residual(p, (constant, z)) > 1e-3
 
     def test_degenerate_weights(self, ctx3):
         # x on the lattice v*eps^(2m-1) makes some weight vanish

@@ -183,7 +183,7 @@ class TestMatrixRoute:
                        v[4] + 1j * v[5], v[6] + 1j * v[7])
             y = Z0Char(1 + v[8] + 1j * v[9], 1 + v[10] + 1j * v[11],
                        v[12] + 1j * v[13], v[14] + 1j * v[15])
-            out1, out2 = matrix_route_beta(x, y, "first_conjugates")
+            out1, out2 = matrix_route_beta(x, y)
             p, q = beta_inverse(x, y)
             scale = max(1, *np.abs(p.as_array()), *np.abs(q.as_array()))
             assert char_distance(out1, q) < 1e-11 * scale
@@ -192,11 +192,11 @@ class TestMatrixRoute:
     def test_identity_coloring_patterns(self):
         x = Z0Char(1.3, 0.8, 0.4, -0.2)
         # role-swapped formulas leave (x, e) in place, matching the braiding
-        m1, m2 = matrix_route_beta(x, IDENTITY_CHAR, "second_conjugates")
+        m1, m2 = matrix_route_beta(IDENTITY_CHAR, x)
         assert char_distance(m1, x) < 1e-13
         assert char_distance(m2, IDENTITY_CHAR) < 1e-13
         # the printed role assignment produces the swapped pattern instead
-        m1, m2 = matrix_route_beta(x, IDENTITY_CHAR, "first_conjugates")
+        m1, m2 = matrix_route_beta(x, IDENTITY_CHAR)
         assert char_distance(m1, IDENTITY_CHAR) < 1e-13
         assert char_distance(m2, x) < 1e-13
 
@@ -204,6 +204,6 @@ class TestMatrixRoute:
         x = Z0Char(1.3, 0.8, 0.5, -0.3)
         y = Z0Char(0.9, 1.2, 0.6, 0.4)
         f = beta_forward(x, y)
-        for variant in ("first_conjugates", "second_conjugates"):
-            m1, m2 = matrix_route_beta(x, y, variant)
+        for first, second in ((x, y), (y, x)):
+            m1, m2 = matrix_route_beta(first, second)
             assert char_distance(m1, f[0]) > 1e-3 or char_distance(m2, f[1]) > 1e-3

@@ -169,29 +169,43 @@ class TestGradeBlocks:
         assert abs(dev - dev_ref) < 1e-14
 
     @pytest.mark.parametrize("ell", [3, 5])
-    def test_embeds_stack_like_dense(self, ell):
-        # a random stack of every shift, embedded on each slot pair, against
-        # the dense embedding of its dense matrix
+    def test_apply_matches_dense(self, ell):
+        # a random pair stack of every shift a, embedded on each slot pair,
+        # times a random triple stack of every shift s, against the dense
+        # embedding of its dense matrix times the triple stack's dense matrix
         rng = np.random.default_rng(ell)
         j = np.arange(ell ** 3)
+        # the triples of each total grade, in ascending triple index
         order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
         order = order.reshape(ell, ell * ell)
+
+        def dense(stack, shift):
+            M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
+            M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = stack
+            return M
+
+        def random(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
         embed = {(0, 1): embed_12, (0, 2): embed_13, (1, 2): embed_23}
-        for shift in range(ell):
-            R = rng.normal(size=(ell,) * 3) + 1j * rng.normal(size=(ell,) * 3)
-            for slots, dense_embed in embed.items():
-                blocks = hybe._grade_blocks(R, shift, slots)
-                M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
-                M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = blocks
-                assert np.array_equal(M, dense_embed(_dense(R, shift), ell))
+        for s in range(ell):
+            P = random(ell, ell * ell, ell * ell)
+            for a in range(ell):
+                R = random(ell, ell, ell)
+                for slots, dense_embed in embed.items():
+                    ref = dense_embed(_dense(R, a), ell) @ dense(P, s)
+                    got = dense(hybe._apply(R, a, slots, P, s), s + a)
+                    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])
     def test_s0_matches_dense(self, ell, trial, monkeypatch):
         # seed 42, ell 7, trials 15, 17 and 68 are the pairs of the first 100
-        # whose core residual is O(1): their band exponent is 3, so the two
-        # products send every column to different rows and the residual is
-        # sqrt(2) whatever the core; the core itself is compared too
+        # whose core residual is O(1); their band exponent is 3.  The two
+        # products send every column to the same row, but there their weight
+        # vectors have equal norms and are orthogonal, so the residual is
+        # sqrt(2): the twist diagonal alone already gives it, the gauge ratio
+        # alone does not.  The core itself is compared too
         cores = []
         embed = hybe._embed_monomial
         monkeypatch.setattr(hybe, "_embed_monomial",
@@ -210,6 +224,19 @@ class TestGradeBlocks:
         core = np.zeros_like(R0)
         core[target, np.arange(len(target))] = weight
         assert np.max(np.abs(core - R0)) <= 1e-15 * np.max(np.abs(R0))
+
+        def products(w):
+            r = [embed((target, w), slots) for slots in ((0, 1), (0, 2), (1, 2))]
+            return hybe._compose(r), hybe._compose(r[::-1])
+        (lhs_target, lhs_w), (rhs_target, rhs_w) = products(weight)
+        assert np.array_equal(lhs_target, rhs_target)
+        if trial in (15, 17, 68):
+            norms = np.linalg.norm(lhs_w), np.linalg.norm(rhs_w)
+            assert abs(norms[0] / norms[1] - 1) < 1e-15
+            assert abs(np.vdot(lhs_w, rhs_w)) <= 1e-15 * norms[0] * norms[1]
+            twist = pair.twist[target]
+            assert abs(hybe._relative_distance(*products(twist)) - np.sqrt(2)) < 1e-15
+            assert 0.8 < hybe._relative_distance(*products(weight / twist)) < 1.1
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_monomial_products_match_dense(self, ell):

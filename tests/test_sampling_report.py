@@ -102,10 +102,14 @@ class TestReports:
         # with residual inf instead of stopping the run
         route = suite.matrix_route_beta
 
-        def second_raises(x, y, variant):
-            if variant == "second_conjugates":
+        calls = []
+
+        def second_raises(first, second):
+            # the second_conjugates reading is the previous call's pair swapped
+            if calls and calls[-1] == (second, first):
                 raise NonFactorizableError("forced")
-            return route(x, y, variant)
+            calls.append((first, second))
+            return route(first, second)
 
         monkeypatch.setattr(suite, "matrix_route_beta", second_raises)
         code, rep = run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))
