@@ -20,12 +20,14 @@ R, its equations, G, T and the spectral factor are all stacks (see
 cyclic), R of grade shift a, and every check reads them as stacks; the
 dense Intertwiner.R is built only when read.  The band unknowns are the
 ell^3 entries of R's stack.  Every factor is monomial (K, L diagonal, E, F
-shifts), so each equation row has at most four unknowns, and the rows are
-scaled to unit norm.  The Ex1 and 1xF rows have two unknowns each and split
-the unknowns into ell components of ell^2, each fixed by one entry.
-Propagating them leaves ell unknowns: a dense SVD of all the rows on that
-ell-column basis picks the kernel line, and a few CGLS steps on the full
-sparse rows refine it.
+shifts), so each equation row has at most four unknowns, where the degree
+alone puts them: one table per ell (_band_table) makes a pair's rows one
+gather of its coefficients, scaled to unit norm.  The Ex1 and 1xF rows have
+two unknowns each and split the unknowns into ell components of ell^2,
+each fixed by one entry.  Propagating them leaves ell unknowns: the SVD of
+all the rows on that ell-column basis, taken through the R of its QR,
+picks the kernel line, and a few CGLS steps on the full sparse rows (S^H
+by a gather through the table) refine it.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -36,9 +38,9 @@ checks; only the two routes take one, as pair=, from a caller.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -74,16 +76,89 @@ def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.nda
     return [kron(r1.K, r2.K, 0), kron(r1.L, r2.L, 0), E, F]
 
 
-def _two_per_row(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, vals) with A[..., i, cols[..., i, t]] = vals[..., i, t] for the
-    (at most) two nonzeros of each row, first and last; a missing second
-    one repeats the first's column with value 0."""
-    nz = A != 0
-    cols = np.stack([nz.argmax(axis=-1),
-                     A.shape[-1] - 1 - nz[..., ::-1].argmax(axis=-1)], axis=-1)
-    vals = np.take_along_axis(A, cols, axis=-1)
-    vals[..., 1] *= cols[..., 0] != cols[..., 1]
-    return cols, vals
+def _equation_blocks(reps, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, N) of PairContext.blocks for reps (in1, in2, out1, out2)."""
+    kron = _kron_blocks
+    rin1, rin2, rout1, rout2 = reps
+    I = np.eye(len(rin2.K))
+    inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
+    M = [*_coproducts(rin1, rin2, False), kron(I, inv[0], 0), kron(I, inv[2], 0),
+         kron(rin1.E, I, 1), kron(I, rin2.F, -1)]
+    N = [*_coproducts(rout1, rout2, True), T @ kron(I, inv[1], 0),
+         T @ kron(I, inv[3], 0), kron(rout1.E, rout2.L, 1),
+         kron(np.linalg.inv(rout1.K), rout2.F, -1)]
+    return np.stack(M), np.stack(N)
+
+
+_BandTable = namedtuple("_BandTable", "cols src merge adjoint grid rows comp from_mask sz_index")
+
+
+@lru_cache(maxsize=8)
+def _band_table(ell: int) -> _BandTable:
+    """Where the entries of _band_rows' system S sit at degree ell, for
+    every band exponent a (read-only int32 arrays, from_mask bool).
+
+    Built from the layout alone: the blocks of K = L = 1, E = B, F = B^-1,
+    T = 1 + G have nonzeros wherever a pair's can, never cancelling, so a
+    weight that happens to be 0 cannot move a column.  A block's columns do
+    not depend on its grade: a enters only as the rotation N[g + a].
+
+    Row r, slot t (N's first and last nonzero, then M's): cols[r, t] is the
+    unknown, src[r, t] the flat index of its coefficient in
+    (N[2:] rotated by a, -M[2:], 0); a side with one nonzero repeats its
+    column and reads the 0.  merge holds the flat slot pairs (to, from)
+    naming one unknown on both sides of a row.  adjoint[t, k] is the flat
+    slot of the t-th of unknown k's 16 nonzero coefficients, ascending.
+
+    grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
+    indices mod ell: stack entry R[s + t][s + c, s].  Ex1 shifts the
+    slot-1 index of both sides of R and 1xF the slot-2 index, so
+    c = n' - n is constant along both steps: they split the ell^3 unknowns
+    into ell components of ell^2, and comp[k] is the component of unknown
+    k.  rows[0, c, s, t] is the Ex1 row joining grid[c, s, t] to
+    grid[c, s + 1, t], rows[1, c, s, t] the 1xF row joining it to
+    grid[c, s, t + 1], and from_mask marks their slots naming
+    grid[c, s, t].  Slot t of row r adds to S Z at flat sz_index[t, r].
+    """
+    n = ell ** 3
+    I, B = np.eye(ell), clock_shift(primitive_root(ell)).B
+    shape = RepMatrices(K=I, L=I, E=B, F=B.T)
+    M, N = (X[2:] != 0 for X in _equation_blocks((shape,) * 4, I + _braid_factor(shape, shape)))
+
+    def ends(nz):  # the first and last nonzero column of each row
+        return np.stack([nz.argmax(-1), ell - 1 - nz[..., ::-1].argmax(-1)], axis=-1)
+
+    def slots(n_side, m_side):  # axes [b, g, i, j, t] to [row, slot]
+        return np.concatenate(np.broadcast_arrays(n_side, m_side), axis=-1).reshape(-1, 4)
+
+    nc, mc = ends(N)[:, :, :, None], ends(M.swapaxes(-1, -2))[:, :, None]
+    b, g, i, j = (x[..., None] for x in np.ogrid[:6, :ell, :ell, :ell])
+    gs = (g + np.array(BLOCK_SHIFTS[2:])[:, None, None, None, None]) % ell
+    cols = slots((g * ell + nc) * ell + j, (gs * ell + i) * ell + mc)
+    src = slots(((b * ell + g) * ell + i) * ell + nc, 6 * n + ((b * ell + g) * ell + mc) * ell + j)
+    src[:, 1::2][cols[:, 0::2] == cols[:, 1::2]] = 12 * n
+    live = src < 12 * n
+    r, p, q = np.nonzero((cols[:, :2, None] == cols[:, None, 2:])
+                         & live[:, :2, None] & live[:, None, 2:])
+    merge = np.stack([4 * r + p, 4 * r + 2 + q])
+    live.ravel()[merge[1]] = False
+    live = np.flatnonzero(live)
+    adjoint = live[np.argsort(cols.ravel()[live], kind="stable")].reshape(n, 16).T
+
+    def at(g, i, j):  # the index g ell^2 + i ell + j of stack entry [g][i, j]
+        return ((g % ell) * ell + i % ell) * ell + j % ell
+
+    c, s, t = np.ogrid[:ell, :ell, :ell]
+    grid = at(s + t, s + c, s)
+    rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
+    comp = np.empty(n, dtype=np.int32)
+    comp[grid] = c
+    sz_index = (np.arange(6 * n)[:, None] * ell + comp[cols]).T
+    table = _BandTable(*(x if x.dtype == bool else x.astype(np.int32, order="C") for x in (
+        cols, src, merge, adjoint, grid, rows, comp, cols[rows] == grid[..., None], sz_index)))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
@@ -96,64 +171,24 @@ def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
     grade shift a.  Row b ell^3 + k is (N R - R M)[g][i, j] of block b + 2
     (grade shift s), with (N R)[g] = N[g + a] R[g] and
     (R M)[g] = R[g + s] M[g]: N has at most two nonzeros per row and M per
-    column, so their indices give each row's four unknowns by arithmetic.
+    column.  Where they sit is the degree's _band_table; a pair's rows are
+    one gather of the coefficients, and an unknown named on both sides of a
+    row (the clock blocks' diagonals) is merged, so the unit-norm scaling
+    sees its coefficient, not two large parts.
     """
     M, N = (X[2:] for X in blocks)
     ell = M.shape[1]
-    r = np.arange(ell)
-    nc, nv = _two_per_row(N[:, (r + a) % ell])  # [b, g, i, t]
-    mc, mv = _two_per_row(M.swapaxes(-1, -2))  # [b, g, j, t]
-    # axes [b, g, i, j, t]
-    g, i, j = r[:, None, None, None], r[:, None, None], r[:, None]
-    gs = (g + np.array(BLOCK_SHIFTS[2:])[:, None, None, None, None]) % ell
-    cols = np.concatenate(np.broadcast_arrays((g * ell + nc[:, :, :, None]) * ell + j,
-                                              (gs * ell + i) * ell + mc[:, :, None]),
-                          axis=-1).reshape(-1, 4)
-    vals = np.concatenate(np.broadcast_arrays(nv[:, :, :, None], -mv[:, :, None]),
-                          axis=-1).reshape(-1, 4)
-    # merge an unknown named on both sides of a row (the clock blocks'
-    # diagonals), so the unit-norm scaling sees its coefficient, not two
-    # large parts; one side names distinct unknowns, or repeats one at 0
-    for p, q in product((0, 1), (2, 3)):
-        same = cols[:, p] == cols[:, q]
-        vals[same, p] += vals[same, q]
-        vals[same, q] = 0
-    return cols, vals / np.linalg.norm(vals, axis=1)[:, None]
+    table = _band_table(ell)
+    vals = np.concatenate((N[:, (np.arange(ell) + a) % ell].ravel(), -M.ravel(), [0]))[table.src]
+    flat = vals.reshape(-1)
+    flat[table.merge[0]] += flat[table.merge[1]]
+    flat[table.merge[1]] = 0
+    return table.cols.astype(np.intp), vals / np.linalg.norm(vals, axis=1)[:, None]
 
 
 def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S @ x for the sparse rows of _band_rows."""
     return np.einsum("rt,rt->r", vals, x[cols])
-
-
-@lru_cache(maxsize=64)
-def _components(ell: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, rows, comp): how the Ex1 and 1xF rows of _band_rows join the
-    band-a unknowns.
-
-    grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
-    indices mod ell: stack entry R[s + t][s + c, s].  Ex1 shifts the
-    slot-1 index of both sides of R and 1xF the slot-2 index, so
-    c = n' - n is constant along both steps: they split the ell^3 unknowns
-    into ell components of ell^2, and comp[k] is the component of unknown
-    k.  rows[0, c, s, t] is the Ex1 row joining grid[c, s, t] to
-    grid[c, s + 1, t], rows[1, c, s, t] the 1xF row joining it to
-    grid[c, s, t + 1]; row indices count the blocks of PairContext.blocks
-    from the third (Ex1 fifth, 1xF sixth).
-    """
-    n = ell ** 3
-    c, s, t = np.ogrid[:ell, :ell, :ell]
-
-    def at(g, i, j):  # the index g ell^2 + i ell + j of stack entry [g][i, j]
-        return ((g % ell) * ell + i % ell) * ell + j % ell
-
-    grid = at(s + t, s + c, s)
-    rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
-    comp = np.empty(n, dtype=np.intp)
-    comp[grid] = c
-    for arr in (grid, rows, comp):
-        arr.setflags(write=False)
-    return grid, rows, comp
 
 
 def _propagate(ratio: np.ndarray) -> np.ndarray:
@@ -165,8 +200,8 @@ def _propagate(ratio: np.ndarray) -> np.ndarray:
     return x
 
 
-def _reduced_system(cols: np.ndarray, vals: np.ndarray, ell: int,
-                    a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reduced_system(cols: np.ndarray, vals: np.ndarray,
+                    ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S Z, z, comp) for the basis Z of the two-term rows' kernel: column c
     of Z is z on the unknowns with comp == c and 0 elsewhere, unit norm,
     and S Z is a dense (rows x ell) matrix.
@@ -175,11 +210,11 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray, ell: int,
     from its largest entry, whose paths lose less to the spread of the
     entries (4 to 6 decades at radius 0.1).
     """
-    grid, rows, comp = _components(ell, a)
+    *_, grid, rows, comp, from_mask, sz_index = _band_table(ell)
     # x[to] / x[from] across each two-term row; a row's coefficient of an
     # unknown sums the slots naming it, wherever _band_rows' merge put it
     v = vals[rows]
-    w_from = (v * (cols[rows] == grid[..., None])).sum(axis=-1)
+    w_from = (v * from_mask).sum(axis=-1)
     ratio = -w_from / (v.sum(axis=-1) - w_from)
     s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
     r = np.arange(ell)
@@ -188,30 +223,31 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray, ell: int,
     x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
     z = np.empty(ell ** 3, dtype=complex)
     z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
-    SZ = np.zeros((len(cols), ell), dtype=complex)
-    every_row, col_comp, col_vals = np.arange(len(cols)), comp[cols], vals * z[cols]
-    for t in range(cols.shape[1]):
-        SZ[every_row, col_comp[:, t]] += col_vals[:, t]
-    return SZ, z, comp
+    SZ = np.zeros(len(cols) * ell, dtype=complex)
+    col_vals = vals * z[cols]
+    for t, index in enumerate(sz_index):
+        SZ[index] += col_vals[:, t]
+    return SZ.reshape(-1, ell), z, comp
 
 
-def _cgls(cols: np.ndarray, vals: np.ndarray, v: np.ndarray, r: np.ndarray,
-          steps: int) -> np.ndarray:
+def _adjoint(vals: np.ndarray, slots: np.ndarray):
+    """y -> S^H y for _band_rows' rows and _band_table's adjoint slots:
+    each unknown's 16 products, added one slot after another in row order."""
+    vals_h, rows = vals.conj().ravel()[slots], slots.astype(np.intp) // vals.shape[1]
+    return lambda y: (vals_h * y[rows]).sum(axis=0)
+
+
+def _cgls(cols: np.ndarray, vals: np.ndarray, slots: np.ndarray, v: np.ndarray,
+          r: np.ndarray, steps: int) -> np.ndarray:
     """v after CGLS steps toward min |S v| from v, r = -S v (both are
     updated in place).
 
     Conjugate gradients on the least-squares problem: each step is one
-    product with S and one with S^H.  From a vector near the kernel line
+    product with S and one with S^H, the latter a gather of r through the
+    transposed table slots (_adjoint).  From a vector near the kernel line
     they shrink the rest of it, leaving the line.
     """
-    # S^H y as one bincount over the interleaved real and imaginary parts
-    slots = (2 * cols[..., None] + np.arange(2)).ravel()
-    vals_h = vals.conj()
-
-    def adjoint(y):
-        return np.bincount(slots, (vals_h * y[:, None]).view(float).ravel(),
-                           2 * len(v)).view(complex)
-
+    adjoint = _adjoint(vals, slots)
     s = adjoint(r)
     p, gamma = s, np.vdot(s, s).real
     for i in range(steps):
@@ -327,16 +363,7 @@ class PairContext:
         K and L coproducts' is a sum of at most two monomial matrices; those
         two vanish identically on the band, so the oracle reads blocks 2-7.
         """
-        kron = _kron_blocks
-        rin1, rin2, rout1, rout2 = self.reps
-        I = np.eye(len(rin2.K))
-        inv = np.linalg.inv(np.stack([rin2.K, rout2.K, rin2.L, rout2.L]))
-        M = [*_coproducts(rin1, rin2, False), kron(I, inv[0], 0), kron(I, inv[2], 0),
-             kron(rin1.E, I, 1), kron(I, rin2.F, -1)]
-        N = [*_coproducts(rout1, rout2, True), self.T @ kron(I, inv[1], 0),
-             self.T @ kron(I, inv[3], 0), kron(rout1.E, rout2.L, 1),
-             kron(np.linalg.inv(rout1.K), rout2.F, -1)]
-        return np.stack(M), np.stack(N)
+        return _equation_blocks(self.reps, self.T)
 
     @cached_property
     def chi(self) -> ChiData:
@@ -474,10 +501,12 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     sparse row of that system S to unit norm.  The Ex1 and 1xF rows have
     two unknowns each: propagated through them, the ell^3 band unknowns
     reduce to a basis Z of ell orthonormal columns (_reduced_system) that
-    holds the kernel.  A dense SVD of S Z, with all six blocks and so
-    every closure row outside the propagation, gives the kernel
-    coefficients c, and 2 ell - 3 CGLS steps on S refine v = Z c (CG needs
-    more steps as the band grows).
+    holds the kernel.  The SVD of S Z, with all six blocks and so every
+    closure row outside the propagation, taken through the R of its QR
+    (an ell x ell matrix; sv and vh are all the solve reads), gives the
+    kernel coefficients c, and 2 ell - 3 CGLS steps on S refine v = Z c
+    (CG needs more steps as the band grows).  Where S's entries sit is the
+    degree's _band_table, built once per ell.
     The kernel criterion is relative singular value < KERNEL_TOL against
     the largest singular value of S Z, with the smallest read as |S v| of
     the refined unit vector v.  By interlacing, S Z has no singular value
@@ -496,10 +525,11 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
             "clock-weight ratio is not an ell-th root of unity; "
             "the two pairs cannot be intertwined")
     cols, vals = _band_rows(pair.blocks, a)
-    SZ, z, comp = _reduced_system(cols, vals, ell, a)
-    _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
+    SZ, z, comp = _reduced_system(cols, vals, ell)
+    _, sv, vh = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
     c = vh[-1].conj()
-    v = _cgls(cols, vals, z * c[comp], -(SZ @ c), steps=2 * ell - 3)
+    v = _cgls(cols, vals, _band_table(ell).adjoint, z * c[comp], -(SZ @ c),
+              steps=2 * ell - 3)
     v /= np.linalg.norm(v)
     sv[-1] = np.linalg.norm(_apply_rows(cols, vals, v))
     rel = sv / sv[0]

@@ -1,10 +1,11 @@
-"""Dense ell^2 x ell^2 references for the stack code of holobraid, and the
-helpers only tests read.
+"""Dense ell^2 x ell^2 references for the stack code of holobraid, the
+oracle's row builder before its tables, and the helpers only tests read.
 
-Each reference is written out with np.kron and dense products, the way the
-package computed it before pair-space operators became grade-block stacks;
-the tests compare the stack code against it entry by entry.
+Each dense reference is written out with np.kron and dense products, the
+way the package computed it before pair-space operators became grade-block
+stacks; the tests compare the stack code against it entry by entry.
 """
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,57 @@ def dense_blocks(pair):
             (kron(I, inv(rin2.L)), T @ kron(I, inv(rout2.L))),
             (kron(rin1.E, I), kron(rout1.E, rout2.L)),
             (kron(I, rin2.F), kron(inv(rout1.K), rout2.F))]
+
+
+def two_per_row(A):
+    """(cols, vals) with A[..., i, cols[..., i, t]] = vals[..., i, t] for the
+    (at most) two nonzeros of each row, first and last; a missing second
+    one repeats the first's column with value 0."""
+    nz = A != 0
+    cols = np.stack([nz.argmax(axis=-1),
+                     A.shape[-1] - 1 - nz[..., ::-1].argmax(axis=-1)], axis=-1)
+    vals = np.take_along_axis(A, cols, axis=-1)
+    vals[..., 1] *= cols[..., 0] != cols[..., 1]
+    return cols, vals
+
+
+def band_rows(blocks, a):
+    """intertwiner._band_rows as it was before its cached tables: each
+    pair's nonzeros found by two_per_row, the merge by four mask passes."""
+    M, N = (X[2:] for X in blocks)
+    ell = M.shape[1]
+    r = np.arange(ell)
+    nc, nv = two_per_row(N[:, (r + a) % ell])  # [b, g, i, t]
+    mc, mv = two_per_row(M.swapaxes(-1, -2))  # [b, g, j, t]
+    # axes [b, g, i, j, t]
+    g, i, j = r[:, None, None, None], r[:, None, None], r[:, None]
+    gs = (g + np.array(BLOCK_SHIFTS[2:])[:, None, None, None, None]) % ell
+    cols = np.concatenate(np.broadcast_arrays((g * ell + nc[:, :, :, None]) * ell + j,
+                                              (gs * ell + i) * ell + mc[:, :, None]),
+                          axis=-1).reshape(-1, 4)
+    vals = np.concatenate(np.broadcast_arrays(nv[:, :, :, None], -mv[:, :, None]),
+                          axis=-1).reshape(-1, 4)
+    for p, q in product((0, 1), (2, 3)):
+        same = cols[:, p] == cols[:, q]
+        vals[same, p] += vals[same, q]
+        vals[same, q] = 0
+    return cols, vals / np.linalg.norm(vals, axis=1)[:, None]
+
+
+def bincount_adjoint(cols, vals, y, n):
+    """S^H y for the rows (cols, vals) over n unknowns, as one bincount over
+    the interleaved real and imaginary parts (the oracle's CGLS adjoint
+    before its transposed table)."""
+    slots = (2 * cols[..., None] + np.arange(2)).ravel()
+    return np.bincount(slots, (vals.conj() * y[:, None]).view(float).ravel(),
+                       2 * n).view(complex)
+
+
+def dense_band_system(cols, vals, n):
+    """The dense (rows x n) matrix of the sparse rows (cols, vals)."""
+    S = np.zeros((len(cols), n), dtype=complex)
+    np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
+    return S
 
 
 def dense_det_normalize(R):

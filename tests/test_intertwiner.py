@@ -7,7 +7,7 @@ from holobraid.errors import (DegenerateCharacterError, InvalidInputError,
                               NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse
 from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
-                                   _band_rows, _components,
+                                   _adjoint, _band_rows, _band_table,
                                    _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action,
@@ -18,7 +18,8 @@ from holobraid.cyclic import lift_character
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
-from reference import coproduct_rep, dense_blocks
+from reference import (SHIFTED, band_rows, coproduct_rep, dense_band_system,
+                       dense_blocks, seed42_pair)
 
 
 def full_reference(p1, p2):
@@ -156,7 +157,7 @@ class TestOracle:
     @pytest.mark.parametrize("ell", [3, 5, 7, 9])
     def test_two_term_rows_split_band_into_ell_components(self, ell):
         # union-find over the unknowns that each Ex1 and 1xF row names with
-        # a nonzero coefficient, independent of _components' index arithmetic
+        # a nonzero coefficient, independent of _band_table's index arithmetic
         p1, p2 = sample_params(primitive_root(ell), 1234, 0, count=2)
         pair = PairContext(p1, p2)
         a, n = pair.band_exp, ell ** 3
@@ -177,8 +178,9 @@ class TestOracle:
         roots = np.array([find(k) for k in range(n)])
         _, sizes = np.unique(roots, return_counts=True)
         assert sorted(sizes) == [ell * ell] * ell
-        # _components labels the same partition, and its rows join grid steps
-        grid, rows, comp = _components(ell, a)
+        # _band_table labels the same partition, and its rows join grid steps
+        table = _band_table(ell)
+        grid, rows, comp = table.grid, table.rows, table.comp
         assert all(len(set(roots[grid[c].ravel()])) == 1 for c in range(ell))
         assert len(set(roots[grid[:, 0, 0]])) == ell
         assert (comp[grid] == np.arange(ell)[:, None, None]).all()
@@ -195,12 +197,10 @@ class TestOracle:
         intw = solve_intertwiner(p1, p2)
         a, n = intw.pair.band_exp, ell ** 3
         cols, vals = _band_rows(intw.pair.blocks, a)
-        S = np.zeros((len(cols), n), dtype=complex)
-        np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
-        _, sv, vh = np.linalg.svd(S)
+        _, sv, vh = np.linalg.svd(dense_band_system(cols, vals, n))
         assert compare_up_to_scalar(intw.blocks, vh[-1].conj().reshape(ell, ell, ell))[1] <= 1e-13
         # sigma_2 of S Z, the gap's numerator, is at least S's (interlacing)
-        SZ, _, _ = _reduced_system(cols, vals, ell, a)
+        SZ, _, _ = _reduced_system(cols, vals, ell)
         assert np.linalg.svd(SZ, compute_uv=False)[-2] >= sv[-2]
 
     def test_band_exponent_matches_weight_ratio(self, pair5):
@@ -228,6 +228,66 @@ class TestOracle:
         # log|det| is that of the stack before scaling: det(2 R) = 2^9
         _, log_abs_det = det_normalize(2.0 * intw.blocks, a)
         assert abs(log_abs_det - 9 * np.log(2.0)) < 1e-12
+
+
+# (ell, radius, trial, a): seed-42 pairs with every band exponent a that the
+# 100-trial suites at radius 0.1 meet (only 0 at ell 3 and 5, 0 and 3 at
+# ell 7, 0, 4 and 5 at ell 9), and pairs at radius 1.0; SHIFTED among them
+BAND_PAIRS = [(3, 0.1, 0, 0), (5, 0.1, 0, 0), (7, 0.1, 0, 0), (7, 0.1, 15, 3),
+              (9, 0.1, 0, 0), (9, 0.1, 15, 4), (9, 0.1, 71, 5), (3, 1.0, 2, 2),
+              (3, 1.0, 10, 1), (5, 1.0, 3, 2), (5, 1.0, 7, 3)]
+assert set(SHIFTED) <= {case[:3] for case in BAND_PAIRS}
+
+
+class TestBandTable:
+    """The oracle's per-degree tables against the row builder before them
+    (reference.band_rows), the dense S and the thin SVD."""
+
+    @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS)
+    def test_matches_reference(self, ell, radius, trial, a):
+        pair = PairContext(*seed42_pair(ell, radius, trial))
+        assert pair.band_exp == a
+        cols, vals = _band_rows(pair.blocks, a)
+        ref_cols, ref_vals = band_rows(pair.blocks, a)
+        assert np.array_equal(cols, ref_cols) and np.array_equal(vals, ref_vals)
+        # S^H by the transposed table against the dense conjugate transpose
+        S = dense_band_system(cols, vals, ell ** 3)
+        rng = np.random.default_rng(trial)
+        adjoint = _adjoint(vals, _band_table(ell).adjoint)
+        for _ in range(3):
+            y = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
+            want = S.conj().T @ y
+            assert np.linalg.norm(adjoint(y) - want) <= 1e-15 * np.linalg.norm(want)
+        # the SVD through the R of the QR of S Z, as solve_intertwiner takes it
+        SZ, _, _ = _reduced_system(cols, vals, ell)
+        _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
+        _, sv_qr, vh_qr = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
+        assert np.allclose(sv_qr, sv, rtol=0, atol=1e-14 * sv[0])
+        # well-separated rows (the kernel row among them) agree up to a phase
+        drop = -np.diff(sv)
+        gaps = np.minimum(np.append(np.inf, drop), np.append(drop, np.inf))
+        assert gaps[-1] > 1e-3 * sv[0]
+        for k in np.flatnonzero(gaps > 1e-3 * sv[0]):
+            assert compare_up_to_scalar(vh_qr[k], vh[k])[1] < 1e-10
+
+    def test_independent_of_first_pair(self):
+        # a table filled from whichever pair comes first must serve every band
+        # exponent: solve in two orders from cold caches, another a first each time
+        cases = [(7, 0.1, 0), (7, 0.1, 15), (3, 0.1, 0), (3, 1.0, 2)]  # a = 0, 3, 0, 2
+        pairs = [seed42_pair(*case) for case in cases]
+
+        def solve_in(order):
+            _band_table.cache_clear()
+            return {k: solve_intertwiner(*pairs[k]) for k in order}
+
+        first, second = solve_in([0, 1, 2, 3]), solve_in([1, 0, 3, 2])
+        for k in range(len(pairs)):
+            assert np.array_equal(first[k].blocks, second[k].blocks)
+            assert first[k].singular_gap == second[k].singular_gap
+        # warm tables still leave a wrong target without a kernel
+        for p1, p2 in pairs:
+            with pytest.raises(NoIntertwinerError):
+                solve_intertwiner(p1, p2, target=(p1, p2))
 
 
 class TestChiData:
