@@ -29,7 +29,7 @@ from .qseries import (check_f_functional, pairing_monomial, phi_orbit_closure,
                       q_factorial_b, q_shift_coefficient_check, series_f,
                       series_f_product)
 from .report import (check_entry, emit_report, new_report, params_entry,
-                     residual_entry, write_report)
+                     residual_entry, worst_residual, write_report)
 from .roots import primitive_root
 from .sampling import sample_params
 from .suite import (THRESHOLDS, SuiteConfig, character_checks, check_summary,
@@ -166,12 +166,12 @@ def _cmd_series(args) -> tuple[int, dict]:
         s = (rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
         if abs(s) > 0.5 or abs(1 - s**ctx.ell) < 1e-3:
             continue
-        worst = max(worst, phi_orbit_closure(ctx, s))
+        worst = worst_residual(worst, phi_orbit_closure(ctx, s))
     checks["orbit_telescoping"] = worst
     checks["phi_variants"] = phi_variant_evidence(ctx, order=max(order, 60))
     bn = 0.0
     for n in range(1, 13):
-        bn = max(bn, q_shift_coefficient_check(n, 0.37 + 0.21j))
+        bn = worst_residual(bn, q_shift_coefficient_check(n, 0.37 + 0.21j))
     checks["q_shift_coefficients"] = bn
     checks["pairing_diag"] = float(abs(
         pairing_monomial(2, 3, 2, 3, 0.5) - 2 * q_factorial_b(3, 0.5)))

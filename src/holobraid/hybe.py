@@ -16,24 +16,27 @@ block-diagonal over the third slot's index.  Each triple product is held
 as its ell blocks of ell^2 x ell^2, one per total grade, and _apply
 multiplies it by one embedded factor's ell^2 blocks of ell x ell in one
 batched matmul: O(ell^6) for the triple, not the O(ell^9) of dense
-ell^3 x ell^3 products.  The zero-spectral-parameter core of
+ell^3 x ell^3 products.  The zero-spectral-parameter core R0 of
 s0_diagnostic, the pair's twist diagonal times B^a x (a diagonal gauge
-ratio), is monomial, one nonzero entry per column, and so is each of
-its slot embeddings: its triple products are composed as (target index,
-weight) pairs over the ell^3 triple indices (_embed_monomial, _compose),
-in O(ell^3).  The dense slot embeddings embed_12, embed_13 and embed_23 are
-kept as the reference the tests compare against.
+ratio), sends v_n x v_m to a weight times v_(n+a) x v_m.  Embedded on
+slots (i, j) it shifts slot i by a and keeps the rest, so both triple
+products shift slot 1 twice and slot 2 once: they send each triple index
+to the same one, and s0_diagnostic compares their weights on the
+ell^3 triple index grid, in O(ell^3).  The dense slot embeddings
+embed_12, embed_13 and embed_23 are kept as the reference the tests
+compare against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cyclic import RepParams, _kron, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
-from .intertwiner import Intertwiner, closed_form_R, solve_intertwiner
+from .intertwiner import (Intertwiner, closed_form_R, compare_up_to_scalar,
+                          solve_intertwiner)
+from .report import worst_residual
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,10 @@ class ColoringTriple:
         return self.xb, self.yb, self.zb
 
     def finals_deviation(self) -> float:
-        dev = 0.0
-        for a, b in zip(self.finals_lhs, self.finals_rhs):
-            dev = max(dev, max(abs(complex(ai) - complex(bi))
-                               for ai, bi in zip(a.as_tuple(), b.as_tuple())))
-        return dev
+        """Worst entry deviation of the two chains' finals; NaN as inf."""
+        return worst_residual(*(abs(complex(ai) - complex(bi))
+                                for a, b in zip(self.finals_lhs, self.finals_rhs)
+                                for ai, bi in zip(a.as_tuple(), b.as_tuple())))
 
 
 def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple:
@@ -103,53 +105,6 @@ def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
     """R x 1 with tensor slots 2 and 3 exchanged on both sides (dense reference)."""
     n3 = ell**3
     return embed_12(R, ell).reshape((ell,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n3, n3)
-
-
-@lru_cache(maxsize=64)
-def _slot_index(ell: int, slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pair, rest, place) for a pair-basis map on tensor slots (a, b)
-    (0-based) of the triple space: triple index j has pair index
-    pair[j] = n_a ell + n_b, and j = rest[j] + place[pair[j]], where place[P]
-    is the triple index with pair P on slots (a, b) and 0 on the third."""
-    a, b = slots
-    stride = ell ** (2 - np.arange(3))
-    P = np.arange(ell * ell)
-    place = P // ell * stride[a] + P % ell * stride[b]
-    n = np.indices((ell,) * 3).reshape(3, -1)
-    pair = n[a] * ell + n[b]
-    rest = np.arange(ell ** 3) - place[pair]
-    for arr in (pair, rest, place):
-        arr.setflags(write=False)
-    return pair, rest, place
-
-
-def _embed_monomial(R: tuple[np.ndarray, np.ndarray],
-                    slots: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """A monomial pair-basis map R = (target, weight), with
-    R e_J = weight[J] e_target[J], embedded on tensor slots (a, b) of the
-    triple space, in the same form over the triple indices."""
-    target, weight = R
-    pair, rest, place = _slot_index(round(np.sqrt(len(target))), slots)
-    return rest + place[target[pair]], weight[pair]
-
-
-def _compose(factors: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Product F_1 F_2 ... of monomial maps (target, weight), left to right;
-    returns the product in the same form."""
-    target, weight = factors[-1]
-    for t, w in reversed(factors[:-1]):
-        weight = w[target] * weight
-        target = t[target]
-    return target, weight
-
-
-def _relative_distance(A: tuple[np.ndarray, np.ndarray],
-                       B: tuple[np.ndarray, np.ndarray]) -> float:
-    """|A - B|_F / |A|_F of two monomial maps (target, weight): a column the
-    two send to different rows contributes both of its entries."""
-    (at, aw), (bt, bw) = A, B
-    diff = np.where(at == bt, np.abs(aw - bw) ** 2, np.abs(aw) ** 2 + np.abs(bw) ** 2)
-    return float(np.sqrt(diff.sum()) / np.linalg.norm(aw))
 
 
 def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,
@@ -230,12 +185,10 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     if lhs_shift != rhs_shift:
         c, dev, gap = 0j, 1.0, 0.0
     else:
-        c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
+        c, dev = compare_up_to_scalar(lhs, rhs)
         # cross-check scalar from the largest entries
         idx = int(np.argmax(np.abs(rhs)))
         gap = float(abs(c - lhs.flat[idx] / rhs.flat[idx]))
-        diff = c * rhs  # lhs - c rhs, formed in place
-        dev = float(np.linalg.norm(np.subtract(lhs, diff, out=diff)) / np.linalg.norm(lhs))
     info = {
         "colorings_deviation": float(dev_params),
         "c_modulus": float(abs(c)),
@@ -253,25 +206,28 @@ def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:
     Substitutes the identity for the spectral factor, leaving
     R0 = D (B^a x Ug_out Ug_in^-1), and tests
     R0_12 R0_13 R0_23 = R0_23 R0_13 R0_12 with this single matrix in all
-    three slots; the residual is |lhs - rhs|_F / |lhs|_F.  R0 is monomial
-    (B^a a shift, the rest diagonal), and so are its slot embeddings and
-    their products, each kept as a (target index, weight) pair over the
-    ell^3 triple indices: O(ell^3).  Purely diagnostic: returns (relative
-    residual, conclusive flag); no threshold is attached.  D and the band
-    exponent a are read from intw's pair, where closed_form_R left D.
+    three slots; the residual is |lhs - rhs|_F / |lhs|_F.  R0 sends
+    v_n x v_m to W[n + a, m] v_(n+a) x v_m, with W the twist diagonal times
+    the gauge ratio on slot 2.  Each product shifts slot 1 twice and slot 2
+    once, so both send v_n1 x v_n2 x v_n3 to v_(n1+2a) x v_(n2+a) x v_n3,
+    and the residual compares their weights over the ell^3 triple indices:
+    O(ell^3).  Purely diagnostic: returns (relative residual, conclusive
+    flag); no threshold is attached.  D and the band exponent a are read
+    from intw's pair, where closed_form_R left D.
 
-    At a band exponent a != 0 the residual can be sqrt(2): the two products
-    send each column to the same row, but their weight vectors have equal
-    norms and are orthogonal (seed 42, ell 7, trials 15, 17 and 68; the
-    twist diagonal alone gives the same sqrt(2)).
+    At a band exponent a != 0 the residual can be sqrt(2): the two weight
+    arrays have equal norms and are orthogonal (seed 42, ell 7, trials 15,
+    17 and 68; the twist diagonal alone gives the same sqrt(2)).
     """
     pair = intw.pair
     ell, a = pair.in_params[0].ctx.ell, pair.band_exp
     U2, Ut2 = (gauge_U(q)[0] for q in (pair.in_params[1], pair.out_params[1]))
-    n, m = np.divmod(np.arange(ell * ell), ell)
-    target = ((n + a) % ell) * ell + m  # B^a x 1 sends v_n x v_m to v_(n+a) x v_m
-    R0 = target, pair.twist[target] * (np.diag(Ut2) / np.diag(U2))[m]
-    r12, r13, r23 = (_embed_monomial(R0, slots) for slots in ((0, 1), (0, 2), (1, 2)))
-    residual = _relative_distance(_compose([r12, r13, r23]), _compose([r23, r13, r12]))
+    W = pair.twist.reshape(ell, ell) * (np.diag(Ut2) / np.diag(U2))
+    n1, n2, n3 = np.ogrid[:ell, :ell, :ell]
+    s1, s2, t1 = (n1 + a) % ell, (n2 + a) % ell, (n1 + 2 * a) % ell
+    # R0_12 R0_13 R0_23 and R0_23 R0_13 R0_12, weights taken right to left
+    lhs = W[t1, s2] * (W[s1, n3] * W[s2, n3])
+    rhs = W[s2, n3] * (W[t1, n3] * W[s1, n2])
+    residual = float(np.sqrt((np.abs(lhs - rhs) ** 2).sum()) / np.linalg.norm(lhs))
     conclusive = bool(np.isfinite(residual))
     return residual, conclusive

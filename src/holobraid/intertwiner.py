@@ -605,7 +605,8 @@ def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float
     if abs(norm2) == 0:
         raise InvalidInputError("comparison target is the zero matrix")
     scalar = np.vdot(r2, r1) / norm2
-    deviation = float(np.linalg.norm(r1 - scalar * r2) / np.linalg.norm(r1))
+    diff = scalar * r2  # r1 - scalar r2, formed in place
+    deviation = float(np.linalg.norm(np.subtract(r1, diff, out=diff)) / np.linalg.norm(r1))
     return complex(scalar), deviation
 
 

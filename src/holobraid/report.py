@@ -21,6 +21,12 @@ def residual_value(x: float) -> float:
     return math.inf if math.isnan(x) else x
 
 
+def worst_residual(*xs: float) -> float:
+    """The largest of xs, each as residual_value: Python's max drops a NaN
+    that is not its first argument, so a NaN would pass its gate."""
+    return max(map(residual_value, xs))
+
+
 def residual_entry(x: float) -> dict:
     """Three-significant-digit string plus the double (residual_value)."""
     x = residual_value(x)

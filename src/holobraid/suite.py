@@ -8,9 +8,9 @@ every adjudicated formula, merged from one producer per stage: the
 representation (_rep_evidence), the character pair (character_checks),
 the closed form (_closed_form_evidence) and the action intertwiner
 (check_generator_action).  A gate over an adjudicated formula reads its
-evidence.  A NaN residual is recorded as inf (residual_value), like a
-reading that raises, so that it fails its gate and is never adjudicated
-as passing.  _aggregate_adjudications keeps each reading's worst residual
+evidence.  A NaN residual is recorded as inf (residual_value, and
+worst_residual for the worst of several), like a reading that raises, so
+that it fails its gate and is never adjudicated as passing.  _aggregate_adjudications keeps each reading's worst residual
 over the trials, adds phi_step_factor once per suite, and resolves each
 formula to the readings under ADJUDICATION_PASS.
 """
@@ -35,7 +35,7 @@ from .intertwiner import (DetSample, Intertwiner, PairContext,
                           r1_conjugation_residuals, solve_intertwiner)
 from .qseries import phi_orbit, phi_series
 from .report import (check_entry, complex_pair, new_report, params_entry,
-                     residual_entry, residual_value)
+                     residual_entry, residual_value, worst_residual)
 from .roots import RootContext, primitive_root
 from .sampling import sample_params
 
@@ -106,7 +106,7 @@ def rep_checks(p: RepParams) -> dict[str, float]:
     def comm(a, b, factor, na, nb):
         return np.linalg.norm(a @ b - factor * (b @ a)) / (na * nb)
 
-    rel = max(
+    rel = worst_residual(
         comm(K, L, 1.0, nK, nL),
         comm(K, E, t**2, nK, nE),
         comm(K, F, t**-2, nK, nF),
@@ -118,9 +118,9 @@ def rep_checks(p: RepParams) -> dict[str, float]:
     I = np.eye(ctx.ell)
     central = 0.0
     for (P, scalar), s in zip(ell_powers(p), (ch.kappa, ch.lam, ch.eta, ch.phi)):
-        central = max(central,
-                      np.linalg.norm(P - scalar * I) / _scale(scalar),
-                      abs(scalar - s) / _scale(s))
+        central = worst_residual(central,
+                                 np.linalg.norm(P - scalar * I) / _scale(scalar),
+                                 abs(scalar - s) / _scale(s))
     cas = E @ F + K / t + Linv * t
     cas_target = p.u * (p.x + 1 / p.x)
     casimir = np.linalg.norm(cas - cas_target * I) / _scale(cas_target)
@@ -165,11 +165,8 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     def drift(outs, k: int) -> float:
         """Worst slot-wise relative change of invariant k (0: T, 1: Dt)
         from (cx, cy) to the braided pairs outs."""
-        worst = 0.0
-        for out in outs:
-            for o, i in zip(out, invariants):
-                worst = max(worst, abs(conserved_quantities(o)[k] - i[k]) / _scale(i[k]))
-        return float(worst)
+        return worst_residual(*(abs(conserved_quantities(o)[k] - i[k]) / _scale(i[k])
+                                for out in outs for o, i in zip(out, invariants)))
 
     targets = braided["minus"]
     (p, q), (P, Q) = targets
@@ -184,8 +181,10 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
                         for slots in ("direct", "swapped")})
             continue
         for tname, (t1, t2) in zip(("forward", "inverse"), targets):
-            mre[f"{variant}:{tname}:direct"] = max(_char_dev(m1, t1), _char_dev(m2, t2))
-            mre[f"{variant}:{tname}:swapped"] = max(_char_dev(m2, t1), _char_dev(m1, t2))
+            mre[f"{variant}:{tname}:direct"] = worst_residual(_char_dev(m1, t1),
+                                                              _char_dev(m2, t2))
+            mre[f"{variant}:{tname}:swapped"] = worst_residual(_char_dev(m2, t1),
+                                                               _char_dev(m1, t2))
     evidence = {"matrix_route": mre,
                 "braiding_correction_sign": {name: drift(outs, 0)
                                              for name, outs in braided.items()}}
@@ -195,12 +194,12 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     fx = beta_forward(cx, IDENTITY_CHAR)
     fy = beta_forward(IDENTITY_CHAR, cy)
     residuals = {
-        "braiding_round_trip": max(_char_dev(rx, cx), _char_dev(ry, cy),
-                                   _char_dev(sx, cx), _char_dev(sy, cy)),
+        "braiding_round_trip": worst_residual(_char_dev(rx, cx), _char_dev(ry, cy),
+                                              _char_dev(sx, cx), _char_dev(sy, cy)),
         "braiding_product": _char_dev(glstar_multiply(p, q), glstar_multiply(cy, cx)),
         "conserved_T": evidence["braiding_correction_sign"]["minus"],
         "conserved_Dt": drift(targets, 1),
-        "identity_fixed_points": max(
+        "identity_fixed_points": worst_residual(
             _char_dev(fx[0], cx), char_distance(fx[1], IDENTITY_CHAR),
             char_distance(fy[0], IDENTITY_CHAR), _char_dev(fy[1], cy)),
     }
@@ -222,7 +221,7 @@ def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
             vals = phi_orbit(ctx, s, variant=variant)
             pts = [s * ctx.pow(2 * k - 2) for k in range(ctx.ell)]
             ref = np.array([series(z) for z in pts])
-            worst = max(worst, float(np.max(np.abs(vals - ref / ref[0]))))
+            worst = worst_residual(worst, np.max(np.abs(vals - ref / ref[0])))
         out[variant] = worst
     return out
 
@@ -237,8 +236,8 @@ def _closed_form_evidence(pair: PairContext, r1res: dict[str, float]) -> dict:
     cd = pair.chi
     return {
         "assembly_scalars": {
-            "derived": float(max(cd.chi1_mismatch, cd.chi2_mismatch,
-                                 pair.band_dist, cd.sigma_power_residual)),
+            "derived": worst_residual(cd.chi1_mismatch, cd.chi2_mismatch,
+                                      pair.band_dist, cd.sigma_power_residual),
             **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()
                if k != "chi1_band_tie"}},
         "r1_clock_conjugation": {shifts: r1res[f"slot2_clock_{shifts}"]
@@ -312,7 +311,8 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
         r1res = r1_conjugation_residuals(closed)
         evidence.update(_closed_form_evidence(pair, r1res))
         checks["r1_commutants"] = check_entry(
-            max(r1res["clock_pair"], r1res["slot2_shift_inv"], r1res["slot1_shift"]),
+            worst_residual(r1res["clock_pair"], r1res["slot2_shift_inv"],
+                           r1res["slot1_shift"]),
             THRESHOLDS["r1_commutants"])
     if closed is not None:
         sres, sconcl = s0_diagnostic(closed)
@@ -328,7 +328,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
     intw = oracle if oracle is not None else closed
     cinv = central_invariance_residuals(intw)
     checks["central_invariance"] = check_entry(
-        max(cinv.values()), THRESHOLDS["central_invariance"])
+        worst_residual(*cinv.values()), THRESHOLDS["central_invariance"])
     actions = check_generator_action(intw)
     evidence.update(actions)
     evidence = {formula: {v: residual_value(r) for v, r in readings.items()}

@@ -176,3 +176,19 @@ def test_series_command(tmp_path):
     assert rep["checks"]["orbit_telescoping"]["value"] < 1e-12
     assert rep["checks"]["phi_variants"]["direct"]["value"] < 1e-8
     assert rep["checks"]["phi_variants"]["reciprocal_argument"]["value"] > 1e-3
+
+
+def test_series_nan_fails(tmp_path, monkeypatch):
+    # a NaN orbit closure after the first probe: max dropped it and the
+    # series command passed
+    closure, calls = holobraid.cli.phi_orbit_closure, []
+
+    def planted(ctx, s):
+        calls.append(s)
+        return float("nan") if len(calls) == 2 else closure(ctx, s)
+
+    monkeypatch.setattr(holobraid.cli, "phi_orbit_closure", planted)
+    out = tmp_path / "s.json"
+    assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["checks"]["orbit_telescoping"]["approx"] == "inf"

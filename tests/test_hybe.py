@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import holobraid.hybe as hybe
 from holobraid.cyclic import _dense, _kron, _kron_blocks, clock_shift, gauge_U
-from holobraid.errors import InvalidInputError
+from holobraid.errors import AssemblyError, InvalidInputError
 from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
                             hybe_residual, s0_diagnostic)
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
@@ -28,6 +29,12 @@ def dense_hybe(factors, ell):
     lhs, rhs = dense_products(factors, ell)
     c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
     return c, float(np.linalg.norm(lhs - c * rhs) / np.linalg.norm(lhs))
+
+
+def dense_s0(R0, ell):
+    """s0_diagnostic's residual for the core R0, computed densely."""
+    lhs, rhs = dense_products([R0] * 6, ell)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
 
 
 SOLVE = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
@@ -102,6 +109,16 @@ class TestColorings:
         for name in ("z1", "z2", "za", "zb"):
             c = getattr(col, name)
             assert (c.u, c.x) == (z.u, z.x)
+
+    def test_nan_final_is_inf(self, triple3):
+        # a NaN in the last final coloring: max dropped it, so the deviation
+        # stayed finite and hybe_residual's isfinite guard let it through
+        col = derive_colorings(*triple3)
+        u, *rest = col.zb.as_tuple()
+        col = replace(col, zb=SimpleNamespace(as_tuple=lambda: (float("nan"), *rest)))
+        assert col.finals_deviation() == float("inf")
+        with pytest.raises(AssemblyError):
+            hybe_residual(col, closed_form_R(col.x, col.y))
 
     @pytest.mark.parametrize("ell_fixture", ["ctx3", "ctx5"])
     def test_set_ybe_sampled(self, ell_fixture, request):
@@ -199,76 +216,58 @@ class TestGradeBlocks:
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])
-    def test_s0_matches_dense(self, ell, trial, monkeypatch):
+    def test_s0_matches_dense(self, ell, trial):
         # seed 42, ell 7, trials 15, 17 and 68 are the pairs of the first 100
-        # whose core residual is O(1); their band exponent is 3.  The two
-        # products send every column to the same row, but there their weight
-        # vectors have equal norms and are orthogonal, so the residual is
-        # sqrt(2): the twist diagonal alone already gives it, the gauge ratio
-        # alone does not.  The core itself is compared too
-        cores = []
-        embed = hybe._embed_monomial
-        monkeypatch.setattr(hybe, "_embed_monomial",
-                            lambda R, slots: cores.append(R) or embed(R, slots))
+        # whose core residual is O(1); their band exponent is 3.  There the
+        # two dense products have equal norms and are orthogonal, so the
+        # residual is sqrt(2): the twist diagonal alone already gives it, the
+        # gauge ratio alone does not
         p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
         pair = PairContext(p1, p2)
         Ba = np.linalg.matrix_power(clock_shift(pair.in_params[0].ctx).B, pair.band_exp)
         U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
-        R0 = pair.twist[:, None] * _kron(Ba, Ut2 @ np.linalg.inv(U2))
-        lhs, rhs = dense_products([R0] * 6, ell)
+        gauge = _kron(Ba, Ut2 @ np.linalg.inv(U2))
+        lhs, rhs = dense_products([pair.twist[:, None] * gauge] * 6, ell)
         ref = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
         res, _ = s0_diagnostic(closed_form_R(p1, p2))
         assert abs(res - ref) < 1e-14
         assert (res > 1.0) == (trial in (15, 17, 68))
-        target, weight = cores[0]
-        core = np.zeros_like(R0)
-        core[target, np.arange(len(target))] = weight
-        assert np.max(np.abs(core - R0)) <= 1e-15 * np.max(np.abs(R0))
-
-        def products(w):
-            r = [embed((target, w), slots) for slots in ((0, 1), (0, 2), (1, 2))]
-            return hybe._compose(r), hybe._compose(r[::-1])
-        (lhs_target, lhs_w), (rhs_target, rhs_w) = products(weight)
-        assert np.array_equal(lhs_target, rhs_target)
         if trial in (15, 17, 68):
-            norms = np.linalg.norm(lhs_w), np.linalg.norm(rhs_w)
+            norms = np.linalg.norm(lhs), np.linalg.norm(rhs)
             assert abs(norms[0] / norms[1] - 1) < 1e-15
-            assert abs(np.vdot(lhs_w, rhs_w)) <= 1e-15 * norms[0] * norms[1]
-            twist = pair.twist[target]
-            assert abs(hybe._relative_distance(*products(twist)) - np.sqrt(2)) < 1e-15
-            assert 0.8 < hybe._relative_distance(*products(weight / twist)) < 1.1
+            assert abs(np.vdot(lhs, rhs)) <= 1e-15 * norms[0] * norms[1]
+            twist = pair.twist[:, None] * _kron(Ba, np.eye(ell))
+            assert abs(dense_s0(twist, ell) - np.sqrt(2)) < 1e-15
+            assert 0.8 < dense_s0(gauge, ell) < 1.1
 
     @pytest.mark.parametrize("ell", [3, 5])
-    def test_monomial_products_match_dense(self, ell):
-        # random weights on permutations that each swap two pair indices,
-        # so that the two products send some columns, not all, to
-        # different rows
+    def test_s0_random_weights(self, ell):
+        # random complex twist weights at every band exponent a, with the
+        # gauge ratio of two sampled representations on slot 2: s0 against
+        # the dense products of R0 = D (B^a x Ut2 U2^-1).  At a = 0 the core
+        # is diagonal, so the products commute; at every other a each entry
+        # of the weight array moves s0
+        ctx = primitive_root(ell)
         rng = np.random.default_rng(ell)
-        n2, n3 = ell * ell, ell ** 3
-
-        def dense(R, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[R[0], np.arange(n)] = R[1]
-            return M
-
-        def swap_two():
-            target = np.arange(n2)
-            i, j = rng.choice(n2, 2, replace=False)
-            target[[i, j]] = target[[j, i]]
-            return target
-
-        f, g, h = [(swap_two(), rng.normal(size=n2) + 1j * rng.normal(size=n2))
-                   for _ in range(3)]
-        F, G, H = (dense(R, n2) for R in (f, g, h))
-        emb = hybe._embed_monomial
-        lhs = hybe._compose([emb(f, (0, 1)), emb(g, (0, 2)), emb(h, (1, 2))])
-        rhs = hybe._compose([emb(h, (1, 2)), emb(g, (0, 2)), emb(f, (0, 1))])
-        lhs_ref, rhs_ref = dense_products([F, G, H, H, G, F], ell)
-        for R, ref in ((lhs, lhs_ref), (rhs, rhs_ref)):
-            assert np.max(np.abs(dense(R, n3) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert 0 < np.sum(lhs[0] != rhs[0]) < n3
-        ref = np.linalg.norm(lhs_ref - rhs_ref) / np.linalg.norm(lhs_ref)
-        assert abs(hybe._relative_distance(lhs, rhs) - ref) < 1e-14
+        p, q = sample_params(ctx, 42, 0, count=2)
+        ratio = gauge_U(q)[0] @ np.linalg.inv(gauge_U(p)[0])
+        for a in range(ell):
+            gauge = _kron(np.linalg.matrix_power(clock_shift(ctx).B, a), ratio)
+            twist = rng.normal(size=ell * ell) + 1j * rng.normal(size=ell * ell)
+            pair = SimpleNamespace(in_params=(p, p), out_params=(q, q), band_exp=a,
+                                   twist=twist)
+            res, conclusive = s0_diagnostic(SimpleNamespace(pair=pair))
+            assert conclusive
+            assert abs(res - dense_s0(twist[:, None] * gauge, ell)) < 1e-14
+            if a == 0:
+                assert res < 1e-15
+                continue
+            for k in range(ell * ell):
+                pair.twist = twist.copy()
+                pair.twist[k] *= 1 + 1e-6
+                moved, _ = s0_diagnostic(SimpleNamespace(pair=pair))
+                assert abs(moved - res) > 1e-12
+                assert abs(moved - dense_s0(pair.twist[:, None] * gauge, ell)) < 1e-14
 
     def test_mismatched_shifts(self, triple3, monkeypatch):
         # the first factor moves the grade by 1, the other five by 0: the

@@ -1,18 +1,27 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import holobraid.report as report
 import holobraid.sampling as sampling
 import holobraid.suite as suite
 from holobraid.dumps import dump_intertwiner, dump_rep_matrix
 from holobraid.errors import NonFactorizableError, SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
-from holobraid.cyclic import build_rep
+from holobraid.cyclic import build_rep, z0_character
 from holobraid.report import check_entry, emit_report, residual_entry, write_report
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, run_suite
 from reference import commutant_dimension, load_matrix
+
+INF = float("inf")
+
+
+def assert_fails(check):
+    """check failed its gate with residual inf."""
+    assert not check["pass"] and check["residual"]["value"] == INF
 
 
 class TestSampling:
@@ -161,6 +170,105 @@ class TestReports:
         summary = suite.check_summary(trials)["x"]
         assert summary["passed"] == 1
         assert summary["max_residual"] == {"approx": "inf", "value": float("inf")}
+
+    def test_worst_residual_keeps_nan(self):
+        nan = float("nan")
+        assert report.worst_residual(0.5, nan) == INF
+        assert report.worst_residual(nan, 0.5) == INF
+        assert report.worst_residual(1e-3, 2e-3, 0.0) == 2e-3
+
+    def test_nan_conserved_T(self, ctx3, monkeypatch):
+        # a NaN T on the second slot of the minus reading's forward braiding,
+        # the fourth conserved_quantities call: max kept the first slot's
+        # drift and conserved_T passed
+        quantities, calls = suite.conserved_quantities, []
+
+        def planted(c):
+            calls.append(c)
+            T, Dt = quantities(c)
+            return (float("nan"), Dt) if len(calls) == 4 else (T, Dt)
+
+        monkeypatch.setattr(suite, "conserved_quantities", planted)
+        p1, p2 = sample_params(ctx3, 42, 0, count=2)
+        checks, evidence = suite.character_checks(z0_character(p1), z0_character(p2))
+        assert evidence["braiding_correction_sign"]["minus"] == INF
+        assert_fails(checks["conserved_T"])
+
+    def test_nan_character_deviations(self, ctx3, monkeypatch):
+        # char_distance gives NaN against cy (the second term of
+        # braiding_round_trip, the last of identity_fixed_points) and for the
+        # second output of every matrix-route reading
+        p1, p2 = sample_params(ctx3, 42, 0, count=2)
+        cx, cy = z0_character(p1), z0_character(p2)
+        route, distance, seconds = suite.matrix_route_beta, suite.char_distance, []
+
+        def planted_route(first, second):
+            m1, m2 = route(first, second)
+            seconds.append(m2)
+            return m1, m2
+
+        def planted_distance(a, b):
+            if b is cy or any(a is m for m in seconds):
+                return float("nan")
+            return distance(a, b)
+
+        monkeypatch.setattr(suite, "matrix_route_beta", planted_route)
+        monkeypatch.setattr(suite, "char_distance", planted_distance)
+        checks, evidence = suite.character_checks(cx, cy)
+        assert set(evidence["matrix_route"].values()) == {INF}
+        for name in ("matrix_route", "braiding_round_trip", "identity_fixed_points"):
+            assert_fails(checks[name])
+
+    def test_nan_central_power(self, ctx3, monkeypatch):
+        # the L^ell scalar planted as NaN; _scale drops it too
+        (p,) = sample_params(ctx3, 42, 0, count=1)
+        powers = list(suite.ell_powers(p))
+        powers[1] = (powers[1][0], complex("nan"))
+        monkeypatch.setattr(suite, "ell_powers", lambda q: powers)
+        assert suite.rep_checks(p)["central_powers"] == INF
+
+    def test_nan_assembly_scalar(self):
+        nan = float("nan")
+        chi = SimpleNamespace(chi1_mismatch=1e-16, chi2_mismatch=nan,
+                              sigma_power_residual=1e-16, legacy_relation_residuals={})
+        pair = SimpleNamespace(chi=chi, band_dist=0.0)
+        r1res = {"slot2_clock_opposite_shifts": 0.0, "slot2_clock_parallel_shifts": 1.0}
+        evidence = suite._closed_form_evidence(pair, r1res)
+        assert evidence["assembly_scalars"]["derived"] == INF
+
+    def test_nan_trial_gates(self, ctx3, monkeypatch):
+        # a NaN in the last central-invariance residual and the last
+        # commutant residual fails the trial
+        def planted(check, key):
+            def run(intw):
+                out = check(intw)
+                out[key] = float("nan")
+                return out
+            return run
+
+        monkeypatch.setattr(suite, "central_invariance_residuals",
+                            planted(suite.central_invariance_residuals, "kl_ratio_slot2"))
+        monkeypatch.setattr(suite, "r1_conjugation_residuals",
+                            planted(suite.r1_conjugation_residuals, "slot1_shift"))
+        cfg = SuiteConfig(ell=3, trials=1, seed=42, route="closed-form", hybe_every=0)
+        record = suite.run_trial(cfg, ctx3, 0).record
+        for name in ("central_invariance", "r1_commutants"):
+            assert_fails(record["checks"][name])
+        assert not record["pass"]
+
+    def test_nan_phi_orbit(self, ctx3, monkeypatch):
+        # a NaN reciprocal_argument orbit was recorded as 0.0 and adjudicated
+        # as passing beside the direct reading
+        orbit = suite.phi_orbit
+
+        def planted(ctx, s, variant):
+            vals = orbit(ctx, s, variant=variant)
+            return vals * float("nan") if variant == "reciprocal_argument" else vals
+
+        monkeypatch.setattr(suite, "phi_orbit", planted)
+        adjudication = suite._aggregate_adjudications([], ctx3)["phi_step_factor"]
+        assert adjudication["variants"]["reciprocal_argument"]["value"] == INF
+        assert adjudication["passing"] == ["direct"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
