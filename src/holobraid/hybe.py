@@ -147,9 +147,10 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     other five factors are solved on xy's route.  Embeds the six
     det-normalized intertwiners into the triple space and compares the
     ordered products.  Returns (c, deviation, info): LHS = c * RHS with the
-    least-squares scalar c, whose modulus must be 1.  For det-normalized
-    factors c is an ell^2-th root of unity: both products have determinant
-    1 on each of their ell^2 x ell^2 grade blocks.
+    least-squares scalar c, whose modulus must be 1, and info the gap
+    between c and the ratio of the largest entries, with the route.  For
+    det-normalized factors c is an ell^2-th root of unity: both products
+    have determinant 1 on each of their ell^2 x ell^2 grade blocks.
 
     Each factor is a stack of grade shift its band exponent, so each
     product is formed as ell grade blocks of size ell^2 x ell^2, starting
@@ -163,8 +164,7 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
     """
     if xy.pair.in_params[0] is not col.x or xy.pair.in_params[1] is not col.y:
         raise InvalidInputError("xy is not an intertwiner of the triple's pair (x, y)")
-    dev_params = col.finals_deviation()
-    if not np.isfinite(dev_params):
+    if not np.isfinite(col.finals_deviation()):
         raise AssemblyError("coloring chains failed to produce finite finals")
     solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
     ell = col.x.ctx.ell
@@ -189,14 +189,7 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
         # cross-check scalar from the largest entries
         idx = int(np.argmax(np.abs(rhs)))
         gap = float(abs(c - lhs.flat[idx] / rhs.flat[idx]))
-    info = {
-        "colorings_deviation": float(dev_params),
-        "c_modulus": float(abs(c)),
-        "c_argument": float(np.angle(c)),
-        "c_entry_ratio_gap": gap,
-        "route": xy.route,
-    }
-    return complex(c), dev, info
+    return complex(c), dev, {"c_entry_ratio_gap": gap, "route": xy.route}
 
 
 def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:

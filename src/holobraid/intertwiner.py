@@ -50,6 +50,7 @@ from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense,
                      build_rep, clock_shift, gauge_U, z0_character)
 from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
                      NonGenericRepresentationError)
+from .report import worst_residual
 from .roots import RootContext, primitive_root
 
 # oracle kernel: relative singular value below KERNEL_TOL, gap ratio above
@@ -316,7 +317,6 @@ class ChiData:
     sigma: complex
     chi1_mismatch: float
     chi2_mismatch: float
-    t_power_residual: float
     sigma_power_residual: float
     legacy_relation_residuals: dict = field(default_factory=dict)
 
@@ -399,7 +399,7 @@ class PairContext:
         chi2_mis = float(np.min(np.abs(chi2 - roots)))
         # the band is pinned by the clock ratio alone; chi1 is a further,
         # independent root of unity (the two only coincide near the identity)
-        if max(chi1_mis, chi2_mis, self.band_dist) > TWIST_ROOT_TOL:
+        if worst_residual(chi1_mis, chi2_mis, self.band_dist) > TWIST_ROOT_TOL:
             raise BranchMismatchError(
                 f"twist scalars off the root lattice: chi1 {chi1_mis:.2e}, "
                 f"chi2 {chi2_mis:.2e}, a {self.band_dist:.2e}")
@@ -417,7 +417,6 @@ class PairContext:
         return ChiData(
             chi1=chi1, chi2=chi2, s=s, t=t, sigma=sigma,
             chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
-            t_power_residual=float(abs(t**ell - (1 - s**ell))),
             sigma_power_residual=float(abs(sigma**ell - y1**ell * z0_character(p2).phi)),
             legacy_relation_residuals=legacy,
         )
@@ -446,7 +445,6 @@ class Intertwiner:
     blocks: np.ndarray
     pair: PairContext
     route: str
-    kernel_dim: int = 1
     singular_gap: float | None = None
     log_abs_det: float | None = None  # log|det R| of R before det normalization
 
@@ -632,7 +630,9 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
 
     Returns {formula id: {reading: relative residual}}.  For each formula
     at least one reading is expected under 1e-8; the suite aggregates
-    which one.  Every operator is a stack (see cyclic).
+    which one.  Every operator is a stack (see cyclic); the opposite E and
+    F coproducts on the output pair are pair.blocks' N[2] and N[3], and
+    1 - t G is pair.T.
     """
     pair = intw.pair
     p1, p2, q1, q2 = *pair.in_params, *pair.out_params
@@ -642,11 +642,11 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     I = np.eye(ell)
     rin1, rin2, rout1, rout2 = pair.reps
     K1, F1, E2 = rin1.K, rin1.F, rin2.E
-    Kt1, Lt1, Et1, Ft1 = rout1.as_tuple()
-    Kt2, Lt2, Et2, Ft2 = rout2.as_tuple()
+    Kt1, Lt1, Et1, _ = rout1.as_tuple()
+    Kt2, Lt2, _, Ft2 = rout2.as_tuple()
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
     inv_powers = tuple(zip(("t", "t_inverse"),
-                           np.linalg.inv(np.stack([I - t * pair.G, I - pair.G / t]))))
+                           np.linalg.inv(np.stack([pair.T, I - pair.G / t]))))
     a, R_inv = pair.band_exp, intw._R_inv
 
     def res(w_in, w_out, shift):  # |R w_in R^-1 - w_out| / |w_out|
@@ -675,16 +675,14 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
 
     # second-slot raising: inverted factor to the left, acting on the grade
     # tailE lands on; t-power adjudicated
-    lead = kron(Et1, I, 1) + kron(Kt1, Et2, 1)
     tailE = kron(Et1, Kt2 @ Lt2, 1)
-    out["slot2_raising"] = {tname: res(kron(I, E2, 1), lead - _rotate(inv, 1) @ tailE, 1)
+    out["slot2_raising"] = {tname: res(kron(I, E2, 1), N[2] - _rotate(inv, 1) @ tailE, 1)
                             for tname, inv in inv_powers}
 
     # first-slot lowering: prefactor and t-power adjudicated
-    baseF = kron(Ft1, np.linalg.inv(Lt2), -1) + kron(I, Ft2, -1)
     pref = {"product_inverse": kron(np.linalg.inv(Kt1 @ Lt1), Ft2, -1),
             "ratio": kron(Kt1 @ np.linalg.inv(Lt1), Ft2, -1)}
-    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I, -1), baseF - X @ inv, -1)
+    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I, -1), N[3] - X @ inv, -1)
                              for pname, X in pref.items() for tname, inv in inv_powers}
     return out
 

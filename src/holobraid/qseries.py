@@ -234,16 +234,12 @@ def phi_orbit(ctx: RootContext, s: complex, variant: str = "direct") -> np.ndarr
 
 
 def phi_orbit_closure(ctx: RootContext, s: complex) -> float:
-    """|product of the ell direct step factors - 1| (telescoping check)."""
+    """|product of the ell direct step factors - 1| (telescoping check):
+    phi_orbit's last value times the step from z_ell back to z_1."""
     ell = ctx.ell
-    s_ell = s**ell
-    if abs(1 - s_ell) < 1e-12:
-        raise DegenerateSpectralParameterError(f"s^ell = 1 within tolerance (s={s})")
-    t = (1 - s_ell) ** (1.0 / ell)
-    prod = 1.0 + 0.0j
-    for k in range(ell):
-        prod *= t / (1 - s * ctx.pow(2 * k))
-    return abs(prod - 1)
+    last = phi_orbit(ctx, s)[-1]
+    t = (1 - s**ell) ** (1.0 / ell)
+    return float(abs(last * (t / (1 - s * ctx.pow(2 * ell - 2))) - 1))
 
 
 def q_shift_coefficient_check(n: int, q: complex) -> float:

@@ -54,23 +54,10 @@ def new_report(config_dict: dict) -> dict:
     }
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return complex_pair(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def emit_report(report: dict) -> str:
-    """Serialize with stable key order (insertion order, never re-sorted)."""
-    return json.dumps(report, indent=2, default=_json_default)
+    """Serialize with stable key order (insertion order, never re-sorted).
+    Every report value is already a Python scalar, list or dict."""
+    return json.dumps(report, indent=2)
 
 
 def write_report(report: dict, path) -> None:

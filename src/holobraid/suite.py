@@ -27,7 +27,7 @@ from .errors import HolobraidError
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      char_distance, conserved_quantities, glstar_multiply,
                      matrix_route_beta)
-from .hybe import ColoringTriple, derive_colorings, hybe_residual, s0_diagnostic
+from .hybe import ColoringTriple, derive_colorings, hybe_residual
 from .intertwiner import (DetSample, Intertwiner, PairContext,
                           central_invariance_residuals,
                           check_generator_action, closed_form_R,
@@ -287,14 +287,8 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
     if cfg.route in ("oracle", "both"):
         oracle = solve_intertwiner(p1, p2, pair=pair)
         checks["oracle_residual"] = check_entry(oracle.residual, THRESHOLDS["oracle_residual"])
-        checks["oracle_kernel_dim"] = {"variant": "direct",
-                                       "residual": residual_entry(0.0),
-                                       "threshold": 1.0,
-                                       "pass": oracle.kernel_dim == 1}
-        trial["oracle"] = {"kernel_dim": oracle.kernel_dim,
-                           "band_exp": pair.band_exp,
-                           "singular_gap": float(oracle.singular_gap),
-                           "residual": residual_entry(oracle.residual)}
+        trial["oracle"] = {"band_exp": pair.band_exp,
+                           "singular_gap": float(oracle.singular_gap)}
     if cfg.route in ("closed-form", "both"):
         closed = closed_form_R(p1, p2, pair=pair)
         checks["closed_form_residual"] = check_entry(
@@ -304,7 +298,6 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
             "a_exp": pair.band_exp, "s": complex_pair(cd.s), "t": complex_pair(cd.t),
             "sigma": complex_pair(cd.sigma),
-            "t_power_residual": residual_entry(cd.t_power_residual),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
             "chi1_band_tie": residual_entry(cd.legacy_relation_residuals["chi1_band_tie"]),
         }
@@ -314,10 +307,6 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             worst_residual(r1res["clock_pair"], r1res["slot2_shift_inv"],
                            r1res["slot1_shift"]),
             THRESHOLDS["r1_commutants"])
-    if closed is not None:
-        sres, sconcl = s0_diagnostic(closed)
-        trial["s0_diagnostic"] = {"residual": residual_entry(sres),
-                                  "conclusive": sconcl}
     if cfg.route == "both":
         scalar, dev = compare_up_to_scalar(oracle.blocks, closed.blocks)
         checks["route_deviation"] = check_entry(dev, THRESHOLDS["route_deviation"])
@@ -346,11 +335,8 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             checks["hybe_residual"] = check_entry(dev, THRESHOLDS["hybe_residual"])
             checks["hybe_c_modulus"] = check_entry(
                 abs(abs(c) - 1), THRESHOLDS["hybe_c_modulus"])
-            trial["hybe"] = {"c": complex_pair(c),
-                             "c_argument": float(np.angle(c)),
-                             "residual": residual_entry(dev),
-                             "info": {k: (float(v) if isinstance(v, (int, float))
-                                          else v) for k, v in info.items()}}
+            trial["hybe"] = {"c": complex_pair(c), "c_argument": float(np.angle(c)),
+                             "info": info}
             colorings = col
         except HolobraidError as exc:
             trial["hybe"] = {"rejected": True, "reason": str(exc)}

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import holobraid.cli as cli
 import holobraid.report as report
 import holobraid.sampling as sampling
 import holobraid.suite as suite
@@ -22,6 +23,20 @@ INF = float("inf")
 def assert_fails(check):
     """check failed its gate with residual inf."""
     assert not check["pass"] and check["residual"]["value"] == INF
+
+
+def force_second_conjugates_raise(monkeypatch):
+    """Make the second_conjugates reading of matrix_route_beta raise."""
+    route, calls = suite.matrix_route_beta, []
+
+    def second_raises(first, second):
+        # the second_conjugates reading is the previous call's pair swapped
+        if calls and calls[-1] == (second, first):
+            raise NonFactorizableError("forced")
+        calls.append((first, second))
+        return route(first, second)
+
+    monkeypatch.setattr(suite, "matrix_route_beta", second_raises)
 
 
 class TestSampling:
@@ -73,7 +88,6 @@ class TestDumps:
         dump_intertwiner(path, intw)
         meta, m = load_matrix(path)
         assert meta["kind"] == "R"
-        assert meta["kernel_dim"] == "1"
         assert float(meta["residual"]) < 1e-9
         assert np.max(np.abs(m - intw.R)) < 1e-15
 
@@ -109,18 +123,7 @@ class TestReports:
         # a matrix-route variant whose evaluation raises (second_conjugates
         # on trial 4 of ell 7, radius 1.0, seed 42) fails its four readings
         # with residual inf instead of stopping the run
-        route = suite.matrix_route_beta
-
-        calls = []
-
-        def second_raises(first, second):
-            # the second_conjugates reading is the previous call's pair swapped
-            if calls and calls[-1] == (second, first):
-                raise NonFactorizableError("forced")
-            calls.append((first, second))
-            return route(first, second)
-
-        monkeypatch.setattr(suite, "matrix_route_beta", second_raises)
+        force_second_conjugates_raise(monkeypatch)
         code, rep = run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))
         path = tmp_path / "out.json"
         write_report(rep, path)
@@ -138,6 +141,32 @@ class TestReports:
         adjudication = on_disk["adjudications"]["matrix_route"]
         assert adjudication["chosen"] == "first_conjugates:inverse:swapped"
         assert adjudication["variants"]["second_conjugates:forward:direct"]["approx"] == "inf"
+
+    def test_record_holds_each_value_once(self, tmp_path, monkeypatch):
+        # an ell 3 trial with both routes and a triple records only values
+        # that can move, each once; every report is plain JSON as built
+        reports = []
+        monkeypatch.setattr(cli, "write_report", lambda rep, path: reports.append(rep))
+        for argv in (["suite", "--ell", "3", "--trials", "1", "--seed", "42", "--route", "both"],
+                     ["braid-map", "--ell", "3", "--trials", "2"],
+                     ["rmatrix", "--ell", "3", "--seed", "5", "--trial", "2"],
+                     ["hybe", "--ell", "3", "--seed", "11"],
+                     ["series", "--ell", "5", "--order", "30"]):
+            assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+        trial = reports[0]["trials"][0]
+        assert set(trial["oracle"]) == {"band_exp", "singular_gap"}
+        assert set(trial["chi"]) == {"chi1", "chi2", "a_exp", "s", "t", "sigma",
+                                     "sigma_power_residual", "chi1_band_tie"}
+        assert set(trial["hybe"]) == {"c", "c_argument", "info"}
+        assert set(trial["hybe"]["info"]) == {"c_entry_ratio_gap", "route"}
+        assert "s0_diagnostic" not in trial
+        assert "oracle_kernel_dim" not in trial["checks"]
+        force_second_conjugates_raise(monkeypatch)
+        reports.append(run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))[1])
+        assert reports[-1]["adjudications"]["matrix_route"]["variants"][
+            "second_conjugates:forward:direct"]["value"] == INF
+        for rep in reports:
+            assert json.loads(json.dumps(rep)) == rep
 
     def test_nan_reading_is_recorded_as_inf(self, monkeypatch):
         # Python's max and min drop a NaN that is not their first argument:

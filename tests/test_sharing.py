@@ -5,7 +5,7 @@ import pytest
 
 import holobraid.intertwiner as intertwiner
 import holobraid.suite as suite
-from holobraid.hybe import derive_colorings, hybe_residual, s0_diagnostic
+from holobraid.hybe import derive_colorings, hybe_residual
 from holobraid.intertwiner import (central_invariance_residuals,
                                    check_generator_action, closed_form_R,
                                    solve_intertwiner)
@@ -40,11 +40,9 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
         max(central_invariance_residuals(acted).values())
     for formula, readings in check_generator_action(acted).items():
         assert trial["evidence"][formula] == readings
-    assert trial["s0_diagnostic"]["residual"]["value"] == \
-        s0_diagnostic(closed_form_R(p1, p2))[0]
     c, dev, _ = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))
     assert complex(*trial["hybe"]["c"]) == c
-    assert trial["hybe"]["residual"]["value"] == dev
+    assert trial["checks"]["hybe_residual"]["residual"]["value"] == dev
 
 
 def test_trial_builds_braid_factor_once(monkeypatch):
