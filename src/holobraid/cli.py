@@ -55,11 +55,14 @@ _every = _bounded(int, lambda n: n >= 0, ">= 0")
 _radius = _bounded(float, lambda r: 0 < r <= 1, "in (0, 1]")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, sampled: bool = True) -> None:
+    """--ell, --seed and --report, and --radius for the commands that sample
+    representation parameters."""
     p.add_argument("--ell", type=_odd_ell, default=3, help="odd root-of-unity degree")
     p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    p.add_argument("--radius", type=_radius, default=0.1,
-                   help="half-width of the log-space sampling box")
+    if sampled:
+        p.add_argument("--radius", type=_radius, default=0.1,
+                       help="half-width of the log-space sampling box")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
 
@@ -93,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=ROUTES, default="oracle")
 
     p = sub.add_parser("series", help="q-series and orbit identity checks")
-    _add_common(p)
+    _add_common(p, sampled=False)
     p.add_argument("--order", type=_count, default=30)
     return ap
 

@@ -44,8 +44,8 @@ class ColoringTriple:
     """All intermediate colorings of the two chain orders of Fig-style triples.
 
     lhs chain braids slots (2,3), then (1,3), then (1,2); rhs chain braids
-    (1,2), then (1,3), then (2,3).  finals_* are the (slot1, slot2, slot3)
-    colorings after the full chain.
+    (1,2), then (1,3), then (2,3).  Their finals, the (slot1, slot2, slot3)
+    colorings after the full chain, are (x2, y2, z2) and (xb, yb, zb).
     """
 
     x: RepParams
@@ -64,18 +64,11 @@ class ColoringTriple:
     yb: RepParams
     zb: RepParams
 
-    @property
-    def finals_lhs(self):
-        return self.x2, self.y2, self.z2
-
-    @property
-    def finals_rhs(self):
-        return self.xb, self.yb, self.zb
-
     def finals_deviation(self) -> float:
         """Worst entry deviation of the two chains' finals; NaN as inf."""
         return worst_residual(*(abs(complex(ai) - complex(bi))
-                                for a, b in zip(self.finals_lhs, self.finals_rhs)
+                                for a, b in ((self.x2, self.xb), (self.y2, self.yb),
+                                             (self.z2, self.zb))
                                 for ai, bi in zip(a.as_tuple(), b.as_tuple())))
 
 

@@ -97,7 +97,8 @@ _BandTable = namedtuple("_BandTable", "cols src merge adjoint grid rows comp fro
 @lru_cache(maxsize=8)
 def _band_table(ell: int) -> _BandTable:
     """Where the entries of _band_rows' system S sit at degree ell, for
-    every band exponent a (read-only int32 arrays, from_mask bool).
+    every band exponent a (read-only intp arrays, from_mask bool), so that
+    every gather indexes with them as they are.
 
     Built from the layout alone: the blocks of K = L = 1, E = B, F = B^-1,
     T = 1 + G have nonzeros wherever a pair's can, never cancelling, so a
@@ -152,10 +153,10 @@ def _band_table(ell: int) -> _BandTable:
     c, s, t = np.ogrid[:ell, :ell, :ell]
     grid = at(s + t, s + c, s)
     rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
-    comp = np.empty(n, dtype=np.int32)
+    comp = np.empty(n, dtype=np.intp)
     comp[grid] = c
     sz_index = (np.arange(6 * n)[:, None] * ell + comp[cols]).T
-    table = _BandTable(*(x if x.dtype == bool else x.astype(np.int32, order="C") for x in (
+    table = _BandTable(*(x if x.dtype == bool else x.astype(np.intp, order="C") for x in (
         cols, src, merge, adjoint, grid, rows, comp, cols[rows] == grid[..., None], sz_index)))
     for arr in table:
         arr.setflags(write=False)
@@ -184,7 +185,9 @@ def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
     flat = vals.reshape(-1)
     flat[table.merge[0]] += flat[table.merge[1]]
     flat[table.merge[1]] = 0
-    return table.cols.astype(np.intp), vals / np.linalg.norm(vals, axis=1)[:, None]
+    # np.linalg.norm(vals, axis=1), the same products summed in the same order
+    sq = (vals.conj() * vals).real
+    return table.cols, vals / np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
 
 
 def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,7 +237,7 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
 def _adjoint(vals: np.ndarray, slots: np.ndarray):
     """y -> S^H y for _band_rows' rows and _band_table's adjoint slots:
     each unknown's 16 products, added one slot after another in row order."""
-    vals_h, rows = vals.conj().ravel()[slots], slots.astype(np.intp) // vals.shape[1]
+    vals_h, rows = vals.conj().ravel()[slots], slots // vals.shape[1]
     return lambda y: (vals_h * y[rows]).sum(axis=0)
 
 
@@ -318,12 +321,15 @@ class ChiData:
     chi1_mismatch: float
     chi2_mismatch: float
     sigma_power_residual: float
+    # the single-scalar tie rho = chi1 eps^(-2a) between the band and the
+    # first twist, a diagnostic: it fails whenever the lift branches split them
+    chi1_band_tie: float
     legacy_relation_residuals: dict = field(default_factory=dict)
 
 
 class PairContext:
     """The ingredients of one pair (p1, p2), built once and read by both
-    routes, their checks and the s0 diagnostic.
+    routes and their checks.
 
     Holds the output pair (braided, or the oracle's target), the four
     RepMatrices (in1, in2, out1, out2), and the band exponent a, the grade
@@ -394,7 +400,7 @@ class PairContext:
         t = (1 - s**ell) ** (1.0 / ell)
         chi1 = y1 * ut2 / (yt1 * vt2)
         chi2 = u2 * z2 * ut1 * vt1 * yt2 / (y2 * zt2 * ut2)
-        roots = ctx.eps_powers[:ell]
+        roots = ctx.eps_powers
         chi1_mis = float(np.min(np.abs(chi1 - roots)))
         chi2_mis = float(np.min(np.abs(chi2 - roots)))
         # the band is pinned by the clock ratio alone; chi1 is a further,
@@ -407,9 +413,6 @@ class PairContext:
         legacy = {
             # chi2 candidate from the slot-1 raising scalar alone
             "chi2_raising_only": float(np.min(np.abs(yt1 / (y1 * u2 * v2) - roots))),
-            # the single-scalar tie rho = chi1 eps^(-2a) between the band and
-            # the first twist; it fails whenever the lift branches split the two
-            "chi1_band_tie": float(abs(chi1 - ctx.pow(4 * self.band_exp))),
         }
         legacy_cand = zt2 / yt2 * ut2 * (u1 * v1) / (z2 * (yt1 / (y1 * u2 * v2)))
         legacy["a_exp_gauge_chain"] = float(
@@ -418,6 +421,7 @@ class PairContext:
             chi1=chi1, chi2=chi2, s=s, t=t, sigma=sigma,
             chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
             sigma_power_residual=float(abs(sigma**ell - y1**ell * z0_character(p2).phi)),
+            chi1_band_tie=float(abs(chi1 - ctx.pow(4 * self.band_exp))),
             legacy_relation_residuals=legacy,
         )
 
@@ -465,11 +469,6 @@ class Intertwiner:
             - R[(g + np.array(BLOCK_SHIFTS)[:, None]) % self.ell] @ M
         return float(np.linalg.norm(diff.reshape(len(diff), -1), axis=1).max()
                      / np.linalg.norm(R))
-
-    @cached_property
-    def _R_inv(self) -> np.ndarray:
-        """The stack of R^-1, of grade shift -pair.band_exp."""
-        return _rotate(np.linalg.inv(self.blocks), -self.pair.band_exp)
 
 
 def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
@@ -647,7 +646,8 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     # the inverted factor (1 - t^(+-1) G)^-1 under both t-power readings
     inv_powers = tuple(zip(("t", "t_inverse"),
                            np.linalg.inv(np.stack([pair.T, I - pair.G / t]))))
-    a, R_inv = pair.band_exp, intw._R_inv
+    a = pair.band_exp
+    R_inv = _rotate(np.linalg.inv(intw.blocks), -a)  # R^-1's stack, of grade shift -a
 
     def res(w_in, w_out, shift):  # |R w_in R^-1 - w_out| / |w_out|
         lhs, _ = _chain([(intw.blocks, a), (w_in, shift), (R_inv, -a)])

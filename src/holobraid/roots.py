@@ -19,9 +19,9 @@ from .errors import InvalidDegreeError
 class RootContext:
     """An odd degree ell with its chosen primitive root of unity.
 
-    eps_powers holds eps^k for k = 0..2*ell-1 so that quadratic exponents
-    (eps^(2m-1), eps^(2m) and friends) can be looked up without drift from
-    repeated multiplication.
+    eps_powers holds eps^k for k = 0..ell-1, each computed directly, so
+    that any exponent (eps^(2m-1), eps^(2nm) and friends), reduced mod ell,
+    is looked up without drift from repeated multiplication.
     """
 
     ell: int
@@ -43,8 +43,5 @@ def primitive_root(ell: int) -> RootContext:
     if ell < 3 or ell % 2 == 0:
         raise InvalidDegreeError(f"degree must be odd and >= 3, got {ell}")
     eps = np.exp(2j * np.pi / ell)
-    powers = np.exp(2j * np.pi * np.arange(2 * ell) / ell)
-    ctx = RootContext(ell=int(ell), eps=eps, eps_powers=powers)
-    # sanity: primitivity within double precision
-    assert abs(ctx.pow(ell) - 1) < 1e-14
-    return ctx
+    powers = np.exp(2j * np.pi * np.arange(ell) / ell)
+    return RootContext(ell=int(ell), eps=eps, eps_powers=powers)

@@ -34,25 +34,20 @@ def _draw_params(ctx: RootContext, rng: np.random.Generator, radius: float) -> R
 def sample_params(ctx: RootContext, seed: int, trial_index: int,
                   radius: float = 0.1, count: int = 2
                   ) -> tuple[RepParams, ...]:
-    """Draw `count` representation parameter sets, pairwise generic.
+    """Draw `count` representation parameter sets, each adjacent pair generic.
 
     Parameters are exp of a uniform draw from the complex box with half
     width `radius`, keeping them in a neighborhood of 1 where the braided
     lifts stay on principal branches.  Rejection-resamples (up to 100
-    attempts) until every adjacent pair passes the genericity predicate.
+    attempts) until every adjacent pair (p_i, p_(i+1)), the pair the caller
+    braids, passes the genericity predicate; a single draw p is checked as
+    (p, p).
     """
     rng = trial_rng(seed, trial_index)
-    rejected = 0
     for _ in range(MAX_ATTEMPTS):
         ps = tuple(_draw_params(ctx, rng, radius) for _ in range(count))
-        if count == 1:
-            ok = is_generic(ps[0], ps[0])
-        else:
-            ok = all(is_generic(ps[i], ps[j])
-                     for i in range(count) for j in range(count) if i != j)
-        if ok:
+        if all(is_generic(a, b) for a, b in zip(ps, ps[1:] or ps)):
             return ps
-        rejected += 1
     raise SamplingExhaustedError(
-        f"{rejected} consecutive rejections at radius {radius}; "
+        f"{MAX_ATTEMPTS} consecutive rejections at radius {radius}; "
         "radius too extreme for generic sampling")

@@ -86,9 +86,6 @@ class SuiteConfig:
         if self.hybe_every < 0:
             raise ValueError("hybe_every must be >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _scale(*vals) -> float:
     return max(1.0, *(abs(v) for v in vals))
@@ -228,18 +225,13 @@ def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
 
 def _closed_form_evidence(pair: PairContext, r1res: dict[str, float]) -> dict:
     """assembly_scalars and r1_clock_conjugation of a closed-form pair, from
-    its chi data, its band distance and its r1_conjugation_residuals.
-
-    chi1_band_tie is a diagnostic (intermittently zero near the identity),
-    not a competing recipe, so it stays out of assembly_scalars.
-    """
+    its chi data, its band distance and its r1_conjugation_residuals."""
     cd = pair.chi
     return {
         "assembly_scalars": {
             "derived": worst_residual(cd.chi1_mismatch, cd.chi2_mismatch,
                                       pair.band_dist, cd.sigma_power_residual),
-            **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()
-               if k != "chi1_band_tie"}},
+            **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()}},
         "r1_clock_conjugation": {shifts: r1res[f"slot2_clock_{shifts}"]
                                  for shifts in ("opposite_shifts", "parallel_shifts")},
     }
@@ -299,7 +291,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             "a_exp": pair.band_exp, "s": complex_pair(cd.s), "t": complex_pair(cd.t),
             "sigma": complex_pair(cd.sigma),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
-            "chi1_band_tie": residual_entry(cd.legacy_relation_residuals["chi1_band_tie"]),
+            "chi1_band_tie": residual_entry(cd.chi1_band_tie),
         }
         r1res = r1_conjugation_residuals(closed)
         evidence.update(_closed_form_evidence(pair, r1res))
@@ -390,7 +382,7 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     Writes nothing: report.write_report saves the report.
     """
     ctx = primitive_root(cfg.ell)
-    report = new_report(cfg.to_dict())
+    report = new_report(asdict(cfg))
     trials, det_samples = [], []
     for i in range(cfg.trials):
         record, _, _, det_sample = run_trial(cfg, ctx, i)

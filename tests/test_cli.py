@@ -32,7 +32,7 @@ def test_suite_command(tmp_path, capsys):
 
 def test_even_degree_is_usage_error(capsys):
     # and every other out-of-range value: each would run, check nothing or
-    # end in a traceback
+    # end in a traceback; and an option the command would not read
     for argv in (["suite", "--ell", "4", "--trials", "1", "--seed", "0"],
                  ["braid-map", "--trials", "0"],
                  ["suite", "--trials", "0"],
@@ -41,6 +41,7 @@ def test_even_degree_is_usage_error(capsys):
                  ["rmatrix", "--radius", "0"],
                  ["series", "--order", "0"],
                  ["series", "--order", "-3"],
+                 ["series", "--radius", "0.5"],
                  ["rmatrix", "--trial", "-1"],
                  ["hybe", "--trial", "-1"]):
         with pytest.raises(SystemExit) as exc:

@@ -288,6 +288,12 @@ class TestBandTable:
             with pytest.raises(NoIntertwinerError):
                 solve_intertwiner(p1, p2, target=(p1, p2))
 
+    def test_table_is_read_only_intp(self):
+        # every gather indexes with the table as it is, so no solve casts it
+        for name, arr in _band_table(5)._asdict().items():
+            assert arr.dtype == (bool if name == "from_mask" else np.intp), name
+            assert not arr.flags.writeable, name
+
 
 class TestChiData:
     def test_power_constraints(self, pair5):
@@ -320,6 +326,14 @@ class TestChiData:
         # not land on the root lattice; kept as recorded diagnostics
         cd = PairContext(*pair5).chi
         assert cd.legacy_relation_residuals["a_exp_gauge_chain"] > 1e-4
+
+    def test_band_tie_is_not_a_reading(self, pair5):
+        # a diagnostic with its own field: the legacy table holds only the
+        # readings that assembly_scalars adjudicates
+        cd = PairContext(*pair5).chi
+        assert set(cd.legacy_relation_residuals) == {"chi2_raising_only",
+                                                     "a_exp_gauge_chain"}
+        assert cd.chi1_band_tie >= 0
 
     def test_needs_braided_output(self, pair5):
         p1, p2 = pair5

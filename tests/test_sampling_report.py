@@ -13,6 +13,7 @@ from holobraid.errors import NonFactorizableError, SamplingExhaustedError
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep, z0_character
 from holobraid.report import check_entry, emit_report, residual_entry, write_report
+from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, run_suite
 from reference import commutant_dimension, load_matrix
@@ -65,6 +66,37 @@ class TestSampling:
             if not sampling.is_generic(*ps):
                 rejections += 1
         assert rejections / 200 < 0.05
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_genericity_check_per_draw(self, ctx3, monkeypatch, count):
+        # on the pair the caller braids: (p1, p2), or (p, p) for one draw;
+        # the first draw is rejected, so the redraw is checked too
+        calls = []
+
+        def reject_first(p, q):
+            calls.append((p.as_tuple(), q.as_tuple()))
+            return len(calls) > 1
+
+        monkeypatch.setattr(sampling, "is_generic", reject_first)
+        ps = sample_params(ctx3, 42, 0, count=count)
+        rng = sampling.trial_rng(42, 0)
+        draws = [[sampling._draw_params(ctx3, rng, 0.1) for _ in range(count)]
+                 for _ in range(2)]
+        assert [p.as_tuple() for p in ps] == [p.as_tuple() for p in draws[1]]
+        assert calls == [(d[0].as_tuple(), d[-1].as_tuple()) for d in draws]
+
+    def test_accepts_what_both_orientations_accept(self):
+        # a first draw that passes the filter of both orientations is
+        # returned as it is; at ell 9 and radius 1.0 some draws fail it
+        ctx, checked = primitive_root(9), 0
+        for i in range(300):
+            rng = sampling.trial_rng(0, i)
+            p1, p2 = (sampling._draw_params(ctx, rng, 1.0) for _ in range(2))
+            if sampling.is_generic(p1, p2) and sampling.is_generic(p2, p1):
+                q1, q2 = sample_params(ctx, 0, i, radius=1.0, count=2)
+                assert (q1.as_tuple(), q2.as_tuple()) == (p1.as_tuple(), p2.as_tuple())
+                checked += 1
+        assert 250 <= checked < 300
 
     def test_exhaustion(self, ctx3, monkeypatch):
         monkeypatch.setattr(sampling, "is_generic", lambda *a, **k: False)
