@@ -137,7 +137,8 @@ def _cmd_trial(args) -> tuple[int, dict]:
     cfg = SuiteConfig(ell=args.ell, trials=1, seed=args.seed, radius=args.radius,
                       route=args.route, hybe_every=int(args.command == "hybe"))
     trial, intw, col, _ = run_trial(cfg, primitive_root(args.ell), args.trial)
-    out = {"command": args.command, "ell": args.ell, "seed": args.seed, **trial}
+    out = {"command": args.command, "ell": args.ell, "seed": args.seed,
+           "radius": args.radius, "route": args.route, **trial}
     if col is not None:
         out["colorings"] = {f.name: params_entry(getattr(col, f.name))
                             for f in fields(col)}

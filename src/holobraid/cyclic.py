@@ -170,13 +170,6 @@ def ell_powers(p: RepParams) -> tuple[tuple[np.ndarray, complex], ...]:
     return p._powers
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2-D arrays, bit for bit (each entry is the one product
-    a[i, j] * b[k, l]), without np.kron's shape handling for any ndim."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def _rotate(stack: np.ndarray, k: int) -> np.ndarray:
     """stack[(g + k) % ell] at position g, as np.roll(stack, -k, axis=0)."""
     k %= len(stack)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import RepParams, _kron, braided_rep_pair, gauge_U
+from .cyclic import RepParams, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
 from .intertwiner import (Intertwiner, closed_form_R, compare_up_to_scalar,
                           solve_intertwiner)
@@ -86,12 +86,12 @@ def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple
 
 def embed_12(R: np.ndarray, ell: int) -> np.ndarray:
     """Dense R x 1 on the triple space (the reference for _apply)."""
-    return _kron(R, np.eye(ell))
+    return np.kron(R, np.eye(ell))
 
 
 def embed_23(R: np.ndarray, ell: int) -> np.ndarray:
     """Dense 1 x R on the triple space (the reference for _apply)."""
-    return _kron(np.eye(ell), R)
+    return np.kron(np.eye(ell), R)
 
 
 def embed_13(R: np.ndarray, ell: int) -> np.ndarray:

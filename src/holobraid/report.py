@@ -38,9 +38,10 @@ def params_entry(p: RepParams) -> dict:
             "x": complex_pair(p.x), "y": complex_pair(p.y)}
 
 
-def check_entry(residual: float, threshold: float, variant: str = "direct") -> dict:
-    return {"variant": variant, "residual": residual_entry(residual),
-            "threshold": threshold, "pass": bool(residual < threshold)}
+def check_entry(residual: float, threshold: float) -> dict:
+    """A gate: its residual (residual_entry), threshold and verdict."""
+    return {"residual": residual_entry(residual), "threshold": threshold,
+            "pass": bool(residual < threshold)}
 
 
 def new_report(config_dict: dict) -> dict:

@@ -27,7 +27,7 @@ def test_suite_command(tmp_path, capsys):
     assert "3/3 trials passed" in capsys.readouterr().out
     rep = json.loads(out.read_text())
     assert rep["config"]["seed"] == 42
-    assert rep["summary"]["failed"] == 0
+    assert rep["summary"]["passed"] == rep["summary"]["trials"] == 3
 
 
 def test_even_degree_is_usage_error(capsys):
@@ -73,7 +73,7 @@ def test_braid_map_checks_are_the_suites(tmp_path):
                  "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
     names = ("braiding_round_trip", "braiding_product", "conserved_T",
-             "conserved_Dt", "identity_fixed_points", "matrix_route")
+             "conserved_Dt", "matrix_route")
     for i, tr in enumerate(rep["trials"]):
         suite_checks = _trial_record(i, ell=5, seed=9, route="closed-form",
                                      hybe_every=1)["checks"]
@@ -107,15 +107,19 @@ def test_hybe_command(tmp_path):
 
 @pytest.mark.parametrize("argv, hybe_every", [
     (["rmatrix", "--trial", "2"], 0),
-    (["hybe", "--trial", "0", "--route", "both"], 1),
+    (["hybe", "--trial", "0", "--route", "both", "--radius", "0.5"], 1),
 ])
 def test_trial_commands_match_run_trial(tmp_path, argv, hybe_every):
+    radius = float(argv[-1]) if "--radius" in argv else 0.1
     out = tmp_path / "t.json"
     assert main([*argv, "--ell", "3", "--seed", "7", "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
-    trial = _trial_record(int(argv[2]), ell=3, seed=7, hybe_every=hybe_every)
+    trial = _trial_record(int(argv[2]), ell=3, seed=7, hybe_every=hybe_every,
+                          radius=radius)
+    assert list(rep)[:5] == ["command", "ell", "seed", "radius", "route"]
     assert (rep["command"], rep["ell"], rep["seed"]) == (argv[0], 3, 7)
-    for key in ("checks", "oracle", "route_comparison"):
+    assert (rep["radius"], rep["route"]) == (radius, "both")
+    for key in ("params", "band_exp", "checks", "oracle", "route_comparison"):
         assert rep[key] == trial[key]
     assert rep.get("hybe") == trial.get("hybe")
     assert ("hybe" in rep) == bool(hybe_every)

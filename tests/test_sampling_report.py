@@ -21,6 +21,17 @@ from reference import commutant_dimension, load_matrix
 INF = float("inf")
 
 
+def keys(obj):
+    """Every dict key in a JSON value, at any depth."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from keys(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from keys(v)
+
+
 def assert_fails(check):
     """check failed its gate with residual inf."""
     assert not check["pass"] and check["residual"]["value"] == INF
@@ -168,26 +179,36 @@ class TestReports:
                        for k, v in readings.items())
             check = trial["checks"]["matrix_route"]
             assert check["residual"]["value"] == min(readings.values())
-            assert check["variant"] == "first_conjugates:inverse:swapped"
             assert check["pass"]
         adjudication = on_disk["adjudications"]["matrix_route"]
         assert adjudication["chosen"] == "first_conjugates:inverse:swapped"
         assert adjudication["variants"]["second_conjugates:forward:direct"]["approx"] == "inf"
 
     def test_record_holds_each_value_once(self, tmp_path, monkeypatch):
-        # an ell 3 trial with both routes and a triple records only values
-        # that can move, each once; every report is plain JSON as built
+        # ell 3 trials with both routes and a triple record only values
+        # that can move, each once, in every command's report; every report
+        # is plain JSON as built
         reports = []
         monkeypatch.setattr(cli, "write_report", lambda rep, path: reports.append(rep))
-        for argv in (["suite", "--ell", "3", "--trials", "1", "--seed", "42", "--route", "both"],
+        for argv in (["suite", "--ell", "3", "--trials", "10", "--seed", "42", "--route", "both"],
                      ["braid-map", "--ell", "3", "--trials", "2"],
                      ["rmatrix", "--ell", "3", "--seed", "5", "--trial", "2"],
                      ["hybe", "--ell", "3", "--seed", "11"],
                      ["series", "--ell", "5", "--order", "30"]):
             assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
-        trial = reports[0]["trials"][0]
-        assert set(trial["oracle"]) == {"band_exp", "singular_gap"}
-        assert set(trial["chi"]) == {"chi1", "chi2", "a_exp", "s", "t", "sigma",
+        suite_rep, braid_rep, *trial_reps, _ = reports
+        for rep in reports:
+            assert "variant" not in keys(rep) and "a_exp" not in keys(rep)
+            assert "failed" not in rep.get("summary", {})
+        for record in (*suite_rep["trials"], *trial_reps):
+            assert list(record)[list(record).index("params") + 1] == "band_exp"
+            assert list(keys(record)).count("band_exp") == 1
+        assert "band_exp" not in keys(braid_rep)
+        assert set(suite_rep["det_probe"]) == {"inconclusive", "core_fit", "full_fit",
+                                               "closest_candidate", "matches_closest"}
+        trial = suite_rep["trials"][0]
+        assert set(trial["oracle"]) == {"singular_gap"}
+        assert set(trial["chi"]) == {"chi1", "chi2", "s", "t", "sigma",
                                      "sigma_power_residual", "chi1_band_tie"}
         assert set(trial["hybe"]) == {"c", "c_argument", "info"}
         assert set(trial["hybe"]["info"]) == {"c_entry_ratio_gap", "route"}
@@ -199,6 +220,16 @@ class TestReports:
             "second_conjugates:forward:direct"]["value"] == INF
         for rep in reports:
             assert json.loads(json.dumps(rep)) == rep
+
+    def test_checks_are_the_thresholds(self):
+        # with both routes and a triple on every trial, every trial runs
+        # exactly the gates THRESHOLDS names, each at its threshold: no
+        # threshold is dead and no check runs without one
+        _, rep = run_suite(SuiteConfig(ell=3, trials=20, seed=42, hybe_every=1))
+        assert rep["summary"]["hybe_rejected"] == 0
+        for trial in rep["trials"]:
+            assert {name: c["threshold"] for name, c in trial["checks"].items()} \
+                == suite.THRESHOLDS
 
     def test_nan_reading_is_recorded_as_inf(self, monkeypatch):
         # Python's max and min drop a NaN that is not their first argument:
@@ -257,8 +288,8 @@ class TestReports:
 
     def test_nan_character_deviations(self, ctx3, monkeypatch):
         # char_distance gives NaN against cy (the second term of
-        # braiding_round_trip, the last of identity_fixed_points) and for the
-        # second output of every matrix-route reading
+        # braiding_round_trip) and for the second output of every
+        # matrix-route reading
         p1, p2 = sample_params(ctx3, 42, 0, count=2)
         cx, cy = z0_character(p1), z0_character(p2)
         route, distance, seconds = suite.matrix_route_beta, suite.char_distance, []
@@ -277,7 +308,7 @@ class TestReports:
         monkeypatch.setattr(suite, "char_distance", planted_distance)
         checks, evidence = suite.character_checks(cx, cy)
         assert set(evidence["matrix_route"].values()) == {INF}
-        for name in ("matrix_route", "braiding_round_trip", "identity_fixed_points"):
+        for name in ("matrix_route", "braiding_round_trip"):
             assert_fails(checks[name])
 
     def test_nan_central_power(self, ctx3, monkeypatch):
@@ -298,7 +329,7 @@ class TestReports:
         assert evidence["assembly_scalars"]["derived"] == INF
 
     def test_nan_trial_gates(self, ctx3, monkeypatch):
-        # a NaN in the last central-invariance residual and the last
+        # a NaN in the last central-invariance residual and in the
         # commutant residual fails the trial
         def planted(check, key):
             def run(intw):
@@ -310,7 +341,7 @@ class TestReports:
         monkeypatch.setattr(suite, "central_invariance_residuals",
                             planted(suite.central_invariance_residuals, "kl_ratio_slot2"))
         monkeypatch.setattr(suite, "r1_conjugation_residuals",
-                            planted(suite.r1_conjugation_residuals, "slot1_shift"))
+                            planted(suite.r1_conjugation_residuals, "clock_pair"))
         cfg = SuiteConfig(ell=3, trials=1, seed=42, route="closed-form", hybe_every=0)
         record = suite.run_trial(cfg, ctx3, 0).record
         for name in ("central_invariance", "r1_commutants"):
@@ -343,7 +374,7 @@ class TestReports:
         from holobraid.report import new_report
 
         rep = new_report({"note": "empty"})
-        rep["summary"] = {"trials": 0, "passed": 0, "failed": 0}
+        rep["summary"] = {"trials": 0, "passed": 0}
         parsed = json.loads(emit_report(rep))
         assert parsed["trials"] == []
         assert parsed["summary"]["trials"] == 0

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-import holobraid.cyclic as cyclic
+import holobraid.hybe as hybe
 import holobraid.intertwiner as intertwiner
 from holobraid.cyclic import RepParams, _chain, _dense, _kron_blocks, _rotate, clock_shift
 from holobraid.intertwiner import (BLOCK_SHIFTS, Intertwiner, PairContext,
@@ -169,33 +169,39 @@ class TestAgainstDense:
     def test_r1_conjugation_residuals(self, ell, radius, trial):
         closed = closed_form_R(*seed42_pair(ell, radius, trial))
         ctx = primitive_root(ell)
-        assert_close(r1_conjugation_residuals(closed),
-                     dense_r1_residuals(_dense(closed.pair.spectral, 0), closed.pair.chi, ctx))
+        R1 = _dense(closed.pair.spectral, 0)
+        assert_close(r1_conjugation_residuals(closed), dense_r1_residuals(R1, closed.pair.chi, ctx))
+        # R1 is one circulant on every grade, so it commutes exactly with
+        # 1 x B^-1 (the identity block on each grade) and B x 1 (a cyclic
+        # shift): r1_conjugation_residuals reads neither
+        B, I = clock_shift(ctx).B, np.eye(ell)
+        for X in (np.kron(I, B.T), np.kron(B, I)):
+            assert np.array_equal(R1 @ X, X @ R1)
         # R1 is the same circulant on every grade, which hides a misplaced
-        # grade rotation; a spectral factor perturbed on one grade shows it
+        # grade; a spectral factor perturbed on one grade moves the
+        # opposite-shift reading (A x A is a scalar on each grade, so
+        # clock_pair stays at rounding)
         R1 = closed.pair.spectral.copy()
         R1[1, 0, ell - 1] += 1e-3
         closed.pair.__dict__["spectral"] = R1
         got = r1_conjugation_residuals(closed)
         assert_close(got, dense_r1_residuals(_dense(R1, 0), closed.pair.chi, ctx))
-        assert got["slot1_shift"] > 1e-8
+        assert got["slot2_clock_opposite_shifts"] > 1e-8
 
 
 def test_trial_builds_no_dense_matrix(monkeypatch):
     # a suite trial at ell 5 on both routes, with its triple, calls neither
-    # cyclic._kron nor cyclic._dense and reads no Intertwiner.R
-    calls = {"_kron": 0, "_dense": 0, "R": 0}
+    # np.kron nor cyclic._dense and reads no Intertwiner.R
+    calls = {"kron": 0, "_dense": 0, "R": 0}
     modules = [m for name, m in sys.modules.items()
                if name.startswith("holobraid") and m is not None]
-    for name in ("_kron", "_dense"):
-        original = getattr(cyclic, name)
-
+    for name, original, owners in (("kron", np.kron, [np]), ("_dense", _dense, modules)):
         def count(*args, _fn=original, _name=name):
             calls[_name] += 1
             return _fn(*args)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, count)
+        for owner in owners:
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, count)
     dense_R = Intertwiner.R.func
 
     def read_R(self):
@@ -205,8 +211,8 @@ def test_trial_builds_no_dense_matrix(monkeypatch):
     cfg = SuiteConfig(ell=5, trials=1, seed=42, route="both", hybe_every=1)
     run = run_trial(cfg, primitive_root(5), 0)
     assert run.record["pass"] and "c" in run.record["hybe"]
-    assert calls == {"_kron": 0, "_dense": 0, "R": 0}
+    assert calls == {"kron": 0, "_dense": 0, "R": 0}
     # the counters see a call
     run.intertwiner.R
-    cyclic._kron(np.eye(2), np.eye(2))
-    assert calls == {"_kron": 1, "_dense": 1, "R": 1}
+    hybe.embed_12(np.eye(4), 2)
+    assert calls == {"kron": 1, "_dense": 1, "R": 1}
