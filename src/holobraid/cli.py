@@ -11,7 +11,8 @@ Subcommands:
 
 Each command builds one JSON report: --report writes it to a file, and
 without --report every command but suite prints it.  braid-map, rmatrix
-and hybe run the suite's own trial code and gate at its THRESHOLDS.
+and hybe run the suite's own trial code, and the suite decides every
+trial's verdict (suite.gates and suite.trial_passes).
 """
 from __future__ import annotations
 
@@ -24,16 +25,16 @@ import numpy as np
 
 from . import dumps
 from .cyclic import z0_character
-from .hybe import derive_colorings
 from .qseries import (check_f_functional, pairing_monomial, phi_orbit_closure,
                       q_factorial_b, q_shift_coefficient_check, series_f,
                       series_f_product)
-from .report import (check_entry, emit_report, new_report, params_entry,
-                     residual_entry, worst_residual, write_report)
+from .report import (emit_report, new_report, params_entry, residual_entry,
+                     worst_residual, write_report)
 from .roots import primitive_root
 from .sampling import sample_params
-from .suite import (THRESHOLDS, SuiteConfig, character_checks, check_summary,
-                    phi_variant_evidence, run_suite, run_trial, third_params)
+from .suite import (SuiteConfig, character_checks, check_summary, gates,
+                    phi_variant_evidence, run_suite, run_trial, run_triple,
+                    trial_passes)
 
 ROUTES = ("oracle", "closed-form", "both")
 
@@ -121,11 +122,13 @@ def _cmd_braid_map(args) -> tuple[int, dict]:
     trials = report["trials"]
     for i in range(args.trials):
         p1, p2 = sample_params(ctx, args.seed, i, radius=args.radius, count=2)
-        checks, evidence = character_checks(z0_character(p1), z0_character(p2))
-        col = derive_colorings(p1, p2, third_params(ctx, args.seed, i, args.radius))
-        checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
-        trials.append({"index": i, "checks": checks, "evidence": evidence,
-                       "pass": all(c["pass"] for c in checks.values())})
+        residuals, evidence = character_checks(z0_character(p1), z0_character(p2))
+        triple, record, _ = run_triple(ctx, args.seed, i, args.radius, p1, p2)
+        trial = {"index": i, "checks": gates({**residuals, **triple}), "evidence": evidence}
+        if record:  # a coloring chain that raised
+            trial["hybe"] = record
+        trial["pass"] = trial_passes(trial)
+        trials.append(trial)
     n_pass = sum(tr["pass"] for tr in trials)
     report["summary"] = {"trials": args.trials, "passed": n_pass,
                          "checks": check_summary(trials)}
@@ -149,9 +152,7 @@ def _cmd_trial(args) -> tuple[int, dict]:
         for kind, m in zip("KLEF", intw.pair.reps[0].as_tuple()):
             dumps.dump_rep_matrix(f"{stem}{kind}.tsv", m, kind, intw.pair.in_params[0])
         dumps.dump_intertwiner(f"{stem}R.tsv", intw)
-    # a rejected triple does not fail a suite trial, but it fails hybe
-    rejected = trial.get("hybe", {}).get("rejected", False)
-    return (0 if trial["pass"] and not rejected else 1), out
+    return (0 if trial["pass"] else 1), out
 
 
 def _cmd_series(args) -> tuple[int, dict]:

@@ -22,9 +22,9 @@ ratio), sends v_n x v_m to a weight times v_(n+a) x v_m.  Embedded on
 slots (i, j) it shifts slot i by a and keeps the rest, so both triple
 products shift slot 1 twice and slot 2 once: they send each triple index
 to the same one, and s0_diagnostic compares their weights on the
-ell^3 triple index grid, in O(ell^3).  The dense slot embeddings
-embed_12, embed_13 and embed_23 are kept as the reference the tests
-compare against.
+ell^3 triple index grid, in O(ell^3).  The dense slot embedding embed_13
+is a reference the tests compare _apply against, with embed_12 and
+embed_23 of tests/reference.py.
 """
 from __future__ import annotations
 
@@ -84,20 +84,10 @@ def derive_colorings(x: RepParams, y: RepParams, z: RepParams) -> ColoringTriple
                           y2=y2, xa=xa, ya=ya, xb=xb, za=za, yb=yb, zb=zb)
 
 
-def embed_12(R: np.ndarray, ell: int) -> np.ndarray:
-    """Dense R x 1 on the triple space (the reference for _apply)."""
-    return np.kron(R, np.eye(ell))
-
-
-def embed_23(R: np.ndarray, ell: int) -> np.ndarray:
-    """Dense 1 x R on the triple space (the reference for _apply)."""
-    return np.kron(np.eye(ell), R)
-
-
 def embed_13(R: np.ndarray, ell: int) -> np.ndarray:
     """R x 1 with tensor slots 2 and 3 exchanged on both sides (dense reference)."""
     n3 = ell**3
-    return embed_12(R, ell).reshape((ell,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n3, n3)
+    return np.kron(R, np.eye(ell)).reshape((ell,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n3, n3)
 
 
 def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,

@@ -44,9 +44,6 @@ class Series:
         c[0] = 1.0
         return cls(c)
 
-    def __add__(self, other: "Series") -> "Series":
-        return Series(self.coeffs + other.coeffs)
-
     def __sub__(self, other: "Series") -> "Series":
         return Series(self.coeffs - other.coeffs)
 

@@ -3,19 +3,21 @@
 Each trial is a pure function of (seed, trial index, config), so a
 report is identical for a fixed config up to its timestamp.
 
-A trial's evidence is one flat table {formula: {reading: residual}} over
-every adjudicated formula, merged from one producer per stage: the
+Every trial verdict is decided here.  Each stage returns residuals; gates
+turns them into the record's checks at THRESHOLDS, and trial_passes fails
+a trial on a failing gate or a triple that run_triple rejected (a
+HolobraidError, recorded with its reason).  braid-map, rmatrix and hybe
+call the same three.  A trial's evidence is one flat table
+{formula: {reading: residual}}, merged from one producer per stage: the
 representation (_rep_evidence), the character pair (character_checks),
 the closed form (_closed_form_evidence) and the action intertwiner
 (check_generator_action).  A gate over an adjudicated formula reads its
-evidence.  A NaN residual is recorded as inf (residual_value, and
-worst_residual for the worst of several), like a reading that raises, so
-that it fails its gate and is never adjudicated as passing.
-_aggregate_adjudications keeps each reading's worst residual over the
-trials, adds phi_step_factor once per suite, and resolves each formula to
-the readings under ADJUDICATION_PASS.  A record holds only values that can
-move with the pair, each once: no gate names its reading (the evidence
-does), and the band exponent is the trial's band_exp.
+evidence, and a record holds only values that can move with the pair,
+each once.  A NaN residual is recorded as inf (residual_value,
+worst_residual), like a reading that raises, so that it fails its gate
+and is never adjudicated as passing.  _aggregate_adjudications keeps each
+reading's worst residual over the trials, adds phi_step_factor once per
+suite, and resolves each formula to the readings under ADJUDICATION_PASS.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ THRESHOLDS = {
     "central_invariance": 1e-9,
     "closed_form_residual": 1e-9,
     "route_deviation": 1e-8,
-    "r1_commutants": 1e-11,
     "generator_actions": 1e-8,
     "set_ybe": 1e-9,
     "hybe_residual": 1e-7,
@@ -146,15 +147,15 @@ def _char_dev(a: Z0Char, b: Z0Char) -> float:
 
 
 def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
-    """(checks, evidence) of one character pair.
+    """(residuals, evidence) of one character pair.
 
     The evidence tables are braiding_correction_sign (slot-wise
     conservation of T under both correction signs) and matrix_route (the
     deviation of every conjugation-route reading from the character route;
-    inf for each reading of a variant whose evaluation raises).
-    conserved_T gates the "minus" sign's reading and matrix_route the best
-    reading; the other checks are the braiding-map invariants.  Each
-    braiding of (cx, cy) is computed once.
+    inf for each reading of a variant whose evaluation raises).  The
+    residuals, gated by the caller (gates), are conserved_T, the "minus"
+    sign's reading, matrix_route, the best reading, and the braiding-map
+    invariants.  Each braiding of (cx, cy) is computed once.
     """
     braided = {name: (beta_forward(cx, cy, sign=sign), beta_inverse(cx, cy, sign=sign))
                for sign, name in ((-1, "minus"), (+1, "plus"))}
@@ -195,11 +196,9 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
         "braiding_product": _char_dev(glstar_multiply(p, q), glstar_multiply(cy, cx)),
         "conserved_T": evidence["braiding_correction_sign"]["minus"],
         "conserved_Dt": drift(targets, 1),
+        "matrix_route": min(mre.values()),
     }
-    checks = {name: check_entry(float(res), THRESHOLDS[name])
-              for name, res in residuals.items()}
-    checks["matrix_route"] = check_entry(min(mre.values()), THRESHOLDS["matrix_route"])
-    return checks, evidence
+    return residuals, evidence
 
 
 def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
@@ -227,15 +226,48 @@ def _closed_form_evidence(pair: PairContext, r1res: dict[str, float]) -> dict:
             "derived": worst_residual(cd.chi1_mismatch, cd.chi2_mismatch,
                                       pair.band_dist, cd.sigma_power_residual),
             **{f"legacy_{k}": v for k, v in cd.legacy_relation_residuals.items()}},
-        "r1_clock_conjugation": {shifts: r1res[f"slot2_clock_{shifts}"]
-                                 for shifts in ("opposite_shifts", "parallel_shifts")},
+        "r1_clock_conjugation": r1res,
     }
+
+
+def gates(residuals: dict[str, float]) -> dict[str, dict]:
+    """Each {name: residual} as its gate at THRESHOLDS[name], in the order given."""
+    return {name: check_entry(res, THRESHOLDS[name]) for name, res in residuals.items()}
+
+
+def trial_passes(trial: dict) -> bool:
+    """A trial record's verdict: every gate passes and no triple was rejected."""
+    return (all(c["pass"] for c in trial["checks"].values())
+            and not trial.get("hybe", {}).get("rejected", False))
 
 
 def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepParams:
     """The third coloring of trial idx's triple, drawn at index idx + 2^32."""
     p3, = sample_params(ctx, seed, idx + (1 << 32), radius=radius, count=1)
     return p3
+
+
+def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepParams, p2: RepParams,
+               intw: Intertwiner | None = None) -> tuple[dict, dict, ColoringTriple | None]:
+    """Trial idx's triple (p1, p2, third_params): (residuals, record, colorings).
+
+    set_ybe of the coloring chain and, given the trial's intertwiner intw,
+    hybe_residual and hybe_c_modulus, with c, c_argument and info in the
+    record ({} without intw).  A HolobraidError rejects the triple: the record
+    is {"rejected": True, "reason": ...}, beside the residuals computed before it.
+    """
+    residuals: dict[str, float] = {}
+    try:
+        col = derive_colorings(p1, p2, third_params(ctx, seed, idx, radius))
+        residuals["set_ybe"] = col.finals_deviation()
+        if intw is None:
+            return residuals, {}, col
+        c, dev, info = hybe_residual(col, intw)
+    except HolobraidError as exc:
+        return residuals, {"rejected": True, "reason": str(exc)}, None
+    residuals.update(hybe_residual=dev, hybe_c_modulus=abs(abs(c) - 1))
+    return (residuals, {"c": complex_pair(c), "c_argument": float(np.angle(c)), "info": info},
+            col)
 
 
 class TrialRun(NamedTuple):
@@ -256,30 +288,26 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
     coloring chain serves both triple checks.
     """
     p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
-    checks = {name: check_entry(res, THRESHOLDS[name])
-              for name, res in rep_checks(p1).items()}
     rep_evidence = _rep_evidence(p1)
-    checks["gauge_conjugation"] = check_entry(
-        rep_evidence["gauge_scale"]["geometric"], THRESHOLDS["gauge_conjugation"])
-    char_checks, evidence = character_checks(z0_character(p1), z0_character(p2))
-    checks.update(char_checks)
+    residuals = {**rep_checks(p1), "gauge_conjugation": rep_evidence["gauge_scale"]["geometric"]}
+    char_residuals, evidence = character_checks(z0_character(p1), z0_character(p2))
+    residuals.update(char_residuals)
     evidence.update(rep_evidence)
 
     pair = PairContext(p1, p2)
     trial: dict = {"index": idx,
                    "params": [params_entry(p1), params_entry(p2)],
                    "band_exp": pair.band_exp,
-                   "checks": checks}
+                   "checks": None}  # the gates, filled in last
 
     oracle = closed = None
     if cfg.route in ("oracle", "both"):
         oracle = solve_intertwiner(p1, p2, pair=pair)
-        checks["oracle_residual"] = check_entry(oracle.residual, THRESHOLDS["oracle_residual"])
+        residuals["oracle_residual"] = oracle.residual
         trial["oracle"] = {"singular_gap": float(oracle.singular_gap)}
     if cfg.route in ("closed-form", "both"):
         closed = closed_form_R(p1, p2, pair=pair)
-        checks["closed_form_residual"] = check_entry(
-            closed.residual, THRESHOLDS["closed_form_residual"])
+        residuals["closed_form_residual"] = closed.residual
         cd = pair.chi
         trial["chi"] = {
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
@@ -288,46 +316,32 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
             "chi1_band_tie": residual_entry(cd.chi1_band_tie),
         }
-        r1res = r1_conjugation_residuals(closed)
-        evidence.update(_closed_form_evidence(pair, r1res))
-        checks["r1_commutants"] = check_entry(r1res["clock_pair"],
-                                              THRESHOLDS["r1_commutants"])
+        evidence.update(_closed_form_evidence(pair, r1_conjugation_residuals(closed)))
     if cfg.route == "both":
         scalar, dev = compare_up_to_scalar(oracle.blocks, closed.blocks)
-        checks["route_deviation"] = check_entry(dev, THRESHOLDS["route_deviation"])
+        residuals["route_deviation"] = dev
         trial["route_comparison"] = {"scalar": complex_pair(scalar),
                                      "deviation": residual_entry(dev)}
 
     # action checks run on whichever route produced a matrix
     intw = oracle if oracle is not None else closed
-    cinv = central_invariance_residuals(intw)
-    checks["central_invariance"] = check_entry(
-        worst_residual(*cinv.values()), THRESHOLDS["central_invariance"])
+    residuals["central_invariance"] = worst_residual(
+        *central_invariance_residuals(intw).values())
     actions = check_generator_action(intw)
     evidence.update(actions)
     evidence = {formula: {v: residual_value(r) for v, r in readings.items()}
                 for formula, readings in evidence.items()}
-    checks["generator_actions"] = check_entry(
-        max(min(evidence[f].values()) for f in actions), THRESHOLDS["generator_actions"])
+    residuals["generator_actions"] = max(min(evidence[f].values()) for f in actions)
 
     colorings = None
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
-        p3 = third_params(ctx, cfg.seed, idx, cfg.radius)
-        try:
-            col = derive_colorings(p1, p2, p3)
-            checks["set_ybe"] = check_entry(col.finals_deviation(), THRESHOLDS["set_ybe"])
-            c, dev, info = hybe_residual(col, intw)
-            checks["hybe_residual"] = check_entry(dev, THRESHOLDS["hybe_residual"])
-            checks["hybe_c_modulus"] = check_entry(
-                abs(abs(c) - 1), THRESHOLDS["hybe_c_modulus"])
-            trial["hybe"] = {"c": complex_pair(c), "c_argument": float(np.angle(c)),
-                             "info": info}
-            colorings = col
-        except HolobraidError as exc:
-            trial["hybe"] = {"rejected": True, "reason": str(exc)}
+        triple, trial["hybe"], colorings = run_triple(ctx, cfg.seed, idx, cfg.radius,
+                                                      p1, p2, intw)
+        residuals.update(triple)
 
     trial["evidence"] = evidence
-    trial["pass"] = all(c["pass"] for c in checks.values())
+    trial["checks"] = gates(residuals)
+    trial["pass"] = trial_passes(trial)
     det_sample = (DetSample(pair.chi, closed.log_abs_det, closed.ell)
                   if closed is not None else None)
     return TrialRun(trial, intw, colorings, det_sample)
@@ -370,10 +384,8 @@ def check_summary(trials: list[dict]) -> dict:
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
-    """Execute the whole battery; returns (exit code, report dict).
-
-    Writes nothing: report.write_report saves the report.
-    """
+    """Execute the whole battery; returns (exit code, report dict) and
+    writes nothing: report.write_report saves the report."""
     ctx = primitive_root(cfg.ell)
     report = new_report(asdict(cfg))
     trials, det_samples = [], []
@@ -392,16 +404,13 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     probe = report["det_probe"]
     probe_ok = bool(probe.get("inconclusive")) or \
         (probe.get("core_fit") or {}).get("fit_residual", 1.0) < 1e-6
-    n_hybe = sum("hybe" in tr for tr in trials)
-    n_hybe_rejected = sum(tr.get("hybe", {}).get("rejected", False) for tr in trials)
     report["summary"] = {
         "trials": cfg.trials,
         "passed": int(n_pass),
-        "hybe_triples": int(n_hybe),
-        "hybe_rejected": int(n_hybe_rejected),
+        "hybe_triples": sum("hybe" in tr for tr in trials),
+        "hybe_rejected": sum(tr.get("hybe", {}).get("rejected", False) for tr in trials),
         "adjudications_resolved": bool(adj_ok),
         "det_probe_ok": bool(probe_ok),
         "checks": check_summary(trials),
     }
-    exit_code = 0 if (n_pass == cfg.trials and adj_ok and probe_ok) else 1
-    return exit_code, report
+    return (0 if (n_pass == cfg.trials and adj_ok and probe_ok) else 1), report

@@ -105,6 +105,23 @@ def test_hybe_command(tmp_path):
     assert len(rep["colorings"]) == 15 and "z2" in rep["colorings"]
 
 
+def test_braid_map_rejected_chain(tmp_path, capsys):
+    # at radius 1.0 the phi lift of six ell 7 coloring chains misses
+    # LIFT_TOL: each is recorded with its reason and fails its trial, and
+    # the command still writes its report
+    out = tmp_path / "b.json"
+    assert main(["braid-map", "--ell", "7", "--trials", "20", "--seed", "42",
+                 "--radius", "1.0", "--report", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    rejected = [tr["index"] for tr in rep["trials"] if "hybe" in tr]
+    assert rejected == [4, 5, 15, 16, 17, 18]
+    for i in rejected:
+        tr = rep["trials"][i]
+        assert tr["hybe"]["rejected"] and "lift residuals" in tr["hybe"]["reason"]
+        assert not tr["pass"] and "set_ybe" not in tr["checks"]
+    assert rep["summary"]["passed"] == 9
+
+
 @pytest.mark.parametrize("argv, hybe_every", [
     (["rmatrix", "--trial", "2"], 0),
     (["hybe", "--trial", "0", "--route", "both", "--radius", "0.5"], 1),
@@ -171,7 +188,7 @@ def test_hybe_rejected_triple_exits_one(monkeypatch, capsys):
     assert main(["hybe", "--ell", "3", "--seed", "11"]) == 1
     rep = json.loads(capsys.readouterr().out)  # printed without --report
     assert rep["hybe"] == {"rejected": True, "reason": "forced"}
-    assert rep["pass"]  # a rejected triple does not fail the trial itself
+    assert not rep["pass"]  # a rejected triple fails its trial
 
 
 def test_series_command(tmp_path):

@@ -7,12 +7,11 @@ import pytest
 import holobraid.hybe as hybe
 from holobraid.cyclic import _dense, _kron_blocks, clock_shift, gauge_U
 from holobraid.errors import AssemblyError, InvalidInputError
-from holobraid.hybe import (derive_colorings, embed_12, embed_13, embed_23,
-                            hybe_residual, s0_diagnostic)
+from holobraid.hybe import derive_colorings, embed_13, hybe_residual, s0_diagnostic
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
-from reference import SHIFTED, seed42_triple
+from reference import SHIFTED, embed_12, embed_23, seed42_triple
 
 
 def dense_products(factors, ell):

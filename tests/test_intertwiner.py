@@ -399,11 +399,9 @@ class TestClosedForm:
     def test_r1_identities(self, pair3):
         cf = closed_form_R(*pair3)
         res = r1_conjugation_residuals(cf)
-        assert res["clock_pair"] < 1e-11
-        assert set(res) == {"clock_pair", "slot2_clock_opposite_shifts",
-                            "slot2_clock_parallel_shifts"}
-        assert res["slot2_clock_opposite_shifts"] < 1e-9
-        assert res["slot2_clock_parallel_shifts"] > 1e-2
+        assert set(res) == {"opposite_shifts", "parallel_shifts"}
+        assert res["opposite_shifts"] < 1e-9
+        assert res["parallel_shifts"] > 1e-2
 
     def test_r1_needs_closed_form(self, pair3):
         # an oracle intertwiner's pair has chi, but the identities are the

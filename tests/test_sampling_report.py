@@ -9,7 +9,8 @@ import holobraid.report as report
 import holobraid.sampling as sampling
 import holobraid.suite as suite
 from holobraid.dumps import dump_intertwiner, dump_rep_matrix
-from holobraid.errors import NonFactorizableError, SamplingExhaustedError
+from holobraid.errors import (AssemblyError, NonFactorizableError,
+                              SamplingExhaustedError)
 from holobraid.intertwiner import solve_intertwiner
 from holobraid.cyclic import build_rep, z0_character
 from holobraid.report import check_entry, emit_report, residual_entry, write_report
@@ -231,6 +232,22 @@ class TestReports:
             assert {name: c["threshold"] for name, c in trial["checks"].items()} \
                 == suite.THRESHOLDS
 
+    def test_rejected_triple_fails_its_trial(self, monkeypatch):
+        # every triple counts: a HolobraidError in the triple is recorded
+        # with its reason and fails the trial, so the suite exits 1
+        def rejected(*args, **kwargs):
+            raise AssemblyError("forced")
+
+        monkeypatch.setattr(suite, "hybe_residual", rejected)
+        code, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=42, hybe_every=1))
+        assert code == 1
+        for trial in rep["trials"]:
+            assert trial["hybe"] == {"rejected": True, "reason": "forced"}
+            assert not trial["pass"]
+            assert all(c["pass"] for c in trial["checks"].values())
+        assert rep["summary"]["hybe_rejected"] == 3
+        assert rep["summary"]["passed"] == 0
+
     def test_nan_reading_is_recorded_as_inf(self, monkeypatch):
         # Python's max and min drop a NaN that is not their first argument:
         # a NaN planted in the chosen slot2_raising reading was adjudicated
@@ -282,9 +299,9 @@ class TestReports:
 
         monkeypatch.setattr(suite, "conserved_quantities", planted)
         p1, p2 = sample_params(ctx3, 42, 0, count=2)
-        checks, evidence = suite.character_checks(z0_character(p1), z0_character(p2))
+        residuals, evidence = suite.character_checks(z0_character(p1), z0_character(p2))
         assert evidence["braiding_correction_sign"]["minus"] == INF
-        assert_fails(checks["conserved_T"])
+        assert_fails(suite.gates(residuals)["conserved_T"])
 
     def test_nan_character_deviations(self, ctx3, monkeypatch):
         # char_distance gives NaN against cy (the second term of
@@ -306,8 +323,9 @@ class TestReports:
 
         monkeypatch.setattr(suite, "matrix_route_beta", planted_route)
         monkeypatch.setattr(suite, "char_distance", planted_distance)
-        checks, evidence = suite.character_checks(cx, cy)
+        residuals, evidence = suite.character_checks(cx, cy)
         assert set(evidence["matrix_route"].values()) == {INF}
+        checks = suite.gates(residuals)
         for name in ("matrix_route", "braiding_round_trip"):
             assert_fails(checks[name])
 
@@ -324,13 +342,13 @@ class TestReports:
         chi = SimpleNamespace(chi1_mismatch=1e-16, chi2_mismatch=nan,
                               sigma_power_residual=1e-16, legacy_relation_residuals={})
         pair = SimpleNamespace(chi=chi, band_dist=0.0)
-        r1res = {"slot2_clock_opposite_shifts": 0.0, "slot2_clock_parallel_shifts": 1.0}
+        r1res = {"opposite_shifts": 0.0, "parallel_shifts": 1.0}
         evidence = suite._closed_form_evidence(pair, r1res)
         assert evidence["assembly_scalars"]["derived"] == INF
 
     def test_nan_trial_gates(self, ctx3, monkeypatch):
-        # a NaN in the last central-invariance residual and in the
-        # commutant residual fails the trial
+        # a NaN in the last central-invariance residual fails the trial, and
+        # one in the R1 conjugation evidence is recorded as inf
         def planted(check, key):
             def run(intw):
                 out = check(intw)
@@ -341,11 +359,11 @@ class TestReports:
         monkeypatch.setattr(suite, "central_invariance_residuals",
                             planted(suite.central_invariance_residuals, "kl_ratio_slot2"))
         monkeypatch.setattr(suite, "r1_conjugation_residuals",
-                            planted(suite.r1_conjugation_residuals, "clock_pair"))
+                            planted(suite.r1_conjugation_residuals, "opposite_shifts"))
         cfg = SuiteConfig(ell=3, trials=1, seed=42, route="closed-form", hybe_every=0)
         record = suite.run_trial(cfg, ctx3, 0).record
-        for name in ("central_invariance", "r1_commutants"):
-            assert_fails(record["checks"][name])
+        assert_fails(record["checks"]["central_invariance"])
+        assert record["evidence"]["r1_clock_conjugation"]["opposite_shifts"] == INF
         assert not record["pass"]
 
     def test_nan_phi_orbit(self, ctx3, monkeypatch):

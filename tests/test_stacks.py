@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-import holobraid.hybe as hybe
 import holobraid.intertwiner as intertwiner
 from holobraid.cyclic import RepParams, _chain, _dense, _kron_blocks, _rotate, clock_shift
 from holobraid.intertwiner import (BLOCK_SHIFTS, Intertwiner, PairContext,
@@ -19,7 +18,7 @@ from holobraid.suite import THRESHOLDS, SuiteConfig, run_trial
 from reference import (SHIFTED, dense_blocks, dense_central_invariance,
                        dense_closed_form, dense_det_normalize, dense_G,
                        dense_generator_action, dense_r1_residuals, dense_residual,
-                       dense_spectral_factor, seed42_pair)
+                       dense_spectral_factor, embed_12, seed42_pair)
 
 PAIRS = [(3, 0.1, 0), (5, 0.1, 0), *SHIFTED]
 SOLVE = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
@@ -179,14 +178,26 @@ class TestAgainstDense:
             assert np.array_equal(R1 @ X, X @ R1)
         # R1 is the same circulant on every grade, which hides a misplaced
         # grade; a spectral factor perturbed on one grade moves the
-        # opposite-shift reading (A x A is a scalar on each grade, so
-        # clock_pair stays at rounding)
+        # opposite-shift reading
         R1 = closed.pair.spectral.copy()
         R1[1, 0, ell - 1] += 1e-3
         closed.pair.__dict__["spectral"] = R1
         got = r1_conjugation_residuals(closed)
         assert_close(got, dense_r1_residuals(_dense(R1, 0), closed.pair.chi, ctx))
-        assert got["slot2_clock_opposite_shifts"] > 1e-8
+        assert got["opposite_shifts"] > 1e-8
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 13])
+def test_clock_pair_commutes_with_grade_zero_stacks(ell):
+    # A x A acts on pair grade g as the scalar eps^(2g), so it commutes with
+    # every grade-0 stack, such as the spectral factor R1: a gate on that
+    # commutator could not fail, and no trial computes it
+    A = clock_shift(primitive_root(ell)).A
+    AA = _kron_blocks(A, A, 0)
+    rng = np.random.default_rng(ell)
+    for _ in range(3):
+        X = rng.normal(size=(ell,) * 3) + 1j * rng.normal(size=(ell,) * 3)
+        assert np.linalg.norm(X @ AA - AA @ X) < 1e-14 * np.linalg.norm(X)
 
 
 def test_trial_builds_no_dense_matrix(monkeypatch):
@@ -214,5 +225,5 @@ def test_trial_builds_no_dense_matrix(monkeypatch):
     assert calls == {"kron": 0, "_dense": 0, "R": 0}
     # the counters see a call
     run.intertwiner.R
-    hybe.embed_12(np.eye(4), 2)
+    embed_12(np.eye(4), 2)
     assert calls == {"kron": 1, "_dense": 1, "R": 1}
