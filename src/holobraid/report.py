@@ -1,4 +1,5 @@
-"""Machine-readable reports: stable field order, JSON-safe numbers."""
+"""Machine-readable reports: stable field order, JSON-safe numbers, one
+trial a line (`python3 -m json.tool` indents a report)."""
 from __future__ import annotations
 
 import json
@@ -56,12 +57,21 @@ def new_report(config_dict: dict) -> dict:
 
 
 def emit_report(report: dict) -> str:
-    """Serialize with stable key order (insertion order, never re-sorted).
-    Every report value is already a Python scalar, list or dict."""
-    return json.dumps(report, indent=2)
+    """Serialize in insertion order, `"key": <value>` a line and one trial a
+    line, every value compact: an indent would take CPython's pure-Python
+    encoder.  Every report value is already a Python scalar, list or dict."""
+    encode = json.JSONEncoder().encode
+    parts = []
+    for key, value in report.items():
+        parts += [",\n  " if parts else "{\n  ", encode(key), ": "]
+        if key == "trials":
+            parts += ["[\n    ", ",\n    ".join(map(encode, value)), "\n  ]"]
+        else:
+            parts.append(encode(value))
+    return "".join(parts + ["\n}" if parts else "{}"])
 
 
 def write_report(report: dict, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(emit_report(report) + "\n")
+    with open(path, "w") as f:
+        f.write(emit_report(report))
+        f.write("\n")

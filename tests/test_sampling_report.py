@@ -222,6 +222,52 @@ class TestReports:
         for rep in reports:
             assert json.loads(json.dumps(rep)) == rep
 
+    def test_reports_take_the_c_encoder(self, tmp_path, monkeypatch):
+        # an indent sends a report through json's pure-Python encoder
+        # (json.encoder._make_iterencode), three times slower than the C one
+        reports = []
+        monkeypatch.setattr(cli, "write_report", lambda rep, path: reports.append(rep))
+        for argv in (["suite", "--ell", "3", "--trials", "3", "--seed", "42"],
+                     ["braid-map", "--ell", "3", "--trials", "2"],
+                     ["rmatrix", "--ell", "3", "--seed", "5", "--trial", "2"],
+                     ["hybe", "--ell", "3", "--seed", "11"],
+                     ["series", "--ell", "5", "--order", "30"]):
+            assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+
+        def pure_python(*args, **kwargs):
+            raise AssertionError("report went through the pure-Python encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python)
+        path = tmp_path / "out.json"
+        for rep in reports:
+            write_report(rep, path)
+            assert json.loads(path.read_text()) == rep
+
+    def test_report_layout(self, tmp_path):
+        # one top-level key a line and one trial a line, so a diff of two
+        # reports without their generated_at line compares everything else
+        _, rep = run_suite(SuiteConfig(ell=3, trials=3, seed=42))
+        path = tmp_path / "out.json"
+        write_report(rep, path)
+        text = path.read_text()
+        assert text.endswith("}\n")
+        lines = text.splitlines()
+        assert len(lines) == len(rep) + len(rep["trials"]) + 3
+        assert sum('"generated_at"' in line for line in lines) == 1
+        start = lines.index('  "trials": [') + 1
+        trial_lines = lines[start:start + 3]
+        assert [json.loads(line.rstrip(",")) for line in trial_lines] == rep["trials"]
+        assert lines[start + 3] == "  ]"
+
+    def test_report_values_match_indented_json(self, monkeypatch):
+        # the forced-raise report of test_raising_reading_is_evidence, whose
+        # inf readings are written as Infinity
+        force_second_conjugates_raise(monkeypatch)
+        _, rep = run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))
+        text = emit_report(rep)
+        assert "Infinity" in text
+        assert json.loads(text) == json.loads(json.dumps(rep, indent=2))
+
     def test_checks_are_the_thresholds(self):
         # with both routes and a triple on every trial, every trial runs
         # exactly the gates THRESHOLDS names, each at its threshold: no
