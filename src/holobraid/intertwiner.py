@@ -471,26 +471,24 @@ class Intertwiner:
                      / np.linalg.norm(R))
 
 
-def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None,
-             target=None) -> PairContext:
+def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None) -> PairContext:
     """pair, checked to belong to (p1, p2), or a new PairContext."""
     if pair is None:
-        return PairContext(p1, p2, target)
-    if pair.in_params[0] is not p1 or pair.in_params[1] is not p2 or target is not None:
-        raise InvalidInputError("the pair context belongs to another pair or target")
+        return PairContext(p1, p2)
+    if pair.in_params[0] is not p1 or pair.in_params[1] is not p2:
+        raise InvalidInputError("the pair context belongs to another pair")
     return pair
 
 
-def solve_intertwiner(p1: RepParams, p2: RepParams,
-                      target: tuple[RepParams, RepParams] | None = None, *,
+def solve_intertwiner(p1: RepParams, p2: RepParams, *,
                       pair: PairContext | None = None) -> Intertwiner:
     """Nullspace solve of the stacked intertwining system.
 
-    target overrides the braided output pair (used by the negative
-    controls).  pair is the PairContext of (p1, p2) when the caller shares
-    one; it is built here otherwise.  Raises NoIntertwinerError on an
-    empty nullspace and NonGenericRepresentationError when the nullspace
-    is not a line.
+    pair is the PairContext of (p1, p2) when the caller shares one; it is
+    built here otherwise.  A pair built with a target other than the
+    braided pair (the negative controls) is solved for that output pair.
+    Raises NoIntertwinerError on an empty nullspace and
+    NonGenericRepresentationError when the nullspace is not a line.
 
     The solve reads only the four representation matrices and the braid
     factor G.  It writes blocks 2-7 of pair.blocks on the conserved weight
@@ -515,7 +513,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams,
     below.
     """
     ell = p1.ctx.ell
-    pair = _pair_of(p1, p2, pair, target)
+    pair = _pair_of(p1, p2, pair)
     a = pair.band_exp
     if not pair.band_dist <= 1e-6:  # NaN included
         raise NoIntertwinerError(

@@ -1,9 +1,11 @@
-"""Truncated power series, q-factorials, and the staircase product function.
+"""Truncated power series and the staircase product function.
 
-The series here back two different jobs:
+A power series is its complex coefficient array c[0..order], and a
+truncated product of two series is np.convolve(a, b)[:len(a)].  The series
+here back two jobs:
 
 * identities for f(z;q) = sum_n (1-q)^n z^n / ((1-q)...(1-q^n)), checked
-  both through its sum form, its product form and its functional equation
+  through its sum form, its product form and its functional equation
   f(zq;q) = (1-z)f(z;q);
 * the staircase product Phi(z) = prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell),
   which is only ever needed through its Taylor expansion (phi_series) and
@@ -14,108 +16,12 @@ well-defined because every factor has constant term 1.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpectralParameterError, SingularParameterError
 from .roots import RootContext
 
 DEFAULT_ORDER = 40
-
-
-@dataclass
-class Series:
-    """Complex power series truncated at a fixed order (inclusive)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = 1.0
-        return cls(c)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return Series(self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = self.order
-            full = np.convolve(self.coeffs, other.coeffs)
-            return Series(full[: n + 1])
-        return Series(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Series":
-        """1/self; requires a nonzero constant term."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise SingularParameterError("reciprocal of a series with zero constant term")
-        b = np.zeros_like(a)
-        b[0] = 1.0 / a[0]
-        for n in range(1, len(a)):
-            b[n] = -np.dot(a[1 : n + 1], b[n - 1 :: -1]) / a[0]
-        return Series(b)
-
-    def exp(self) -> "Series":
-        """exp(self); requires zero constant term."""
-        a = self.coeffs
-        if a[0] != 0:
-            raise SingularParameterError("exp requires zero constant term")
-        b = np.zeros_like(a)
-        b[0] = 1.0
-        ks = np.arange(len(a))
-        for n in range(1, len(a)):
-            b[n] = np.dot(ks[1 : n + 1] * a[1 : n + 1], b[n - 1 :: -1]) / n
-        return Series(b)
-
-    def shift_scale(self, c: complex) -> "Series":
-        """Substitute z -> c*z."""
-        return Series(self.coeffs * c ** np.arange(len(self.coeffs)))
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
-
-def q_bracket(n: int, q: complex) -> complex:
-    """(1 - q^n)/(1 - q)."""
-    if q == 1:
-        raise SingularParameterError("q = 1")
-    return (1 - q**n) / (1 - q)
-
-
-def q_factorial_b(n: int, q: complex) -> complex:
-    """b_n = prod_{k=1..n} (1-q^k)/(1-q); b_0 = 1 (empty product)."""
-    if n < 0:
-        raise SingularParameterError(f"n must be >= 0, got {n}")
-    if q == 1:
-        raise SingularParameterError("q = 1")
-    out = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        out *= (1 - q**k) / (1 - q)
-    return out
-
-
-def pairing_monomial(n: int, m: int, n2: int, m2: int, q: complex) -> complex:
-    """Dual-monomial pairing value: delta_{n n2} delta_{m m2} n! b_m(q)."""
-    if q == 1:
-        raise SingularParameterError("q = 1")
-    if n != n2 or m != m2:
-        return 0.0 + 0.0j
-    return math.factorial(n) * q_factorial_b(m, q)
 
 
 def _check_f_args(q: complex, order: int):
@@ -126,31 +32,36 @@ def _check_f_args(q: complex, order: int):
             raise SingularParameterError(f"q^{k} = 1 within tolerance")
 
 
-def series_f(q: complex, order: int = DEFAULT_ORDER) -> Series:
+def series_f(q: complex, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Sum form of f(z;q): coefficient of z^n is (1-q)^n / prod_{k<=n}(1-q^k)."""
     _check_f_args(q, order)
     c = np.zeros(order + 1, dtype=complex)
     c[0] = 1.0
     for n in range(1, order + 1):
         c[n] = c[n - 1] * (1 - q) / (1 - q**n)
-    return Series(c)
+    return c
 
 
-def series_f_product(q: complex, order: int = DEFAULT_ORDER) -> Series:
+def series_f_product(q: complex, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Product form of the same function: prod_{n>=0} (1 - (1-q) z q^n)^(-1).
 
-    Factors are multiplied until they are 1 + O(1e-18) so the truncation
-    error is below double precision for |q| < 1.
+    Each factor is the geometric series with ratio (1-q) q^n.  Factors are
+    multiplied until they are 1 + O(1e-18), so the truncation error is below
+    double precision for |q| < 1; raises SingularParameterError where that
+    takes more than 5000 factors (|q| near 1).
     """
     _check_f_args(q, order)
     if abs(q) >= 1:
         raise SingularParameterError("product form needs |q| < 1")
-    out = Series.one(order)
+    out = np.zeros(order + 1, dtype=complex)
+    out[0] = 1.0
     n = 0
-    while abs((1 - q) * q**n) > 1e-18 and n < 5000:
-        factor = Series.one(order)
-        factor.coeffs[1] = -(1 - q) * q**n
-        out = out * factor.reciprocal()
+    while abs(ratio := (1 - q) * q**n) > 1e-18:
+        if n == 5000:
+            raise SingularParameterError(f"product form needs over 5000 factors at q={q}")
+        geometric = np.full(order + 1, ratio, dtype=complex)
+        geometric[0] = 1.0
+        out = np.convolve(out, np.cumprod(geometric))[: order + 1]
         n += 1
     return out
 
@@ -165,20 +76,27 @@ def check_f_functional(q: complex, order: int = DEFAULT_ORDER) -> float:
     rescaling, which would amplify rounding at |q| near 1.
     """
     _check_f_args(q, order)
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = 1.0
+    f = np.zeros(order + 1, dtype=complex)
+    f[0] = 1.0
     for n in range(1, order + 1):
-        c[n] = c[n - 1] / (1 - q**n)
-    f = Series(c)
-    lhs = f.shift_scale(q)
-    one_minus_z = Series.one(order)
-    one_minus_z.coeffs[1] = -1.0
-    rhs = one_minus_z * f
-    scale = max(1.0, float(np.max(np.abs(f.coeffs))))
-    return float(np.max(np.abs((lhs - rhs).coeffs)) / scale)
+        f[n] = f[n - 1] / (1 - q**n)
+    lhs = f * q ** np.arange(order + 1)
+    rhs = f - np.r_[0.0, f[:-1]]
+    scale = max(1.0, float(np.max(np.abs(f))))
+    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> Series:
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp of a series with zero constant term."""
+    b = np.zeros_like(a)
+    b[0] = 1.0
+    ks = np.arange(len(a))
+    for n in range(1, len(a)):
+        b[n] = np.dot(ks[1 : n + 1] * a[1 : n + 1], b[n - 1 :: -1]) / n
+    return b
+
+
+def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Taylor expansion of prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell).
 
     Built as exp((1/ell) * sum_m m * sum_k (eps^(2m) z)^k / k); each factor
@@ -193,9 +111,7 @@ def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> Series:
     for m in range(1, ell + 1):
         w = ctx.pow(2 * m)
         log_c[1:] += (m / ell) * w**ks / ks
-    return Series(log_c).exp()
-
-
+    return _exp(log_c)
 def phi_orbit(ctx: RootContext, s: complex, variant: str = "direct") -> np.ndarray:
     """Values of the staircase function along the orbit z_k = s*eps^(2k-2).
 
@@ -243,9 +159,8 @@ def q_shift_coefficient_check(n: int, q: complex) -> float:
     """Expand (S1+S2)^n on the first basis vector for a q-commuting shift pair.
 
     S1, S2 are (n+1)x(n+1) shifts with S1 S2 = q S2 S1; the total coefficient
-    in front of the landing vector must equal prod_{j=0..n-1} (1+q^j), and
-    b_n must satisfy b_n = [n]_q b_{n-1}.  Returns the larger of the two
-    residuals.
+    in front of the landing vector must equal prod_{j=0..n-1} (1+q^j).
+    Returns the relative residual of that coefficient.
     """
     if not (1 <= n <= 12):
         raise SingularParameterError(f"n must be in 1..12, got {n}")
@@ -260,6 +175,4 @@ def q_shift_coefficient_check(n: int, q: complex) -> float:
     vec = np.linalg.matrix_power(s1 + s2, n) @ e0
     total = vec[n]
     expected = np.prod([1 + q**j for j in range(n)])
-    r1 = abs(total - expected) / max(abs(expected), 1e-30)
-    r2 = abs(q_factorial_b(n, q) - q_bracket(n, q) * q_factorial_b(n - 1, q))
-    return float(max(r1, r2))
+    return float(abs(total - expected) / max(abs(expected), 1e-30))

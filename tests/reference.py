@@ -12,6 +12,7 @@ import numpy as np
 
 from holobraid.cyclic import _dense, build_rep, clock_shift, gauge_U
 from holobraid.intertwiner import BLOCK_SHIFTS, _coproducts
+from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import third_params
@@ -247,3 +248,29 @@ def load_matrix(path):
     rows = [[complex(cell.replace("i", "j")) for cell in line.split(",")]
             for line in lines[1:]]
     return meta, np.array(rows)
+
+
+def series_value(coeffs, z):
+    """The power series with these coefficients at the point z, by Horner's
+    rule, one point at a time."""
+    acc = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def phi_variant_reference(ctx, order=60):
+    """suite.phi_variant_evidence written out point by point: for each
+    reading, the worst |phi_orbit - Phi / Phi(z_0)| over the four probes'
+    orbits z_k = s eps^(2k-2)."""
+    coeffs = phi_series(ctx, order)
+    out = {}
+    for variant in ("direct", "reciprocal_argument"):
+        worst = 0.0
+        for s in (0.12, 0.2 + 0.1j, -0.15 + 0.07j, 0.28):
+            ref = np.array([series_value(coeffs, s * ctx.pow(2 * k - 2))
+                            for k in range(ctx.ell)])
+            vals = phi_orbit(ctx, s, variant=variant)
+            worst = max(worst, float(np.max(np.abs(vals - ref / ref[0]))))
+        out[variant] = worst
+    return out

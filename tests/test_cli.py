@@ -214,3 +214,19 @@ def test_series_nan_fails(tmp_path, monkeypatch):
     assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 1
     rep = json.loads(out.read_text())
     assert rep["checks"]["orbit_telescoping"]["approx"] == "inf"
+
+
+def test_series_unresolved_step_factor_fails(tmp_path, monkeypatch):
+    # an orbit scaled by 1 + 1e-3 k leaves no reading under the suite's
+    # adjudication threshold: the series command exited 0 regardless
+    orbit = holobraid.suite.phi_orbit
+
+    def planted(ctx, s, variant):
+        return orbit(ctx, s, variant=variant) * (1 + 1e-3 * np.arange(ctx.ell))
+
+    monkeypatch.setattr(holobraid.suite, "phi_orbit", planted)
+    out = tmp_path / "s.json"
+    assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 1
+    variants = json.loads(out.read_text())["checks"]["phi_variants"]
+    assert variants["direct"]["value"] > holobraid.suite.ADJUDICATION_PASS
+    assert variants["reciprocal_argument"]["value"] > 1e-3

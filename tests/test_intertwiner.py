@@ -151,7 +151,7 @@ class TestOracle:
         for p1, p2 in (pair3, pair5, pair7):
             assert abs(z0_character(p1).eta * z0_character(p2).phi) > 1e-6
             with pytest.raises(NoIntertwinerError):
-                solve_intertwiner(p1, p2, target=(p1, p2))
+                solve_intertwiner(p1, p2, pair=PairContext(p1, p2, target=(p1, p2)))
 
     @pytest.mark.parametrize("ell", [3, 5, 7, 9])
     def test_two_term_rows_split_band_into_ell_components(self, ell):
@@ -286,7 +286,7 @@ class TestBandTable:
         # warm tables still leave a wrong target without a kernel
         for p1, p2 in pairs:
             with pytest.raises(NoIntertwinerError):
-                solve_intertwiner(p1, p2, target=(p1, p2))
+                solve_intertwiner(p1, p2, pair=PairContext(p1, p2, target=(p1, p2)))
 
     def test_table_is_read_only_intp(self):
         # every gather indexes with the table as it is, so no solve casts it
