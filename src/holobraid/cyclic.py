@@ -52,7 +52,7 @@ class RepParams:
     The lowering weights, generator matrices, their ell-th powers, central
     character and geometric gauge are computed once per instance (the
     cached properties below, returned by f_weights, build_rep, ell_powers,
-    z0_character and gauge_U).
+    z0_character and gauge_U), and so are its braidings (braided_rep_pair).
     Their arrays are read-only, because every caller shares them.
     """
 
@@ -107,6 +107,10 @@ class RepParams:
         )
 
     @cached_property
+    def _braidings(self) -> dict:
+        return {}
+
+    @cached_property
     def _gauge(self) -> tuple[np.ndarray, complex]:
         ell, w = self.ctx.ell, self._weights
         if np.min(np.abs(w)) < 1e-12:
@@ -142,6 +146,12 @@ def _clock_shift_arrays(ell: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(ell):
         B[(i + 1) % ell, i] = 1.0
     return _read_only(A), _read_only(B)
+
+
+@lru_cache(maxsize=None)
+def _shift_power(ell: int, k: int) -> np.ndarray:
+    """B^k, built once per (ell, k) and read-only."""
+    return _read_only(np.linalg.matrix_power(_clock_shift_arrays(ell)[1], k))
 
 
 def clock_shift(ctx: RootContext) -> ClockShift:
@@ -277,11 +287,16 @@ def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext) -> RepPa
 
 
 def braided_rep_pair(p1: RepParams, p2: RepParams) -> tuple[RepParams, RepParams]:
-    """Output-slot parameters: coloring map on characters plus strand lifts."""
-    o1, o2 = beta_inverse(z0_character(p1), z0_character(p2))
-    q1 = lift_character(o1, p1.u, p1.x, p1.ctx)
-    q2 = lift_character(o2, p2.u, p2.x, p2.ctx)
-    return q1, q2
+    """Output-slot parameters: coloring map on characters plus strand lifts,
+    computed once per pair of objects and shared.  p1's memo, keyed by
+    id(p2), holds p2 so that the id stays p2's, but not p1 (no cycle)."""
+    memo = p1._braidings
+    if id(p2) not in memo:
+        o1, o2 = beta_inverse(z0_character(p1), z0_character(p2))
+        q1 = lift_character(o1, p1.u, p1.x, p1.ctx)
+        q2 = lift_character(o2, p2.u, p2.x, p2.ctx)
+        memo[id(p2)] = (q1, q2, None if p2 is p1 else p2)
+    return memo[id(p2)][:2]
 
 
 def gauge_U(p: RepParams) -> tuple[np.ndarray, complex]:

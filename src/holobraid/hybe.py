@@ -13,9 +13,10 @@ Every intertwiner is a stack of grade shift its band exponent (see
 cyclic), so a factor embedded on two of the three tensor slots maps total
 grade n1 + n2 + n3 to that grade plus the same shift, and it is
 block-diagonal over the third slot's index.  Each triple product is held
-as its ell blocks of ell^2 x ell^2, one per total grade, and _apply
-multiplies it by one embedded factor's ell^2 blocks of ell x ell in one
-batched matmul: O(ell^6) for the triple, not the O(ell^9) of dense
+as its ell blocks of ell^2 x ell^2, one per total grade.  It starts as its
+rightmost factor, whose entries _embed scatters into zeros, and _apply
+multiplies it by each further embedded factor's ell^2 blocks of ell x ell
+in one batched matmul: O(ell^6) for the triple, not the O(ell^9) of dense
 ell^3 x ell^3 products.  The zero-spectral-parameter core R0 of
 s0_diagnostic, the pair's twist diagonal times B^a x (a diagonal gauge
 ratio), sends v_n x v_m to a weight times v_(n+a) x v_m.  Embedded on
@@ -122,6 +123,21 @@ def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,
     return out
 
 
+def _embed(R: np.ndarray, a: int, slots: tuple[int, int]) -> np.ndarray:
+    """_apply(R, a, slots, identity, 0) on slots (0, 1) or (1, 2), with R's
+    entries scattered into zeros (ell^4, each once per spectator index n) in
+    place of multiplied: R's block of pair grade G - n sits at rows (n, i)
+    and columns (n, j), or at (i, G - n + a - i) and (j, G - n - j)."""
+    ell = len(R)
+    g, n, i, j = np.ogrid[:ell, :ell, :ell, :ell]
+    pg = (g - n) % ell
+    rows, cols = ((n * ell + i, n * ell + j) if slots == (1, 2) else
+                  (i * ell + (pg + a - i) % ell, j * ell + (pg - j) % ell))
+    out = np.zeros((ell, ell * ell, ell * ell), dtype=complex)
+    out[g, rows, cols] = R[pg, i, j]
+    return out
+
+
 def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float, dict]:
     """Up-to-scalar holonomy Yang-Baxter deviation for one triple.
 
@@ -137,8 +153,9 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
 
     Each factor is a stack of grade shift its band exponent, so each
     product is formed as ell grade blocks of size ell^2 x ell^2, starting
-    from the identity and applying the factors right to left (_apply):
-    O(ell^6) work, no ell^3 x ell^3 array.
+    from its rightmost factor's entries (_embed, no product with an identity)
+    and applying the others right to left (_apply): O(ell^6) work, no
+    ell^3 x ell^3 array.
     Products whose total shifts differ have disjoint supports: then c = 0
     and the deviation is 1, as for the dense matrices.
 
@@ -154,8 +171,9 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
 
     def product(factors):
         """(triple stack, shift) of the product of (intertwiner, slots) factors."""
-        P, s = np.stack([np.eye(ell * ell, dtype=complex)] * ell), 0
-        for intw, slots in reversed(factors):
+        (first, slots), *rest = reversed(factors)
+        P, s = _embed(first.blocks, first.pair.band_exp, slots), first.pair.band_exp
+        for intw, slots in rest:
             P, s = _apply(intw.blocks, intw.pair.band_exp, slots, P, s), s + intw.pair.band_exp
         return P, s % ell
 

@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense,
-                     _diag_blocks, _kron_blocks, _stack_index, _rotate, braided_rep_pair,
-                     build_rep, clock_shift, gauge_U, z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _clock_shift_arrays,
+                     _dense, _diag_blocks, _kron_blocks, _read_only, _rotate, _shift_power,
+                     _stack_index, braided_rep_pair, build_rep, gauge_U, z0_character)
 from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
                      NonGenericRepresentationError)
 from .report import worst_residual
@@ -123,7 +123,7 @@ def _band_table(ell: int) -> _BandTable:
     grid[c, s, t].  Slot t of row r adds to S Z at flat sz_index[t, r].
     """
     n = ell ** 3
-    I, B = np.eye(ell), clock_shift(primitive_root(ell)).B
+    I, B = np.eye(ell), _clock_shift_arrays(ell)[1]
     shape = RepMatrices(K=I, L=I, E=B, F=B.T)
     M, N = (X[2:] != 0 for X in _equation_blocks((shape,) * 4, I + _braid_factor(shape, shape)))
 
@@ -278,6 +278,12 @@ def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
     return a, float(dists[a])
 
 
+@lru_cache(maxsize=None)
+def _golden_weights(ell: int, shift: int) -> np.ndarray:
+    """det_normalize's weights for a stack of grade shift `shift`, read-only."""
+    return _read_only(np.exp(2j * np.pi * 0.6180339887498949 * _stack_index(ell, shift)[0]))
+
+
 def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
     """A stack of grade shift `shift` scaled to det 1, with its residual
     root-of-unity phase fixed, and log|det| of the stack before.
@@ -288,9 +294,9 @@ def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
     unity (n = ell^2 its size).  The representative is pinned by rotating
     arg(sum_j w_j R_j) into [0, 2 pi / n), where w are fixed golden-angle
     unit weights at the dense flat indices j (those cyclic._dense scatters
-    with): a generic functional, immune to the modulus ties that a
-    largest-entry rule hits on these highly structured matrices.  Scaled
-    inputs c*R therefore normalize to the identical matrix.
+    with, built once per (ell, shift)): a generic functional, immune to the
+    modulus ties that a largest-entry rule hits on these highly structured
+    matrices.  Scaled inputs c*R therefore normalize to the identical matrix.
     """
     ell = len(blocks)
     n = ell * ell
@@ -300,8 +306,7 @@ def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
     if sign == 0:
         raise InvalidInputError("singular matrix cannot be det-normalized")
     R1 = blocks * np.exp(-(logabs + 1j * np.angle(sign)) / n)
-    w = np.exp(2j * np.pi * 0.6180339887498949 * _stack_index(ell, shift)[0])
-    sigma = np.dot(w.ravel(), R1.ravel())
+    sigma = np.dot(_golden_weights(ell, shift).ravel(), R1.ravel())
     if abs(sigma) < 1e-8 * np.linalg.norm(R1):  # fallback, never hit in practice
         sigma = R1.flat[int(np.argmax(np.abs(R1)))]
     ang = float(np.angle(sigma) % (2 * np.pi))
@@ -437,7 +442,7 @@ class PairContext:
     @cached_property
     def spectral(self) -> np.ndarray:
         ctx = self.in_params[0].ctx
-        return _spectral_factor(ctx.ell, ctx.eps_powers, _spectral_values(self.chi, ctx))
+        return _spectral_factor(ctx.ell, _spectral_values(self.chi, ctx))
 
 
 @dataclass
@@ -556,7 +561,14 @@ def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
     return vals
 
 
-def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _dft(ell: int) -> np.ndarray:
+    """eps^(-2jk) at [j, k], read-only."""
+    ks = np.arange(ell)
+    return _read_only(primitive_root(ell).eps_powers[(-2 * np.outer(ks, ks)) % ell])
+
+
+def _spectral_factor(ell: int, vals: np.ndarray) -> np.ndarray:
     """Function of the split shift W = B x B^-1 with given eigenvalues, as
     its stack (grade shift 0).
 
@@ -565,7 +577,7 @@ def _spectral_factor(ell: int, eps_powers: np.ndarray, vals: np.ndarray) -> np.n
     vals, every block is the circulant with coef[(i - j) % ell] at (i, j).
     """
     ks = np.arange(ell)
-    coef = (vals[None, :] * eps_powers[(-2 * np.outer(ks, ks)) % ell]).sum(axis=1) / ell
+    coef = (vals[None, :] * _dft(ell)).sum(axis=1) / ell
     return np.broadcast_to(coef[(ks[:, None] - ks) % ell], (ell, ell, ell))
 
 
@@ -586,7 +598,7 @@ def closed_form_R(p1: RepParams, p2: RepParams, *,
     pair = _pair_of(p1, p2, pair)
     ell, a = p1.ctx.ell, pair.band_exp
     U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
-    Ba = np.linalg.matrix_power(clock_shift(p1.ctx).B, a)
+    Ba = _shift_power(ell, a)
     blocks, _ = _chain([(_diag_blocks(pair.twist), 0), (_kron_blocks(Ba, Ut2, a), a),
                         (pair.spectral, 0),
                         (_kron_blocks(np.eye(ell), np.linalg.inv(U2), 0), 0)])
@@ -685,6 +697,17 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _r1_stacks(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r1_conjugation_residuals' 1 x A, B x B^-1 and ell stacks B^k x A B^k
+    (grade shift 2k), built once per ell and read-only."""
+    A, B = _clock_shift_arrays(ell)
+    powers = [_shift_power(ell, k) for k in range(ell)]
+    return tuple(_read_only(x) for x in (
+        _kron_blocks(np.eye(ell), A, 0), _kron_blocks(B, np.linalg.inv(B), 0),
+        np.stack([_kron_blocks(Bk, A @ Bk, 2 * k) for k, Bk in enumerate(powers)])))
+
+
 def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     """r1_clock_conjugation's evidence: the spectral factor R1's conjugation
     of 1 x A under both slot-2 clock readings.  R1 is one circulant on every
@@ -693,25 +716,19 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     Needs a closed form: R1 and the scalars are read from its pair."""
     if intw.route != "closed-form":
         raise InvalidInputError("needs a closed-form intertwiner")
-    ctx = intw.pair.in_params[0].ctx
-    ell = ctx.ell
-    cs = clock_shift(ctx)
+    ell = intw.ell
     cd = intw.pair.chi
     tau = 1.0 / cd.s
     R1 = intw.pair.spectral
-    kron = _kron_blocks
-    I = np.eye(ell)
-    A, B, Binv = cs.A, cs.B, np.linalg.inv(cs.B)
-    IA = kron(I, A, 0)
+    IA, BB, BkABk = _r1_stacks(ell)
     lhs = R1 @ IA @ np.linalg.inv(R1)
-    rhs = tau * IA @ np.linalg.inv(I - cd.sigma * kron(B, Binv, 0))
+    rhs = tau * IA @ np.linalg.inv(np.eye(ell) - cd.sigma * BB)
     out = {"opposite_shifts": float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))}
     # B x B moves the grade by 2 and has order ell, so the rhs
     # tau (1 x A) (1 - sigma B x B)^-1 is sum_k tau sigma^k (B^k x A B^k) / (1 - sigma^ell),
     # its term k of grade shift 2k: only term 0 meets lhs
-    powers = [np.linalg.matrix_power(B, k) for k in range(ell)]
-    terms = np.stack([tau * cd.sigma**k / (1 - cd.sigma**ell) * kron(Bk, A @ Bk, 2 * k)
-                      for k, Bk in enumerate(powers)])
+    terms = np.stack([tau * cd.sigma**k / (1 - cd.sigma**ell) * S
+                      for k, S in enumerate(BkABk)])
     out["parallel_shifts"] = float(
         np.linalg.norm(np.concatenate([[lhs - terms[0]], terms[1:]])) / np.linalg.norm(terms))
     return out

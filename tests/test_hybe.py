@@ -36,6 +36,17 @@ def dense_s0(R0, ell):
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
 
 
+def triple_dense(stack, shift, ell):
+    """The dense ell^3 x ell^3 matrix of a triple stack of grade shift `shift`."""
+    j = np.arange(ell ** 3)
+    # the triples of each total grade, in ascending triple index
+    order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
+    order = order.reshape(ell, ell * ell)
+    M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
+    M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = stack
+    return M
+
+
 SOLVE = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
 
 
@@ -190,15 +201,6 @@ class TestGradeBlocks:
         # times a random triple stack of every shift s, against the dense
         # embedding of its dense matrix times the triple stack's dense matrix
         rng = np.random.default_rng(ell)
-        j = np.arange(ell ** 3)
-        # the triples of each total grade, in ascending triple index
-        order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
-        order = order.reshape(ell, ell * ell)
-
-        def dense(stack, shift):
-            M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
-            M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = stack
-            return M
 
         def random(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -209,9 +211,27 @@ class TestGradeBlocks:
             for a in range(ell):
                 R = random(ell, ell, ell)
                 for slots, dense_embed in embed.items():
-                    ref = dense_embed(_dense(R, a), ell) @ dense(P, s)
-                    got = dense(hybe._apply(R, a, slots, P, s), s + a)
+                    ref = dense_embed(_dense(R, a), ell) @ triple_dense(P, s, ell)
+                    got = triple_dense(hybe._apply(R, a, slots, P, s), s + a, ell)
                     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_embed_matches_dense(self, ell):
+        # each triple product starts from its first factor scattered into
+        # zeros: on slots (1, 2) for the LHS and (0, 1) for the RHS.  Its
+        # entries equal the dense embedding's and _apply's on the identity
+        # exactly; only the sign of a zero may differ from _apply's, whose
+        # sums of 0 * x give -0 (adding +0.0 maps -0 to +0 and leaves every
+        # other bit pattern as it is)
+        rng = np.random.default_rng(ell)
+        identity = np.stack([np.eye(ell * ell, dtype=complex)] * ell)
+        for a in range(ell):
+            R = rng.normal(size=(ell,) * 3) + 1j * rng.normal(size=(ell,) * 3)
+            for slots, dense_embed in (((0, 1), embed_12), ((1, 2), embed_23)):
+                got = hybe._embed(R, a, slots)
+                assert np.array_equal(triple_dense(got, a, ell), dense_embed(_dense(R, a), ell))
+                via_apply = hybe._apply(R, a, slots, identity, 0)
+                assert (got + 0.0).tobytes() == (via_apply + 0.0).tobytes()
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])

@@ -392,7 +392,7 @@ class TestClosedForm:
         cd = PairContext(p1, p2).chi
         assert abs(cd.sigma) < 0.35
         from holobraid.intertwiner import _spectral_factor, _spectral_values
-        R1 = _spectral_factor(3, ctx3.eps_powers, _spectral_values(cd, ctx3))
+        R1 = _spectral_factor(3, _spectral_values(cd, ctx3))
         # R1 is a stack: its blocks minus eye(3) hold every entry of R1 - eye(9)
         assert np.linalg.norm(R1 - np.eye(3)) < 6 * abs(cd.sigma)
 

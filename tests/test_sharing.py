@@ -1,10 +1,17 @@
 """A suite trial shares its pair data and its intertwiner between stages;
 every shared result must equal a fresh public call's."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import holobraid.cyclic as cyclic
+import holobraid.hybe as hybe
 import holobraid.intertwiner as intertwiner
 import holobraid.suite as suite
+from holobraid.cyclic import braided_rep_pair, z0_character
+from holobraid.glstar import beta_inverse
 from holobraid.hybe import derive_colorings, hybe_residual
 from holobraid.intertwiner import (central_invariance_residuals,
                                    check_generator_action, closed_form_R,
@@ -45,6 +52,24 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
     assert trial["checks"]["hybe_residual"]["residual"]["value"] == dev
 
 
+def clear_degree_caches():
+    for cached in (cyclic._shift_power, intertwiner._golden_weights, intertwiner._dft,
+                   intertwiner._r1_stacks):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_trial_build_counts_do_not_depend_on_caches(warm):
+    # the per-degree caches may be empty or full when a trial runs: the
+    # counts of test_trial_builds_braid_factor_once hold either way
+    clear_degree_caches()
+    if warm:
+        suite.run_trial(suite.SuiteConfig(ell=3, trials=1, seed=42, hybe_every=0),
+                        primitive_root(3), 0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        test_trial_builds_braid_factor_once(monkeypatch)
+
+
 def test_trial_builds_braid_factor_once(monkeypatch):
     # the trial's PairContext owns the band, G and 1 - eps G, and builds
     # its equation blocks once (one _coproducts call for each side) for the
@@ -53,7 +78,9 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     # clock matrices, R1^-1 and (1 - sigma B x B^-1)^-1 in
     # r1_conjugation_residuals, then in check_generator_action
     # (1 - eps G)^-1 and (1 - G / eps)^-1 as one inverse of the stack of G's
-    # grade blocks, and R^-1 (the central invariance check reads no R)
+    # grade blocks, and R^-1 (the central invariance check reads no R).
+    # The per-degree constants invert nothing but the ell x ell B, so the
+    # counts do not depend on whether their caches are full
     ell = 3
     braids, coproducts, inverses, block_inverses, bands = [], [], [], [], []
     braid_factor, coproduct, inv = (intertwiner._braid_factor, intertwiner._coproducts,
@@ -88,3 +115,91 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     assert len(inverses) == 0
     assert block_inverses == [(4, ell, ell)] + [(ell, ell, ell)] * 2 \
         + [(2, ell, ell, ell), (ell, ell, ell)]
+
+
+# the triple's factors in the order hybe_residual solves them, each as
+# (input pair, output pair) of coloring-chain fields; the trial's own
+# intertwiner is the (x, y) factor
+SOLVED_FACTORS = [(("x1", "y1"), ("x2", "y2")), (("x", "z1"), ("x1", "z2")),
+                  (("y", "z"), ("y1", "z1")), (("ya", "za"), ("yb", "zb")),
+                  (("xa", "z"), ("xb", "za"))]
+
+
+@pytest.mark.parametrize("route", ["both", "oracle", "closed-form"])
+def test_trial_braids_each_pair_once(route, monkeypatch):
+    # each braiding lifts two characters.  Trial 0 has a triple: the sampler
+    # braids (x, y) and (z, z) in its genericity checks, the coloring chain
+    # five more pairs, and the trial's PairContext and the five factors'
+    # braid none again (28 lifts when each braided anew).  Trial 1 has no
+    # triple and braids (x, y) once (4 when braided anew)
+    lifts, solved = [], []
+    lift = cyclic.lift_character
+    monkeypatch.setattr(cyclic, "lift_character",
+                        lambda *args: lifts.append(args) or lift(*args))
+    for name in ("solve_intertwiner", "closed_form_R"):
+        def record(*args, _fn=getattr(hybe, name), **kwargs):
+            solved.append(_fn(*args, **kwargs))
+            return solved[-1]
+        monkeypatch.setattr(hybe, name, record)
+    ctx = primitive_root(3)
+    cfg = suite.SuiteConfig(ell=3, trials=2, seed=42, route=route)
+    run = suite.run_trial(cfg, ctx, 0)
+    assert len(lifts) == 14
+    col = run.colorings
+    factors = [*zip(solved, SOLVED_FACTORS), (run.intertwiner, (("x", "y"), ("xa", "ya")))]
+    assert len(factors) == 6
+    for intw, (ins, outs) in factors:
+        for params, names in ((intw.pair.in_params, ins), (intw.pair.out_params, outs)):
+            assert all(p is getattr(col, name) for p, name in zip(params, names))
+    lifts.clear()
+    suite.run_trial(cfg, ctx, 1)
+    assert len(lifts) == 2
+
+
+def test_braiding_is_shared_and_fresh():
+    # the memo returns the same objects each time, equal to a fresh lift of
+    # the braided characters; braiding p with itself keeps p collectable
+    # without the cycle collector
+    ctx = primitive_root(3)
+    p, q = sample_params(ctx, 42, 0, count=2)
+    q1, q2 = braided_rep_pair(p, q)
+    assert braided_rep_pair(p, q)[0] is q1 and braided_rep_pair(p, q)[1] is q2
+    o1, o2 = beta_inverse(z0_character(p), z0_character(q))
+    assert q1.as_tuple() == cyclic.lift_character(o1, p.u, p.x, ctx).as_tuple()
+    assert q2.as_tuple() == cyclic.lift_character(o2, q.u, q.x, ctx).as_tuple()
+    assert braided_rep_pair(q, p)[0] is not q1  # keyed by order
+    gc.disable()
+    try:
+        r, = sample_params(ctx, 42, 1 << 32, count=1)  # braids (r, r)
+        assert braided_rep_pair(r, r)[0] is braided_rep_pair(r, r)[0]
+        ref = weakref.ref(r)
+        del r
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ell", [3, 9])
+def test_degree_caches_are_read_only_and_fresh(ell):
+    ctx = primitive_root(ell)
+    A, B = cyclic.clock_shift(ctx).A, cyclic.clock_shift(ctx).B
+    ks = np.arange(ell)
+    fresh = {
+        "B^a": [(cyclic._shift_power(ell, a), np.linalg.matrix_power(B, a))
+                for a in range(ell)],
+        "golden": [(intertwiner._golden_weights(ell, s),
+                    np.exp(2j * np.pi * 0.6180339887498949
+                           * cyclic._stack_index(ell, s)[0])) for s in range(ell)],
+        "dft": [(intertwiner._dft(ell), ctx.eps_powers[(-2 * np.outer(ks, ks)) % ell])],
+        "r1": list(zip(intertwiner._r1_stacks(ell), (
+            cyclic._kron_blocks(np.eye(ell), A, 0),
+            cyclic._kron_blocks(B, np.linalg.inv(B), 0),
+            np.stack([cyclic._kron_blocks(np.linalg.matrix_power(B, k),
+                                          A @ np.linalg.matrix_power(B, k), 2 * k)
+                      for k in range(ell)])))),
+    }
+    for name, pairs in fresh.items():
+        for cached, ref in pairs:
+            assert cached.tobytes() == ref.tobytes(), name
+            with pytest.raises(ValueError):
+                cached[(0,) * cached.ndim] = 1.0
