@@ -24,10 +24,11 @@ shifts), so each equation row has at most four unknowns, where the degree
 alone puts them: one table per ell (_band_table) makes a pair's rows one
 gather of its coefficients, scaled to unit norm.  The Ex1 and 1xF rows have
 two unknowns each and split the unknowns into ell components of ell^2,
-each fixed by one entry.  Propagating them leaves ell unknowns: the SVD of
-all the rows on that ell-column basis, taken through the R of its QR,
-picks the kernel line, and a few CGLS steps on the full sparse rows (S^H
-by a gather through the table) refine it.
+each fixed by one entry.  Propagating them leaves ell unknowns, on whose
+ell-column basis the two-term rows vanish: the SVD of the coupling rows
+(blocks 2-5) on that basis, taken through the R of its QR, picks the
+kernel line, and a few CGLS steps on the full sparse rows (S^H by a
+gather through the table) refine it.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -120,7 +121,8 @@ def _band_table(ell: int) -> _BandTable:
     k.  rows[0, c, s, t] is the Ex1 row joining grid[c, s, t] to
     grid[c, s + 1, t], rows[1, c, s, t] the 1xF row joining it to
     grid[c, s, t + 1], and from_mask marks their slots naming
-    grid[c, s, t].  Slot t of row r adds to S Z at flat sz_index[t, r].
+    grid[c, s, t].  Slot t of coupling row r (blocks 2-5, the first
+    4 ell^3 rows) adds to S Z at flat sz_index[t, r].
     """
     n = ell ** 3
     I, B = np.eye(ell), _clock_shift_arrays(ell)[1]
@@ -155,7 +157,7 @@ def _band_table(ell: int) -> _BandTable:
     rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
     comp = np.empty(n, dtype=np.intp)
     comp[grid] = c
-    sz_index = (np.arange(6 * n)[:, None] * ell + comp[cols]).T
+    sz_index = (np.arange(4 * n)[:, None] * ell + comp[cols[:4 * n]]).T
     table = _BandTable(*(x if x.dtype == bool else x.astype(np.intp, order="C") for x in (
         cols, src, merge, adjoint, grid, rows, comp, cols[rows] == grid[..., None], sz_index)))
     for arr in table:
@@ -206,9 +208,11 @@ def _propagate(ratio: np.ndarray) -> np.ndarray:
 
 def _reduced_system(cols: np.ndarray, vals: np.ndarray,
                     ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S Z, z, comp) for the basis Z of the two-term rows' kernel: column c
-    of Z is z on the unknowns with comp == c and 0 elsewhere, unit norm,
-    and S Z is a dense (rows x ell) matrix.
+    """(S_c Z, z, comp) for the basis Z of the two-term rows' kernel:
+    column c of Z is z on the unknowns with comp == c and 0 elsewhere, unit
+    norm, and S_c Z is the dense (4 ell^3 x ell) matrix of the coupling
+    rows (blocks 2-5).  The two-term rows (blocks 6-7) are left out: Z is
+    propagated through them, so they vanish on span Z up to rounding.
 
     Each component is propagated twice: from grid[c, 0, 0], then again
     from its largest entry, whose paths lose less to the spread of the
@@ -227,8 +231,9 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
     x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
     z = np.empty(ell ** 3, dtype=complex)
     z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
-    SZ = np.zeros(len(cols) * ell, dtype=complex)
-    col_vals = vals * z[cols]
+    coupling = sz_index.shape[1]
+    SZ = np.zeros(coupling * ell, dtype=complex)
+    col_vals = vals[:coupling] * z[cols[:coupling]]
     for t, index in enumerate(sz_index):
         SZ[index] += col_vals[:, t]
     return SZ.reshape(-1, ell), z, comp
@@ -501,21 +506,24 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
     sparse row of that system S to unit norm.  The Ex1 and 1xF rows have
     two unknowns each: propagated through them, the ell^3 band unknowns
     reduce to a basis Z of ell orthonormal columns (_reduced_system) that
-    holds the kernel.  The SVD of S Z, with all six blocks and so every
-    closure row outside the propagation, taken through the R of its QR
-    (an ell x ell matrix; sv and vh are all the solve reads), gives the
-    kernel coefficients c, and 2 ell - 3 CGLS steps on S refine v = Z c
-    (CG needs more steps as the band grows).  Where S's entries sit is the
-    degree's _band_table, built once per ell.
+    holds the kernel.  On span Z those rows (S_t) are rounding, below
+    1e-13 of |S_c Z| on seed-42 pairs from ell = 3 to 9, so the
+    factorisation reads only the coupling rows S_c (blocks 2-5, the first
+    4 ell^3): the SVD of S_c Z, taken through the R of its QR (an
+    ell x ell matrix; sv and vh are all the solve reads), gives the kernel
+    coefficients c, and 2 ell - 3 CGLS steps on the full S, started from
+    r = -S v, refine v = Z c (CG needs more steps as the band grows).
+    Where S's entries sit is the degree's _band_table, built once per ell.
     The kernel criterion is relative singular value < KERNEL_TOL against
-    the largest singular value of S Z, with the smallest read as |S v| of
-    the refined unit vector v.  By interlacing, S Z has no singular value
-    below S's smallest, so an empty kernel of S stays empty.  The gap is
-    sigma_2(S Z) / |S v|, and sigma_2(S Z) is 1.2 to 1.9 times S's own
-    sigma_2 (ell = 3 to 7).  It must exceed GAP_THRESHOLD; on sampled pairs
-    at radius 0.1 it is 1e14 to 1e15 from ell = 3 to 13.  The negative
-    controls sit 4+ orders above the tolerance, genuine kernels 7+ orders
-    below.
+    the largest singular value of S_c Z, with the smallest read as |S v|
+    of the refined unit vector v on the full S, so the two-term rows left
+    out of the factorisation still count against a wrong target.  The gap
+    is sigma_2(S_c Z) / |S v|.  sigma_2(S_c Z) lies between
+    sigma_2(S Z) - |S_t Z| and sigma_2(S Z) (Weyl), and sigma_2(S Z) is
+    at least S's own sigma_2 (interlacing).  The gap must exceed
+    GAP_THRESHOLD; on sampled pairs at radius 0.1 it is 1e14 to 1e15 from
+    ell = 3 to 13.  The negative controls sit 4+ orders above the
+    tolerance, genuine kernels 7+ orders below.
     """
     ell = p1.ctx.ell
     pair = _pair_of(p1, p2, pair)
@@ -528,7 +536,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
     SZ, z, comp = _reduced_system(cols, vals, ell)
     _, sv, vh = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
     c = vh[-1].conj()
-    v = _cgls(cols, vals, _band_table(ell).adjoint, z * c[comp], -(SZ @ c),
+    v = z * c[comp]
+    v = _cgls(cols, vals, _band_table(ell).adjoint, v, -_apply_rows(cols, vals, v),
               steps=2 * ell - 3)
     v /= np.linalg.norm(v)
     sv[-1] = np.linalg.norm(_apply_rows(cols, vals, v))

@@ -21,12 +21,13 @@ class RootContext:
 
     eps_powers holds eps^k for k = 0..ell-1, each computed directly, so
     that any exponent (eps^(2m-1), eps^(2nm) and friends), reduced mod ell,
-    is looked up without drift from repeated multiplication.
+    is looked up without drift from repeated multiplication.  The table
+    follows from ell and takes no part in == or hash.
     """
 
     ell: int
     eps: complex
-    eps_powers: np.ndarray = field(repr=False)
+    eps_powers: np.ndarray = field(repr=False, compare=False)
 
     def pow(self, k: int) -> complex:
         """eps^k for any integer k (reduced mod ell)."""

@@ -34,6 +34,13 @@ def full_reference(p1, p2):
     return vh[-1].conj().reshape(n2, n2)
 
 
+def dense_basis(z, comp, ell):
+    """_reduced_system's basis Z as a dense (ell^3 x ell) matrix."""
+    Z = np.zeros((len(z), ell), dtype=complex)
+    Z[np.arange(len(z)), comp] = z
+    return Z
+
+
 class TestCoproduct:
     def test_grouplike(self, ctx3, pair3):
         p1, p2 = pair3
@@ -153,6 +160,25 @@ class TestOracle:
             with pytest.raises(NoIntertwinerError):
                 solve_intertwiner(p1, p2, pair=PairContext(p1, p2, target=(p1, p2)))
 
+    # the smallest relative singular value each seed-42 target below is
+    # rejected with, as read when S Z still held the two-term rows
+    @pytest.mark.parametrize("ell, rel", [(3, 5.265e-4), (5, 4.928e-4), (7, 4.638e-4),
+                                          (9, 4.457e-4)])
+    def test_negative_control_perturbed_target(self, ell, rel):
+        # the braided target with the first output's y scaled by 1 + 1e-3:
+        # the band exponent stays, but the two-term rows no longer vanish on
+        # span Z (|S_t Z| is 1e-3).  The factorisation leaves those rows
+        # out, and the kernel test, which reads |S v| on the full S, still
+        # rejects the target at the same distance
+        p1, p2 = seed42_pair(ell, 0.1, 0)
+        q1, q2 = braided_rep_pair(p1, p2)
+        bad = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v, x=q1.x, y=q1.y * (1 + 1e-3))
+        pair = PairContext(p1, p2, target=(bad, q2))
+        assert pair.band_exp == PairContext(p1, p2).band_exp
+        with pytest.raises(NoIntertwinerError, match="empty nullspace") as info:
+            solve_intertwiner(p1, p2, pair=pair)
+        assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(rel, rel=1e-2)
+
     @pytest.mark.parametrize("ell", [3, 5, 7, 9])
     def test_two_term_rows_split_band_into_ell_components(self, ell):
         # union-find over the unknowns that each Ex1 and 1xF row names with
@@ -196,11 +222,17 @@ class TestOracle:
         intw = solve_intertwiner(p1, p2)
         a, n = intw.pair.band_exp, ell ** 3
         cols, vals = _band_rows(intw.pair.blocks, a)
-        _, sv, vh = np.linalg.svd(dense_band_system(cols, vals, n))
+        S = dense_band_system(cols, vals, n)
+        _, sv, vh = np.linalg.svd(S)
         assert compare_up_to_scalar(intw.blocks, vh[-1].conj().reshape(ell, ell, ell))[1] <= 1e-13
-        # sigma_2 of S Z, the gap's numerator, is at least S's (interlacing)
-        SZ, _, _ = _reduced_system(cols, vals, ell)
-        assert np.linalg.svd(SZ, compute_uv=False)[-2] >= sv[-2]
+        # sigma_2 of the full S Z is at least S's (interlacing), and the
+        # gap's numerator, sigma_2 of the coupling rows' S_c Z, is at least
+        # sigma_2(S Z) less the two-term rows' |S_t Z| (Weyl)
+        SZc, z, comp = _reduced_system(cols, vals, ell)
+        SZ = S @ dense_basis(z, comp, ell)
+        sv_z = np.linalg.svd(SZ, compute_uv=False)
+        assert sv_z[-2] >= sv[-2]
+        assert np.linalg.svd(SZc, compute_uv=False)[-2] >= sv_z[-2] - np.linalg.norm(SZ[4 * n:], 2)
 
     def test_band_exponent_matches_weight_ratio(self, pair5):
         intw = solve_intertwiner(*pair5)
@@ -268,6 +300,24 @@ class TestBandTable:
         assert gaps[-1] > 1e-3 * sv[0]
         for k in np.flatnonzero(gaps > 1e-3 * sv[0]):
             assert compare_up_to_scalar(vh_qr[k], vh[k])[1] < 1e-10
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0])
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_coupling_rows_hold_the_kernel(self, ell, radius):
+        # Z is propagated through the two-term rows (blocks 6-7), so on
+        # span Z they are rounding, and the kernel line of S Z is that of
+        # its coupling rows (blocks 2-5), all that _reduced_system keeps
+        pair = PairContext(*seed42_pair(ell, radius, 0))
+        n = ell ** 3
+        cols, vals = _band_rows(pair.blocks, pair.band_exp)
+        SZc, z, comp = _reduced_system(cols, vals, ell)
+        SZ = dense_band_system(cols, vals, n) @ dense_basis(z, comp, ell)
+        norm = np.linalg.norm(SZ, 2)
+        assert SZc.shape == (4 * n, ell)
+        assert np.allclose(SZc, SZ[:4 * n], rtol=0, atol=1e-15 * norm)
+        assert np.linalg.norm(SZ[4 * n:], 2) <= 1e-13 * norm
+        kernel_c, kernel = (np.linalg.svd(A)[2][-1] for A in (SZc, SZ))
+        assert compare_up_to_scalar(kernel_c, kernel)[1] <= 1e-13
 
     def test_independent_of_first_pair(self):
         # a table filled from whichever pair comes first must serve every band

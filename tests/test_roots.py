@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from holobraid.cyclic import RepParams
 from holobraid.errors import InvalidDegreeError
 from holobraid.roots import primitive_root
 
@@ -38,3 +39,13 @@ def test_power_table(ell):
     evens = sorted(round(np.angle(ctx.pow(2 * n)) % (2 * np.pi), 9) for n in range(1, ell + 1))
     alls = sorted(round(np.angle(ctx.pow(k)) % (2 * np.pi), 9) for k in range(ell))
     assert evens == alls
+
+
+def test_contexts_compare_and_hash_by_degree():
+    # two contexts of one degree are distinct objects with equal tables
+    a, b = primitive_root(3), primitive_root(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != primitive_root(5)
+    p, q = (RepParams(ctx=ctx, u=1.1, v=0.9, x=1.2, y=0.8) for ctx in (a, b))
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, RepParams(ctx=a, u=1.1, v=0.9, x=1.2, y=0.7)}) == 2
