@@ -13,8 +13,9 @@ The correction factor carries a minus sign:
     Omega' = 1 - eta_x * phi_y                          (beta_inverse)
 
 The plus-sign variant is kept behind ``sign=+1`` purely so the suite can
-adjudicate the two numerically: only the minus variant conserves the trace
-and determinant invariants slot-wise and admits intertwiners.
+adjudicate the two numerically.  Both signs conserve Dt = kappa/lam
+slot-wise, since each scales a slot's kappa and lam by one factor; only the
+minus variant conserves the trace invariant T and admits intertwiners.
 """
 from __future__ import annotations
 

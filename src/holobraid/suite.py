@@ -33,7 +33,6 @@ from .glstar import (Z0Char, beta_forward, beta_inverse, char_distance,
                      conserved_quantities, glstar_multiply, matrix_route_beta)
 from .hybe import ColoringTriple, derive_colorings, hybe_residual
 from .intertwiner import (DetSample, Intertwiner, PairContext,
-                          central_invariance_residuals,
                           check_generator_action, closed_form_R,
                           compare_up_to_scalar, det_exponent_probe,
                           r1_conjugation_residuals, solve_intertwiner)
@@ -53,10 +52,8 @@ THRESHOLDS = {
     "braiding_round_trip": 1e-10,
     "braiding_product": 1e-10,
     "conserved_T": 1e-10,
-    "conserved_Dt": 1e-10,
     "matrix_route": 1e-9,
     "oracle_residual": 1e-9,
-    "central_invariance": 1e-9,
     "closed_form_residual": 1e-9,
     "route_deviation": 1e-8,
     "generator_actions": 1e-8,
@@ -153,19 +150,19 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     conservation of T under both correction signs) and matrix_route (the
     deviation of every conjugation-route reading from the character route;
     inf for each reading of a variant whose evaluation raises).  The
-    residuals, gated by the caller (gates), are conserved_T, the "minus"
-    sign's reading, matrix_route, the best reading, and the braiding-map
-    invariants.  Each braiding of (cx, cy) is computed once.
+    residuals, gated by the caller (gates), are braiding_round_trip,
+    braiding_product, conserved_T (the "minus" reading) and matrix_route
+    (the best reading).  Each braiding of (cx, cy) is computed once.
     """
     braided = {name: (beta_forward(cx, cy, sign=sign), beta_inverse(cx, cy, sign=sign))
                for sign, name in ((-1, "minus"), (+1, "plus"))}
-    invariants = [conserved_quantities(c) for c in (cx, cy)]
+    traces = [conserved_quantities(c)[0] for c in (cx, cy)]
 
-    def drift(outs, k: int) -> float:
-        """Worst slot-wise relative change of invariant k (0: T, 1: Dt)
-        from (cx, cy) to the braided pairs outs."""
-        return worst_residual(*(abs(conserved_quantities(o)[k] - i[k]) / _scale(i[k])
-                                for out in outs for o, i in zip(out, invariants)))
+    def drift(outs) -> float:
+        """Worst slot-wise relative change of T from (cx, cy) to the
+        braided pairs outs."""
+        return worst_residual(*(abs(conserved_quantities(o)[0] - T) / _scale(T)
+                                for out in outs for o, T in zip(out, traces)))
 
     targets = braided["minus"]
     (p, q), (P, Q) = targets
@@ -185,7 +182,7 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
             mre[f"{variant}:{tname}:swapped"] = worst_residual(_char_dev(m2, t1),
                                                                _char_dev(m1, t2))
     evidence = {"matrix_route": mre,
-                "braiding_correction_sign": {name: drift(outs, 0)
+                "braiding_correction_sign": {name: drift(outs)
                                              for name, outs in braided.items()}}
 
     rx, ry = beta_inverse(p, q)
@@ -195,7 +192,6 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
                                               _char_dev(sx, cx), _char_dev(sy, cy)),
         "braiding_product": _char_dev(glstar_multiply(p, q), glstar_multiply(cy, cx)),
         "conserved_T": evidence["braiding_correction_sign"]["minus"],
-        "conserved_Dt": drift(targets, 1),
         "matrix_route": min(mre.values()),
     }
     return residuals, evidence
@@ -326,8 +322,6 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
 
     # action checks run on whichever route produced a matrix
     intw = oracle if oracle is not None else closed
-    residuals["central_invariance"] = worst_residual(
-        *central_invariance_residuals(intw).values())
     actions = check_generator_action(intw)
     evidence.update(actions)
     evidence = {formula: {v: residual_value(r) for v, r in readings.items()}

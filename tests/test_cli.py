@@ -72,8 +72,7 @@ def test_braid_map_checks_are_the_suites(tmp_path):
     assert main(["braid-map", "--ell", "5", "--trials", "3", "--seed", "9",
                  "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
-    names = ("braiding_round_trip", "braiding_product", "conserved_T",
-             "conserved_Dt", "matrix_route")
+    names = ("braiding_round_trip", "braiding_product", "conserved_T", "matrix_route")
     for i, tr in enumerate(rep["trials"]):
         suite_checks = _trial_record(i, ell=5, seed=9, route="closed-form",
                                      hybe_every=1)["checks"]

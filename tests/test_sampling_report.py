@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import holobraid.cli as cli
+import holobraid.cyclic as cyclic
 import holobraid.report as report
 import holobraid.sampling as sampling
 import holobraid.suite as suite
@@ -268,15 +270,19 @@ class TestReports:
         assert "Infinity" in text
         assert json.loads(text) == json.loads(json.dumps(rep, indent=2))
 
-    def test_checks_are_the_thresholds(self):
+    def test_checks_are_the_thresholds(self, ctx3):
         # with both routes and a triple on every trial, every trial runs
         # exactly the gates THRESHOLDS names, each at its threshold: no
-        # threshold is dead and no check runs without one
+        # threshold is dead and no check runs without one; the closed-form
+        # route runs all but the oracle's two
         _, rep = run_suite(SuiteConfig(ell=3, trials=20, seed=42, hybe_every=1))
         assert rep["summary"]["hybe_rejected"] == 0
         for trial in rep["trials"]:
             assert {name: c["threshold"] for name, c in trial["checks"].items()} \
                 == suite.THRESHOLDS
+        cfg = SuiteConfig(ell=3, trials=1, seed=42, route="closed-form", hybe_every=1)
+        assert set(suite.run_trial(cfg, ctx3, 0).record["checks"]) \
+            == set(suite.THRESHOLDS) - {"oracle_residual", "route_deviation"}
 
     def test_rejected_triple_fails_its_trial(self, monkeypatch):
         # every triple counts: a HolobraidError in the triple is recorded
@@ -393,22 +399,25 @@ class TestReports:
         assert evidence["assembly_scalars"]["derived"] == INF
 
     def test_nan_trial_gates(self, ctx3, monkeypatch):
-        # a NaN in the last central-invariance residual fails the trial, and
-        # one in the R1 conjugation evidence is recorded as inf
-        def planted(check, key):
-            def run(intw):
-                out = check(intw)
-                out[key] = float("nan")
-                return out
-            return run
+        # a NaN route deviation fails the trial, and one in the R1
+        # conjugation evidence is recorded as inf
+        compare, r1_residuals = suite.compare_up_to_scalar, suite.r1_conjugation_residuals
 
-        monkeypatch.setattr(suite, "central_invariance_residuals",
-                            planted(suite.central_invariance_residuals, "kl_ratio_slot2"))
-        monkeypatch.setattr(suite, "r1_conjugation_residuals",
-                            planted(suite.r1_conjugation_residuals, "opposite_shifts"))
-        cfg = SuiteConfig(ell=3, trials=1, seed=42, route="closed-form", hybe_every=0)
+        def planted_compare(r1, r2):
+            scalar, _ = compare(r1, r2)
+            return scalar, float("nan")
+
+        def planted_r1(intw):
+            out = r1_residuals(intw)
+            out["opposite_shifts"] = float("nan")
+            return out
+
+        monkeypatch.setattr(suite, "compare_up_to_scalar", planted_compare)
+        monkeypatch.setattr(suite, "r1_conjugation_residuals", planted_r1)
+        cfg = SuiteConfig(ell=3, trials=1, seed=42, route="both", hybe_every=0)
         record = suite.run_trial(cfg, ctx3, 0).record
-        assert_fails(record["checks"]["central_invariance"])
+        assert_fails(record["checks"]["route_deviation"])
+        assert record["route_comparison"]["deviation"]["value"] == INF
         assert record["evidence"]["r1_clock_conjugation"]["opposite_shifts"] == INF
         assert not record["pass"]
 
@@ -442,6 +451,39 @@ class TestReports:
         parsed = json.loads(emit_report(rep))
         assert parsed["trials"] == []
         assert parsed["summary"]["trials"] == 0
+
+
+class TestRetiredGates:
+    """The defects that central_invariance and conserved_Dt would catch
+    (a lift off its strand data, a braiding that moves Dt) are caught
+    before them or beside them, so neither value needs a gate."""
+
+    def test_lift_off_its_strand_data_is_never_drawn(self, ctx3, monkeypatch):
+        # the lift's own lam/phi check rejects every draw, so no gate runs
+        lift = cyclic.lift_character
+
+        def planted(c, u, x, ctx):
+            return lift(c, u * (1 + 1e-7), x, ctx)
+
+        monkeypatch.setattr(cyclic, "lift_character", planted)
+        with pytest.raises(SamplingExhaustedError):
+            sample_params(ctx3, 42, 0, count=2)
+
+    @pytest.mark.parametrize("name", ["beta_forward", "beta_inverse"])
+    def test_kappa_off_by_one_ppm_fails(self, ctx3, monkeypatch, name):
+        # kappa scaled on the first output moves Dt = kappa/lam too
+        braid = getattr(suite, name)
+
+        def planted(x, y, sign=-1):
+            p, q = braid(x, y, sign=sign)
+            return replace(p, kappa=p.kappa * (1 + 1e-6)), q
+
+        monkeypatch.setattr(suite, name, planted)
+        p1, p2 = sample_params(ctx3, 42, 0, count=2)
+        residuals, _ = suite.character_checks(z0_character(p1), z0_character(p2))
+        checks = suite.gates(residuals)
+        for gate in ("braiding_round_trip", "conserved_T"):
+            assert not checks[gate]["pass"]
 
 
 def test_commutant_witness_certifies_irreducibility(ctx3, ctx5, ctx7):

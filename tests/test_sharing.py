@@ -13,9 +13,7 @@ import holobraid.suite as suite
 from holobraid.cyclic import braided_rep_pair, z0_character
 from holobraid.glstar import beta_inverse
 from holobraid.hybe import derive_colorings, hybe_residual
-from holobraid.intertwiner import (central_invariance_residuals,
-                                   check_generator_action, closed_form_R,
-                                   solve_intertwiner)
+from holobraid.intertwiner import check_generator_action, closed_form_R, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 
@@ -43,8 +41,6 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
         assert intw.R.tobytes() == FRESH[intw.route](p1, p2).R.tobytes()
     # the action checks read the shared generator matrices
     acted = FRESH[routes[0]](p1, p2)
-    assert trial["checks"]["central_invariance"]["residual"]["value"] == \
-        max(central_invariance_residuals(acted).values())
     for formula, readings in check_generator_action(acted).items():
         assert trial["evidence"][formula] == readings
     c, dev, _ = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))

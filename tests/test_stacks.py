@@ -14,7 +14,7 @@ from holobraid.intertwiner import (BLOCK_SHIFTS, Intertwiner, PairContext,
                                    compare_up_to_scalar, det_normalize,
                                    r1_conjugation_residuals, solve_intertwiner)
 from holobraid.roots import primitive_root
-from holobraid.suite import THRESHOLDS, SuiteConfig, run_trial
+from holobraid.suite import SuiteConfig, run_trial
 from reference import (SHIFTED, dense_blocks, dense_central_invariance,
                        dense_closed_form, dense_det_normalize, dense_G,
                        dense_generator_action, dense_r1_residuals, dense_residual,
@@ -139,7 +139,7 @@ class TestAgainstDense:
 
     def test_central_invariance_sees_a_wrong_target(self, ell, radius, trial):
         # an output pair whose slot-1 x is scaled by 1.01 has another
-        # slot-1 Casimir: the gate fails it, whatever R is
+        # slot-1 Casimir: its residual is far above rounding, whatever R is
         p1, p2 = seed42_pair(ell, radius, trial)
         q1, q2 = braided_rep_pair(p1, p2)
         q1x = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v, x=1.01 * q1.x, y=q1.y)
@@ -147,7 +147,7 @@ class TestAgainstDense:
         intw = Intertwiner(blocks=random_stack(np.random.default_rng(ell), ell),
                            pair=pair, route="oracle")
         res = central_invariance_residuals(intw)
-        assert res["casimir_slot1"] > THRESHOLDS["central_invariance"]
+        assert res["casimir_slot1"] > 1e-9
         assert max(res["casimir_slot2"], res["kl_ratio_slot2"]) < 1e-13
 
     def test_closed_form_and_log_det(self, ell, radius, trial):
