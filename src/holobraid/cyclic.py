@@ -249,18 +249,6 @@ def z0_character(p: RepParams) -> Z0Char:
     return p._character
 
 
-def f_power_scalar_variants(p: RepParams) -> dict[str, complex]:
-    """Candidate closed forms for the F^ell scalar, for adjudication.
-
-    "with_inverse_power" includes the y^(-ell) prefactor, "bare" drops it;
-    the matrix power of F decides between them.
-    """
-    ell = p.ctx.ell
-    u, v, x, y = p.as_tuple()
-    core = (x**ell * v ** (-ell) - 1) * (v**ell - x ** (-ell))
-    return {"with_inverse_power": u**ell / y**ell * core, "bare": u**ell * core}
-
-
 def lift_character(c: Z0Char, u: complex, x: complex, ctx: RootContext) -> RepParams:
     """Lift a character to representation parameters with given strand data.
 

@@ -49,10 +49,12 @@ import numpy as np
 from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _clock_shift_arrays,
                      _dense, _diag_blocks, _kron_blocks, _read_only, _rotate, _shift_power,
                      _stack_index, braided_rep_pair, build_rep, gauge_U, z0_character)
-from .errors import (BranchMismatchError, InvalidInputError, NoIntertwinerError,
-                     NonGenericRepresentationError)
+from .errors import (BranchMismatchError, HolobraidError, InvalidInputError,
+                     NoIntertwinerError, NonGenericRepresentationError)
+from .glstar import beta_forward
+from .qseries import _staircase_orbit
 from .report import worst_residual
-from .roots import RootContext, primitive_root
+from .roots import primitive_root
 
 # oracle kernel: relative singular value below KERNEL_TOL, gap ratio above
 # GAP_THRESHOLD (see solve_intertwiner)
@@ -446,8 +448,9 @@ class PairContext:
 
     @cached_property
     def spectral(self) -> np.ndarray:
-        ctx = self.in_params[0].ctx
-        return _spectral_factor(ctx.ell, _spectral_values(self.chi, ctx))
+        """R1, its eigenvalues phi_orbit's staircase step at (sigma, 1/s)."""
+        ctx, cd = self.in_params[0].ctx, self.chi
+        return _spectral_factor(ctx.ell, _staircase_orbit(ctx, cd.sigma, 1.0 / cd.s))
 
 
 @dataclass
@@ -559,17 +562,6 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
                        log_abs_det=log_abs_det)
 
 
-def _spectral_values(cd: ChiData, ctx: RootContext) -> np.ndarray:
-    """Eigenvalue orbit of the spectral factor: vals[0] = 1 and
-    vals[k+1] = vals[k] tau / (1 - sigma eps^(2k)), tau = 1/s."""
-    tau = 1.0 / cd.s
-    vals = np.empty(ctx.ell, dtype=complex)
-    vals[0] = 1.0
-    for k in range(ctx.ell - 1):
-        vals[k + 1] = vals[k] * tau / (1 - cd.sigma * ctx.pow(2 * k))
-    return vals
-
-
 @lru_cache(maxsize=None)
 def _dft(ell: int) -> np.ndarray:
     """eps^(-2jk) at [j, k], read-only."""
@@ -650,12 +642,13 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     at least one reading is expected under 1e-8; the suite aggregates
     which one.  Every operator is a stack (see cyclic); the opposite E and
     F coproducts on the output pair are pair.blocks' N[2] and N[3], and
-    1 - t G is pair.T.
+    1 - t G is pair.T.  R w R^-1 is computed once per element w, for all
+    readings of its image.  The power_* readings compare the input
+    characters with beta_forward of the output ones (inf if it raises).
     """
     pair = intw.pair
     p1, p2, q1, q2 = *pair.in_params, *pair.out_params
-    ctx = p1.ctx
-    ell, t = ctx.ell, ctx.eps
+    ell, t = p1.ctx.ell, p1.ctx.eps
     kron = _kron_blocks
     I = np.eye(ell)
     rin1, rin2, rout1, rout2 = pair.reps
@@ -668,40 +661,47 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     a = pair.band_exp
     R_inv = _rotate(np.linalg.inv(intw.blocks), -a)  # R^-1's stack, of grade shift -a
 
-    def res(w_in, w_out, shift):  # |R w_in R^-1 - w_out| / |w_out|
-        lhs, _ = _chain([(intw.blocks, a), (w_in, shift), (R_inv, -a)])
+    def conj(w_in, shift):  # R w_in R^-1
+        return _chain([(intw.blocks, a), (w_in, shift), (R_inv, -a)])[0]
+
+    def dev(lhs, w_out):  # |lhs - w_out| / |w_out|
         return float(np.linalg.norm(lhs - w_out) / np.linalg.norm(w_out))
 
     # the four single-factor equations of the pair's system, read as checks
     M, N = pair.blocks
-    out = {name: {"direct": res(m, n, shift)} for name, m, n, shift in zip(
+    out = {name: {"direct": dev(conj(m, shift), n)} for name, m, n, shift in zip(
         ("slot2_clock_k", "slot2_clock_l", "slot1_raising", "slot2_lowering"),
         M[4:], N[4:], BLOCK_SHIFTS[4:])}
-    out["slot1_clock_k"] = {"direct": res(kron(K1, I, 0), pair.T @ kron(Kt1, I, 0), 0)}
+    out["slot1_clock_k"] = {"direct": dev(conj(kron(K1, I, 0), 0), pair.T @ kron(Kt1, I, 0))}
 
-    # ell-th powers are central scalars; the inverted factor's sign variant
-    # is exactly the braiding-sign adjudication at the character level
+    # ell-th powers are central scalars, braided as characters; the
+    # inverted factor's sign variant is the braiding-sign adjudication
     c_in1, c_in2, c_out1, c_out2 = (z0_character(p) for p in (p1, p2, q1, q2))
-    w = c_out1.eta * c_out2.phi * c_out2.lam / c_out1.kappa
-    rhs = {name: c_out2.kappa / (1 + sign * w)
-           for sign, name in ((-1, "minus"), (+1, "plus"))}
-    out["power_slot2_clock_k"] = {name: float(abs(c_in2.kappa - r) / abs(r))
-                                  for name, r in rhs.items()}
+    back1, back2 = beta_forward(c_out1, c_out2)
+    try:
+        plus2 = beta_forward(c_out1, c_out2, sign=+1)[1]
+    except HolobraidError:  # a reading that cannot be evaluated fails it
+        plus2 = None
+    out["power_slot2_clock_k"] = {
+        name: float("inf") if q is None else float(abs(c_in2.kappa - q.kappa) / abs(q.kappa))
+        for name, q in (("minus", back2), ("plus", plus2))}
     out["power_slot1_raising"] = {"direct": float(
-        abs(c_in1.eta - c_out1.eta * c_out2.lam) / abs(c_in1.eta))}
+        abs(c_in1.eta - back1.eta) / abs(c_in1.eta))}
     out["power_slot2_lowering"] = {"direct": float(
-        abs(c_in2.phi - c_out2.phi / c_out1.kappa) / max(abs(c_in2.phi), 1e-12))}
+        abs(c_in2.phi - back2.phi) / max(abs(c_in2.phi), 1e-12))}
 
     # second-slot raising: inverted factor to the left, acting on the grade
     # tailE lands on; t-power adjudicated
     tailE = kron(Et1, Kt2 @ Lt2, 1)
-    out["slot2_raising"] = {tname: res(kron(I, E2, 1), N[2] - _rotate(inv, 1) @ tailE, 1)
+    raised = conj(kron(I, E2, 1), 1)
+    out["slot2_raising"] = {tname: dev(raised, N[2] - _rotate(inv, 1) @ tailE)
                             for tname, inv in inv_powers}
 
     # first-slot lowering: prefactor and t-power adjudicated
     pref = {"product_inverse": kron(np.linalg.inv(Kt1 @ Lt1), Ft2, -1),
             "ratio": kron(Kt1 @ np.linalg.inv(Lt1), Ft2, -1)}
-    out["slot1_lowering"] = {f"{pname}_{tname}": res(kron(F1, I, -1), N[3] - X @ inv, -1)
+    lowered = conj(kron(F1, I, -1), -1)
+    out["slot1_lowering"] = {f"{pname}_{tname}": dev(lowered, N[3] - X @ inv)
                              for pname, X in pref.items() for tname, inv in inv_powers}
     return out
 
@@ -759,7 +759,8 @@ def det_exponent_probe(samples: list[DetSample]) -> dict:
     against log|1 - s^ell| (the literal reading; empirically not a
     monomial, carried for the record), and the determinant of the spectral
     core in the analytic normalization against log|1 - sigma^ell|, which is
-    an exact monomial.  Candidate exponents +-ell(ell+2)/2 and
+    an exact monomial, with R1's eigenvalues from the step that builds it.
+    Candidate exponents +-ell(ell+2)/2 and
     +-ell(ell+1)/2 are compared against the stable fit.
     """
     if len(samples) < 10:
@@ -779,8 +780,8 @@ def det_exponent_probe(samples: list[DetSample]) -> dict:
             continue  # orbit base on a pole
         log_phi0 = -np.dot(np.arange(1, ell + 1) / ell, np.log(factors))
         xs_core.append(np.log(abs(1 - cd.sigma**ell)))
-        ys_core.append(ell * ell * log_phi0
-                       + ell * np.log(abs(np.prod(_spectral_values(cd, ctx)))))
+        ys_core.append(ell * ell * log_phi0 + ell * np.log(
+            abs(np.prod(_staircase_orbit(ctx, cd.sigma, 1.0 / cd.s)))))
 
     def fit(xs, ys):
         xs, ys = np.asarray(xs), np.asarray(ys)

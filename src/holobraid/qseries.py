@@ -9,7 +9,8 @@ here back two jobs:
   f(zq;q) = (1-z)f(z;q);
 * the staircase product Phi(z) = prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell),
   which is only ever needed through its Taylor expansion (phi_series) and
-  through its value orbit along z -> eps^2 z (phi_orbit).
+  through its value orbit along z -> eps^2 z (phi_orbit), whose step
+  (_staircase_orbit) also builds the closed form's spectral factor.
 
 Fractional powers are taken through the logarithmic series, which is
 well-defined because every factor has constant term 1.
@@ -112,6 +113,17 @@ def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> np.ndarray:
         w = ctx.pow(2 * m)
         log_c[1:] += (m / ell) * w**ks / ks
     return _exp(log_c)
+
+
+def _staircase_orbit(ctx: RootContext, z: complex, scale: complex) -> np.ndarray:
+    """vals[k+1] = vals[k] scale / (1 - z eps^(2k)) from vals[0] = 1, the step
+    Phi(eps^2 w) = t Phi(w) / (1 - eps^2 w) along w = z eps^(2k-2)."""
+    vals = np.ones(ctx.ell, dtype=complex)
+    for k in range(ctx.ell - 1):
+        vals[k + 1] = vals[k] * scale / (1 - z * ctx.pow(2 * k))
+    return vals
+
+
 def phi_orbit(ctx: RootContext, s: complex, variant: str = "direct") -> np.ndarray:
     """Values of the staircase function along the orbit z_k = s*eps^(2k-2).
 
@@ -119,7 +131,8 @@ def phi_orbit(ctx: RootContext, s: complex, variant: str = "direct") -> np.ndarr
     one-step functional equation with step scale t = (1-s^ell)^(1/ell)
     (principal branch).  variant selects the inhomogeneous factor:
 
-    * "direct"              -- step factor t / (1 - z_{k+1});
+    * "direct"              -- step factor t / (1 - z_{k+1}), the closed
+                               form's spectral step (_staircase_orbit);
     * "reciprocal_argument" -- step factor t / (1 - eps^2 / z_k), kept only
                                so the two readings can be compared.
 
@@ -131,18 +144,13 @@ def phi_orbit(ctx: RootContext, s: complex, variant: str = "direct") -> np.ndarr
     if abs(1 - s_ell) < 1e-12:
         raise DegenerateSpectralParameterError(f"s^ell = 1 within tolerance (s={s})")
     t = (1 - s_ell) ** (1.0 / ell)
-    vals = np.empty(ell, dtype=complex)
-    vals[0] = 1.0
-    for k in range(ell - 1):
-        if variant == "direct":
-            z_next = s * ctx.pow(2 * k)  # z_{k+1} = s*eps^(2(k+1)-2)
-            step = t / (1 - z_next)
-        elif variant == "reciprocal_argument":
-            z_k = s * ctx.pow(2 * k - 2)
-            step = t / (1 - ctx.pow(2) / z_k)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        vals[k + 1] = vals[k] * step
+    if variant == "direct":
+        return _staircase_orbit(ctx, s, t)
+    if variant != "reciprocal_argument":
+        raise ValueError(f"unknown variant {variant!r}")
+    vals = np.ones(ell, dtype=complex)
+    for k in range(ell - 1):  # z_k = s eps^(2k-2)
+        vals[k + 1] = vals[k] * (t / (1 - ctx.pow(2) / (s * ctx.pow(2 * k - 2))))
     return vals
 
 

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, build_rep, ell_powers, f_power_scalar_variants,
-                     f_weights, gauge_U, gauge_conjugation_residual, z0_character)
+from .cyclic import (RepParams, build_rep, ell_powers, f_weights, gauge_U,
+                     gauge_conjugation_residual, z0_character)
 from .errors import HolobraidError
 from .glstar import (Z0Char, beta_forward, beta_inverse, char_distance,
                      conserved_quantities, glstar_multiply, matrix_route_beta)
@@ -130,13 +130,15 @@ def rep_checks(p: RepParams) -> dict[str, float]:
 def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
     """gauge_scale and f_power_prefactor of one representation."""
     _, scalar = ell_powers(p)[3]  # F^ell, shared with rep_checks
+    ch = z0_character(p)
+    f_powers = {"with_inverse_power": ch.phi, "bare": ch.phi * ch.eta}  # bare: no y^-ell
     U, z = gauge_U(p)
     # the rejected reading: the single-z prefactor U_nn = z prod_(m<=n) c_m^-1
     gauges = {"geometric": (U, z), "constant": (np.diag(z / np.cumprod(f_weights(p))), z)}
     return {"gauge_scale": {name: gauge_conjugation_residual(p, gauge)
                             for name, gauge in gauges.items()},
             "f_power_prefactor": {name: float(abs(val - scalar) / _scale(scalar))
-                                  for name, val in f_power_scalar_variants(p).items()}}
+                                  for name, val in f_powers.items()}}
 
 
 def _char_dev(a: Z0Char, b: Z0Char) -> float:

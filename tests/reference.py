@@ -1,5 +1,7 @@
 """Dense ell^2 x ell^2 references for the stack code of holobraid, the
-oracle's row builder before its tables, and the helpers only tests read.
+oracle's row builder before its tables, the hand-written formulas that
+the adjudications read before they read the production code, and the
+helpers only tests read.
 
 Each dense reference is written out with np.kron and dense products, the
 way the package computed it before pair-space operators became grade-block
@@ -274,3 +276,25 @@ def phi_variant_reference(ctx, order=60):
             worst = max(worst, float(np.max(np.abs(vals - ref / ref[0]))))
         out[variant] = worst
     return out
+
+
+def spectral_values(cd, ctx):
+    """The spectral factor's eigenvalue orbit as the closed form built it
+    before it shared qseries' staircase step: vals[0] = 1 and
+    vals[k+1] = vals[k] tau / (1 - sigma eps^(2k)), tau = 1/s."""
+    tau = 1.0 / cd.s
+    vals = np.empty(ctx.ell, dtype=complex)
+    vals[0] = 1.0
+    for k in range(ctx.ell - 1):
+        vals[k + 1] = vals[k] * tau / (1 - cd.sigma * ctx.pow(2 * k))
+    return vals
+
+
+def f_power_scalar_variants(p):
+    """The F^ell scalar's two readings as written out before the
+    adjudication read z0_character: "with_inverse_power" carries the
+    y^(-ell) prefactor, "bare" drops it."""
+    ell = p.ctx.ell
+    u, v, x, y = p.as_tuple()
+    core = (x**ell * v ** (-ell) - 1) * (v**ell - x ** (-ell))
+    return {"with_inverse_power": u**ell / y**ell * core, "bare": u**ell * core}

@@ -100,7 +100,7 @@ class TestOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle read closed-form data")
 
-        monkeypatch.setattr(it, "_spectral_values", forbidden)
+        monkeypatch.setattr(it, "_staircase_orbit", forbidden)
         for name in ("chi", "twist"):
             monkeypatch.setattr(PairContext, name, property(forbidden))
         solve_intertwiner(*pair3)
@@ -439,12 +439,11 @@ class TestClosedForm:
         # the spectral factor collapses toward the identity
         p1 = RepParams(ctx=ctx3, u=1.05, v=0.93, x=1.2, y=1.02)
         p2 = RepParams(ctx=ctx3, u=0.97, v=1.08, x=1.08 * np.exp(0.02j), y=0.94)
-        cd = PairContext(p1, p2).chi
-        assert abs(cd.sigma) < 0.35
-        from holobraid.intertwiner import _spectral_factor, _spectral_values
-        R1 = _spectral_factor(3, _spectral_values(cd, ctx3))
+        pair = PairContext(p1, p2)
+        assert abs(pair.chi.sigma) < 0.35
+        R1 = pair.spectral
         # R1 is a stack: its blocks minus eye(3) hold every entry of R1 - eye(9)
-        assert np.linalg.norm(R1 - np.eye(3)) < 6 * abs(cd.sigma)
+        assert np.linalg.norm(R1 - np.eye(3)) < 6 * abs(pair.chi.sigma)
 
     def test_r1_identities(self, pair3):
         cf = closed_form_R(*pair3)
