@@ -117,7 +117,7 @@ def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 def _staircase_orbit(ctx: RootContext, z: complex, scale: complex) -> np.ndarray:
     """vals[k+1] = vals[k] scale / (1 - z eps^(2k)) from vals[0] = 1, the step
-    Phi(eps^2 w) = t Phi(w) / (1 - eps^2 w) along w = z eps^(2k-2)."""
+    Phi(eps^2 w) = scale Phi(w) / (1 - eps^2 w) along w = z eps^(2k-2)."""
     vals = np.ones(ctx.ell, dtype=complex)
     for k in range(ctx.ell - 1):
         vals[k + 1] = vals[k] * scale / (1 - z * ctx.pow(2 * k))

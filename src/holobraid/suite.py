@@ -131,7 +131,7 @@ def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
     """gauge_scale and f_power_prefactor of one representation."""
     _, scalar = ell_powers(p)[3]  # F^ell, shared with rep_checks
     ch = z0_character(p)
-    f_powers = {"with_inverse_power": ch.phi, "bare": ch.phi * ch.eta}  # bare: no y^-ell
+    f_powers = {"with_inverse_power": ch.phi, "bare": ch.phi * ch.eta}  # bare: no y^-ell in phi
     U, z = gauge_U(p)
     # the rejected reading: the single-z prefactor U_nn = z prod_(m<=n) c_m^-1
     gauges = {"geometric": (U, z), "constant": (np.diag(z / np.cumprod(f_weights(p))), z)}
