@@ -679,12 +679,12 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     c_in1, c_in2, c_out1, c_out2 = (z0_character(p) for p in (p1, p2, q1, q2))
     back1, back2 = beta_forward(c_out1, c_out2)
     try:
-        plus2 = beta_forward(c_out1, c_out2, sign=+1)[1]
+        kappa = beta_forward(c_out1, c_out2, sign=+1)[1].kappa
+        plus = float(abs(c_in2.kappa - kappa) / abs(kappa))
     except HolobraidError:  # a reading that cannot be evaluated fails it
-        plus2 = None
+        plus = float("inf")
     out["power_slot2_clock_k"] = {
-        name: float("inf") if q is None else float(abs(c_in2.kappa - q.kappa) / abs(q.kappa))
-        for name, q in (("minus", back2), ("plus", plus2))}
+        "minus": float(abs(c_in2.kappa - back2.kappa) / abs(back2.kappa)), "plus": plus}
     out["power_slot1_raising"] = {"direct": float(
         abs(c_in1.eta - back1.eta) / abs(c_in1.eta))}
     out["power_slot2_lowering"] = {"direct": float(

@@ -5,18 +5,17 @@ them moves both, and the code agrees with the hand-written formulas that
 tests/reference.py keeps."""
 import dataclasses
 
-import numpy as np
 import pytest
 
 import holobraid.intertwiner as intertwiner
 import holobraid.qseries as qseries
 from holobraid.cyclic import RepParams, ell_powers
 from holobraid.errors import SingularBraidingError
-from holobraid.intertwiner import PairContext, check_generator_action, closed_form_R
+from holobraid.intertwiner import check_generator_action, closed_form_R
 from holobraid.roots import primitive_root
 from holobraid.suite import (ADJUDICATION_PASS, SuiteConfig, _rep_evidence,
                              phi_variant_evidence, run_trial)
-from reference import SHIFTED, f_power_scalar_variants, seed42_pair, spectral_values
+from reference import SHIFTED, f_power_scalar_variants, seed42_pair
 
 PAIRS = [(3, 0.1, 0), (5, 0.1, 0), (7, 0.1, 3), (9, 0.1, 0), (5, 1.0, 17), *SHIFTED]
 DEFECT = 1 + 1e-6
@@ -26,14 +25,6 @@ def fresh_pair(ell, trial=0):
     """New parameter objects, so that no cached character or braiding is reused."""
     return tuple(RepParams(ctx=p.ctx, u=p.u, v=p.v, x=p.x, y=p.y)
                  for p in seed42_pair(ell, 0.1, trial))
-
-
-@pytest.mark.parametrize("ell, radius, trial", PAIRS)
-def test_spectral_values_are_the_old_loop_bit_for_bit(ell, radius, trial):
-    pair = PairContext(*seed42_pair(ell, radius, trial))
-    cd, ctx = pair.chi, primitive_root(ell)
-    assert np.array_equal(qseries._staircase_orbit(ctx, cd.sigma, 1.0 / cd.s),
-                          spectral_values(cd, ctx))
 
 
 @pytest.mark.parametrize("ell, radius, trial", PAIRS)

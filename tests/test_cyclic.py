@@ -12,7 +12,6 @@ from holobraid.glstar import Z0Char
 from holobraid.intertwiner import PairContext
 from holobraid.roots import primitive_root
 from holobraid.sampling import _draw_params, sample_params, trial_rng
-from holobraid.suite import _rep_evidence
 
 
 def params(ctx, u=1.0, v=1.0, x=1.0, y=1.0):
@@ -136,11 +135,13 @@ class TestCharacter:
         assert np.linalg.norm(F3 - F3[0, 0] * np.eye(3)) < 1e-11 * abs(c.phi)
 
     def test_f_power_prefactor_adjudication(self, ctx3):
-        # the suite's two readings of the F^ell scalar against its matrix power
+        # the suite's two readings of the F^ell scalar: phi, and phi y^ell (bare)
         p = params(ctx3, u=1.1, v=0.93, x=1.21 + 0.05j, y=0.9 + 0.2j)
-        readings = _rep_evidence(p)["f_power_prefactor"]
-        assert readings["with_inverse_power"] < 1e-12
-        assert readings["bare"] > 1e-2
+        c = z0_character(p)
+        F3 = np.linalg.matrix_power(build_rep(p).F, 3)
+        scalar = np.trace(F3) / 3
+        assert abs(c.phi - scalar) < 1e-12 * abs(scalar)
+        assert abs(c.phi * c.eta - scalar) > 1e-2 * abs(scalar)
 
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_all_powers_central(self, ell):
