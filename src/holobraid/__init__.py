@@ -2,8 +2,7 @@
 map on central characters, and numerically verified holonomy R-matrices."""
 
 from .roots import RootContext, primitive_root
-from .qseries import (check_f_functional, phi_orbit, phi_series,
-                      q_shift_coefficient_check, series_f, series_f_product)
+from .qseries import phi_orbit, phi_series
 from .cyclic import (ClockShift, RepMatrices, RepParams, braided_rep_pair,
                      build_rep, clock_shift, gauge_U, is_generic, lift_character,
                      z0_character)
@@ -21,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RootContext", "primitive_root",
-    "series_f", "series_f_product", "check_f_functional",
-    "phi_series", "phi_orbit", "q_shift_coefficient_check",
+    "phi_series", "phi_orbit",
     "RepParams", "RepMatrices", "ClockShift", "clock_shift", "build_rep",
     "z0_character", "lift_character", "gauge_U", "is_generic",
     "Z0Char", "IDENTITY_CHAR", "glstar_multiply", "beta_forward",

@@ -7,7 +7,6 @@ Subcommands:
   rmatrix    suite trial i without its triple; --dump-dir writes the first
              representation's K, L, E, F and the trial's R as TSV
   hybe       suite trial i with its triple, and the triple's 15 colorings
-  series     q-series and orbit identities at a given order
 
 Each command builds one JSON report: --report writes it to a file, and
 without --report every command but suite prints it.  braid-map, rmatrix
@@ -21,19 +20,13 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import dumps
 from .cyclic import z0_character
-from .qseries import (check_f_functional, phi_orbit_closure,
-                      q_shift_coefficient_check, series_f, series_f_product)
-from .report import (emit_report, new_report, params_entry, residual_entry,
-                     worst_residual, write_report)
+from .report import emit_report, new_report, params_entry, write_report
 from .roots import primitive_root
 from .sampling import sample_params
-from .suite import (ADJUDICATION_PASS, SuiteConfig, character_checks,
-                    check_summary, gates, phi_variant_evidence, run_suite,
-                    run_trial, run_triple, trial_passes)
+from .suite import (SuiteConfig, character_checks, check_summary, gates,
+                    run_suite, run_trial, run_triple, trial_passes)
 
 ROUTES = ("oracle", "closed-form", "both")
 
@@ -55,14 +48,12 @@ _every = _bounded(int, lambda n: n >= 0, ">= 0")
 _radius = _bounded(float, lambda r: 0 < r <= 1, "in (0, 1]")
 
 
-def _add_common(p: argparse.ArgumentParser, sampled: bool = True) -> None:
-    """--ell, --seed and --report, and --radius for the commands that sample
-    representation parameters."""
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """--ell, --seed, --radius and --report."""
     p.add_argument("--ell", type=_odd_ell, default=3, help="odd root-of-unity degree")
     p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    if sampled:
-        p.add_argument("--radius", type=_radius, default=0.1,
-                       help="half-width of the log-space sampling box")
+    p.add_argument("--radius", type=_radius, default=0.1,
+                   help="half-width of the log-space sampling box")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
 
@@ -94,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trial", type=_every, default=0, help="trial index to sample")
     p.add_argument("--route", choices=ROUTES, default="oracle")
-
-    p = sub.add_parser("series", help="q-series and orbit identity checks")
-    _add_common(p, sampled=False)
-    p.add_argument("--order", type=_count, default=30)
     return ap
 
 
@@ -154,38 +141,6 @@ def _cmd_trial(args) -> tuple[int, dict]:
     return (0 if trial["pass"] else 1), out
 
 
-def _cmd_series(args) -> tuple[int, dict]:
-    ctx = primitive_root(args.ell)
-    order = args.order
-    checks = {}
-    for q in (0.3, 0.5, 0.7 + 0.1j):
-        checks[f"f_sum_vs_product_q={q}"] = float(
-            np.max(np.abs(series_f(q, order) - series_f_product(q, order))))
-        checks[f"f_functional_q={q}"] = check_f_functional(q, order)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(200):
-        s = (rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5))
-        if abs(s) > 0.5 or abs(1 - s**ctx.ell) < 1e-3:
-            continue
-        worst = worst_residual(worst, phi_orbit_closure(ctx, s))
-    checks["orbit_telescoping"] = worst
-    checks["phi_variants"] = phi_variant_evidence(ctx, order=max(order, 60))
-    bn = 0.0
-    for n in range(1, 13):
-        bn = worst_residual(bn, q_shift_coefficient_check(n, 0.37 + 0.21j))
-    checks["q_shift_coefficients"] = bn
-    out = {"command": "series", "ell": args.ell, "order": order,
-           "checks": {k: (residual_entry(v) if not isinstance(v, dict)
-                          else {kk: residual_entry(vv) for kk, vv in v.items()})
-                      for k, v in checks.items()}}
-    flat_ok = all(v < 1e-10 for v in checks.values() if not isinstance(v, dict))
-    # the step factor resolves by the suite's rule: exactly one reading passes
-    passing = [r for r in checks["phi_variants"].values() if r < ADJUDICATION_PASS]
-    resolved = len(passing) == 1
-    return (0 if flat_ok and resolved else 1), out
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -193,7 +148,6 @@ def main(argv=None) -> int:
         "braid-map": _cmd_braid_map,
         "rmatrix": _cmd_trial,
         "hybe": _cmd_trial,
-        "series": _cmd_series,
     }[args.command]
     try:
         code, report = handler(args)

@@ -199,14 +199,15 @@ def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:
     return residuals, evidence
 
 
-def phi_variant_evidence(ctx: RootContext, order: int = 60) -> dict[str, float]:
+def phi_variant_evidence(ctx: RootContext) -> dict[str, float]:
     """Orbit-vs-series agreement for both step-factor readings.  The series
-    is summed once, by Horner's rule, at every probe's orbit points."""
+    (order 60) is summed once, by Horner's rule, at every probe's orbit
+    points."""
     probes = [0.12, 0.2 + 0.1j, -0.15 + 0.07j, 0.28]
     exps = (2 * np.arange(ctx.ell) - 2) % ctx.ell
     pts = np.array(probes)[:, None] * ctx.eps_powers[exps]  # z_k = s eps^(2k-2)
     ref = np.zeros_like(pts)
-    for c in phi_series(ctx, order)[::-1]:
+    for c in phi_series(ctx, 60)[::-1]:
         ref = ref * pts + c
     ref = ref / ref[:, :1]
     out = {}

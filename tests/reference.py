@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from holobraid.cyclic import _dense, build_rep, clock_shift, gauge_U
+from holobraid.cyclic import _chain, _dense, build_rep, clock_shift, gauge_U
 from holobraid.intertwiner import BLOCK_SHIFTS, _coproducts
 from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
@@ -231,6 +231,20 @@ def coproduct_rep(p1, p2, g, opposite):
         raise ValueError(f"unknown generator {g!r}")
     k = "KLEF".index(g)
     return _dense(_coproducts(build_rep(p1), build_rep(p2), opposite)[k], BLOCK_SHIFTS[k])
+
+
+def coproduct_power_misses(p1, p2, opposite, law):
+    """max |P - s 1| / max(1, |s|) for the ell-th power P of each coproduct
+    stack on V_p1 x V_p2 (K, L, E, F in order), s the matching scalar of the
+    Z0Char law.  Each power is taken through _chain and keeps grade 0."""
+    ell = p1.ctx.ell
+    stacks = _coproducts(build_rep(p1), build_rep(p2), opposite)
+    misses = []
+    for stack, shift, s in zip(stacks, BLOCK_SHIFTS, law.as_array()):
+        P, total = _chain([(stack, shift)] * ell)
+        assert total == 0
+        misses.append(float(np.max(np.abs(P - s * np.eye(ell))) / max(1.0, abs(s))))
+    return misses
 
 
 def commutant_dimension(p):

@@ -19,13 +19,11 @@ from holobraid.hybe import derive_colorings, hybe_residual
 from holobraid.intertwiner import (PairContext, central_invariance_residuals,
                                    closed_form_R, compare_up_to_scalar,
                                    solve_intertwiner)
-from holobraid.qseries import (phi_orbit, phi_orbit_closure, phi_series,
-                               q_shift_coefficient_check, check_f_functional,
-                               series_f, series_f_product)
+from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import SuiteConfig, rep_checks, run_suite
-from reference import series_value
+from reference import coproduct_power_misses, series_value
 
 EXPECTED_ADJUDICATIONS = (Path(__file__).resolve().parents[1] / "perfbench"
                           / "expected_adjudications.json")
@@ -182,14 +180,10 @@ def test_criterion_5_holonomy_ybe():
     assert ok_all
 
 
-def test_criterion_6_series_identities():
-    worst_f = 0.0
-    for q in (0.3, 0.55, -0.4, 0.6 + 0.2j):
-        fs = series_f(q, 30)
-        fp = series_f_product(q, 30)
-        rel = np.max(np.abs(fs - fp) / np.maximum(1.0, np.abs(fs)))
-        worst_f = max(worst_f, float(rel), check_f_functional(q, 30))
-    worst_tel, worst_orbit = 0.0, 0.0
+def test_criterion_6_orbit_and_coproduct_powers():
+    # the staircase orbit against the series and its closure t^ell / (1 - s^ell)
+    # = 1; and the ell-th powers of both coproducts against the group law
+    worst_tel, worst_orbit, worst_law, least_swap = 0.0, 0.0, 0.0, np.inf
     for ell in ELLS:
         ctx = primitive_root(ell)
         rng = np.random.default_rng(ell)
@@ -199,19 +193,27 @@ def test_criterion_6_series_identities():
             if abs(s) > 0.5 or abs(1 - s**ell) < 1e-3:
                 continue
             count += 1
-            worst_tel = max(worst_tel, phi_orbit_closure(ctx, s))
+            t = (1 - s**ell) ** (1.0 / ell)
+            last = phi_orbit(ctx, s)[-1]
+            worst_tel = max(worst_tel, abs(last * t / (1 - s * ctx.pow(2 * ell - 2)) - 1))
         phi = phi_series(ctx, 60)
         for s in (0.1, 0.3, 0.2 - 0.2j, -0.25 + 0.1j):
             vals = phi_orbit(ctx, s)
             ref = np.array([series_value(phi, s * ctx.pow(2 * k - 2)) for k in range(ell)])
             worst_orbit = max(worst_orbit, float(np.max(np.abs(vals - ref / ref[0]))))
-    worst_shift = max(q_shift_coefficient_check(n, q)
-                      for n in range(1, 13) for q in (0.41, 0.3 - 0.2j))
-    ok = (worst_f < 1e-12 and worst_tel < 1e-12 and worst_orbit < 1e-8
-          and worst_shift < 1e-12)
-    _line(6, "series identities", ok,
-          f"f={worst_f:.2e} telescoping={worst_tel:.2e} "
-          f"orbit-vs-series={worst_orbit:.2e} q-shift={worst_shift:.2e}")
+        for i in range(20):
+            p1, p2 = sample_params(ctx, 60 + ell, i, count=2)
+            c1, c2 = z0_character(p1), z0_character(p2)
+            for opposite, law in ((False, (c1, c2)), (True, (c2, c1))):
+                worst_law = max(worst_law, *coproduct_power_misses(
+                    p1, p2, opposite, glstar_multiply(*law)))
+                least_swap = min(least_swap, *coproduct_power_misses(
+                    p1, p2, opposite, glstar_multiply(*law[::-1]))[2:])
+    ok = (worst_tel < 1e-12 and worst_orbit < 1e-8 and worst_law < 1e-10
+          and least_swap > 1e-3)
+    _line(6, "staircase orbit and coproduct powers", ok,
+          f"telescoping={worst_tel:.2e} orbit-vs-series={worst_orbit:.2e} "
+          f"group law={worst_law:.2e} swapped law misses by >= {least_swap:.2e}")
     assert ok
 
 

@@ -9,7 +9,7 @@ from holobraid.cli import main
 from holobraid.errors import AssemblyError
 from holobraid.report import emit_report, params_entry
 from holobraid.roots import primitive_root
-from holobraid.suite import SuiteConfig, run_trial
+from holobraid.suite import SuiteConfig, run_suite, run_trial
 from reference import load_matrix
 
 
@@ -39,9 +39,6 @@ def test_even_degree_is_usage_error(capsys):
                  ["suite", "--trials", "1", "--hybe-every", "-1"],
                  ["suite", "--trials", "1", "--radius", "2"],
                  ["rmatrix", "--radius", "0"],
-                 ["series", "--order", "0"],
-                 ["series", "--order", "-3"],
-                 ["series", "--radius", "0.5"],
                  ["rmatrix", "--trial", "-1"],
                  ["hybe", "--trial", "-1"]):
         with pytest.raises(SystemExit) as exc:
@@ -190,42 +187,16 @@ def test_hybe_rejected_triple_exits_one(monkeypatch, capsys):
     assert not rep["pass"]  # a rejected triple fails its trial
 
 
-def test_series_command(tmp_path):
-    out = tmp_path / "s.json"
-    assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["checks"]["orbit_telescoping"]["value"] < 1e-12
-    assert rep["checks"]["phi_variants"]["direct"]["value"] < 1e-8
-    assert rep["checks"]["phi_variants"]["reciprocal_argument"]["value"] > 1e-3
-
-
-def test_series_nan_fails(tmp_path, monkeypatch):
-    # a NaN orbit closure after the first probe: max dropped it and the
-    # series command passed
-    closure, calls = holobraid.cli.phi_orbit_closure, []
-
-    def planted(ctx, s):
-        calls.append(s)
-        return float("nan") if len(calls) == 2 else closure(ctx, s)
-
-    monkeypatch.setattr(holobraid.cli, "phi_orbit_closure", planted)
-    out = tmp_path / "s.json"
-    assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 1
-    rep = json.loads(out.read_text())
-    assert rep["checks"]["orbit_telescoping"]["approx"] == "inf"
-
-
-def test_series_unresolved_step_factor_fails(tmp_path, monkeypatch):
-    # an orbit scaled by 1 + 1e-3 k leaves no reading under the suite's
-    # adjudication threshold: the series command exited 0 regardless
+def test_unresolved_adjudication_fails_suite(monkeypatch):
+    # an orbit scaled by 1 + 1e-3 k leaves no step-factor reading under the
+    # adjudication threshold; the trials still pass, the run does not
     orbit = holobraid.suite.phi_orbit
 
     def planted(ctx, s, variant):
         return orbit(ctx, s, variant=variant) * (1 + 1e-3 * np.arange(ctx.ell))
 
     monkeypatch.setattr(holobraid.suite, "phi_orbit", planted)
-    out = tmp_path / "s.json"
-    assert main(["series", "--ell", "5", "--order", "30", "--report", str(out)]) == 1
-    variants = json.loads(out.read_text())["checks"]["phi_variants"]
-    assert variants["direct"]["value"] > holobraid.suite.ADJUDICATION_PASS
-    assert variants["reciprocal_argument"]["value"] > 1e-3
+    code, report = run_suite(SuiteConfig(ell=3, trials=2, seed=42, hybe_every=0))
+    assert code == 1 and report["summary"]["passed"] == 2
+    assert not report["summary"]["adjudications_resolved"]
+    assert report["adjudications"]["phi_step_factor"]["passing"] == []

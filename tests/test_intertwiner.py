@@ -5,7 +5,7 @@ import holobraid.intertwiner as intertwiner
 from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (BranchMismatchError, DegenerateCharacterError,
                               InvalidInputError, NoIntertwinerError)
-from holobraid.glstar import Z0Char, beta_inverse
+from holobraid.glstar import Z0Char, beta_inverse, glstar_multiply
 from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
                                    _adjoint, _band_rows, _band_table,
                                    _reduced_system, braided_rep_pair,
@@ -18,8 +18,9 @@ from holobraid.cyclic import lift_character
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
-from reference import (SHIFTED, band_rows, coproduct_rep, dense_band_system,
-                       dense_blocks, seed42_pair)
+from reference import (SHIFTED, band_rows, coproduct_power_misses,
+                       coproduct_rep, dense_band_system, dense_blocks,
+                       seed42_pair)
 
 
 def full_reference(p1, p2):
@@ -55,13 +56,21 @@ class TestCoproduct:
         m = coproduct_rep(p1, p2, "E", False)
         assert np.allclose(m, np.kron(r1.E, r2.K) + np.kron(np.eye(3), r2.E))
 
-    def test_power_is_central_scalar(self, ctx3, pair3):
-        p1, p2 = pair3
-        c1, c2 = z0_character(p1), z0_character(p2)
-        m = coproduct_rep(p1, p2, "E", False)
-        P = np.linalg.matrix_power(m, 3)
-        expect = c1.eta * c2.kappa + c2.eta
-        assert np.linalg.norm(P - expect * np.eye(9)) < 1e-10 * abs(expect)
+    @pytest.mark.parametrize("radius", [0.1, 1.0])
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_powers_follow_group_law(self, ell, radius):
+        # the ell-th powers of the coproducts are the scalars of
+        # glstar_multiply(c1, c2), and the opposite coproduct's those of
+        # glstar_multiply(c2, c1); eta and phi tell the two orders apart
+        for trial in range(5):
+            p1, p2 = seed42_pair(ell, radius, trial)
+            c1, c2 = z0_character(p1), z0_character(p2)
+            for opposite, law in ((False, (c1, c2)), (True, (c2, c1))):
+                held = coproduct_power_misses(p1, p2, opposite, glstar_multiply(*law))
+                swapped = coproduct_power_misses(p1, p2, opposite,
+                                                 glstar_multiply(*law[::-1]))
+                assert max(held) < 1e-10
+                assert min(swapped[2:]) > 1e-3  # eta and phi
 
 
 class TestBraidedPair:
