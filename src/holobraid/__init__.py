@@ -3,9 +3,8 @@ map on central characters, and numerically verified holonomy R-matrices."""
 
 from .roots import RootContext, primitive_root
 from .qseries import phi_orbit, phi_series
-from .cyclic import (ClockShift, RepMatrices, RepParams, braided_rep_pair,
-                     build_rep, clock_shift, gauge_U, is_generic, lift_character,
-                     z0_character)
+from .cyclic import (RepMatrices, RepParams, braided_rep_pair, build_rep,
+                     clock_shift, gauge_U, is_generic, lift_character, z0_character)
 from .glstar import (IDENTITY_CHAR, Z0Char, beta_forward, beta_inverse,
                      conserved_quantities, glstar_multiply, matrix_route_beta,
                      refactor_gl2)
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RootContext", "primitive_root",
     "phi_series", "phi_orbit",
-    "RepParams", "RepMatrices", "ClockShift", "clock_shift", "build_rep",
+    "RepParams", "RepMatrices", "clock_shift", "build_rep",
     "z0_character", "lift_character", "gauge_U", "is_generic",
     "Z0Char", "IDENTITY_CHAR", "glstar_multiply", "beta_forward",
     "beta_inverse", "conserved_quantities", "refactor_gl2", "matrix_route_beta",

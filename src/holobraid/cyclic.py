@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (DegenerateCharacterError, InconsistentLiftError,
                      InvalidParamsError, NonGenericRepresentationError)
 from .glstar import Z0Char, beta_inverse
-from .roots import RootContext, primitive_root
+from .roots import RootContext
 
 # genericity (is_generic): smallest weight and eta, largest condition number
 MIN_WEIGHT = 1e-6
@@ -80,13 +80,13 @@ class RepParams:
     def _matrices(self) -> RepMatrices:
         ell = self.ctx.ell
         u, v, x, y = self.as_tuple()
-        cs = clock_shift(self.ctx)
+        A, B = clock_shift(self.ctx)
         F = np.zeros((ell, ell), dtype=complex)
         w = self._weights
         for i in range(ell):  # F v_{i+1} = (u/y) c_{i+1} v_i
             F[(i - 1) % ell, i] = (u / y) * w[i]
-        return RepMatrices(K=_read_only(u * v * cs.A), L=_read_only((v / u) * cs.A),
-                           E=_read_only(y * cs.B), F=_read_only(F))
+        return RepMatrices(K=_read_only(u * v * A), L=_read_only((v / u) * A),
+                           E=_read_only(y * B), F=_read_only(F))
 
     @cached_property
     def _powers(self) -> tuple[tuple[np.ndarray, complex], ...]:
@@ -120,14 +120,6 @@ class RepParams:
 
 
 @dataclass(frozen=True)
-class ClockShift:
-    """Clock matrix A = diag(eps^2, ..., eps^(2 ell)) and cyclic shift B."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-
-@dataclass(frozen=True)
 class RepMatrices:
     K: np.ndarray
     L: np.ndarray
@@ -139,25 +131,18 @@ class RepMatrices:
 
 
 @lru_cache(maxsize=None)
-def _clock_shift_arrays(ell: int) -> tuple[np.ndarray, np.ndarray]:
-    ctx = primitive_root(ell)
-    A = np.diag([ctx.pow(2 * (i + 1)) for i in range(ell)])
-    B = np.zeros((ell, ell), dtype=complex)
-    for i in range(ell):
-        B[(i + 1) % ell, i] = 1.0
-    return _read_only(A), _read_only(B)
+def _shift_power(ell: int, k: int) -> np.ndarray:
+    """B^k, the shift v_m -> v_(m+k), built once per (ell, k) and read-only."""
+    return _read_only(np.roll(np.eye(ell, dtype=complex), k, axis=0))
 
 
 @lru_cache(maxsize=None)
-def _shift_power(ell: int, k: int) -> np.ndarray:
-    """B^k, built once per (ell, k) and read-only."""
-    return _read_only(np.linalg.matrix_power(_clock_shift_arrays(ell)[1], k))
-
-
-def clock_shift(ctx: RootContext) -> ClockShift:
-    """A and B with A^ell = B^ell = 1 and A B = eps^2 B A."""
-    A, B = _clock_shift_arrays(ctx.ell)
-    return ClockShift(A=A, B=B)
+def clock_shift(ctx: RootContext) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B): the clock A = diag(eps^2, ..., eps^(2 ell)) of ctx's root and
+    the cyclic shift B, with A^ell = B^ell = 1 and A B = eps^2 B A.  Built
+    once per context and read-only."""
+    A = np.diag(ctx.eps_powers[2 * np.arange(1, ctx.ell + 1) % ctx.ell])
+    return _read_only(A), _shift_power(ctx.ell, 1)
 
 
 def f_weights(p: RepParams) -> np.ndarray:
@@ -305,7 +290,7 @@ def gauge_conjugation_residual(p: RepParams, gauge: tuple[np.ndarray, complex]) 
     U, z = gauge
     fhat = (p.y / p.u) * build_rep(p).F
     lhs = np.linalg.inv(U) @ fhat @ U
-    return float(np.linalg.norm(lhs - z * np.linalg.inv(clock_shift(p.ctx).B)) / abs(z))
+    return float(np.linalg.norm(lhs - z * np.linalg.inv(clock_shift(p.ctx)[1])) / abs(z))
 
 
 def is_generic(p: RepParams, q: RepParams) -> bool:

@@ -30,5 +30,5 @@ def dump_rep_matrix(path: str | Path, m: np.ndarray, kind: str, p: RepParams) ->
 
 
 def dump_intertwiner(path: str | Path, intw: Intertwiner) -> None:
-    header = f"# ell={intw.ell} kind=R residual={intw.residual:.6e}"
+    header = f"# ell={len(intw.blocks)} kind=R residual={intw.residual:.6e}"
     Path(path).write_text("\n".join([header] + _matrix_lines(intw.R)) + "\n")

@@ -46,15 +46,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _clock_shift_arrays,
-                     _dense, _diag_blocks, _kron_blocks, _read_only, _rotate, _shift_power,
-                     _stack_index, braided_rep_pair, build_rep, gauge_U, z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense, _diag_blocks,
+                     _kron_blocks, _read_only, _rotate, _shift_power, _stack_index,
+                     braided_rep_pair, build_rep, clock_shift, gauge_U, z0_character)
 from .errors import (BranchMismatchError, HolobraidError, InvalidInputError,
                      NoIntertwinerError, NonGenericRepresentationError)
 from .glstar import beta_forward
 from .qseries import _staircase_orbit
 from .report import worst_residual
-from .roots import primitive_root
+from .roots import RootContext
 
 # oracle kernel: relative singular value below KERNEL_TOL, gap ratio above
 # GAP_THRESHOLD (see solve_intertwiner)
@@ -127,7 +127,7 @@ def _band_table(ell: int) -> _BandTable:
     4 ell^3 rows) adds to S Z at flat sz_index[t, r].
     """
     n = ell ** 3
-    I, B = np.eye(ell), _clock_shift_arrays(ell)[1]
+    I, B = np.eye(ell), _shift_power(ell, 1)
     shape = RepMatrices(K=I, L=I, E=B, F=B.T)
     M, N = (X[2:] != 0 for X in _equation_blocks((shape,) * 4, I + _braid_factor(shape, shape)))
 
@@ -328,7 +328,6 @@ class ChiData:
     chi1: complex
     chi2: complex
     s: complex
-    t: complex
     sigma: complex
     chi1_mismatch: float
     chi2_mismatch: float
@@ -391,8 +390,7 @@ class PairContext:
         chi1 and chi2 are ell-th roots of unity identically (their ell-th
         powers cancel against conserved character combinations), as is the
         clock-weight ratio eps^(2a) of band_exp.  The spectral factor's step
-        scale is 1/s exactly, with sigma^ell = 1 - s^(-ell).  The principal
-        t = (1 - s^ell)^(1/ell) is the reported branch datum.  Superseded
+        scale is 1/s exactly, with sigma^ell = 1 - s^(-ell).  Superseded
         relations that pin no root of unity go to legacy_relation_residuals.
         """
         if not self.braided:
@@ -409,7 +407,6 @@ class PairContext:
         s = (u2 * v2) / (ut2 * vt2)
         if abs(1 - s**ell) < 1e-12:
             raise BranchMismatchError("s^ell = 1: spectral factor degenerate")
-        t = (1 - s**ell) ** (1.0 / ell)
         chi1 = y1 * ut2 / (yt1 * vt2)
         chi2 = u2 * z2 * ut1 * vt1 * yt2 / (y2 * zt2 * ut2)
         roots = ctx.eps_powers
@@ -430,7 +427,7 @@ class PairContext:
         legacy["a_exp_gauge_chain"] = float(
             np.min(np.abs(legacy_cand - ctx.eps_powers[(-2 * np.arange(ell)) % ell])))
         return ChiData(
-            chi1=chi1, chi2=chi2, s=s, t=t, sigma=sigma,
+            chi1=chi1, chi2=chi2, s=s, sigma=sigma,
             chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
             sigma_power_residual=float(abs(sigma**ell - y1**ell * z0_character(p2).phi)),
             chi1_band_tie=float(abs(chi1 - ctx.pow(4 * self.band_exp))),
@@ -450,7 +447,7 @@ class PairContext:
     def spectral(self) -> np.ndarray:
         """R1, its eigenvalues phi_orbit's staircase step at (sigma, 1/s)."""
         ctx, cd = self.in_params[0].ctx, self.chi
-        return _spectral_factor(ctx.ell, _staircase_orbit(ctx, cd.sigma, 1.0 / cd.s))
+        return _spectral_factor(ctx, _staircase_orbit(ctx, cd.sigma, 1.0 / cd.s))
 
 
 @dataclass
@@ -465,10 +462,6 @@ class Intertwiner:
     singular_gap: float | None = None
     log_abs_det: float | None = None  # log|det R| of R before det normalization
 
-    @property
-    def ell(self) -> int:
-        return self.pair.in_params[0].ctx.ell
-
     @cached_property
     def R(self) -> np.ndarray:
         return _dense(self.blocks, self.pair.band_exp)
@@ -477,9 +470,9 @@ class Intertwiner:
     def residual(self) -> float:
         """max over the blocks of |N R - R M| / |R|, all eight at once."""
         M, N = self.pair.blocks
-        R, g = self.blocks, np.arange(self.ell)
-        diff = N[:, (g + self.pair.band_exp) % self.ell] @ R \
-            - R[(g + np.array(BLOCK_SHIFTS)[:, None]) % self.ell] @ M
+        R, g = self.blocks, np.arange(len(self.blocks))
+        diff = N[:, (g + self.pair.band_exp) % len(R)] @ R \
+            - R[(g + np.array(BLOCK_SHIFTS)[:, None]) % len(R)] @ M
         return float(np.linalg.norm(diff.reshape(len(diff), -1), axis=1).max()
                      / np.linalg.norm(R))
 
@@ -515,7 +508,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
     4 ell^3): the SVD of S_c Z, taken through the R of its QR (an
     ell x ell matrix; sv and vh are all the solve reads), gives the kernel
     coefficients c, and 2 ell - 3 CGLS steps on the full S, started from
-    r = -S v, refine v = Z c (CG needs more steps as the band grows).
+    r = -S v, refine v = Z c (|S v| settles by step 6 to 8 at ell 7, 13
+    and 21 on seed-42 pairs, so at large ell the count is generous).
     Where S's entries sit is the degree's _band_table, built once per ell.
     The kernel criterion is relative singular value < KERNEL_TOL against
     the largest singular value of S_c Z, with the smallest read as |S v|
@@ -563,13 +557,13 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
 
 
 @lru_cache(maxsize=None)
-def _dft(ell: int) -> np.ndarray:
-    """eps^(-2jk) at [j, k], read-only."""
-    ks = np.arange(ell)
-    return _read_only(primitive_root(ell).eps_powers[(-2 * np.outer(ks, ks)) % ell])
+def _dft(ctx: RootContext) -> np.ndarray:
+    """eps^(-2jk) at [j, k] for ctx's root, built once per context, read-only."""
+    ks = np.arange(ctx.ell)
+    return _read_only(ctx.eps_powers[(-2 * np.outer(ks, ks)) % ctx.ell])
 
 
-def _spectral_factor(ell: int, vals: np.ndarray) -> np.ndarray:
+def _spectral_factor(ctx: RootContext, vals: np.ndarray) -> np.ndarray:
     """Function of the split shift W = B x B^-1 with given eigenvalues, as
     its stack (grade shift 0).
 
@@ -577,8 +571,9 @@ def _spectral_factor(ell: int, vals: np.ndarray) -> np.ndarray:
     eps^(2k)-eigenspace, so with coef the inverse discrete transform of
     vals, every block is the circulant with coef[(i - j) % ell] at (i, j).
     """
+    ell = ctx.ell
     ks = np.arange(ell)
-    coef = (vals[None, :] * _dft(ell)).sum(axis=1) / ell
+    coef = (vals[None, :] * _dft(ctx)).sum(axis=1) / ell
     return np.broadcast_to(coef[(ks[:, None] - ks) % ell], (ell, ell, ell))
 
 
@@ -707,13 +702,13 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
 
 
 @lru_cache(maxsize=None)
-def _r1_stacks(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _r1_stacks(ctx: RootContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """r1_conjugation_residuals' 1 x A, B x B^-1 and ell stacks B^k x A B^k
-    (grade shift 2k), built once per ell and read-only."""
-    A, B = _clock_shift_arrays(ell)
-    powers = [_shift_power(ell, k) for k in range(ell)]
+    (grade shift 2k), built once per context and read-only."""
+    A, B = clock_shift(ctx)
+    powers = [_shift_power(ctx.ell, k) for k in range(ctx.ell)]
     return tuple(_read_only(x) for x in (
-        _kron_blocks(np.eye(ell), A, 0), _kron_blocks(B, np.linalg.inv(B), 0),
+        _kron_blocks(np.eye(ctx.ell), A, 0), _kron_blocks(B, np.linalg.inv(B), 0),
         np.stack([_kron_blocks(Bk, A @ Bk, 2 * k) for k, Bk in enumerate(powers)])))
 
 
@@ -725,11 +720,9 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     Needs a closed form: R1 and the scalars are read from its pair."""
     if intw.route != "closed-form":
         raise InvalidInputError("needs a closed-form intertwiner")
-    ell = intw.ell
-    cd = intw.pair.chi
-    tau = 1.0 / cd.s
-    R1 = intw.pair.spectral
-    IA, BB, BkABk = _r1_stacks(ell)
+    cd, R1 = intw.pair.chi, intw.pair.spectral
+    tau, ell = 1.0 / cd.s, len(R1)
+    IA, BB, BkABk = _r1_stacks(intw.pair.in_params[0].ctx)
     lhs = R1 @ IA @ np.linalg.inv(R1)
     rhs = tau * IA @ np.linalg.inv(np.eye(ell) - cd.sigma * BB)
     out = {"opposite_shifts": float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))}
@@ -744,12 +737,12 @@ def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
 
 
 class DetSample(NamedTuple):
-    """What det_exponent_probe reads of a closed form: its pair's chi, and
-    its Intertwiner.log_abs_det and ell."""
+    """What det_exponent_probe reads of a closed form: its pair's chi, its
+    Intertwiner.log_abs_det and its RootContext."""
 
     chi: ChiData
     log_abs_det: float
-    ell: int
+    ctx: RootContext
 
 
 def det_exponent_probe(samples: list[DetSample]) -> dict:
@@ -760,13 +753,12 @@ def det_exponent_probe(samples: list[DetSample]) -> dict:
     monomial, carried for the record), and the determinant of the spectral
     core in the analytic normalization against log|1 - sigma^ell|, which is
     an exact monomial, with R1's eigenvalues from the step that builds it.
-    Candidate exponents +-ell(ell+2)/2 and
-    +-ell(ell+1)/2 are compared against the stable fit.
+    Candidate exponents +-ell(ell+2)/2 and +-ell(ell+1)/2 are compared
+    against the stable fit, on the root of the samples' RootContext.
     """
     if len(samples) < 10:
         return {"inconclusive": True, "reason": f"only {len(samples)} usable samples"}
-    ell = samples[0].ell
-    ctx = primitive_root(ell)
+    ctx, ell = samples[0].ctx, samples[0].ctx.ell
     xs_full, ys_full, xs_core, ys_core = [], [], [], []
     for s in samples:
         cd = s.chi

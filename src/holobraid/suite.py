@@ -39,7 +39,7 @@ from .intertwiner import (DetSample, Intertwiner, PairContext,
 from .qseries import phi_orbit, phi_series
 from .report import (check_entry, complex_pair, new_report, params_entry,
                      residual_entry, residual_value, worst_residual)
-from .roots import RootContext, primitive_root
+from .roots import RootContext, check_degree, primitive_root
 from .sampling import sample_params
 
 # Gate thresholds; keys double as check names in the per-trial report.
@@ -47,7 +47,6 @@ THRESHOLDS = {
     "rep_relations": 1e-9,
     "central_powers": 1e-9,
     "casimir_scalar": 1e-9,
-    "center_relation": 1e-9,
     "gauge_conjugation": 1e-11,
     "braiding_round_trip": 1e-10,
     "braiding_product": 1e-10,
@@ -74,8 +73,7 @@ class SuiteConfig:
     hybe_every: int = 5
 
     def __post_init__(self):
-        if self.ell < 3 or self.ell % 2 == 0:
-            raise ValueError("ell must be odd and >= 3")
+        check_degree(self.ell)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (0 < self.radius <= 1):
@@ -92,8 +90,7 @@ def _scale(*vals) -> float:
 
 def rep_checks(p: RepParams) -> dict[str, float]:
     """Residuals of the defining relations and central structure of one rep."""
-    ctx = p.ctx
-    t = ctx.eps
+    ctx, t = p.ctx, p.ctx.eps
     rep = build_rep(p)
     K, L, E, F = rep.as_tuple()
     Linv = np.linalg.inv(L)
@@ -120,11 +117,8 @@ def rep_checks(p: RepParams) -> dict[str, float]:
     cas = E @ F + K / t + Linv * t
     cas_target = p.u * (p.x + 1 / p.x)
     casimir = np.linalg.norm(cas - cas_target * I) / _scale(cas_target)
-    prod = np.prod([cas_target - (p.u * p.v) * ctx.pow(j + 1)
-                    - (p.u / p.v) * ctx.pow(-j - 1) for j in range(ctx.ell)])
-    center_rel = abs(prod - ch.eta * ch.phi) / _scale(ch.eta * ch.phi)
     return {"rep_relations": float(rel), "central_powers": float(central),
-            "casimir_scalar": float(casimir), "center_relation": float(center_rel)}
+            "casimir_scalar": float(casimir)}
 
 
 def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
@@ -252,9 +246,9 @@ def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepPara
     """Trial idx's triple (p1, p2, third_params): (residuals, record, colorings).
 
     set_ybe of the coloring chain and, given the trial's intertwiner intw,
-    hybe_residual and hybe_c_modulus, with c, c_argument and info in the
-    record ({} without intw).  A HolobraidError rejects the triple: the record
-    is {"rejected": True, "reason": ...}, beside the residuals computed before it.
+    hybe_residual and hybe_c_modulus, with c and info in the record ({}
+    without intw).  A HolobraidError rejects the triple: the record is
+    {"rejected": True, "reason": ...}, beside the residuals computed before it.
     """
     residuals: dict[str, float] = {}
     try:
@@ -266,8 +260,7 @@ def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepPara
     except HolobraidError as exc:
         return residuals, {"rejected": True, "reason": str(exc)}, None
     residuals.update(hybe_residual=dev, hybe_c_modulus=abs(abs(c) - 1))
-    return (residuals, {"c": complex_pair(c), "c_argument": float(np.angle(c)), "info": info},
-            col)
+    return residuals, {"c": complex_pair(c), "info": info}, col
 
 
 class TrialRun(NamedTuple):
@@ -311,8 +304,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
         cd = pair.chi
         trial["chi"] = {
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
-            "s": complex_pair(cd.s), "t": complex_pair(cd.t),
-            "sigma": complex_pair(cd.sigma),
+            "s": complex_pair(cd.s), "sigma": complex_pair(cd.sigma),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
             "chi1_band_tie": residual_entry(cd.chi1_band_tie),
         }
@@ -340,8 +332,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
     trial["evidence"] = evidence
     trial["checks"] = gates(residuals)
     trial["pass"] = trial_passes(trial)
-    det_sample = (DetSample(pair.chi, closed.log_abs_det, closed.ell)
-                  if closed is not None else None)
+    det_sample = DetSample(pair.chi, closed.log_abs_det, ctx) if closed is not None else None
     return TrialRun(trial, intw, colorings, det_sample)
 
 

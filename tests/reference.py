@@ -194,16 +194,15 @@ def dense_spectral_factor(ell, eps_powers, vals):
 def dense_closed_form(pair, R1):
     """D (B^a x Ug_out) R1 (1 x Ug_in^-1), before det normalization."""
     ctx = pair.in_params[0].ctx
-    Ba = np.linalg.matrix_power(clock_shift(ctx).B, pair.band_exp)
+    Ba = np.linalg.matrix_power(clock_shift(ctx)[1], pair.band_exp)
     U2, Ut2 = (gauge_U(q)[0] for q in (pair.in_params[1], pair.out_params[1]))
     return (pair.twist[:, None] * kron(Ba, Ut2)) @ R1 @ kron(np.eye(ctx.ell), np.linalg.inv(U2))
 
 
 def dense_r1_residuals(R1, cd, ctx):
     ell = ctx.ell
-    cs = clock_shift(ctx)
     I = np.eye(ell)
-    A, B = cs.A, cs.B
+    A, B = clock_shift(ctx)
     inv = np.linalg.inv
     out = {}
     lhs = R1 @ kron(I, A) @ inv(R1)

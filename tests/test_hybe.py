@@ -243,7 +243,7 @@ class TestGradeBlocks:
         # gauge ratio alone does not
         p1, p2 = sample_params(primitive_root(ell), 42, trial, count=2)
         pair = PairContext(p1, p2)
-        Ba = np.linalg.matrix_power(clock_shift(pair.in_params[0].ctx).B, pair.band_exp)
+        Ba = np.linalg.matrix_power(clock_shift(pair.in_params[0].ctx)[1], pair.band_exp)
         U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
         gauge = np.kron(Ba, Ut2 @ np.linalg.inv(U2))
         lhs, rhs = dense_products([pair.twist[:, None] * gauge] * 6, ell)
@@ -271,7 +271,7 @@ class TestGradeBlocks:
         p, q = sample_params(ctx, 42, 0, count=2)
         ratio = gauge_U(q)[0] @ np.linalg.inv(gauge_U(p)[0])
         for a in range(ell):
-            gauge = np.kron(np.linalg.matrix_power(clock_shift(ctx).B, a), ratio)
+            gauge = np.kron(np.linalg.matrix_power(clock_shift(ctx)[1], a), ratio)
             twist = rng.normal(size=ell * ell) + 1j * rng.normal(size=ell * ell)
             pair = SimpleNamespace(in_params=(p, p), out_params=(q, q), band_exp=a,
                                    twist=twist)
@@ -292,7 +292,7 @@ class TestGradeBlocks:
         # the first factor moves the grade by 1, the other five by 0: the
         # two products have disjoint supports, as in the dense reference
         ell = 3
-        B, I = clock_shift(primitive_root(ell)).B, np.eye(ell)
+        B, I = clock_shift(primitive_root(ell))[1], np.eye(ell)
         shifted = _kron_blocks(B, I, 1)
         assert np.array_equal(_dense(shifted, 1), np.kron(B, I))
         factors = [np.kron(B, I)] + [np.eye(ell * ell)] * 5

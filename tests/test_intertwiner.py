@@ -508,7 +508,7 @@ class TestDetProbe:
         samples = []
         for i in range(12):
             cf = closed_form_R(*sample_params(ctx3, 321, i, count=2))
-            samples.append(DetSample(cf.pair.chi, cf.log_abs_det, cf.ell))
+            samples.append(DetSample(cf.pair.chi, cf.log_abs_det, ctx3))
         out = det_exponent_probe(samples)
         assert not out["inconclusive"]
         core = out["core_fit"]
@@ -520,5 +520,5 @@ class TestDetProbe:
 
     def test_insufficient_samples(self, pair3):
         cf = closed_form_R(*pair3)
-        out = det_exponent_probe([DetSample(cf.pair.chi, cf.log_abs_det, cf.ell)])
+        out = det_exponent_probe([DetSample(cf.pair.chi, cf.log_abs_det, pair3[0].ctx)])
         assert out["inconclusive"]

@@ -1,9 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from holobraid.cyclic import RepParams
-from holobraid.errors import InvalidDegreeError
-from holobraid.roots import primitive_root
+import holobraid.intertwiner as intertwiner
+from holobraid.cyclic import RepParams, clock_shift
+from holobraid.errors import InvalidDegreeError, InvalidInputError
+from holobraid.intertwiner import det_exponent_probe
+from holobraid.roots import RootContext, primitive_root
+from holobraid.suite import SuiteConfig, _aggregate_adjudications, run_trial
+
+EXPECTED_CHOSEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                              / "expected_adjudications.json").read_text())["chosen"]
 
 
 def test_canonical_choice_ell3():
@@ -49,3 +58,64 @@ def test_contexts_compare_and_hash_by_degree():
     p, q = (RepParams(ctx=ctx, u=1.1, v=0.9, x=1.2, y=0.8) for ctx in (a, b))
     assert p == q and hash(p) == hash(q)
     assert len({p, q, RepParams(ctx=a, u=1.1, v=0.9, x=1.2, y=0.7)}) == 2
+
+
+def hand_built(ell, k):
+    """The context of eps = exp(2 pi i k / ell), built without primitive_root."""
+    return RootContext(ell=ell, eps=np.exp(2j * np.pi * k / ell),
+                       eps_powers=np.exp(2j * np.pi * k * np.arange(ell) / ell))
+
+
+def test_primitive_root_is_the_hand_built_k1_context():
+    for ell in (3, 5, 7, 9):
+        ctx, ref = primitive_root(ell), hand_built(ell, 1)
+        assert ctx == ref and ctx.eps == ref.eps
+        assert ctx.eps_powers.tobytes() == ref.eps_powers.tobytes()
+
+
+@pytest.mark.parametrize("ell, eps, powers", [
+    (5, 1.0, np.ones(5)),  # eps = 1 is a root, not a primitive one
+    (9, np.exp(6j * np.pi / 9), np.exp(6j * np.pi * np.arange(9) / 9)),  # order 3
+    (5, 1.01 * np.exp(2j * np.pi / 5), np.exp(2j * np.pi * np.arange(5) / 5)),  # off the circle
+    (5, np.exp(2j * np.pi / 5), np.exp(4j * np.pi * np.arange(5) / 5)),  # powers of eps^2
+    (5, np.exp(2j * np.pi / 5), np.exp(2j * np.pi * np.arange(4) / 5)),  # too few powers
+], ids=["eps_1", "ell_9_k_3", "off_circle", "powers_of_eps_2", "short_table"])
+def test_malformed_root_rejected(ell, eps, powers):
+    with pytest.raises(InvalidInputError):
+        RootContext(ell=ell, eps=eps, eps_powers=powers)
+
+
+def test_hand_built_degree_checked():
+    with pytest.raises(InvalidDegreeError):
+        RootContext(ell=4, eps=1j, eps_powers=1j ** np.arange(4))
+
+
+def test_contexts_of_one_degree_get_their_own_tables():
+    # every table that depends on eps is cached per context, so two roots
+    # of one degree never share one
+    a, b = primitive_root(5), hand_built(5, 2)
+    assert a != b
+    A_a, A_b = clock_shift(a)[0], clock_shift(b)[0]
+    assert np.allclose(np.diag(A_b), b.eps_powers[2 * np.arange(1, 6) % 5])
+    assert not np.allclose(A_a, A_b)
+    assert clock_shift(a)[1] is clock_shift(b)[1]  # B does not depend on eps
+    assert not np.allclose(intertwiner._dft(a), intertwiner._dft(b))
+    for x, y in zip(intertwiner._r1_stacks(a)[::2], intertwiner._r1_stacks(b)[::2]):
+        assert not np.allclose(x, y)
+
+
+@pytest.mark.parametrize("ell, k", [(3, -1), (5, 2), (5, -1), (7, 3)])
+def test_every_primitive_root_passes_the_suite_trials(ell, k):
+    # the construction holds at any primitive root: 20 seed-42 trials at a
+    # hand-built root pass, each formula is adjudicated to the reading chosen
+    # at eps = exp(2 pi i / ell), and the det probe picks the same exponent
+    ctx = hand_built(ell, k)
+    cfg = SuiteConfig(ell=ell, trials=20, seed=42, hybe_every=2)
+    runs = [run_trial(cfg, ctx, i) for i in range(cfg.trials)]
+    records = [run.record for run in runs]
+    assert all(record["pass"] for record in records)
+    assert sum("hybe" in record for record in records) == 10
+    adjudications = _aggregate_adjudications(records, ctx)
+    assert {f: a["chosen"] for f, a in adjudications.items()} == EXPECTED_CHOSEN
+    probe = det_exponent_probe([run.det_sample for run in runs])
+    assert probe["closest_candidate"] == "-l(l+1)/2" and probe["matches_closest"]

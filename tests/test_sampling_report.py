@@ -210,9 +210,9 @@ class TestReports:
                                                "closest_candidate", "matches_closest"}
         trial = suite_rep["trials"][0]
         assert set(trial["oracle"]) == {"singular_gap"}
-        assert set(trial["chi"]) == {"chi1", "chi2", "s", "t", "sigma",
+        assert set(trial["chi"]) == {"chi1", "chi2", "s", "sigma",
                                      "sigma_power_residual", "chi1_band_tie"}
-        assert set(trial["hybe"]) == {"c", "c_argument", "info"}
+        assert set(trial["hybe"]) == {"c", "info"}
         assert set(trial["hybe"]["info"]) == {"c_entry_ratio_gap", "route"}
         assert "s0_diagnostic" not in trial
         assert "oracle_kernel_dim" not in trial["checks"]

@@ -49,15 +49,15 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 
 
 def clear_degree_caches():
-    for cached in (cyclic._shift_power, intertwiner._golden_weights, intertwiner._dft,
-                   intertwiner._r1_stacks):
+    for cached in (cyclic._shift_power, cyclic.clock_shift, intertwiner._golden_weights,
+                   intertwiner._dft, intertwiner._r1_stacks):
         cached.cache_clear()
 
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_trial_build_counts_do_not_depend_on_caches(warm):
-    # the per-degree caches may be empty or full when a trial runs: the
-    # counts of test_trial_builds_braid_factor_once hold either way
+    # the per-degree and per-root caches may be empty or full when a trial
+    # runs: the counts of test_trial_builds_braid_factor_once hold either way
     clear_degree_caches()
     if warm:
         suite.run_trial(suite.SuiteConfig(ell=3, trials=1, seed=42, hybe_every=0),
@@ -178,7 +178,7 @@ def test_braiding_is_shared_and_fresh():
 @pytest.mark.parametrize("ell", [3, 9])
 def test_degree_caches_are_read_only_and_fresh(ell):
     ctx = primitive_root(ell)
-    A, B = cyclic.clock_shift(ctx).A, cyclic.clock_shift(ctx).B
+    A, B = cyclic.clock_shift(ctx)
     ks = np.arange(ell)
     fresh = {
         "B^a": [(cyclic._shift_power(ell, a), np.linalg.matrix_power(B, a))
@@ -186,8 +186,10 @@ def test_degree_caches_are_read_only_and_fresh(ell):
         "golden": [(intertwiner._golden_weights(ell, s),
                     np.exp(2j * np.pi * 0.6180339887498949
                            * cyclic._stack_index(ell, s)[0])) for s in range(ell)],
-        "dft": [(intertwiner._dft(ell), ctx.eps_powers[(-2 * np.outer(ks, ks)) % ell])],
-        "r1": list(zip(intertwiner._r1_stacks(ell), (
+        "clock": [(A, np.diag(ctx.eps_powers[2 * (ks + 1) % ell])),
+                  (B, np.roll(np.eye(ell, dtype=complex), 1, axis=0))],
+        "dft": [(intertwiner._dft(ctx), ctx.eps_powers[(-2 * np.outer(ks, ks)) % ell])],
+        "r1": list(zip(intertwiner._r1_stacks(ctx), (
             cyclic._kron_blocks(np.eye(ell), A, 0),
             cyclic._kron_blocks(B, np.linalg.inv(B), 0),
             np.stack([cyclic._kron_blocks(np.linalg.matrix_power(B, k),

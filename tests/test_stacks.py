@@ -65,7 +65,7 @@ class TestLayout:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     def test_kron_blocks_and_dense_match_np_kron(self, ell):
         rng = np.random.default_rng(ell)
-        B = clock_shift(primitive_root(ell)).B
+        B = clock_shift(primitive_root(ell))[1]
         for sx in range(ell):
             for sy in (0, 1, ell - 1):
                 X = np.linalg.matrix_power(B, sx) * rng.normal(size=ell)
@@ -171,7 +171,7 @@ class TestAgainstDense:
         # R1 is one circulant on every grade, so it commutes exactly with
         # 1 x B^-1 (the identity block on each grade) and B x 1 (a cyclic
         # shift): r1_conjugation_residuals reads neither
-        B, I = clock_shift(ctx).B, np.eye(ell)
+        B, I = clock_shift(ctx)[1], np.eye(ell)
         for X in (np.kron(I, B.T), np.kron(B, I)):
             assert np.array_equal(R1 @ X, X @ R1)
         # R1 is the same circulant on every grade, which hides a misplaced
@@ -190,7 +190,7 @@ def test_clock_pair_commutes_with_grade_zero_stacks(ell):
     # A x A acts on pair grade g as the scalar eps^(2g), so it commutes with
     # every grade-0 stack, such as the spectral factor R1: a gate on that
     # commutator could not fail, and no trial computes it
-    A = clock_shift(primitive_root(ell)).A
+    A = clock_shift(primitive_root(ell))[0]
     AA = _kron_blocks(A, A, 0)
     rng = np.random.default_rng(ell)
     for _ in range(3):
