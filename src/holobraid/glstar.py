@@ -19,6 +19,7 @@ minus variant conserves the trace invariant T and admits intertwiners.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,13 @@ IDENTITY_CHAR = Z0Char(1.0, 1.0, 0.0, 0.0)
 
 
 def char_distance(a: Z0Char, b: Z0Char) -> float:
-    """Max componentwise deviation."""
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+    """Max componentwise deviation, NaN if any component's is NaN."""
+    devs = (abs(a.kappa - b.kappa), abs(a.lam - b.lam), abs(a.eta - b.eta),
+            abs(a.phi - b.phi))
+    # max() drops a NaN that is not first; the sum of the nonnegative
+    # deviations is NaN exactly when one of them is
+    total = sum(devs)
+    return float(total if math.isnan(total) else max(devs))
 
 
 def glstar_multiply(p: Z0Char, q: Z0Char) -> Z0Char:

@@ -136,7 +136,7 @@ def _rep_evidence(p: RepParams) -> dict[str, dict[str, float]]:
 
 
 def _char_dev(a: Z0Char, b: Z0Char) -> float:
-    return char_distance(a, b) / _scale(*b.as_array())
+    return char_distance(a, b) / _scale(b.kappa, b.lam, b.eta, b.phi)
 
 
 def character_checks(cx: Z0Char, cy: Z0Char) -> tuple[dict, dict]:

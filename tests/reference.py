@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from holobraid.cyclic import _chain, _dense, build_rep, clock_shift, gauge_U
-from holobraid.intertwiner import BLOCK_SHIFTS, _coproducts
+from holobraid.intertwiner import (BLOCK_SHIFTS, _adjoint, _apply_rows, _band_rows,
+                                   _band_table, _coproducts, _reduced_system)
 from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
@@ -108,6 +109,33 @@ def bincount_adjoint(cols, vals, y, n):
     slots = (2 * cols[..., None] + np.arange(2)).ravel()
     return np.bincount(slots, (vals.conj() * y[:, None]).view(float).ravel(),
                        2 * n).view(complex)
+
+
+def full_step_solve(pair):
+    """(v, |S v| / sigma_max, gap) of solve_intertwiner's kernel step with
+    its CGLS run for all 2 ell - 3 steps, as it was before the stall rule:
+    v is the refined unit vector (R's stack, not det-normalized) and the
+    gap sigma_2(S_c Z) / |S v|."""
+    ell = pair.in_params[0].ctx.ell
+    cols, vals = _band_rows(pair.blocks, pair.band_exp)
+    SZ, z, comp = _reduced_system(cols, vals, ell)
+    _, sv, vh = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
+    v = z * vh[-1].conj()[comp]
+    r = -_apply_rows(cols, vals, v)
+    adjoint = _adjoint(vals, _band_table(ell).adjoint)
+    s = adjoint(r)
+    p, gamma = s, np.vdot(s, s).real
+    for _ in range(2 * ell - 3):
+        q = _apply_rows(cols, vals, p)
+        alpha = gamma / np.vdot(q, q).real
+        v = v + alpha * p
+        r = r - alpha * q
+        s = adjoint(r)
+        gamma, gamma_old = np.vdot(s, s).real, gamma
+        p = s + p * (gamma / gamma_old)
+    v = v / np.linalg.norm(v)
+    res = np.linalg.norm(_apply_rows(cols, vals, v))
+    return v.reshape(ell, ell, ell), res / sv[0], sv[-2] / res
 
 
 def dense_band_system(cols, vals, n):

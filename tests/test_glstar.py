@@ -46,6 +46,26 @@ class TestGroupLaw:
         assert char_distance(lhs, rhs) < 1e-12 * max(1, *np.abs(rhs.as_array()))
 
 
+class TestCharDistance:
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_in_any_component_propagates(self, slot):
+        # as np.max over the four deviations does: Python's max() would keep
+        # the first deviation against a NaN in a later one
+        good = [2.0, 3.0, 0.5, 0.25]
+        bad = [complex("nan") if i == slot else v for i, v in enumerate(good)]
+        assert np.isnan(char_distance(Z0Char(*good), Z0Char(*bad)))
+        assert np.isnan(char_distance(Z0Char(*bad), Z0Char(*good)))
+        assert char_distance(Z0Char(*good), Z0Char(*good)) == 0
+
+    @given(chars(), chars())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_array_max_to_rounding(self, a, b):
+        # scalar abs is hypot, numpy's vectorised complex abs need not be:
+        # each is within an ulp of |z|
+        ref = np.max(np.abs(a.as_array() - b.as_array()))
+        assert abs(char_distance(a, b) - ref) <= 2 * np.spacing(ref)
+
+
 class TestBraidingMaps:
     @given(chars())
     @settings(max_examples=200, deadline=None)

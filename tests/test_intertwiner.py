@@ -6,9 +6,9 @@ from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (BranchMismatchError, DegenerateCharacterError,
                               InvalidInputError, NoIntertwinerError)
 from holobraid.glstar import Z0Char, beta_inverse, glstar_multiply
-from holobraid.intertwiner import (DetSample, Intertwiner, PairContext,
-                                   _adjoint, _band_rows, _band_table,
-                                   _reduced_system, braided_rep_pair,
+from holobraid.intertwiner import (BAND_TOL, DetSample, Intertwiner, PairContext,
+                                   _adjoint, _apply_rows, _band_rows, _band_table,
+                                   _cgls, _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action,
                                    closed_form_R, compare_up_to_scalar,
@@ -20,7 +20,7 @@ from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
 from reference import (SHIFTED, band_rows, coproduct_power_misses,
                        coproduct_rep, dense_band_system, dense_blocks,
-                       seed42_pair)
+                       full_step_solve, seed42_pair)
 
 
 def full_reference(p1, p2):
@@ -277,6 +277,103 @@ BAND_PAIRS = [(3, 0.1, 0, 0), (5, 0.1, 0, 0), (7, 0.1, 0, 0), (7, 0.1, 15, 3),
               (9, 0.1, 0, 0), (9, 0.1, 15, 4), (9, 0.1, 71, 5), (3, 1.0, 2, 2),
               (3, 1.0, 10, 1), (5, 1.0, 3, 2), (5, 1.0, 7, 3)]
 assert set(SHIFTED) <= {case[:3] for case in BAND_PAIRS}
+
+
+def count_cgls_steps(monkeypatch):
+    """A list whose first entry, after one solve_intertwiner call, is the
+    number of CGLS steps it ran: every product with S but the starting
+    residual and the final |S v|."""
+    calls = [-2]
+
+    def counted(*args):
+        calls[0] += 1
+        return _apply_rows(*args)
+
+    monkeypatch.setattr(intertwiner, "_apply_rows", counted)
+    return calls
+
+
+def wrong_targets(p1, p2):
+    """The unbraided target and the braided one with the first output's y
+    scaled by 1 + 1e-3 (the negative controls above)."""
+    q1, q2 = braided_rep_pair(p1, p2)
+    bad = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v, x=q1.x, y=q1.y * (1 + 1e-3))
+    return [PairContext(p1, p2, target=(p1, p2)), PairContext(p1, p2, target=(bad, q2))]
+
+
+class TestCglsStallRule:
+    """CGLS stops once |S v| stalls below the kernel tolerance; the
+    reference is the same solve run for all 2 ell - 3 steps."""
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0])
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9])
+    def test_keeps_the_full_step_accuracy(self, ell, radius):
+        for trial in range(4):
+            p1, p2 = seed42_pair(ell, radius, trial)
+            oracle, closed = solve_intertwiner(p1, p2), closed_form_R(p1, p2)
+            v, _, gap = full_step_solve(PairContext(p1, p2))
+            dev = compare_up_to_scalar(oracle.blocks, closed.blocks)[1]
+            assert dev <= 2 * compare_up_to_scalar(v, closed.blocks)[1]
+            assert np.log10(gap / oracle.singular_gap) <= 0.15
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0])
+    @pytest.mark.parametrize("ell", [7, 9, 13])
+    def test_fires_on_genuine_pairs(self, ell, radius, monkeypatch):
+        steps = count_cgls_steps(monkeypatch)
+        for trial in range(4):
+            steps[0] = -2
+            solve_intertwiner(*seed42_pair(ell, radius, trial))
+            assert 0 < steps[0] < 2 * ell - 3
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9, 13])
+    def test_wrong_target_runs_every_step(self, ell, monkeypatch):
+        # its |S v| never reaches the kernel tolerance, so the reading it is
+        # rejected with is the full-step one
+        steps = count_cgls_steps(monkeypatch)
+        for pair in wrong_targets(*seed42_pair(ell, 0.1, 0)):
+            _, rel, _ = full_step_solve(pair)
+            steps[0] = -2
+            with pytest.raises(NoIntertwinerError, match="empty nullspace") as info:
+                solve_intertwiner(*pair.in_params, pair=pair)
+            assert steps[0] == 2 * ell - 3
+            assert str(info.value).endswith(f" {rel:.3e}")
+
+    def test_no_steps_returns_the_start(self, pair3):
+        pair = PairContext(*pair3)
+        cols, vals = _band_rows(pair.blocks, pair.band_exp)
+        v = np.ones(27, dtype=complex)
+        r = -_apply_rows(cols, vals, v)
+        out = _cgls(cols, vals, _band_table(3).adjoint, v, r, steps=0, floor=1.0)
+        assert out is v and (v == 1).all()
+
+    def test_zero_residual_returns_the_start(self, pair3):
+        # gamma = |S^H r|^2 = 0 would make the first step 0/0
+        pair = PairContext(*pair3)
+        cols, vals = _band_rows(pair.blocks, pair.band_exp)
+        v, r = np.zeros(27, dtype=complex), np.zeros(len(cols), dtype=complex)
+        with np.errstate(all="raise"):
+            out = _cgls(cols, vals, _band_table(3).adjoint, v, r, steps=3, floor=1.0)
+        assert out is v and not v.any()
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_band_tolerance_edge(self, ell):
+        # the first output's v scaled by 1 + delta moves the clock-weight
+        # ratio off eps^(2a) by delta / (1 + delta)
+        p1, p2 = seed42_pair(ell, 0.1, 0)
+        q1, q2 = braided_rep_pair(p1, p2)
+
+        def target(delta):
+            moved = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v * (1 + delta), x=q1.x, y=q1.y)
+            return PairContext(p1, p2, target=(moved, q2))
+
+        outside, inside = target(1.01 * BAND_TOL), target(0.99 * BAND_TOL)
+        assert inside.band_dist <= BAND_TOL < outside.band_dist
+        with pytest.raises(NoIntertwinerError, match="clock-weight ratio"):
+            solve_intertwiner(p1, p2, pair=outside)
+        # inside, the kernel test decides; the K and L coproduct rows the
+        # oracle leaves out carry the band distance into the residual
+        intw = solve_intertwiner(p1, p2, pair=inside)
+        assert inside.band_dist <= intw.residual <= 2 * inside.band_dist
 
 
 class TestBandTable:
