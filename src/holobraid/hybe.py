@@ -138,18 +138,17 @@ def _embed(R: np.ndarray, a: int, slots: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float, dict]:
+def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float]:
     """Up-to-scalar holonomy Yang-Baxter deviation for one triple.
 
     col is the triple's coloring chain (derive_colorings) and xy an
     intertwiner of its pair (col.x, col.y), which is the (x, y) factor; the
     other five factors are solved on xy's route.  Embeds the six
     det-normalized intertwiners into the triple space and compares the
-    ordered products.  Returns (c, deviation, info): LHS = c * RHS with the
-    least-squares scalar c, whose modulus must be 1, and info the gap
-    between c and the ratio of the largest entries, with the route.  For
-    det-normalized factors c is an ell^2-th root of unity: both products
-    have determinant 1 on each of their ell^2 x ell^2 grade blocks.
+    ordered products.  Returns (c, deviation): LHS = c * RHS with the
+    least-squares scalar c, whose modulus must be 1.  For det-normalized
+    factors c is an ell^2-th root of unity: both products have determinant
+    1 on each of their ell^2 x ell^2 grade blocks.
 
     Each factor is a stack of grade shift its band exponent, so each
     product is formed as ell grade blocks of size ell^2 x ell^2, starting
@@ -184,13 +183,8 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float,
                               (solve(col.xa, col.z), (0, 2)),
                               (xy, (0, 1))])
     if lhs_shift != rhs_shift:
-        c, dev, gap = 0j, 1.0, 0.0
-    else:
-        c, dev = compare_up_to_scalar(lhs, rhs)
-        # cross-check scalar from the largest entries
-        idx = int(np.argmax(np.abs(rhs)))
-        gap = float(abs(c - lhs.flat[idx] / rhs.flat[idx]))
-    return complex(c), dev, {"c_entry_ratio_gap": gap, "route": xy.route}
+        return 0j, 1.0
+    return compare_up_to_scalar(lhs, rhs)
 
 
 def s0_diagnostic(intw: Intertwiner) -> tuple[float, bool]:

@@ -342,7 +342,9 @@ def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class ChiData:
-    """PairContext.chi: the closed form's scalars, with coherence diagnostics."""
+    """PairContext.chi: the closed form's scalars chi1, chi2, s and sigma,
+    the distances of chi1 and chi2 from the ell-th roots of unity and of
+    sigma^ell from its character value, and the superseded relations."""
 
     chi1: complex
     chi2: complex
@@ -351,9 +353,6 @@ class ChiData:
     chi1_mismatch: float
     chi2_mismatch: float
     sigma_power_residual: float
-    # the single-scalar tie rho = chi1 eps^(-2a) between the band and the
-    # first twist, a diagnostic: it fails whenever the lift branches split them
-    chi1_band_tie: float
     legacy_relation_residuals: dict = field(default_factory=dict)
 
 
@@ -449,7 +448,6 @@ class PairContext:
             chi1=chi1, chi2=chi2, s=s, sigma=sigma,
             chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
             sigma_power_residual=float(abs(sigma**ell - y1**ell * z0_character(p2).phi)),
-            chi1_band_tie=float(abs(chi1 - ctx.pow(4 * self.band_exp))),
             legacy_relation_residuals=legacy,
         )
 
@@ -627,13 +625,14 @@ def closed_form_R(p1: RepParams, p2: RepParams, *,
 
 
 def compare_up_to_scalar(r1: np.ndarray, r2: np.ndarray) -> tuple[complex, float]:
-    """Best scalar lambda with r1 ~ lambda r2, and the relative deviation."""
-    norm2 = np.vdot(r2, r2)
-    if abs(norm2) == 0:
-        raise InvalidInputError("comparison target is the zero matrix")
+    """Best scalar lambda with r1 ~ lambda r2, and the relative deviation;
+    InvalidInputError when either matrix is zero."""
+    norm1, norm2 = np.linalg.norm(r1), np.vdot(r2, r2)
+    if norm1 == 0 or abs(norm2) == 0:
+        raise InvalidInputError("compare_up_to_scalar needs two nonzero matrices")
     scalar = np.vdot(r2, r1) / norm2
     diff = scalar * r2  # r1 - scalar r2, formed in place
-    deviation = float(np.linalg.norm(np.subtract(r1, diff, out=diff)) / np.linalg.norm(r1))
+    deviation = float(np.linalg.norm(np.subtract(r1, diff, out=diff)) / norm1)
     return complex(scalar), deviation
 
 

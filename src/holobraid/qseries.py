@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DegenerateSpectralParameterError, SingularParameterError
 from .roots import RootContext
 
-DEFAULT_ORDER = 40
-
 
 def _exp(a: np.ndarray) -> np.ndarray:
     """exp of a series with zero constant term."""
@@ -30,7 +28,7 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def phi_series(ctx: RootContext, order: int = DEFAULT_ORDER) -> np.ndarray:
+def phi_series(ctx: RootContext, order: int) -> np.ndarray:
     """Taylor expansion of prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell).
 
     Built as exp((1/ell) * sum_m m * sum_k (eps^(2m) z)^k / k); each factor

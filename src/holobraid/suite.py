@@ -246,8 +246,8 @@ def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepPara
     """Trial idx's triple (p1, p2, third_params): (residuals, record, colorings).
 
     set_ybe of the coloring chain and, given the trial's intertwiner intw,
-    hybe_residual and hybe_c_modulus, with c and info in the record ({}
-    without intw).  A HolobraidError rejects the triple: the record is
+    hybe_residual and hybe_c_modulus, with c in the record ({} without
+    intw).  A HolobraidError rejects the triple: the record is
     {"rejected": True, "reason": ...}, beside the residuals computed before it.
     """
     residuals: dict[str, float] = {}
@@ -256,11 +256,11 @@ def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepPara
         residuals["set_ybe"] = col.finals_deviation()
         if intw is None:
             return residuals, {}, col
-        c, dev, info = hybe_residual(col, intw)
+        c, dev = hybe_residual(col, intw)
     except HolobraidError as exc:
         return residuals, {"rejected": True, "reason": str(exc)}, None
     residuals.update(hybe_residual=dev, hybe_c_modulus=abs(abs(c) - 1))
-    return residuals, {"c": complex_pair(c), "info": info}, col
+    return residuals, {"c": complex_pair(c)}, col
 
 
 class TrialRun(NamedTuple):
@@ -306,14 +306,12 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
             "chi1": complex_pair(cd.chi1), "chi2": complex_pair(cd.chi2),
             "s": complex_pair(cd.s), "sigma": complex_pair(cd.sigma),
             "sigma_power_residual": residual_entry(cd.sigma_power_residual),
-            "chi1_band_tie": residual_entry(cd.chi1_band_tie),
         }
         evidence.update(_closed_form_evidence(pair, r1_conjugation_residuals(closed)))
     if cfg.route == "both":
-        scalar, dev = compare_up_to_scalar(oracle.blocks, closed.blocks)
+        _, dev = compare_up_to_scalar(oracle.blocks, closed.blocks)
         residuals["route_deviation"] = dev
-        trial["route_comparison"] = {"scalar": complex_pair(scalar),
-                                     "deviation": residual_entry(dev)}
+        trial["route_comparison"] = {"deviation": residual_entry(dev)}
 
     # action checks run on whichever route produced a matrix
     intw = oracle if oracle is not None else closed

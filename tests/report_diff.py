@@ -7,8 +7,10 @@ The top-level generated_at is ignored, and so is a residual entry's
 pairs) are folded to *, so each line is one field: how many of its values
 differ, the largest absolute change and the largest change relative to
 the old value.  A value of another type, or a key on one side only, is
-printed with its full path.  Exits 0 when the reports are equal apart
-from generated_at, 1 otherwise.
+printed with its full path.  An empty list or dict is a value of its
+own, so a key that holds one on one side only is listed too.  Exits 0
+when the reports are equal apart from generated_at, 1 otherwise, and 2
+on wrong arguments.
 """
 import json
 import math
@@ -16,8 +18,11 @@ import sys
 
 
 def leaves(node, path=()):
-    """(path, value) of every leaf, as report_diff compares them."""
-    if isinstance(node, dict):
+    """(path, value) of every leaf, as report_diff compares them.  An empty
+    list or dict is a leaf of its own, so that it cannot go missing."""
+    if isinstance(node, (dict, list)) and not node:
+        yield path, node
+    elif isinstance(node, dict):
         for key, value in node.items():
             if (key == "generated_at" and not path) or (key == "approx" and "value" in node):
                 continue

@@ -166,7 +166,7 @@ def test_criterion_5_holonomy_ybe():
         devs, cmods, args = [], [], []
         for i in range(20):
             x, y, z = sample_params(ctx, 70 + ell, i, count=3)
-            c, dev, _ = hybe_residual(derive_colorings(x, y, z), solve_intertwiner(x, y))
+            c, dev = hybe_residual(derive_colorings(x, y, z), solve_intertwiner(x, y))
             devs.append(dev)
             cmods.append(abs(abs(c) - 1))
             args.append(np.angle(c))

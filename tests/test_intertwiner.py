@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -484,12 +486,15 @@ class TestChiData:
         assert cd.legacy_relation_residuals["a_exp_gauge_chain"] > 1e-4
 
     def test_band_tie_is_not_a_reading(self, pair5):
-        # a diagnostic with its own field: the legacy table holds only the
-        # readings that assembly_scalars adjudicates
+        # the legacy table holds only the readings that assembly_scalars
+        # adjudicates, and the band tie |chi1 - eps^(4a)| is no field: it
+        # is a function of chi1 and band_exp, which the record holds
         cd = PairContext(*pair5).chi
         assert set(cd.legacy_relation_residuals) == {"chi2_raising_only",
                                                      "a_exp_gauge_chain"}
-        assert cd.chi1_band_tie >= 0
+        assert {f.name for f in fields(cd)} == {
+            "chi1", "chi2", "s", "sigma", "chi1_mismatch", "chi2_mismatch",
+            "sigma_power_residual", "legacy_relation_residuals"}
 
     def test_needs_braided_output(self, pair5):
         p1, p2 = pair5
@@ -581,6 +586,11 @@ class TestCompare:
     def test_zero_target(self):
         with pytest.raises(InvalidInputError):
             compare_up_to_scalar(np.eye(3, dtype=complex), np.zeros((3, 3)))
+
+    def test_zero_first_argument(self):
+        # returned (0j, nan) with a RuntimeWarning from 0/0
+        with pytest.raises(InvalidInputError):
+            compare_up_to_scalar(np.zeros((3, 3)), np.eye(3, dtype=complex))
 
 
 class TestGeneratorActions:

@@ -56,7 +56,7 @@ def test_hybe_c_modulus_seed_33751040_trial_0():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 33751040, 0, radius=0.1, count=2)
 p3, = sample_params(ctx, 33751040, 1 << 32, radius=0.1, count=1)
-c, _, _ = hybe_residual(derive_colorings(p1, p2, p3), solve_intertwiner(p1, p2))
+c, _ = hybe_residual(derive_colorings(p1, p2, p3), solve_intertwiner(p1, p2))
 print(abs(abs(c) - 1))
 """)
     assert res < THRESHOLDS["hybe_c_modulus"]

@@ -43,7 +43,7 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
     acted = FRESH[routes[0]](p1, p2)
     for formula, readings in check_generator_action(acted).items():
         assert trial["evidence"][formula] == readings
-    c, dev, _ = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))
+    c, dev = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))
     assert complex(*trial["hybe"]["c"]) == c
     assert trial["checks"]["hybe_residual"]["residual"]["value"] == dev
 
