@@ -22,14 +22,16 @@ dense Intertwiner.R is built only when read.  The band unknowns are the
 ell^3 entries of R's stack.  Every factor is monomial (K, L diagonal, E, F
 shifts), so each equation row has at most four unknowns, where the degree
 alone puts them: one table per ell (_band_table) makes a pair's rows one
-gather of its coefficients, scaled to unit norm.  The Ex1 and 1xF rows have
-two unknowns each and split the unknowns into ell components of ell^2,
-each fixed by one entry.  Propagating them leaves ell unknowns, on whose
-ell-column basis the two-term rows vanish: the SVD of the coupling rows
-(blocks 2-5) on that basis, taken through the R of its QR, picks the
-kernel line, and CGLS steps on the full sparse rows (S^H by a gather
-through the table) refine it until the residual stalls at its rounding
-floor.
+gather of its coefficients, scaled to unit norm.  The table is slot-major:
+each of a row's four slots is a contiguous column, and slots 2-3 are
+structurally zero past the E and F coproduct rows (a third of the slots),
+so S v skips them.  The Ex1 and 1xF rows have two unknowns each and split
+the unknowns into ell components of ell^2, each fixed by one entry.
+Propagating them leaves ell unknowns, on whose ell-column basis the
+two-term rows vanish: the SVD of the coupling rows (blocks 2-5) on that
+basis, taken through the R of its QR, picks the kernel line, and CGLS
+steps on the full sparse rows (S^H by a gather through the table) refine
+it until the residual stalls at its rounding floor.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -103,39 +105,44 @@ def _equation_blocks(reps, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(M), np.stack(N)
 
 
-_BandTable = namedtuple("_BandTable", "cols src merge adjoint grid rows comp from_mask sz_index")
+_BandTable = namedtuple("_BandTable", "cols src merge adjoint grid two_term comp sz_index")
 
 
 @lru_cache(maxsize=8)
 def _band_table(ell: int) -> _BandTable:
     """Where the entries of _band_rows' system S sit at degree ell, for
-    every band exponent a (read-only intp arrays, from_mask bool), so that
-    every gather indexes with them as they are.
+    every band exponent a (read-only intp arrays), so that every gather
+    indexes with them as they are.
 
     Built from the layout alone: the blocks of K = L = 1, E = B, F = B^-1,
     T = 1 + G have nonzeros wherever a pair's can, never cancelling, so a
     weight that happens to be 0 cannot move a column.  A block's columns do
     not depend on its grade: a enters only as the rotation N[g + a].
 
-    Row r, slot t (N's first and last nonzero, then M's): cols[r, t] is the
-    unknown, src[r, t] the flat index of its coefficient in
-    (N[2:] rotated by a, -M[2:], 0); a side with one nonzero repeats its
-    column and reads the 0.  merge holds the flat slot pairs (to, from)
-    naming one unknown on both sides of a row.  adjoint[t, k] is the flat
-    slot of the t-th of unknown k's 16 nonzero coefficients, ascending.
+    The table is slot-major, of shape (4, rows): slot t of row r (N's first
+    and last nonzero, then M's) has cols[t, r] the unknown and src[t, r]
+    the flat index of its coefficient in (N[2:] rotated by a, -M[2:], 0);
+    a side with one nonzero repeats its column and reads the 0.  merge
+    holds the flat slot pairs (to, from) naming one unknown on both sides
+    of a row, and the from slot reads the 0 after the merge.  Slots 2-3 are
+    live on the coproduct rows (blocks 2-3, the first 2 ell^3) alone: a
+    clock row's M side is diagonal, one slot repeated and the other merged
+    into N's, and a two-term row's single M slot is moved into slot 1,
+    whose N repeat reads the 0.  adjoint[t, k] is the flat slot of the
+    t-th of unknown k's 16 nonzero coefficients, in row order.
 
     grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
     indices mod ell: stack entry R[s + t][s + c, s].  Ex1 shifts the
     slot-1 index of both sides of R and 1xF the slot-2 index, so
     c = n' - n is constant along both steps: they split the ell^3 unknowns
     into ell components of ell^2, and comp[k] is the component of unknown
-    k.  rows[0, c, s, t] is the Ex1 row joining grid[c, s, t] to
-    grid[c, s + 1, t], rows[1, c, s, t] the 1xF row joining it to
-    grid[c, s, t + 1], and from_mask marks their slots naming
-    grid[c, s, t].  Slot t of coupling row r (blocks 2-5, the first
+    k.  two_term[:, 0, c, s, t] holds the flat (from, to) slots of the Ex1
+    row joining grid[c, s, t] (from) to grid[c, s + 1, t] (to), and
+    two_term[:, 1, c, s, t] those of the 1xF row joining it to
+    grid[c, s, t + 1].  Slot t of coupling row r (blocks 2-5, the first
     4 ell^3 rows) adds to S Z at flat sz_index[t, r].
     """
-    n = ell ** 3
+    n, rows = ell ** 3, 6 * ell ** 3
     I, B = np.eye(ell), _shift_power(ell, 1)
     shape = RepMatrices(K=I, L=I, E=B, F=B.T)
     M, N = (X[2:] != 0 for X in _equation_blocks((shape,) * 4, I + _braid_factor(shape, shape)))
@@ -152,25 +159,30 @@ def _band_table(ell: int) -> _BandTable:
     cols = slots((g * ell + nc) * ell + j, (gs * ell + i) * ell + mc)
     src = slots(((b * ell + g) * ell + i) * ell + nc, 6 * n + ((b * ell + g) * ell + mc) * ell + j)
     src[:, 1::2][cols[:, 0::2] == cols[:, 1::2]] = 12 * n
+    for x in (cols, src):  # the two-term rows' live M slot into their N repeat
+        x[4 * n:, 1:3] = x[4 * n:, 2:0:-1]
     live = src < 12 * n
     r, p, q = np.nonzero((cols[:, :2, None] == cols[:, None, 2:])
                          & live[:, :2, None] & live[:, None, 2:])
-    merge = np.stack([4 * r + p, 4 * r + 2 + q])
-    live.ravel()[merge[1]] = False
+    merge = np.stack([p * rows + r, (2 + q) * rows + r])
+    live[r, 2 + q] = False
     live = np.flatnonzero(live)
     adjoint = live[np.argsort(cols.ravel()[live], kind="stable")].reshape(n, 16).T
+    cols, src = cols.T, src.T
 
     def at(g, i, j):  # the index g ell^2 + i ell + j of stack entry [g][i, j]
         return ((g % ell) * ell + i % ell) * ell + j % ell
 
     c, s, t = np.ogrid[:ell, :ell, :ell]
     grid = at(s + t, s + c, s)
-    rows = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
+    steps = np.stack([4 * n + at(s + t, s + c + 1, s), 5 * n + at(s + t + 1, s + c, s)])
+    to = rows * (cols[0][steps] == grid)  # the to slot: 1 where slot 0 names grid, else 0
     comp = np.empty(n, dtype=np.intp)
     comp[grid] = c
-    sz_index = (np.arange(4 * n)[:, None] * ell + comp[cols[:4 * n]]).T
-    table = _BandTable(*(x if x.dtype == bool else x.astype(np.intp, order="C") for x in (
-        cols, src, merge, adjoint, grid, rows, comp, cols[rows] == grid[..., None], sz_index)))
+    table = _BandTable(*(x.astype(np.intp, order="C") for x in (
+        cols, src, merge, adjoint % 4 * rows + adjoint // 4, grid,
+        np.stack([steps + rows - to, steps + to]), comp,
+        np.arange(4 * n) * ell + comp[cols[:, :4 * n]])))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -179,8 +191,8 @@ def _band_table(ell: int) -> _BandTable:
 def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
                a: int) -> tuple[np.ndarray, np.ndarray]:
     """The band system S of blocks 2-7 of PairContext.blocks as
-    (cols, vals), each of shape (rows, 4): row r has vals[r, t] in column
-    cols[r, t] and unit norm.
+    (cols, vals), each slot-major of shape (4, rows): row r has vals[t, r]
+    in column cols[t, r] and unit norm.
 
     Unknown k = g ell^2 + i ell + j is R's stack entry R[g][i, j], R of
     grade shift a.  Row b ell^3 + k is (N R - R M)[g][i, j] of block b + 2
@@ -189,7 +201,9 @@ def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
     column.  Where they sit is the degree's _band_table; a pair's rows are
     one gather of the coefficients, and an unknown named on both sides of a
     row (the clock blocks' diagonals) is merged, so the unit-norm scaling
-    sees its coefficient, not two large parts.
+    sees its coefficient, not two large parts.  Slots 2-3 of the rows past
+    the first 2 ell^3 read the 0 (see _band_table), so they hold exact
+    zeros that _apply_rows and _reduced_system skip.
     """
     M, N = (X[2:] for X in blocks)
     ell = M.shape[1]
@@ -198,14 +212,21 @@ def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
     flat = vals.reshape(-1)
     flat[table.merge[0]] += flat[table.merge[1]]
     flat[table.merge[1]] = 0
-    # np.linalg.norm(vals, axis=1), the same products summed in the same order
+    # np.linalg.norm of each row, the same products summed in the same order
     sq = (vals.conj() * vals).real
-    return table.cols, vals / np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+    return table.cols, vals / np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
 
 
 def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S @ x for the sparse rows of _band_rows."""
-    return np.einsum("rt,rt->r", vals, x[cols])
+    """S @ x for the slot-major rows of _band_rows: slots 0-1 over all
+    rows, then slots 2-3 over the coproduct rows (the first third) alone.
+    The slots skipped hold exact zeros, so this is the four-slot sum."""
+    out = vals[0] * x[cols[0]]
+    out += vals[1] * x[cols[1]]
+    head = out[:len(out) // 3]
+    for t in (2, 3):
+        head += vals[t, :len(head)] * x[cols[t, :len(head)]]
+    return out
 
 
 def _propagate(ratio: np.ndarray) -> np.ndarray:
@@ -227,14 +248,16 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
 
     Each component is propagated twice: from grid[c, 0, 0], then again
     from its largest entry, whose paths lose less to the spread of the
-    entries (4 to 6 decades at radius 0.1).
+    entries (4 to 6 decades at radius 0.1).  The two-term rows' ratios are
+    two gathers of the slot-major vals, and S_c Z adds up the coupling
+    rows' slot columns, slots 2-3 on the coproduct rows alone: on the clock
+    rows they hold exact zeros (see _band_table).
     """
-    *_, grid, rows, comp, from_mask, sz_index = _band_table(ell)
-    # x[to] / x[from] across each two-term row; a row's coefficient of an
-    # unknown sums the slots naming it, wherever _band_rows' merge put it
-    v = vals[rows]
-    w_from = (v * from_mask).sum(axis=-1)
-    ratio = -w_from / (v.sum(axis=-1) - w_from)
+    *_, grid, two_term, comp, sz_index = _band_table(ell)
+    # x[to] / x[from] = -a / b across each two-term row a x[from] + b x[to],
+    # b read as (a + b) - a, as the row-sum form (tests/reference.py) rounds it
+    a, b = vals.ravel()[two_term]
+    ratio = -a / ((a + b) - a)
     s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
     r = np.arange(ell)
     seeded = (r[:, None, None], (r[:, None] + s0[:, None, None]) % ell,
@@ -244,16 +267,19 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
     z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
     coupling = sz_index.shape[1]
     SZ = np.zeros(coupling * ell, dtype=complex)
-    col_vals = vals[:coupling] * z[cols[:coupling]]
     for t, index in enumerate(sz_index):
-        SZ[index] += col_vals[:, t]
+        live = coupling if t < 2 else coupling // 2  # slots 2-3: the coproduct rows
+        SZ[index[:live]] += vals[t, :live] * z[cols[t, :live]]
     return SZ.reshape(-1, ell), z, comp
 
 
 def _adjoint(vals: np.ndarray, slots: np.ndarray):
     """y -> S^H y for _band_rows' rows and _band_table's adjoint slots:
-    each unknown's 16 products, added one slot after another in row order."""
-    vals_h, rows = vals.conj().ravel()[slots], slots // vals.shape[1]
+    each unknown's 16 products, added one slot after another in row order.
+    The slots are flat slot-major indices of S's nonzeros alone, so the
+    zeros _band_rows holds are never read."""
+    n = vals.shape[1]
+    vals_h, rows = vals.ravel()[slots].conj(), slots - slots // n * n  # % n, but faster
     return lambda y: (vals_h * y[rows]).sum(axis=0)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from holobraid.cyclic import _chain, _dense, build_rep, clock_shift, gauge_U
 from holobraid.intertwiner import (BLOCK_SHIFTS, _adjoint, _apply_rows, _band_rows,
-                                   _band_table, _coproducts, _reduced_system)
+                                   _band_table, _coproducts, _propagate, _reduced_system)
 from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
@@ -102,6 +102,40 @@ def band_rows(blocks, a):
     return cols, vals / np.linalg.norm(vals, axis=1)[:, None]
 
 
+def slot_major(x):
+    """band_rows' (rows, 4) cols or vals in _band_table's layout: the
+    two-term rows (the last third) swap slots 1 and 2, so that their M
+    slot sits in slot 1, and the slots become the leading axis."""
+    x = x.copy()
+    x[2 * len(x) // 3:, 1:3] = x[2 * len(x) // 3:, 2:0:-1]
+    return x.T
+
+
+def row_sum_reduced_system(cols, vals, ell):
+    """(S_c Z, z) of intertwiner._reduced_system as it was on band_rows'
+    row-major rows: each two-term row's coefficient of its from unknown
+    summed under a mask of the slots naming it, the row's sum less that as
+    the other's, and S_c Z scattered from all four slots of every coupling
+    row."""
+    table = _band_table(ell)
+    grid, n, rows = table.grid, ell ** 3, table.two_term[0] % len(vals)
+    v = vals[rows]
+    w_from = (v * (cols[rows] == grid[..., None])).sum(axis=-1)
+    ratio = -w_from / (v.sum(axis=-1) - w_from)
+    s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
+    r = np.arange(ell)
+    seeded = (r[:, None, None], (r[:, None] + s0[:, None, None]) % ell,
+              (r + t0[:, None, None]) % ell)
+    x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
+    z = np.empty(n, dtype=complex)
+    z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
+    SZ = np.zeros((4 * n, ell), dtype=complex)
+    col_vals = vals[:4 * n] * z[cols[:4 * n]]
+    for t in range(4):
+        SZ[np.arange(4 * n), table.comp[cols[:4 * n, t]]] += col_vals[:, t]
+    return SZ, z
+
+
 def bincount_adjoint(cols, vals, y, n):
     """S^H y for the rows (cols, vals) over n unknowns, as one bincount over
     the interleaved real and imaginary parts (the oracle's CGLS adjoint
@@ -139,9 +173,9 @@ def full_step_solve(pair):
 
 
 def dense_band_system(cols, vals, n):
-    """The dense (rows x n) matrix of the sparse rows (cols, vals)."""
-    S = np.zeros((len(cols), n), dtype=complex)
-    np.add.at(S, (np.arange(len(cols))[:, None], cols), vals)
+    """The dense (rows x n) matrix of _band_rows' slot-major rows (cols, vals)."""
+    S = np.zeros((cols.shape[1], n), dtype=complex)
+    np.add.at(S, (np.arange(cols.shape[1]), cols), vals)
     return S
 
 

@@ -7,8 +7,10 @@ The top-level generated_at is ignored, and so is a residual entry's
 pairs) are folded to *, so each line is one field: how many of its values
 differ, the largest absolute change and the largest change relative to
 the old value.  A value of another type, or a key on one side only, is
-printed with its full path.  An empty list or dict is a value of its
-own, so a key that holds one on one side only is listed too.  Exits 0
+printed with its full path; where one field has several such, they fold
+to one line with their count and the first as an example.  An empty list
+or dict is a value of its own, so a key that holds one on one side only
+is listed too.  Exits 0
 when the reports are equal apart from generated_at, 1 otherwise, and 2
 on wrong arguments.
 """
@@ -39,9 +41,10 @@ def field(path):
 
 
 def diff(old, new):
-    """({field: [count, max abs change, max relative change]}, [other lines])."""
+    """({field: [count, max abs change, max relative change]},
+    {field: [lines of its other differences]})."""
     a, b = dict(leaves(old)), dict(leaves(new))
-    moved, other = {}, []
+    moved, other = {}, {}
     for path in sorted(a.keys() | b.keys(), key=lambda p: tuple(map(str, p))):
         x, y = a.get(path, "<absent>"), b.get(path, "<absent>")
         if x == y or (isinstance(x, float) and isinstance(y, float)
@@ -49,7 +52,8 @@ def diff(old, new):
             continue
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
         if not numbers:
-            other.append(f"{'.'.join(map(str, path))}: {x!r} -> {y!r}")
+            line = f"{'.'.join(map(str, path))}: {x!r} -> {y!r}"
+            other.setdefault(field(path), []).append(line)
             continue
         change = abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
         rel = change / abs(x) if x else math.inf
@@ -68,8 +72,8 @@ def main(argv):
         moved, other = diff(json.load(f_old), json.load(f_new))
     for name, (count, change, rel) in moved.items():
         print(f"{name}: {count} moved, max abs {change:.3g}, max rel {rel:.3g}")
-    for line in other:
-        print(line)
+    for name, lines in other.items():
+        print(lines[0] if len(lines) == 1 else f"{name}: {len(lines)} differ, e.g. {lines[0]}")
     return 1 if moved or other else 0
 
 

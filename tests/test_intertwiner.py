@@ -22,7 +22,8 @@ from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
 from reference import (SHIFTED, band_rows, coproduct_power_misses,
                        coproduct_rep, dense_band_system, dense_blocks,
-                       full_step_solve, seed42_pair)
+                       full_step_solve, row_sum_reduced_system, seed42_pair,
+                       slot_major)
 
 
 def full_reference(p1, p2):
@@ -207,23 +208,23 @@ class TestOracle:
             return k
 
         for r in range(4 * n, 6 * n):
-            named = {int(k) for k, v in zip(cols[r], vals[r]) if v != 0}
+            named = {int(k) for k, v in zip(cols[:, r], vals[:, r]) if v != 0}
             assert len(named) == 2
             i, j = named
             parent[find(i)] = find(j)
         roots = np.array([find(k) for k in range(n)])
         _, sizes = np.unique(roots, return_counts=True)
         assert sorted(sizes) == [ell * ell] * ell
-        # _band_table labels the same partition, and its rows join grid steps
+        # _band_table labels the same partition, and its two-term slots
+        # join grid steps
         table = _band_table(ell)
-        grid, rows, comp = table.grid, table.rows, table.comp
+        grid, two_term, comp = table.grid, table.two_term, table.comp
         assert all(len(set(roots[grid[c].ravel()])) == 1 for c in range(ell))
         assert len(set(roots[grid[:, 0, 0]])) == ell
         assert (comp[grid] == np.arange(ell)[:, None, None]).all()
         for step, nxt in ((0, np.roll(grid, -1, axis=1)), (1, np.roll(grid, -1, axis=2))):
-            named = cols[rows[step]]
-            assert (named == grid[..., None]).any(-1).all()
-            assert (named == nxt[..., None]).any(-1).all()
+            named_from, named_to = cols.ravel()[two_term[:, step]]
+            assert (named_from == grid).all() and (named_to == nxt).all()
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_matches_dense_svd_of_band_system(self, ell):
@@ -270,6 +271,24 @@ class TestOracle:
         # log|det| is that of the stack before scaling: det(2 R) = 2^9
         _, log_abs_det = det_normalize(2.0 * intw.blocks, a)
         assert abs(log_abs_det - 9 * np.log(2.0)) < 1e-12
+
+    @pytest.mark.parametrize("ell, shift", [(3, 0), (5, 2)])
+    def test_det_normalization_fallback(self, ell, shift):
+        # a stack projected off the conjugate golden weights zeroes their
+        # functional, so the largest entry pins the phase instead
+        from holobraid.intertwiner import _golden_weights, det_normalize
+
+        rng = np.random.default_rng(ell)
+        X = rng.standard_normal((ell,) * 3) + 1j * rng.standard_normal((ell,) * 3)
+        w = _golden_weights(ell, shift)
+        X -= np.sum(w * X) / ell ** 3 * w.conj()
+        Rn, log_abs_det = det_normalize(X, shift)
+        assert abs(np.sum(w * Rn)) < 1e-8 * np.linalg.norm(Rn)
+        assert np.angle(Rn.flat[np.argmax(np.abs(Rn))]) % (2 * np.pi) < 2 * np.pi / ell ** 2
+        for c in (2.0, -1.3 + 0.7j, 1e-3j):
+            Rc, log_c = det_normalize(c * X, shift)
+            assert np.max(np.abs(Rc - Rn)) < 1e-10
+            assert log_c - log_abs_det == pytest.approx(ell ** 2 * np.log(abs(c)), abs=1e-9)
 
 
 # (ell, radius, trial, a): seed-42 pairs with every band exponent a that the
@@ -352,7 +371,7 @@ class TestCglsStallRule:
         # gamma = |S^H r|^2 = 0 would make the first step 0/0
         pair = PairContext(*pair3)
         cols, vals = _band_rows(pair.blocks, pair.band_exp)
-        v, r = np.zeros(27, dtype=complex), np.zeros(len(cols), dtype=complex)
+        v, r = np.zeros(27, dtype=complex), np.zeros(cols.shape[1], dtype=complex)
         with np.errstate(all="raise"):
             out = _cgls(cols, vals, _band_table(3).adjoint, v, r, steps=3, floor=1.0)
         assert out is v and not v.any()
@@ -388,7 +407,8 @@ class TestBandTable:
         assert pair.band_exp == a
         cols, vals = _band_rows(pair.blocks, a)
         ref_cols, ref_vals = band_rows(pair.blocks, a)
-        assert np.array_equal(cols, ref_cols) and np.array_equal(vals, ref_vals)
+        assert np.array_equal(cols, slot_major(ref_cols))
+        assert np.array_equal(vals, slot_major(ref_vals))
         # S^H by the transposed table against the dense conjugate transpose
         S = dense_band_system(cols, vals, ell ** 3)
         rng = np.random.default_rng(trial)
@@ -449,8 +469,63 @@ class TestBandTable:
     def test_table_is_read_only_intp(self):
         # every gather indexes with the table as it is, so no solve casts it
         for name, arr in _band_table(5)._asdict().items():
-            assert arr.dtype == (bool if name == "from_mask" else np.intp), name
+            assert arr.dtype == np.intp, name
             assert not arr.flags.writeable, name
+
+    @pytest.mark.parametrize("ell", range(3, 23, 2))
+    def test_skipped_slots_are_structural_zeros(self, ell):
+        # _apply_rows and _reduced_system read slots 2-3 on the first
+        # 2 ell^3 rows alone: everywhere else they read the 0 or were
+        # merged away, and every slot they do read is live
+        table = _band_table(ell)
+        n, rows = ell ** 3, table.cols.shape[1]
+        dead = table.src == 12 * n
+        dead.ravel()[table.merge[1]] = True
+        skipped = np.zeros_like(dead)
+        skipped[2:, 2 * n:] = True
+        assert np.array_equal(dead, skipped)
+        assert not dead.ravel()[table.merge[0]].any()
+        # S^H reads every live slot once, each unknown's in row order
+        assert np.array_equal(np.sort(table.adjoint.ravel()), np.flatnonzero(~dead))
+        assert (table.cols.ravel()[table.adjoint] == np.arange(n)).all()
+        assert (np.diff(table.adjoint % rows, axis=0) > 0).all()
+        # each two-term row has one from slot and one to slot, both in
+        # slots 0-1: from names grid[c, s, t], to its neighbour
+        slot, row = np.divmod(table.two_term, rows)  # axis 0: (from, to)
+        assert np.array_equal(row[0], row[1])
+        assert np.array_equal(np.sort(row[0].ravel()), np.arange(4 * n, rows))
+        assert (slot[0] + slot[1] == 1).all()
+        grid = table.grid
+        named_from, named_to = table.cols.ravel()[table.two_term]
+        assert (named_from == grid).all()
+        assert (named_to[0] == np.roll(grid, -1, axis=1)).all()
+        assert (named_to[1] == np.roll(grid, -1, axis=2)).all()
+
+    @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS)
+    def test_apply_rows_is_the_four_slot_sum(self, ell, radius, trial, a):
+        # the slots it skips hold exact zeros, so it is bit-equal to the
+        # unsliced sum, and the dense S @ x to rounding
+        pair = PairContext(*seed42_pair(ell, radius, trial))
+        assert pair.band_exp == a
+        cols, vals = _band_rows(pair.blocks, a)
+        S = dense_band_system(cols, vals, ell ** 3)
+        rng = np.random.default_rng(trial)
+        for _ in range(3):
+            x = rng.standard_normal(ell ** 3) + 1j * rng.standard_normal(ell ** 3)
+            got = _apply_rows(cols, vals, x)
+            assert np.array_equal(got, vals[0] * x[cols[0]] + vals[1] * x[cols[1]]
+                                  + vals[2] * x[cols[2]] + vals[3] * x[cols[3]])
+            want = S @ x
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS)
+    def test_reduced_system_matches_row_sums(self, ell, radius, trial, a):
+        # the two-term ratios by two gathers and S_c Z from the slot-major
+        # columns are bit-equal to the row-major masked row sums
+        pair = PairContext(*seed42_pair(ell, radius, trial))
+        SZ, z, _ = _reduced_system(*_band_rows(pair.blocks, a), ell)
+        ref_SZ, ref_z = row_sum_reduced_system(*band_rows(pair.blocks, a), ell)
+        assert np.array_equal(z, ref_z) and np.array_equal(SZ, ref_SZ)
 
 
 class TestChiData:

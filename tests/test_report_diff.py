@@ -57,6 +57,14 @@ def test_one_sided_key_is_listed(compare):
     assert lines == ["b: '<absent>' -> 'x'"]
 
 
+def test_one_sided_field_folds_over_trials(compare):
+    # a key retired from every trial is one line, not one per trial
+    code, lines = compare({"trials": [{"x": 1, "y": 2.0}, {"x": 1, "y": "a"}]},
+                          {"trials": [{"x": 1}, {"x": 1}]})
+    assert code == 1
+    assert lines == ["trials.*.y: 2 differ, e.g. trials.0.y: 2.0 -> '<absent>'"]
+
+
 def test_empty_container_is_a_value(compare):
     # an empty list or dict yielded no leaf, so these two compared equal
     code, lines = compare({"a": [], "b": {"passing": []}}, {"b": {}})
