@@ -28,10 +28,11 @@ structurally zero past the E and F coproduct rows (a third of the slots),
 so S v skips them.  The Ex1 and 1xF rows have two unknowns each and split
 the unknowns into ell components of ell^2, each fixed by one entry.
 Propagating them leaves ell unknowns, on whose ell-column basis the
-two-term rows vanish: the SVD of the coupling rows (blocks 2-5) on that
-basis, taken through the R of its QR, picks the kernel line, and CGLS
-steps on the full sparse rows (S^H by a gather through the table) refine
-it until the residual stalls at its rounding floor.
+two-term rows vanish.  Each coupling row (blocks 2-5) names components c,
+c + 1 mod ell alone, so its QR on that basis splits into ell two-column
+blocks (block TSQR): the SVD of their stacked 2 x 2 R's picks the kernel
+line, and CGLS steps on the full sparse rows (S^H by a gather through the
+table) refine it until the residual stalls at its rounding floor.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the four generator matrix sets, the band, the braid
@@ -105,7 +106,8 @@ def _equation_blocks(reps, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(M), np.stack(N)
 
 
-_BandTable = namedtuple("_BandTable", "cols src merge adjoint grid two_term comp sz_index")
+_BandTable = namedtuple("_BandTable",
+                        "cols src merge adjoint adjoint_rows grid two_term comp sz_index r_index")
 
 
 @lru_cache(maxsize=8)
@@ -128,8 +130,8 @@ def _band_table(ell: int) -> _BandTable:
     live on the coproduct rows (blocks 2-3, the first 2 ell^3) alone: a
     clock row's M side is diagonal, one slot repeated and the other merged
     into N's, and a two-term row's single M slot is moved into slot 1,
-    whose N repeat reads the 0.  adjoint[t, k] is the flat slot of the
-    t-th of unknown k's 16 nonzero coefficients, in row order.
+    whose N repeat reads the 0.  adjoint[t, k] is the flat slot of the t-th
+    of unknown k's 16 nonzero coefficients in row order, adjoint_rows its row.
 
     grid[c, s, t] is the unknown R[(s + c, t + a - c), (s, t)], slot
     indices mod ell: stack entry R[s + t][s + c, s].  Ex1 shifts the
@@ -139,8 +141,10 @@ def _band_table(ell: int) -> _BandTable:
     k.  two_term[:, 0, c, s, t] holds the flat (from, to) slots of the Ex1
     row joining grid[c, s, t] (from) to grid[c, s + 1, t] (to), and
     two_term[:, 1, c, s, t] those of the 1xF row joining it to
-    grid[c, s, t + 1].  Slot t of coupling row r (blocks 2-5, the first
-    4 ell^3 rows) adds to S Z at flat sz_index[t, r].
+    grid[c, s, t + 1].  Coupling row r (the first 4 ell^3) names components
+    c and c + 1 alone: slot t adds to S_c Z, split as (ell, 4 ell^2, 2), at
+    flat sz_index[t, r] = [c, r's place in c's rows, 0 or 1 for c or c + 1],
+    and r_index[c] the flat slots of pair c's R (0, 0), (0, 1), (1, 1).
     """
     n, rows = ell ** 3, 6 * ell ** 3
     I, B = np.eye(ell), _shift_power(ell, 1)
@@ -179,10 +183,13 @@ def _band_table(ell: int) -> _BandTable:
     to = rows * (cols[0][steps] == grid)  # the to slot: 1 where slot 0 names grid, else 0
     comp = np.empty(n, dtype=np.intp)
     comp[grid] = c
+    k = comp[cols[:, :4 * n]]  # every slot of a coupling row names its c or c + 1
+    c_row = (k[0] - ((k - k[0]) % ell == ell - 1).any(axis=0)) % ell
+    place = np.argsort(np.argsort(c_row, kind="stable"))  # row order within each c
     table = _BandTable(*(x.astype(np.intp, order="C") for x in (
-        cols, src, merge, adjoint % 4 * rows + adjoint // 4, grid,
-        np.stack([steps + rows - to, steps + to]), comp,
-        np.arange(4 * n) * ell + comp[cols[:, :4 * n]])))
+        cols, src, merge, adjoint % 4 * rows + adjoint // 4, adjoint // 4, grid,
+        np.stack([steps + rows - to, steps + to]), comp, 2 * place + (k - c_row) % ell,
+        (2 * c[:, 0] + [0, 0, 1]) * ell + (c[:, 0] + [0, 1, 1]) % ell)))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -242,8 +249,8 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
                     ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S_c Z, z, comp) for the basis Z of the two-term rows' kernel:
     column c of Z is z on the unknowns with comp == c and 0 elsewhere, unit
-    norm, and S_c Z is the dense (4 ell^3 x ell) matrix of the coupling
-    rows (blocks 2-5).  The two-term rows (blocks 6-7) are left out: Z is
+    norm, and S_c Z holds the coupling rows (blocks 2-5) by column pair, as
+    (ell, 4 ell^2, 2).  The two-term rows (blocks 6-7) are left out: Z is
     propagated through them, so they vanish on span Z up to rounding.
 
     Each component is propagated twice: from grid[c, 0, 0], then again
@@ -253,10 +260,10 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
     rows' slot columns, slots 2-3 on the coproduct rows alone: on the clock
     rows they hold exact zeros (see _band_table).
     """
-    *_, grid, two_term, comp, sz_index = _band_table(ell)
+    table = _band_table(ell)
     # x[to] / x[from] = -a / b across each two-term row a x[from] + b x[to],
     # b read as (a + b) - a, as the row-sum form (tests/reference.py) rounds it
-    a, b = vals.ravel()[two_term]
+    a, b = vals.ravel()[table.two_term]
     ratio = -a / ((a + b) - a)
     s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
     r = np.arange(ell)
@@ -264,26 +271,35 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
               (r + t0[:, None, None]) % ell)
     x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
     z = np.empty(ell ** 3, dtype=complex)
-    z[grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
-    coupling = sz_index.shape[1]
-    SZ = np.zeros(coupling * ell, dtype=complex)
-    for t, index in enumerate(sz_index):
+    z[table.grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
+    coupling = table.sz_index.shape[1]
+    SZ = np.zeros(coupling * 2, dtype=complex)
+    for t, index in enumerate(table.sz_index):
         live = coupling if t < 2 else coupling // 2  # slots 2-3: the coproduct rows
         SZ[index[:live]] += vals[t, :live] * z[cols[t, :live]]
-    return SZ.reshape(-1, ell), z, comp
+    return SZ.reshape(ell, -1, 2), z, table.comp
 
 
-def _adjoint(vals: np.ndarray, slots: np.ndarray):
+def _coupling_svd(SZ: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sv, vh) of _reduced_system's split S_c Z: the SVD of the (2 ell x ell)
+    stack of its column pairs' R's, pair c's at rows 2c, 2c + 1 and columns
+    c, c + 1 mod ell (r_index); block-diag(Q_c) has orthonormal columns.
+    The raw QR's h[c, :, :2] holds R_c transposed, without mode "r"'s triu."""
+    R = np.zeros(2 * ell * ell, dtype=complex)
+    R[_band_table(ell).r_index] = np.linalg.qr(SZ, mode="raw")[0][:, (0, 1, 1), (0, 0, 1)]
+    return np.linalg.svd(R.reshape(2 * ell, ell), full_matrices=False)[1:]
+
+
+def _adjoint(vals: np.ndarray, table: _BandTable):
     """y -> S^H y for _band_rows' rows and _band_table's adjoint slots:
     each unknown's 16 products, added one slot after another in row order.
     The slots are flat slot-major indices of S's nonzeros alone, so the
     zeros _band_rows holds are never read."""
-    n = vals.shape[1]
-    vals_h, rows = vals.ravel()[slots].conj(), slots - slots // n * n  # % n, but faster
+    vals_h, rows = vals.ravel()[table.adjoint].conj(), table.adjoint_rows
     return lambda y: (vals_h * y[rows]).sum(axis=0)
 
 
-def _cgls(cols: np.ndarray, vals: np.ndarray, slots: np.ndarray, v: np.ndarray,
+def _cgls(cols: np.ndarray, vals: np.ndarray, table: _BandTable, v: np.ndarray,
           r: np.ndarray, steps: int, floor: float) -> np.ndarray:
     """v after at most `steps` CGLS steps toward min |S v| from v, r = -S v
     (both are updated in place).
@@ -296,7 +312,7 @@ def _cgls(cols: np.ndarray, vals: np.ndarray, slots: np.ndarray, v: np.ndarray,
     CGLS_STALL of it: the residual has reached its rounding floor.  An
     exact zero residual stops them too (nothing is left to shrink).
     """
-    adjoint = _adjoint(vals, slots)
+    adjoint = _adjoint(vals, table)
     s = adjoint(r)
     p, gamma = s, np.vdot(s, s).real
     rr = np.vdot(r, r).real
@@ -548,8 +564,8 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
     holds the kernel.  On span Z those rows (S_t) are rounding, below
     1e-13 of |S_c Z| on seed-42 pairs from ell = 3 to 9, so the
     factorisation reads only the coupling rows S_c (blocks 2-5, the first
-    4 ell^3): the SVD of S_c Z, taken through the R of its QR (an
-    ell x ell matrix; sv and vh are all the solve reads), gives the kernel
+    4 ell^3): the SVD of S_c Z through the R's of its column pairs
+    (_coupling_svd; sv and vh are all the solve reads) gives the kernel
     coefficients c, and CGLS steps on the full S, started from r = -S v,
     refine v = Z c.  They stop once |S v|^2 is below
     (KERNEL_TOL sigma_max)^2 and a step left more than CGLS_STALL (0.9)
@@ -579,10 +595,9 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
             "the two pairs cannot be intertwined")
     cols, vals = _band_rows(pair.blocks, a)
     SZ, z, comp = _reduced_system(cols, vals, ell)
-    _, sv, vh = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
-    c = vh[-1].conj()
-    v = z * c[comp]
-    v = _cgls(cols, vals, _band_table(ell).adjoint, v, -_apply_rows(cols, vals, v),
+    sv, vh = _coupling_svd(SZ, ell)
+    v = z * vh[-1].conj()[comp]
+    v = _cgls(cols, vals, _band_table(ell), v, -_apply_rows(cols, vals, v),
               steps=2 * ell - 3, floor=(KERNEL_TOL * sv[0]) ** 2)
     v /= np.linalg.norm(v)
     sv[-1] = np.linalg.norm(_apply_rows(cols, vals, v))

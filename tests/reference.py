@@ -136,27 +136,31 @@ def row_sum_reduced_system(cols, vals, ell):
     return SZ, z
 
 
-def bincount_adjoint(cols, vals, y, n):
-    """S^H y for the rows (cols, vals) over n unknowns, as one bincount over
-    the interleaved real and imaginary parts (the oracle's CGLS adjoint
-    before its transposed table)."""
-    slots = (2 * cols[..., None] + np.arange(2)).ravel()
-    return np.bincount(slots, (vals.conj() * y[:, None]).view(float).ravel(),
-                       2 * n).view(complex)
+def dense_coupling_system(SZ, ell):
+    """_reduced_system's split (ell, 4 ell^2, 2) S_c Z scattered back to the
+    dense (4 ell^3 x ell) matrix: coupling row r sits at place
+    p = sz_index[0, r] // 2 of the flat (4 ell^3, 2) pairs, in group
+    c = p // (4 ell^2), with its two entries in columns c and c + 1 mod ell."""
+    place = _band_table(ell).sz_index[0] // 2
+    c, r = place // (4 * ell * ell), np.arange(len(place))
+    dense = np.zeros((len(place), ell), dtype=complex)
+    dense[r, c], dense[r, (c + 1) % ell] = SZ.reshape(-1, 2)[place].T
+    return dense
 
 
 def full_step_solve(pair):
     """(v, |S v| / sigma_max, gap) of solve_intertwiner's kernel step with
-    its CGLS run for all 2 ell - 3 steps, as it was before the stall rule:
-    v is the refined unit vector (R's stack, not det-normalized) and the
-    gap sigma_2(S_c Z) / |S v|."""
+    its CGLS run for all 2 ell - 3 steps, as it was before the stall rule,
+    and the SVD of S_c Z through the R of its dense QR, as it was before
+    the split by column pairs: v is the refined unit vector (R's stack, not
+    det-normalized) and the gap sigma_2(S_c Z) / |S v|."""
     ell = pair.in_params[0].ctx.ell
     cols, vals = _band_rows(pair.blocks, pair.band_exp)
     SZ, z, comp = _reduced_system(cols, vals, ell)
-    _, sv, vh = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
+    _, sv, vh = np.linalg.svd(np.linalg.qr(dense_coupling_system(SZ, ell), mode="r"))
     v = z * vh[-1].conj()[comp]
     r = -_apply_rows(cols, vals, v)
-    adjoint = _adjoint(vals, _band_table(ell).adjoint)
+    adjoint = _adjoint(vals, _band_table(ell))
     s = adjoint(r)
     p, gamma = s, np.vdot(s, s).real
     for _ in range(2 * ell - 3):

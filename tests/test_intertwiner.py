@@ -10,7 +10,7 @@ from holobraid.errors import (BranchMismatchError, DegenerateCharacterError,
 from holobraid.glstar import Z0Char, beta_inverse, glstar_multiply
 from holobraid.intertwiner import (BAND_TOL, DetSample, Intertwiner, PairContext,
                                    _adjoint, _apply_rows, _band_rows, _band_table,
-                                   _cgls, _reduced_system, braided_rep_pair,
+                                   _cgls, _coupling_svd, _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
                                    check_generator_action,
                                    closed_form_R, compare_up_to_scalar,
@@ -22,8 +22,8 @@ from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
 from reference import (SHIFTED, band_rows, coproduct_power_misses,
                        coproduct_rep, dense_band_system, dense_blocks,
-                       full_step_solve, row_sum_reduced_system, seed42_pair,
-                       slot_major)
+                       dense_coupling_system, full_step_solve, row_sum_reduced_system,
+                       seed42_pair, slot_major)
 
 
 def full_reference(p1, p2):
@@ -241,6 +241,7 @@ class TestOracle:
         # gap's numerator, sigma_2 of the coupling rows' S_c Z, is at least
         # sigma_2(S Z) less the two-term rows' |S_t Z| (Weyl)
         SZc, z, comp = _reduced_system(cols, vals, ell)
+        SZc = dense_coupling_system(SZc, ell)
         SZ = S @ dense_basis(z, comp, ell)
         sv_z = np.linalg.svd(SZ, compute_uv=False)
         assert sv_z[-2] >= sv[-2]
@@ -364,7 +365,7 @@ class TestCglsStallRule:
         cols, vals = _band_rows(pair.blocks, pair.band_exp)
         v = np.ones(27, dtype=complex)
         r = -_apply_rows(cols, vals, v)
-        out = _cgls(cols, vals, _band_table(3).adjoint, v, r, steps=0, floor=1.0)
+        out = _cgls(cols, vals, _band_table(3), v, r, steps=0, floor=1.0)
         assert out is v and (v == 1).all()
 
     def test_zero_residual_returns_the_start(self, pair3):
@@ -373,7 +374,7 @@ class TestCglsStallRule:
         cols, vals = _band_rows(pair.blocks, pair.band_exp)
         v, r = np.zeros(27, dtype=complex), np.zeros(cols.shape[1], dtype=complex)
         with np.errstate(all="raise"):
-            out = _cgls(cols, vals, _band_table(3).adjoint, v, r, steps=3, floor=1.0)
+            out = _cgls(cols, vals, _band_table(3), v, r, steps=3, floor=1.0)
         assert out is v and not v.any()
 
     @pytest.mark.parametrize("ell", [3, 5])
@@ -412,13 +413,13 @@ class TestBandTable:
         # S^H by the transposed table against the dense conjugate transpose
         S = dense_band_system(cols, vals, ell ** 3)
         rng = np.random.default_rng(trial)
-        adjoint = _adjoint(vals, _band_table(ell).adjoint)
+        adjoint = _adjoint(vals, _band_table(ell))
         for _ in range(3):
             y = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
             want = S.conj().T @ y
             assert np.linalg.norm(adjoint(y) - want) <= 1e-15 * np.linalg.norm(want)
-        # the SVD through the R of the QR of S Z, as solve_intertwiner takes it
-        SZ, _, _ = _reduced_system(cols, vals, ell)
+        # the SVD through the R of the dense QR of S Z (reference.full_step_solve's)
+        SZ = dense_coupling_system(_reduced_system(cols, vals, ell)[0], ell)
         _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
         _, sv_qr, vh_qr = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
         assert np.allclose(sv_qr, sv, rtol=0, atol=1e-14 * sv[0])
@@ -439,6 +440,7 @@ class TestBandTable:
         n = ell ** 3
         cols, vals = _band_rows(pair.blocks, pair.band_exp)
         SZc, z, comp = _reduced_system(cols, vals, ell)
+        SZc = dense_coupling_system(SZc, ell)
         SZ = dense_band_system(cols, vals, n) @ dense_basis(z, comp, ell)
         norm = np.linalg.norm(SZ, 2)
         assert SZc.shape == (4 * n, ell)
@@ -489,6 +491,7 @@ class TestBandTable:
         assert np.array_equal(np.sort(table.adjoint.ravel()), np.flatnonzero(~dead))
         assert (table.cols.ravel()[table.adjoint] == np.arange(n)).all()
         assert (np.diff(table.adjoint % rows, axis=0) > 0).all()
+        assert np.array_equal(table.adjoint_rows, table.adjoint % rows)
         # each two-term row has one from slot and one to slot, both in
         # slots 0-1: from names grid[c, s, t], to its neighbour
         slot, row = np.divmod(table.two_term, rows)  # axis 0: (from, to)
@@ -500,6 +503,47 @@ class TestBandTable:
         assert (named_from == grid).all()
         assert (named_to[0] == np.roll(grid, -1, axis=1)).all()
         assert (named_to[1] == np.roll(grid, -1, axis=2)).all()
+
+    @pytest.mark.parametrize("ell", range(3, 23, 2))
+    def test_coupling_rows_split_into_column_pairs(self, ell):
+        # every coupling row's live slots name unknowns of exactly two
+        # components, c and c + 1 mod ell, and add to that row's place in
+        # group c alone, at side 0 for c and 1 for c + 1; each group holds
+        # 4 ell^2 rows, and its 2 x 2 R's upper triangle goes to rows 2c,
+        # 2c + 1 and columns c, c + 1 of the stack _coupling_svd factors
+        table = _band_table(ell)
+        n, rows = ell ** 3, table.cols.shape[1]
+        live = table.src < 12 * n
+        live.ravel()[table.merge[1]] = False
+        live, comp = live[:, :4 * n], table.comp[table.cols[:, :4 * n]]
+        group = np.empty(4 * n, dtype=int)
+        for r in range(4 * n):
+            named = set(comp[live[:, r], r].tolist())
+            (group[r],) = [c for c in named if (c + 1) % ell in named]
+            assert named == {group[r], (group[r] + 1) % ell}
+        place, side = np.divmod(table.sz_index, 2)
+        assert (place[live] == np.broadcast_to(place[0], place.shape)[live]).all()
+        assert np.array_equal(np.sort(place[0]), np.arange(4 * n))
+        assert np.array_equal(place[0] // (4 * ell * ell), group)
+        assert (((group + side) % ell)[live] == comp[live]).all()
+        assert (np.bincount(group, minlength=ell) == 4 * ell * ell).all()
+        r_row, r_col = np.divmod(table.r_index, ell)  # R's (0, 0), (0, 1), (1, 1)
+        c = np.arange(ell)[:, None]
+        assert (r_row == 2 * c + [0, 0, 1]).all()
+        assert (r_col == (c + [0, 1, 1]) % ell).all()
+
+    @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS + [
+        (11, 0.1, 0, 0), (11, 0.1, 15, 5), (13, 0.1, 0, 0), (13, 0.1, 15, 6)])
+    def test_split_qr_matches_dense_qr(self, ell, radius, trial, a):
+        # the SVD through the column pairs' 2 x 2 R's against the SVD
+        # through the R of the dense QR of the row-sum reference's S_c Z
+        pair = PairContext(*seed42_pair(ell, radius, trial))
+        assert pair.band_exp == a
+        sv, vh = _coupling_svd(_reduced_system(*_band_rows(pair.blocks, a), ell)[0], ell)
+        dense = row_sum_reduced_system(*band_rows(pair.blocks, a), ell)[0]
+        _, ref_sv, ref_vh = np.linalg.svd(np.linalg.qr(dense, mode="r"))
+        assert np.allclose(sv, ref_sv, rtol=0, atol=1e-14 * ref_sv[0])
+        assert compare_up_to_scalar(vh[-1], ref_vh[-1])[1] <= 1e-13
 
     @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS)
     def test_apply_rows_is_the_four_slot_sum(self, ell, radius, trial, a):
@@ -524,6 +568,7 @@ class TestBandTable:
         # columns are bit-equal to the row-major masked row sums
         pair = PairContext(*seed42_pair(ell, radius, trial))
         SZ, z, _ = _reduced_system(*_band_rows(pair.blocks, a), ell)
+        SZ = dense_coupling_system(SZ, ell)
         ref_SZ, ref_z = row_sum_reduced_system(*band_rows(pair.blocks, a), ell)
         assert np.array_equal(z, ref_z) and np.array_equal(SZ, ref_SZ)
 
