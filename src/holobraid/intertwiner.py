@@ -765,38 +765,31 @@ def check_generator_action(intw: Intertwiner) -> dict[str, dict[str, float]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _r1_stacks(ctx: RootContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r1_conjugation_residuals' 1 x A, B x B^-1 and ell stacks B^k x A B^k
-    (grade shift 2k), built once per context and read-only."""
-    A, B = clock_shift(ctx)
-    powers = [_shift_power(ctx.ell, k) for k in range(ctx.ell)]
-    return tuple(_read_only(x) for x in (
-        _kron_blocks(np.eye(ctx.ell), A, 0), _kron_blocks(B, np.linalg.inv(B), 0),
-        np.stack([_kron_blocks(Bk, A @ Bk, 2 * k) for k, Bk in enumerate(powers)])))
-
-
 def r1_conjugation_residuals(intw: Intertwiner) -> dict[str, float]:
     """r1_clock_conjugation's evidence: the spectral factor R1's conjugation
-    of 1 x A under both slot-2 clock readings.  R1 is one circulant on every
-    grade, and A x A the scalar eps^(2g) on grade g, so R1 commutes with
-    1 x B^-1, B x 1 and A x A for every pair; no commutator is computed.
-    Needs a closed form: R1 and the scalars are read from its pair."""
+    of 1 x A under both slot-2 clock readings: the chosen opposite shifts
+    from stacks, the rejected parallel shifts from term 0 and the norms
+    their algebra fixes.  R1 is one circulant on every grade, and A x A the
+    scalar eps^(2g) on grade g, so R1 commutes with 1 x B^-1, B x 1 and
+    A x A for every pair; no commutator is computed.  Needs a closed form:
+    R1 and the scalars are read from its pair."""
     if intw.route != "closed-form":
         raise InvalidInputError("needs a closed-form intertwiner")
     cd, R1 = intw.pair.chi, intw.pair.spectral
     tau, ell = 1.0 / cd.s, len(R1)
-    IA, BB, BkABk = _r1_stacks(intw.pair.in_params[0].ctx)
+    A, B = clock_shift(intw.pair.in_params[0].ctx)
+    IA = _kron_blocks(np.eye(ell), A, 0)
     lhs = R1 @ IA @ np.linalg.inv(R1)
-    rhs = tau * IA @ np.linalg.inv(np.eye(ell) - cd.sigma * BB)
+    rhs = tau * IA @ np.linalg.inv(np.eye(ell) - cd.sigma * _kron_blocks(B, B.T, 0))
     out = {"opposite_shifts": float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))}
-    # B x B moves the grade by 2 and has order ell, so the rhs
-    # tau (1 x A) (1 - sigma B x B)^-1 is sum_k tau sigma^k (B^k x A B^k) / (1 - sigma^ell),
-    # its term k of grade shift 2k: only term 0 meets lhs
-    terms = np.stack([tau * cd.sigma**k / (1 - cd.sigma**ell) * S
-                      for k, S in enumerate(BkABk)])
-    out["parallel_shifts"] = float(
-        np.linalg.norm(np.concatenate([[lhs - terms[0]], terms[1:]])) / np.linalg.norm(terms))
+    # B x B moves the grade by 2 and has order ell, so the rhs tau (1 x A)
+    # (1 - sigma B x B)^-1 is sum_k c_k (B^k x A B^k), c_k = tau sigma^k /
+    # (1 - sigma^ell), term k of grade shift 2k.  These differ for odd ell:
+    # only term 0 (c_0 1 x A) meets lhs, the terms' supports are disjoint,
+    # and each is monomial with unit-modulus entries, of norm |c_k| ell
+    c = tau * cd.sigma ** np.arange(ell) / (1 - cd.sigma ** ell)
+    miss = np.linalg.norm(lhs - c[0] * IA) ** 2 + ell ** 2 * np.sum(np.abs(c[1:]) ** 2)
+    out["parallel_shifts"] = float(np.sqrt(miss) / (ell * np.linalg.norm(c)))
     return out
 
 

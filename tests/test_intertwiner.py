@@ -400,7 +400,7 @@ class TestCglsStallRule:
 
 class TestBandTable:
     """The oracle's per-degree tables against the row builder before them
-    (reference.band_rows), the dense S and the thin SVD."""
+    (reference.band_rows), the dense S and the dense QR of S_c Z."""
 
     @pytest.mark.parametrize("ell, radius, trial, a", BAND_PAIRS)
     def test_matches_reference(self, ell, radius, trial, a):
@@ -418,17 +418,6 @@ class TestBandTable:
             y = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
             want = S.conj().T @ y
             assert np.linalg.norm(adjoint(y) - want) <= 1e-15 * np.linalg.norm(want)
-        # the SVD through the R of the dense QR of S Z (reference.full_step_solve's)
-        SZ = dense_coupling_system(_reduced_system(cols, vals, ell)[0], ell)
-        _, sv, vh = np.linalg.svd(SZ, full_matrices=False)
-        _, sv_qr, vh_qr = np.linalg.svd(np.linalg.qr(SZ, mode="r"))
-        assert np.allclose(sv_qr, sv, rtol=0, atol=1e-14 * sv[0])
-        # well-separated rows (the kernel row among them) agree up to a phase
-        drop = -np.diff(sv)
-        gaps = np.minimum(np.append(np.inf, drop), np.append(drop, np.inf))
-        assert gaps[-1] > 1e-3 * sv[0]
-        for k in np.flatnonzero(gaps > 1e-3 * sv[0]):
-            assert compare_up_to_scalar(vh_qr[k], vh[k])[1] < 1e-10
 
     @pytest.mark.parametrize("radius", [0.1, 1.0])
     @pytest.mark.parametrize("ell", [3, 5, 7, 9])
@@ -540,6 +529,8 @@ class TestBandTable:
         pair = PairContext(*seed42_pair(ell, radius, trial))
         assert pair.band_exp == a
         sv, vh = _coupling_svd(_reduced_system(*_band_rows(pair.blocks, a), ell)[0], ell)
+        # the kernel singular value is well separated from the next one
+        assert -np.diff(sv)[-1] > 1e-3 * sv[0]
         dense = row_sum_reduced_system(*band_rows(pair.blocks, a), ell)[0]
         _, ref_sv, ref_vh = np.linalg.svd(np.linalg.qr(dense, mode="r"))
         assert np.allclose(sv, ref_sv, rtol=0, atol=1e-14 * ref_sv[0])

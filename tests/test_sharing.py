@@ -50,7 +50,7 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
 
 def clear_degree_caches():
     for cached in (cyclic._shift_power, cyclic.clock_shift, intertwiner._golden_weights,
-                   intertwiner._dft, intertwiner._r1_stacks):
+                   intertwiner._dft):
         cached.cache_clear()
 
 
@@ -75,8 +75,8 @@ def test_trial_builds_braid_factor_once(monkeypatch):
     # r1_conjugation_residuals, then in check_generator_action
     # (1 - eps G)^-1 and (1 - G / eps)^-1 as one inverse of the stack of G's
     # grade blocks, and R^-1 (the central invariance check reads no R).
-    # The per-degree constants invert nothing but the ell x ell B, so the
-    # counts do not depend on whether their caches are full
+    # The per-degree constants invert nothing, so the counts do not depend
+    # on whether their caches are full
     ell = 3
     braids, coproducts, inverses, block_inverses, bands = [], [], [], [], []
     braid_factor, coproduct, inv = (intertwiner._braid_factor, intertwiner._coproducts,
@@ -189,12 +189,6 @@ def test_degree_caches_are_read_only_and_fresh(ell):
         "clock": [(A, np.diag(ctx.eps_powers[2 * (ks + 1) % ell])),
                   (B, np.roll(np.eye(ell, dtype=complex), 1, axis=0))],
         "dft": [(intertwiner._dft(ctx), ctx.eps_powers[(-2 * np.outer(ks, ks)) % ell])],
-        "r1": list(zip(intertwiner._r1_stacks(ctx), (
-            cyclic._kron_blocks(np.eye(ell), A, 0),
-            cyclic._kron_blocks(B, np.linalg.inv(B), 0),
-            np.stack([cyclic._kron_blocks(np.linalg.matrix_power(B, k),
-                                          A @ np.linalg.matrix_power(B, k), 2 * k)
-                      for k in range(ell)])))),
     }
     for name, pairs in fresh.items():
         for cached, ref in pairs:

@@ -185,6 +185,17 @@ class TestAgainstDense:
         assert got["opposite_shifts"] > 1e-8
 
 
+@pytest.mark.parametrize("radius", [0.1, 1.0])
+@pytest.mark.parametrize("ell", [9, 13])
+def test_r1_conjugation_residuals_past_ell_7(ell, radius):
+    # the parallel-shift reading is read off its algebra, which holds at
+    # every odd degree; TestAgainstDense compares it at ell <= 7 only
+    closed = closed_form_R(*seed42_pair(ell, radius, 0))
+    R1 = _dense(closed.pair.spectral, 0)
+    assert_close(r1_conjugation_residuals(closed),
+                 dense_r1_residuals(R1, closed.pair.chi, primitive_root(ell)))
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
 def test_clock_pair_commutes_with_grade_zero_stacks(ell):
     # A x A acts on pair grade g as the scalar eps^(2g), so it commutes with
