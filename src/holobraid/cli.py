@@ -109,7 +109,7 @@ def _cmd_braid_map(args) -> tuple[int, dict]:
     for i in range(args.trials):
         p1, p2 = sample_params(ctx, args.seed, i, radius=args.radius, count=2)
         residuals, evidence = character_checks(z0_character(p1), z0_character(p2))
-        triple, record, _ = run_triple(ctx, args.seed, i, args.radius, p1, p2)
+        triple, record, _ = run_triple(args.seed, i, args.radius, p1, p2)
         trial = {"index": i, "checks": gates({**residuals, **triple}), "evidence": evidence}
         if record:  # a coloring chain that raised
             trial["hybe"] = record

@@ -73,8 +73,8 @@ class RepParams:
     def _weights(self) -> np.ndarray:
         ctx, (u, v, x, y) = self.ctx, self.as_tuple()
         ms = np.arange(1, ctx.ell + 1)
-        return _read_only(((x / v) * ctx.eps_powers[(1 - 2 * ms) % ctx.ell] - 1)
-                          * (v * ctx.eps_powers[(2 * ms - 1) % ctx.ell] - 1 / x))
+        return _read_only(((x / v) * ctx.pow(1 - 2 * ms) - 1)
+                          * (v * ctx.pow(2 * ms - 1) - 1 / x))
 
     @cached_property
     def _matrices(self) -> RepMatrices:
@@ -141,7 +141,7 @@ def clock_shift(ctx: RootContext) -> tuple[np.ndarray, np.ndarray]:
     """(A, B): the clock A = diag(eps^2, ..., eps^(2 ell)) of ctx's root and
     the cyclic shift B, with A^ell = B^ell = 1 and A B = eps^2 B A.  Built
     once per context and read-only."""
-    A = np.diag(ctx.eps_powers[2 * np.arange(1, ctx.ell + 1) % ctx.ell])
+    A = np.diag(ctx.pow(2 * np.arange(1, ctx.ell + 1)))
     return _read_only(A), _shift_power(ctx.ell, 1)
 
 

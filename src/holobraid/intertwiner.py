@@ -341,7 +341,7 @@ def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
     the distance |rho - eps^(2a)|."""
     ctx = p1.ctx
     rho = (p1.u * p1.v * p2.u * p2.v) / (q1.u * q1.v * q2.u * q2.v)
-    dists = np.abs(rho - ctx.eps_powers[(2 * np.arange(ctx.ell)) % ctx.ell])
+    dists = np.abs(rho - ctx.pow(2 * np.arange(ctx.ell)))
     a = int(np.argmin(dists))
     return a, float(dists[a])
 
@@ -485,7 +485,7 @@ class PairContext:
         }
         legacy_cand = zt2 / yt2 * ut2 * (u1 * v1) / (z2 * (yt1 / (y1 * u2 * v2)))
         legacy["a_exp_gauge_chain"] = float(
-            np.min(np.abs(legacy_cand - ctx.eps_powers[(-2 * np.arange(ell)) % ell])))
+            np.min(np.abs(legacy_cand - ctx.pow(-2 * np.arange(ell)))))
         return ChiData(
             chi1=chi1, chi2=chi2, s=s, sigma=sigma,
             chi1_mismatch=chi1_mis, chi2_mismatch=chi2_mis,
@@ -499,7 +499,7 @@ class PairContext:
         D(v_n x v_m) = eps^(2nm) chi1^(-n) chi2^m (n, m = 1, ..., ell)."""
         ctx, cd = self.in_params[0].ctx, self.chi
         n = np.arange(1, ctx.ell + 1)
-        return (ctx.eps_powers[(2 * np.outer(n, n)) % ctx.ell]
+        return (ctx.pow(2 * np.outer(n, n))
                 * np.outer(cd.chi1 ** -n, cd.chi2 ** n)).ravel()
 
     @cached_property
@@ -623,7 +623,7 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
 def _dft(ctx: RootContext) -> np.ndarray:
     """eps^(-2jk) at [j, k] for ctx's root, built once per context, read-only."""
     ks = np.arange(ctx.ell)
-    return _read_only(ctx.eps_powers[(-2 * np.outer(ks, ks)) % ctx.ell])
+    return _read_only(ctx.pow(-2 * np.outer(ks, ks)))
 
 
 def _spectral_factor(ctx: RootContext, vals: np.ndarray) -> np.ndarray:
@@ -824,7 +824,7 @@ def det_exponent_probe(samples: list[DetSample]) -> dict:
         # |Phi| at the orbit base point, from the finite product: the modulus
         # of a fractional power is branch-free, and only moduli enter the fit
         z0 = cd.sigma * ctx.pow(-2)
-        factors = np.abs(1 - ctx.eps_powers[(2 * np.arange(1, ell + 1)) % ell] * z0)
+        factors = np.abs(1 - ctx.pow(2 * np.arange(1, ell + 1)) * z0)
         if np.min(factors) < 1e-8:
             continue  # orbit base on a pole
         log_phi0 = -np.dot(np.arange(1, ell + 1) / ell, np.log(factors))

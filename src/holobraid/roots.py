@@ -1,10 +1,9 @@
 """Primitive roots of unity of odd degree and derived constants.
 
-A RootContext holds an odd degree ell and a primitive ell-th root of unity
-eps (ell odd, so that eps^(2n) runs through all ell-th roots as n does a
-full cycle); every table that depends on eps reads it from the context it
-is given.  primitive_root builds eps = exp(2*pi*i/ell), and a context built
-by hand at any other primitive root is honoured the same way.
+A RootContext holds an odd degree ell and the index k of its primitive
+root eps = exp(2*pi*i*k/ell) (ell odd, so that eps^(2n) runs through all
+ell-th roots as n does a full cycle); every table that depends on eps
+reads it from the context it is given.  primitive_root is k = 1.
 """
 from __future__ import annotations
 
@@ -15,9 +14,6 @@ import numpy as np
 
 from .errors import InvalidDegreeError, InvalidInputError
 
-# largest distance of eps, and of each eps_powers entry, from its exact value
-ROOT_TOL = 1e-12
-
 
 def check_degree(ell) -> None:
     """Raise InvalidDegreeError unless ell is an odd integer >= 3."""
@@ -27,40 +23,42 @@ def check_degree(ell) -> None:
 
 @dataclass(frozen=True)
 class RootContext:
-    """An odd degree ell with its chosen primitive root of unity eps.
+    """An odd degree ell with its primitive root eps = exp(2 pi i k / ell).
 
-    eps_powers holds eps^k for k = 0..ell-1, each computed directly, so
-    that any exponent (eps^(2m-1), eps^(2nm) and friends), reduced mod ell,
-    is looked up without drift from repeated multiplication.  The table
-    follows from eps and takes no part in == or hash.  Raises
+    The root is named by its index k, an integer prime to ell stored mod
+    ell, so contexts compare and hash by (ell, k) exactly.  eps and the
+    read-only eps_powers (eps^j for j = 0..ell-1, each computed directly,
+    so no exponent drifts by repeated multiplication) are built from k.
+    eps is numpy's scalar exp, which differs from eps_powers[1] (its array
+    exp) in the last bit at some degrees (13, 21, 27, ...); either stays
+    at rounding, and the scalar keeps reports unchanged.  Raises
     InvalidDegreeError for a bad ell (check_degree), and InvalidInputError
-    unless eps is within ROOT_TOL of an exp(2 pi i k / ell), gcd(k, ell) = 1,
-    and eps_powers within ROOT_TOL of its powers.
+    unless k is an integer with gcd(k, ell) = 1.
     """
 
     ell: int
-    eps: complex
-    eps_powers: np.ndarray = field(repr=False, compare=False)
+    k: int
+    eps: complex = field(init=False, compare=False)
+    eps_powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_degree(self.ell)
-        ell = int(self.ell)
-        k = round(np.angle(self.eps) * ell / (2 * np.pi)) % ell
-        exact = np.exp(2j * np.pi * (k * np.arange(ell) % ell) / ell)
-        if math.gcd(k, ell) != 1 or not abs(self.eps - exact[1]) <= ROOT_TOL:
-            raise InvalidInputError(f"{self.eps} is not a primitive {ell}-th root of unity")
-        if np.shape(self.eps_powers) != (ell,) \
-                or not np.max(np.abs(self.eps_powers - exact)) <= ROOT_TOL:
-            raise InvalidInputError(f"eps_powers is not eps^0, ..., eps^{ell - 1}")
+        ell, k = int(self.ell), self.k
+        if not isinstance(k, (int, np.integer)) or math.gcd(int(k), ell) != 1:
+            raise InvalidInputError(f"k = {k!r} does not index a primitive {ell}-th root of unity")
+        k = int(k) % ell
+        powers = np.exp(2j * np.pi * (k * np.arange(ell) % ell) / ell)
+        powers.flags.writeable = False
+        for name, value in (("ell", ell), ("k", k), ("eps", np.exp(2j * np.pi * k / ell)),
+                            ("eps_powers", powers)):
+            object.__setattr__(self, name, value)
 
-    def pow(self, k: int) -> complex:
-        """eps^k for any integer k (reduced mod ell)."""
-        return self.eps_powers[k % self.ell]
+    def pow(self, n: int | np.ndarray) -> complex | np.ndarray:
+        """eps^n for an integer n, or elementwise for an integer array n
+        (reduced mod ell)."""
+        return self.eps_powers[n % self.ell]
 
 
 def primitive_root(ell: int) -> RootContext:
     """The context of eps = exp(2*pi*i/ell), ell checked first (check_degree)."""
-    check_degree(ell)
-    eps = np.exp(2j * np.pi / ell)
-    powers = np.exp(2j * np.pi * np.arange(ell) / ell)
-    return RootContext(ell=int(ell), eps=eps, eps_powers=powers)
+    return RootContext(ell, 1)

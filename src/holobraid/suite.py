@@ -198,8 +198,7 @@ def phi_variant_evidence(ctx: RootContext) -> dict[str, float]:
     (order 60) is summed once, by Horner's rule, at every probe's orbit
     points."""
     probes = [0.12, 0.2 + 0.1j, -0.15 + 0.07j, 0.28]
-    exps = (2 * np.arange(ctx.ell) - 2) % ctx.ell
-    pts = np.array(probes)[:, None] * ctx.eps_powers[exps]  # z_k = s eps^(2k-2)
+    pts = np.array(probes)[:, None] * ctx.pow(2 * np.arange(ctx.ell) - 2)  # z_k = s eps^(2k-2)
     ref = np.zeros_like(pts)
     for c in phi_series(ctx, 60)[::-1]:
         ref = ref * pts + c
@@ -241,10 +240,11 @@ def third_params(ctx: RootContext, seed: int, idx: int, radius: float) -> RepPar
     return p3
 
 
-def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepParams, p2: RepParams,
+def run_triple(seed: int, idx: int, radius: float, p1: RepParams, p2: RepParams,
                intw: Intertwiner | None = None) -> tuple[dict, dict, ColoringTriple | None]:
     """Trial idx's triple (p1, p2, third_params): (residuals, record, colorings).
 
+    The third coloring is drawn at p1's root, so a triple has one root.
     set_ybe of the coloring chain and, given the trial's intertwiner intw,
     hybe_residual and hybe_c_modulus, with c in the record ({} without
     intw).  A HolobraidError rejects the triple: the record is
@@ -252,7 +252,7 @@ def run_triple(ctx: RootContext, seed: int, idx: int, radius: float, p1: RepPara
     """
     residuals: dict[str, float] = {}
     try:
-        col = derive_colorings(p1, p2, third_params(ctx, seed, idx, radius))
+        col = derive_colorings(p1, p2, third_params(p1.ctx, seed, idx, radius))
         residuals["set_ybe"] = col.finals_deviation()
         if intw is None:
             return residuals, {}, col
@@ -323,8 +323,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
 
     colorings = None
     if cfg.hybe_every and idx % cfg.hybe_every == 0:
-        triple, trial["hybe"], colorings = run_triple(ctx, cfg.seed, idx, cfg.radius,
-                                                      p1, p2, intw)
+        triple, trial["hybe"], colorings = run_triple(cfg.seed, idx, cfg.radius, p1, p2, intw)
         residuals.update(triple)
 
     trial["evidence"] = evidence

@@ -11,11 +11,12 @@ printed with its full path; where one field has several such, they fold
 to one line with their count and the first as an example.  An empty list
 or dict is a value of its own, so a key that holds one on one side only
 is listed too.  Exits 0
-when the reports are equal apart from generated_at, 1 otherwise, and 2
-on wrong arguments.
+when the reports are equal apart from generated_at, 1 otherwise (also
+when its reader closes the pipe early), and 2 on wrong arguments.
 """
 import json
 import math
+import os
 import sys
 
 
@@ -70,10 +71,16 @@ def main(argv):
         return 2
     with open(argv[0]) as f_old, open(argv[1]) as f_new:
         moved, other = diff(json.load(f_old), json.load(f_new))
-    for name, (count, change, rel) in moved.items():
-        print(f"{name}: {count} moved, max abs {change:.3g}, max rel {rel:.3g}")
-    for name, lines in other.items():
-        print(lines[0] if len(lines) == 1 else f"{name}: {len(lines)} differ, e.g. {lines[0]}")
+    try:
+        for name, (count, change, rel) in moved.items():
+            print(f"{name}: {count} moved, max abs {change:.3g}, max rel {rel:.3g}")
+        for name, lines in other.items():
+            print(lines[0] if len(lines) == 1 else f"{name}: {len(lines)} differ, e.g. {lines[0]}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (| head): keep the exit code, and
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if moved or other else 0
 
 

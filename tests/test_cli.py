@@ -200,3 +200,12 @@ def test_unresolved_adjudication_fails_suite(monkeypatch):
     assert code == 1 and report["summary"]["passed"] == 2
     assert not report["summary"]["adjudications_resolved"]
     assert report["adjudications"]["phi_step_factor"]["passing"] == []
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    # an OSError from writing the report is one error line, not a traceback
+    path = tmp_path / "missing" / "report.json"
+    assert main(["suite", "--ell", "3", "--trials", "1", "--report", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert not path.parent.exists()

@@ -11,6 +11,7 @@ from holobraid.hybe import derive_colorings, embed_13, hybe_residual, s0_diagnos
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+from holobraid.suite import third_params
 from reference import SHIFTED, embed_12, embed_23, seed42_triple
 
 
@@ -179,7 +180,7 @@ class TestGradeBlocks:
     def test_matches_dense(self, ell, route):
         ctx = primitive_root(ell)
         x, y = sample_params(ctx, 42, 0, count=2)
-        z, = sample_params(ctx, 42, 1 << 32, count=1)
+        z = third_params(ctx, 42, 0, 0.1)
         c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
         c, dev = triple_hybe(x, y, z, route)
         assert abs(c - c_ref) < 1e-14
@@ -310,7 +311,7 @@ class TestGradeBlocks:
     def test_large_ell_closed_form(self):
         ctx = primitive_root(13)
         x, y = sample_params(ctx, 42, 0, count=2)
-        z, = sample_params(ctx, 42, 1 << 32, count=1)
+        z = third_params(ctx, 42, 0, 0.1)
         c, dev = triple_hybe(x, y, z, "closed-form")
         assert dev <= 1e-12
         assert abs(abs(c) - 1) <= 1e-12

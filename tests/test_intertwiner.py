@@ -6,7 +6,8 @@ import pytest
 import holobraid.intertwiner as intertwiner
 from holobraid.cyclic import RepParams, build_rep, z0_character
 from holobraid.errors import (BranchMismatchError, DegenerateCharacterError,
-                              InvalidInputError, NoIntertwinerError)
+                              InvalidInputError, NoIntertwinerError,
+                              NonGenericRepresentationError)
 from holobraid.glstar import Z0Char, beta_inverse, glstar_multiply
 from holobraid.intertwiner import (BAND_TOL, DetSample, Intertwiner, PairContext,
                                    _adjoint, _apply_rows, _band_rows, _band_table,
@@ -191,6 +192,20 @@ class TestOracle:
             solve_intertwiner(p1, p2, pair=pair)
         assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(rel, rel=1e-2)
 
+    @pytest.mark.parametrize("ell, gap", [(5, 5.05e5), (7, 3.05e5), (9, 2.00e5)])
+    def test_gap_gate_rejects_a_near_target(self, ell, gap):
+        # y scaled by 1 + 1.5e-6 instead: |S v| passes the kernel test, but
+        # the gap sigma_2 / |S v| falls below GAP_THRESHOLD.  The gate is all
+        # that rejects such a target, and only in a narrow window: at every
+        # ell from 3 to 13, 1 + 2.5e-6 is an empty nullspace and 1 + 1e-7 is
+        # accepted (gap 7.6e6 at ell 5)
+        p1, p2 = seed42_pair(ell, 0.1, 0)
+        q1, q2 = braided_rep_pair(p1, p2)
+        bad = RepParams(ctx=q1.ctx, u=q1.u, v=q1.v, x=q1.x, y=q1.y * (1 + 1.5e-6))
+        with pytest.raises(NonGenericRepresentationError, match="singular-value gap") as info:
+            solve_intertwiner(p1, p2, pair=PairContext(p1, p2, target=(bad, q2)))
+        assert float(str(info.value).split()[2]) == pytest.approx(gap, rel=2e-2)
+
     @pytest.mark.parametrize("ell", [3, 5, 7, 9])
     def test_two_term_rows_split_band_into_ell_components(self, ell):
         # union-find over the unknowns that each Ex1 and 1xF row names with
@@ -235,7 +250,7 @@ class TestOracle:
         a, n = intw.pair.band_exp, ell ** 3
         cols, vals = _band_rows(intw.pair.blocks, a)
         S = dense_band_system(cols, vals, n)
-        _, sv, vh = np.linalg.svd(S)
+        _, sv, vh = np.linalg.svd(S, full_matrices=False)
         assert compare_up_to_scalar(intw.blocks, vh[-1].conj().reshape(ell, ell, ell))[1] <= 1e-13
         # sigma_2 of the full S Z is at least S's (interlacing), and the
         # gap's numerator, sigma_2 of the coupling rows' S_c Z, is at least
@@ -435,7 +450,7 @@ class TestBandTable:
         assert SZc.shape == (4 * n, ell)
         assert np.allclose(SZc, SZ[:4 * n], rtol=0, atol=1e-15 * norm)
         assert np.linalg.norm(SZ[4 * n:], 2) <= 1e-13 * norm
-        kernel_c, kernel = (np.linalg.svd(A)[2][-1] for A in (SZc, SZ))
+        kernel_c, kernel = (np.linalg.svd(A, full_matrices=False)[2][-1] for A in (SZc, SZ))
         assert compare_up_to_scalar(kernel_c, kernel)[1] <= 1e-13
 
     def test_independent_of_first_pair(self):

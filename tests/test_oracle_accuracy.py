@@ -19,6 +19,7 @@ from holobraid.hybe import derive_colorings, hybe_residual
 from holobraid.intertwiner import check_generator_action, solve_intertwiner
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
+from holobraid.suite import third_params
 
 ctx = primitive_root(7)
 """
@@ -55,7 +56,7 @@ print(max(min(vs.values()) for vs in by.values()))
 def test_hybe_c_modulus_seed_33751040_trial_0():
     res = _one_blas_thread("""
 p1, p2 = sample_params(ctx, 33751040, 0, radius=0.1, count=2)
-p3, = sample_params(ctx, 33751040, 1 << 32, radius=0.1, count=1)
+p3 = third_params(ctx, 33751040, 0, 0.1)
 c, _ = hybe_residual(derive_colorings(p1, p2, p3), solve_intertwiner(p1, p2))
 print(abs(abs(c) - 1))
 """)

@@ -1,5 +1,7 @@
 """tests/report_diff.py, the comparator behind CI's determinism steps."""
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +80,17 @@ def test_empty_container_is_a_value(compare):
 def test_wrong_arguments(argv, capsys):
     assert report_diff.main(argv) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_closed_pipe_keeps_the_exit_code(tmp_path):
+    # more output than a pipe holds, to a reader that reads none of it
+    # (| head, | true): no BrokenPipeError traceback, and exit 1 for differ
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    paths[0].write_text(json.dumps({f"field_{i:05d}": i for i in range(5000)}))
+    paths[1].write_text(json.dumps({f"field_{i:05d}": str(i) for i in range(5000)}))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, report_diff.__file__, *map(str, paths)],
+                                stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "stderr").read_bytes() == b""

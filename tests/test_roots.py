@@ -60,43 +60,57 @@ def test_contexts_compare_and_hash_by_degree():
     assert len({p, q, RepParams(ctx=a, u=1.1, v=0.9, x=1.2, y=0.7)}) == 2
 
 
-def hand_built(ell, k):
-    """The context of eps = exp(2 pi i k / ell), built without primitive_root."""
-    return RootContext(ell=ell, eps=np.exp(2j * np.pi * k / ell),
-                       eps_powers=np.exp(2j * np.pi * k * np.arange(ell) / ell))
-
-
 def test_primitive_root_is_the_hand_built_k1_context():
     for ell in (3, 5, 7, 9):
-        ctx, ref = primitive_root(ell), hand_built(ell, 1)
-        assert ctx == ref and ctx.eps == ref.eps
-        assert ctx.eps_powers.tobytes() == ref.eps_powers.tobytes()
+        ctx, ref = primitive_root(ell), RootContext(ell, 1)
+        assert ctx == ref and ctx.k == 1 and ctx.eps == np.exp(2j * np.pi / ell)
+        table = np.exp(2j * np.pi * np.arange(ell) / ell)
+        assert ctx.eps_powers.tobytes() == ref.eps_powers.tobytes() == table.tobytes()
+        assert not ctx.eps_powers.flags.writeable
 
 
-@pytest.mark.parametrize("ell, eps, powers", [
-    (5, 1.0, np.ones(5)),  # eps = 1 is a root, not a primitive one
-    (9, np.exp(6j * np.pi / 9), np.exp(6j * np.pi * np.arange(9) / 9)),  # order 3
-    (5, 1.01 * np.exp(2j * np.pi / 5), np.exp(2j * np.pi * np.arange(5) / 5)),  # off the circle
-    (5, np.exp(2j * np.pi / 5), np.exp(4j * np.pi * np.arange(5) / 5)),  # powers of eps^2
-    (5, np.exp(2j * np.pi / 5), np.exp(2j * np.pi * np.arange(4) / 5)),  # too few powers
-], ids=["eps_1", "ell_9_k_3", "off_circle", "powers_of_eps_2", "short_table"])
-def test_malformed_root_rejected(ell, eps, powers):
+@pytest.mark.parametrize("ell, k", [
+    (5, 0),  # eps = 1 is a root, not a primitive one
+    (9, 3),  # order 3
+    (5, 1.0),  # an integral float is not an index
+    (5, 0.5),  # nor is a fraction
+], ids=["eps_1", "ell_9_k_3", "k_float", "k_half"])
+def test_malformed_root_rejected(ell, k):
     with pytest.raises(InvalidInputError):
-        RootContext(ell=ell, eps=eps, eps_powers=powers)
+        RootContext(ell, k)
 
 
 def test_hand_built_degree_checked():
-    with pytest.raises(InvalidDegreeError):
-        RootContext(ell=4, eps=1j, eps_powers=1j ** np.arange(4))
+    for ell in (4, 5.0):
+        with pytest.raises(InvalidDegreeError):
+            RootContext(ell, 1)
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_index_names_the_root(ell):
+    # a root has one context whatever representative of k names it, and each
+    # context's cached tables are the ones built from its own power table
+    ks = np.arange(ell)
+    for k in (1, 2, -1):
+        ctxs = [RootContext(ell, k + shift) for shift in (0, ell, -ell)]
+        assert all(c.k == k % ell for c in ctxs)
+        assert len(set(ctxs)) == 1 and len({hash(c) for c in ctxs}) == 1
+        assert len({c.eps_powers.tobytes() for c in ctxs}) == 1
+        for ctx in ctxs:
+            assert ctx.eps == np.exp(2j * np.pi * (k % ell) / ell)
+            assert np.array_equal(np.diag(clock_shift(ctx)[0]),
+                                  ctx.eps_powers[2 * (ks + 1) % ell])
+            assert np.array_equal(intertwiner._dft(ctx),
+                                  ctx.eps_powers[(-2 * np.outer(ks, ks)) % ell])
 
 
 def test_contexts_of_one_degree_get_their_own_tables():
     # every table that depends on eps is cached per context, so two roots
     # of one degree never share one
-    a, b = primitive_root(5), hand_built(5, 2)
+    a, b = primitive_root(5), RootContext(5, 2)
     assert a != b
     A_a, A_b = clock_shift(a)[0], clock_shift(b)[0]
-    assert np.allclose(np.diag(A_b), b.eps_powers[2 * np.arange(1, 6) % 5])
+    assert np.allclose(np.diag(A_b), b.pow(2 * np.arange(1, 6)))
     assert not np.allclose(A_a, A_b)
     assert clock_shift(a)[1] is clock_shift(b)[1]  # B does not depend on eps
     assert not np.allclose(intertwiner._dft(a), intertwiner._dft(b))
@@ -104,10 +118,10 @@ def test_contexts_of_one_degree_get_their_own_tables():
 
 @pytest.mark.parametrize("ell, k", [(3, -1), (5, 2), (5, -1), (7, 3)])
 def test_every_primitive_root_passes_the_suite_trials(ell, k):
-    # the construction holds at any primitive root: 20 seed-42 trials at a
-    # hand-built root pass, each formula is adjudicated to the reading chosen
+    # the construction holds at any primitive root: 20 seed-42 trials at
+    # RootContext(ell, k) pass, each formula is adjudicated to the reading chosen
     # at eps = exp(2 pi i / ell), and the det probe picks the same exponent
-    ctx = hand_built(ell, k)
+    ctx = RootContext(ell, k)
     cfg = SuiteConfig(ell=ell, trials=20, seed=42, hybe_every=2)
     runs = [run_trial(cfg, ctx, i) for i in range(cfg.trials)]
     records = [run.record for run in runs]

@@ -34,7 +34,7 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
                             ctx, 0).record
     # new parameter objects, so that nothing computed in the trial is reused
     p1, p2 = sample_params(ctx, 42, 0, count=2)
-    p3, = sample_params(ctx, 42, 1 << 32, count=1)
+    p3 = suite.third_params(ctx, 42, 0, 0.1)
     routes = {"both": ["oracle", "closed-form"], "closed-form": ["closed-form"]}[route]
     assert [intw.route for intw in made] == routes
     for intw in made:
