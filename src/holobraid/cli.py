@@ -25,34 +25,16 @@ from .cyclic import z0_character
 from .report import emit_report, new_report, params_entry, write_report
 from .roots import primitive_root
 from .sampling import sample_params
-from .suite import (SuiteConfig, character_checks, check_summary, gates,
+from .suite import (ROUTES, SuiteConfig, character_checks, check_summary, gates,
                     run_suite, run_trial, run_triple, trial_passes)
 
-ROUTES = ("oracle", "closed-form", "both")
 
-
-def _bounded(parse, ok, bound: str):
-    """An argparse type: parse the value, and reject it unless ok(value)."""
-    def check(value: str):
-        x = parse(value)
-        if not ok(x):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {x}")
-        return x
-    check.__name__ = parse.__name__  # argparse names it in "invalid int value"
-    return check
-
-
-_odd_ell = _bounded(int, lambda n: n >= 3 and n % 2 == 1, "odd and >= 3")
-_count = _bounded(int, lambda n: n >= 1, ">= 1")
-_every = _bounded(int, lambda n: n >= 0, ">= 0")
-_radius = _bounded(float, lambda r: 0 < r <= 1, "in (0, 1]")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """--ell, --seed, --radius and --report."""
-    p.add_argument("--ell", type=_odd_ell, default=3, help="odd root-of-unity degree")
+def _add_common(p: argparse.ArgumentParser, handler) -> None:
+    """--ell, --seed, --radius, --report, the handler and p.error as usage_error."""
+    p.set_defaults(handler=handler, usage_error=p.error)
+    p.add_argument("--ell", type=int, default=3, help="odd root-of-unity degree")
     p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    p.add_argument("--radius", type=_radius, default=0.1,
+    p.add_argument("--radius", type=float, default=0.1,
                    help="half-width of the log-space sampling box")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
@@ -64,34 +46,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("suite", help="run the full verification battery")
-    _add_common(p)
-    p.add_argument("--trials", type=_count, default=20)
+    _add_common(p, _cmd_suite)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--route", choices=ROUTES, default="both")
-    p.add_argument("--hybe-every", type=_every, default=5,
+    p.add_argument("--hybe-every", type=int, default=5,
                    help="run a triple test every N-th trial (0 disables)")
 
     p = sub.add_parser("braid-map", help="character and coloring checks only")
-    _add_common(p)
-    p.add_argument("--trials", type=_count, default=50)
+    _add_common(p, _cmd_braid_map)
+    p.add_argument("--trials", type=int, default=50)
 
     p = sub.add_parser("rmatrix", help="one suite trial without its triple")
-    _add_common(p)
-    p.add_argument("--trial", type=_every, default=0, help="trial index to sample")
+    _add_common(p, _cmd_trial)
+    p.add_argument("--trial", type=int, default=0, help="trial index to sample")
     p.add_argument("--route", choices=ROUTES, default="both")
     p.add_argument("--dump-dir", default=None,
                    help="write the trial's K, L, E, F and R as TSV files here")
 
     p = sub.add_parser("hybe", help="one suite trial with its Yang-Baxter triple")
-    _add_common(p)
-    p.add_argument("--trial", type=_every, default=0, help="trial index to sample")
+    _add_common(p, _cmd_trial)
+    p.add_argument("--trial", type=int, default=0, help="trial index to sample")
     p.add_argument("--route", choices=ROUTES, default="oracle")
     return ap
 
 
-def _cmd_suite(args) -> tuple[int, dict]:
-    cfg = SuiteConfig(ell=args.ell, trials=args.trials, seed=args.seed,
-                      radius=args.radius, route=args.route,
-                      hybe_every=args.hybe_every)
+def _cmd_suite(args, cfg: SuiteConfig) -> tuple[int, dict]:
     code, report = run_suite(cfg)
     s = report["summary"]
     print(f"suite ell={cfg.ell}: {s['passed']}/{s['trials']} trials passed, "
@@ -100,34 +79,32 @@ def _cmd_suite(args) -> tuple[int, dict]:
     return code, report
 
 
-def _cmd_braid_map(args) -> tuple[int, dict]:
-    ctx = primitive_root(args.ell)
-    report = new_report({"command": "braid-map", "ell": args.ell,
-                         "seed": args.seed, "trials": args.trials,
-                         "radius": args.radius})
+def _cmd_braid_map(args, cfg: SuiteConfig) -> tuple[int, dict]:
+    ctx = primitive_root(cfg.ell)
+    report = new_report({"command": "braid-map", "ell": cfg.ell,
+                         "seed": cfg.seed, "trials": cfg.trials,
+                         "radius": cfg.radius})
     trials = report["trials"]
-    for i in range(args.trials):
-        p1, p2 = sample_params(ctx, args.seed, i, radius=args.radius, count=2)
+    for i in range(cfg.trials):
+        p1, p2 = sample_params(ctx, cfg.seed, i, radius=cfg.radius, count=2)
         residuals, evidence = character_checks(z0_character(p1), z0_character(p2))
-        triple, record, _ = run_triple(args.seed, i, args.radius, p1, p2)
+        triple, record, _ = run_triple(cfg.seed, i, cfg.radius, p1, p2)
         trial = {"index": i, "checks": gates({**residuals, **triple}), "evidence": evidence}
         if record:  # a coloring chain that raised
             trial["hybe"] = record
         trial["pass"] = trial_passes(trial)
         trials.append(trial)
     n_pass = sum(tr["pass"] for tr in trials)
-    report["summary"] = {"trials": args.trials, "passed": n_pass,
+    report["summary"] = {"trials": cfg.trials, "passed": n_pass,
                          "checks": check_summary(trials)}
-    return (0 if n_pass == args.trials else 1), report
+    return (0 if n_pass == cfg.trials else 1), report
 
 
-def _cmd_trial(args) -> tuple[int, dict]:
+def _cmd_trial(args, cfg: SuiteConfig) -> tuple[int, dict]:
     """rmatrix and hybe: suite trial args.trial, with its triple for hybe."""
-    cfg = SuiteConfig(ell=args.ell, trials=1, seed=args.seed, radius=args.radius,
-                      route=args.route, hybe_every=int(args.command == "hybe"))
-    trial, intw, col, _ = run_trial(cfg, primitive_root(args.ell), args.trial)
-    out = {"command": args.command, "ell": args.ell, "seed": args.seed,
-           "radius": args.radius, "route": args.route, **trial}
+    trial, intw, col, _ = run_trial(cfg, primitive_root(cfg.ell), args.trial)
+    out = {"command": args.command, "ell": cfg.ell, "seed": cfg.seed,
+           "radius": cfg.radius, "route": cfg.route, **trial}
     if col is not None:
         out["colorings"] = {f.name: params_entry(getattr(col, f.name))
                             for f in fields(col)}
@@ -142,15 +119,21 @@ def _cmd_trial(args) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
+    """Run one command; a setting out of range is a usage error before any work."""
     args = build_parser().parse_args(argv)
-    handler = {
-        "suite": _cmd_suite,
-        "braid-map": _cmd_braid_map,
-        "rmatrix": _cmd_trial,
-        "hybe": _cmd_trial,
-    }[args.command]
     try:
-        code, report = handler(args)
+        if getattr(args, "trial", 0) < 0:
+            raise ValueError(f"--trial must be >= 0, got {args.trial}")
+        if args.command in ("rmatrix", "hybe"):  # one suite trial, with its triple for hybe
+            cfg = SuiteConfig(args.ell, 1, args.seed, args.radius, args.route,
+                              int(args.command == "hybe"))
+        else:
+            cfg = SuiteConfig(**{f.name: getattr(args, f.name)
+                                 for f in fields(SuiteConfig) if hasattr(args, f.name)})
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    try:
+        code, report = args.handler(args, cfg)
         if args.report:
             write_report(report, args.report)
             print(f"report written to {args.report}")

@@ -409,11 +409,14 @@ class PairContext:
     form's twist scalars chi, twist diagonal D and spectral factor R1 are
     built on first use, so the oracle computes nothing of the closed form
     and an unread closed-form residual builds no blocks.  G, T, the blocks
-    and R1 are stacks (see cyclic), of ell^3 entries each.
+    and R1 are stacks (see cyclic), of ell^3 entries each.  p1, p2 and a
+    target share one RootContext, or InvalidInputError is raised.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
                  target: tuple[RepParams, RepParams] | None = None):
+        if any(p.ctx != p1.ctx for p in (p2, *(target or ()))):
+            raise InvalidInputError("the pair's colorings are not all at one root of unity")
         self.in_params = (p1, p2)
         self.braided = target is None
         self.out_params = braided_rep_pair(p1, p2) if target is None else tuple(target)

@@ -29,9 +29,8 @@ def worst_residual(*xs: float) -> float:
 
 
 def residual_entry(x: float) -> dict:
-    """Three-significant-digit string plus the double (residual_value)."""
-    x = residual_value(x)
-    return {"approx": f"{x:.3g}", "value": x}
+    """The residual as its double, once (residual_value)."""
+    return {"value": residual_value(x)}
 
 
 def params_entry(p: RepParams) -> dict:

@@ -21,6 +21,8 @@ suite, and resolves each formula to the readings under ADJUDICATION_PASS.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -61,27 +63,39 @@ THRESHOLDS = {
     "hybe_c_modulus": 1e-8,
 }
 ADJUDICATION_PASS = 1e-8
+ROUTES = ("oracle", "closed-form", "both")  # SuiteConfig.route
 
 
 @dataclass
 class SuiteConfig:
+    """A run's settings and their one check: a ValueError names the setting
+    and its value unless ell passes check_degree, trials >= 1, seed and
+    hybe_every >= 0 are integers (numpy's too, not bool), radius is a real
+    number in (0, 1] (not bool) and route is in ROUTES.  Numbers are stored
+    as Python int and float."""
+
     ell: int
     trials: int
     seed: int
     radius: float = 0.1
-    route: str = "both"  # oracle | closed-form | both
+    route: str = "both"
     hybe_every: int = 5
 
     def __post_init__(self):
         check_degree(self.ell)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (0 < self.radius <= 1):
-            raise ValueError("radius must be in (0, 1]")
-        if self.route not in ("oracle", "closed-form", "both"):
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.hybe_every < 0:
-            raise ValueError("hybe_every must be >= 0")
+        self.ell = int(self.ell)
+        for name, low in (("trials", 1), ("seed", -math.inf), ("hybe_every", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                bound = "" if low == -math.inf else f" >= {low}"
+                raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+            setattr(self, name, int(value))
+        r = self.radius
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r <= 1:
+            raise ValueError(f"radius must be a real number in (0, 1], got {r!r}")
+        self.radius = float(r)
+        if self.route not in ROUTES:
+            raise ValueError(f"route must be one of {', '.join(ROUTES)}, got {self.route!r}")
 
 
 def _scale(*vals) -> float:

@@ -32,18 +32,22 @@ def test_suite_command(tmp_path, capsys):
 
 def test_even_degree_is_usage_error(capsys):
     # and every other out-of-range value: each would run, check nothing or
-    # end in a traceback; and an option the command would not read
-    for argv in (["suite", "--ell", "4", "--trials", "1", "--seed", "0"],
-                 ["braid-map", "--trials", "0"],
-                 ["suite", "--trials", "0"],
-                 ["suite", "--trials", "1", "--hybe-every", "-1"],
-                 ["suite", "--trials", "1", "--radius", "2"],
-                 ["rmatrix", "--radius", "0"],
-                 ["rmatrix", "--trial", "-1"],
-                 ["hybe", "--trial", "-1"]):
+    # end in a traceback; SuiteConfig (and main, for --trial) rejects it
+    # before any work, on the subcommand's usage line
+    for argv, message in (
+            (["suite", "--ell", "4", "--trials", "1", "--seed", "0"], "degree must be an odd integer >= 3, got 4"),
+            (["braid-map", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["suite", "--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["suite", "--trials", "1", "--hybe-every", "-1"], "hybe_every must be an integer >= 0, got -1"),
+            (["suite", "--trials", "1", "--radius", "2"], "radius must be a real number in (0, 1], got 2.0"),
+            (["rmatrix", "--radius", "0"], "radius must be a real number in (0, 1], got 0.0"),
+            (["rmatrix", "--trial", "-1"], "--trial must be >= 0, got -1"),
+            (["hybe", "--trial", "-1"], "--trial must be >= 0, got -1")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == f"holobraid {argv[0]}: error: {message}"
 
 
 def test_route_both_emits_comparison(tmp_path):

@@ -127,6 +127,8 @@ class TestBraidingMaps:
         y = Z0Char(1.0, 1.0, 0.0, 1.0)  # eta_x * phi_y = 1 -> Omega' = 0
         with pytest.raises(SingularBraidingError):
             beta_inverse(x, y)
+        with pytest.raises(SingularBraidingError):  # lam_y / kappa_x = 1 -> Omega = 0 too
+            beta_forward(x, y)
 
 
 class TestConservedFormulas:

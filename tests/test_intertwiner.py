@@ -9,7 +9,7 @@ from holobraid.errors import (BranchMismatchError, DegenerateCharacterError,
                               InvalidInputError, NoIntertwinerError,
                               NonGenericRepresentationError)
 from holobraid.glstar import Z0Char, beta_inverse, glstar_multiply
-from holobraid.intertwiner import (BAND_TOL, DetSample, Intertwiner, PairContext,
+from holobraid.intertwiner import (BAND_TOL, ChiData, DetSample, Intertwiner, PairContext,
                                    _adjoint, _apply_rows, _band_rows, _band_table,
                                    _cgls, _coupling_svd, _reduced_system, braided_rep_pair,
                                    central_invariance_residuals,
@@ -18,7 +18,7 @@ from holobraid.intertwiner import (BAND_TOL, DetSample, Intertwiner, PairContext
                                    det_exponent_probe,
                                    r1_conjugation_residuals, solve_intertwiner)
 from holobraid.cyclic import lift_character
-from holobraid.roots import primitive_root
+from holobraid.roots import RootContext, primitive_root
 from holobraid.sampling import sample_params
 from holobraid.suite import THRESHOLDS
 from reference import (SHIFTED, band_rows, coproduct_power_misses,
@@ -696,6 +696,31 @@ class TestClosedForm:
             r1_conjugation_residuals(solve_intertwiner(*pair3))
 
 
+class TestPairContext:
+    def test_one_root_per_pair(self):
+        # seed-42 trial 0 with its second coloring drawn at eps^2 instead:
+        # the oracle found an empty nullspace and the closed form returned an
+        # R of residual 4.19 without raising
+        (p1, p2), (_, q2) = (sample_params(RootContext(5, k), 42, 0, count=2) for k in (1, 2))
+        for route in (solve_intertwiner, closed_form_R):
+            with pytest.raises(InvalidInputError, match="one root of unity"):
+                route(p1, q2)
+        with pytest.raises(InvalidInputError, match="one root of unity"):
+            PairContext(p1, p2, target=braided_rep_pair(*sample_params(RootContext(5, 2), 42, 1, count=2)))
+        # a pair wholly at eps^2 solves on both routes
+        _, q1 = sample_params(RootContext(5, 2), 42, 1, count=2)
+        oracle, closed = solve_intertwiner(q1, q2), closed_form_R(q1, q2)
+        assert max(oracle.residual, closed.residual) < 1e-9
+        assert compare_up_to_scalar(oracle.blocks, closed.blocks)[1] < 1e-8
+
+    def test_context_of_another_pair_rejected(self, ctx3, pair3):
+        other = sample_params(ctx3, 1234, 1, count=2)
+        pair = PairContext(*pair3)
+        for route in (solve_intertwiner, closed_form_R):
+            with pytest.raises(InvalidInputError, match="belongs to another pair"):
+                route(*other, pair=pair)
+
+
 class TestCompare:
     def test_self(self, pair3):
         R = solve_intertwiner(*pair3).R
@@ -750,6 +775,24 @@ class TestDetProbe:
         assert out["closest_candidate"] == "-l(l+1)/2"
         # the raw assembled determinant is not a monomial; recorded as such
         assert out["full_fit"] is None or out["full_fit"]["fit_residual"] > 1e-6
+
+    @staticmethod
+    def _sample(ctx, s, sigma):
+        chi = ChiData(chi1=1.0, chi2=1.0, s=s, sigma=sigma, chi1_mismatch=0.0,
+                      chi2_mismatch=0.0, sigma_power_residual=0.0)
+        return DetSample(chi, float(np.log(abs(1 - s ** ctx.ell))), ctx)
+
+    def test_orbit_base_on_a_pole_is_skipped(self, ctx3):
+        # sigma = 1 puts the orbit base z0 = sigma eps^-2 on the first
+        # factor's pole: the core fit leaves that sample out, the full fit not
+        samples = [self._sample(ctx3, 1.5 + 0.1 * i, 0.3 + 0.05 * i) for i in range(10)]
+        out = det_exponent_probe([*samples, self._sample(ctx3, 2.5, 1.0)])
+        assert out["core_fit"]["n_samples"] == 10
+        assert out["full_fit"]["n_samples"] == 11
+
+    def test_equal_abscissas_are_inconclusive(self, ctx3):
+        out = det_exponent_probe([self._sample(ctx3, 1.5, 0.3)] * 10)
+        assert out == {"inconclusive": True, "core_fit": None, "full_fit": None}
 
     def test_insufficient_samples(self, pair3):
         cf = closed_form_R(*pair3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holobraid.errors import DegenerateSpectralParameterError
+from holobraid.errors import DegenerateSpectralParameterError, SingularParameterError
 from holobraid.qseries import _exp, phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.suite import phi_variant_evidence
@@ -53,6 +53,10 @@ class TestPhiSeries:
             ref = np.convolve(ref, c)[: order + 1]
         assert np.max(np.abs(phi_series(ctx, order) - ref)) < 1e-12
 
+    def test_needs_an_order(self, ctx3):
+        with pytest.raises(SingularParameterError, match="order must be >= 1, got 0"):
+            phi_series(ctx3, 0)
+
 
 class TestPhiOrbit:
     def test_zero_parameter(self):
@@ -99,6 +103,10 @@ class TestPhiOrbit:
         ctx = primitive_root(3)
         with pytest.raises(DegenerateSpectralParameterError):
             phi_orbit(ctx, 1.0)
+
+    def test_unknown_variant(self, ctx3):
+        with pytest.raises(ValueError, match="unknown variant 'x'"):
+            phi_orbit(ctx3, 0.5, variant="x")
 
     @pytest.mark.parametrize("ell", [3, 5, 9])
     def test_variant_evidence_matches_reference(self, ell):

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,10 +140,8 @@ class TestDumps:
 
 
 class TestReports:
-    def test_residual_entry_digits(self):
-        e = residual_entry(1.23456e-11)
-        assert e["approx"] == "1.23e-11"
-        assert e["value"] == 1.23456e-11
+    def test_residual_entry_holds_the_double(self):
+        assert residual_entry(1.23456e-11) == {"value": 1.23456e-11}
 
     def test_report_roundtrips_raw_doubles(self):
         blob = emit_report({"x": residual_entry(0.1 + 1e-17)})
@@ -185,7 +184,7 @@ class TestReports:
             assert check["pass"]
         adjudication = on_disk["adjudications"]["matrix_route"]
         assert adjudication["chosen"] == "first_conjugates:inverse:swapped"
-        assert adjudication["variants"]["second_conjugates:forward:direct"]["approx"] == "inf"
+        assert adjudication["variants"]["second_conjugates:forward:direct"]["value"] == INF
 
     def test_record_holds_each_value_once(self, tmp_path, monkeypatch):
         # ell 3 trials with both routes and a triple record only values
@@ -200,7 +199,7 @@ class TestReports:
             assert cli.main([*argv, "--report", str(tmp_path / "r.json")]) == 0
         suite_rep, braid_rep, *trial_reps = reports
         for rep in reports:
-            assert "variant" not in keys(rep) and "a_exp" not in keys(rep)
+            assert not {"variant", "a_exp", "approx"} & set(keys(rep))
             assert "failed" not in rep.get("summary", {})
         for record in (*suite_rep["trials"], *trial_reps):
             assert list(record)[list(record).index("params") + 1] == "band_exp"
@@ -337,7 +336,7 @@ class TestReports:
         trials = [{"checks": {"x": check_entry(r, 1.0)}} for r in (0.5, float("nan"))]
         summary = suite.check_summary(trials)["x"]
         assert summary["passed"] == 1
-        assert summary["max_residual"] == {"approx": "inf", "value": float("inf")}
+        assert summary["max_residual"] == {"value": INF}
 
     def test_worst_residual_keeps_nan(self):
         nan = float("nan")
@@ -449,6 +448,23 @@ class TestReports:
             SuiteConfig(ell=3, trials=0, seed=0)
         with pytest.raises(ValueError):
             SuiteConfig(ell=3, trials=1, seed=0, radius=1.5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.0), ("trials", True), ("seed", 1.5), ("hybe_every", 1.5),
+        ("radius", True), ("route", "x"), ("hybe_every", -1), ("radius", float("nan"))])
+    def test_config_names_a_bad_setting(self, name, value):
+        # SuiteConfig is the command line's only check too; unchecked, a
+        # float or bool count, seed or radius runs or fails mid-run
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+            SuiteConfig(**{"ell": 3, "trials": 1, "seed": 0, name: value})
+
+    def test_config_stores_plain_numbers(self):
+        cfg = SuiteConfig(ell=np.int64(3), trials=np.int32(2), seed=np.uint64(7),
+                          radius=np.float32(0.5), hybe_every=np.int8(1))
+        config = asdict(cfg)
+        assert config == {"ell": 3, "trials": 2, "seed": 7, "radius": 0.5,
+                          "route": "both", "hybe_every": 1}
+        assert [type(v) for v in config.values()] == [int, int, int, float, str, int]
 
     def test_empty_report_is_valid_json(self):
         from holobraid.report import new_report
