@@ -59,7 +59,7 @@ THRESHOLDS = {
     "route_deviation": 1e-8,
     "generator_actions": 1e-8,
     "set_ybe": 1e-9,
-    "hybe_residual": 1e-7,
+    "hybe_residual": 1e-8,
     "hybe_c_modulus": 1e-8,
 }
 ADJUDICATION_PASS = 1e-8
@@ -69,10 +69,10 @@ ROUTES = ("oracle", "closed-form", "both")  # SuiteConfig.route
 @dataclass
 class SuiteConfig:
     """A run's settings and their one check: a ValueError names the setting
-    and its value unless ell passes check_degree, trials >= 1, seed and
-    hybe_every >= 0 are integers (numpy's too, not bool), radius is a real
-    number in (0, 1] (not bool) and route is in ROUTES.  Numbers are stored
-    as Python int and float."""
+    and its value unless ell passes check_degree, trials >= 1, hybe_every
+    >= 0 and seed in [0, 2^64) are integers (numpy's too, not bool), radius
+    is a real number in (0, 1] (not bool) and route is in ROUTES.  Numbers
+    are stored as Python int and float."""
 
     ell: int
     trials: int
@@ -84,11 +84,13 @@ class SuiteConfig:
     def __post_init__(self):
         check_degree(self.ell)
         self.ell = int(self.ell)
-        for name, low in (("trials", 1), ("seed", -math.inf), ("hybe_every", 0)):
+        for name, low, high in (("trials", 1, math.inf), ("seed", 0, 2**64),
+                                ("hybe_every", 0, math.inf)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                bound = "" if low == -math.inf else f" >= {low}"
-                raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or not low <= value < high:
+                bound = f">= {low}" if high == math.inf else "in [0, 2^64)"
+                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
             setattr(self, name, int(value))
         r = self.radius
         if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r <= 1:

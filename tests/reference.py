@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from holobraid.cyclic import _chain, _dense, build_rep, clock_shift, gauge_U
+from holobraid.hybe import _apply
 from holobraid.intertwiner import (BLOCK_SHIFTS, _adjoint, _apply_rows, _band_rows,
-                                   _band_table, _coproducts, _propagate, _reduced_system)
+                                   _band_table, _coproducts, _propagate, _reduced_system,
+                                   closed_form_R, compare_up_to_scalar, solve_intertwiner)
 from holobraid.qseries import phi_orbit, phi_series
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
@@ -287,6 +289,52 @@ def embed_12(R, ell):
 def embed_23(R, ell):
     """Dense 1 x R on the triple space (the reference for hybe._apply)."""
     return np.kron(np.eye(ell), R)
+
+
+def triple_factors(col, xy):
+    """hybe_residual's six (intertwiner, slots) factors, the LHS's three
+    and then the RHS's, each product's leftmost first; the five beside xy
+    are solved on xy's route."""
+    solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
+    return [(solve(col.x1, col.y1), (0, 1)), (solve(col.x, col.z1), (0, 2)),
+            (solve(col.y, col.z), (1, 2)), (solve(col.ya, col.za), (1, 2)),
+            (solve(col.xa, col.z), (0, 2)), (xy, (0, 1))]
+
+
+def embed_stack(R, a, slots):
+    """hybe._apply(R, a, slots, identity, 0) on slots (0, 1) or (1, 2),
+    with R's entries scattered into zeros (ell^4, each once per spectator
+    index n) in place of multiplied: R's block of pair grade G - n sits at
+    rows (n, i) and columns (n, j), or at (i, G - n + a - i) and
+    (j, G - n - j)."""
+    ell = len(R)
+    g, n, i, j = np.ogrid[:ell, :ell, :ell, :ell]
+    pg = (g - n) % ell
+    rows, cols = ((n * ell + i, n * ell + j) if slots == (1, 2) else
+                  (i * ell + (pg + a - i) % ell, j * ell + (pg - j) % ell))
+    out = np.zeros((ell, ell * ell, ell * ell), dtype=complex)
+    out[g, rows, cols] = R[pg, i, j]
+    return out
+
+
+def exact_hybe(factors):
+    """(c, deviation) of hybe_residual with both triple products formed
+    exactly, as ell grade blocks of ell^2 x ell^2 each: the rightmost
+    factor scattered by embed_stack, the others applied right to left by
+    hybe._apply.  factors are triple_factors' six (intertwiner, slots)."""
+    ell = len(factors[0][0].blocks)
+
+    def product(chain):
+        (first, slots), *rest = reversed(chain)
+        P, s = embed_stack(first.blocks, first.pair.band_exp, slots), first.pair.band_exp
+        for intw, slots in rest:
+            P, s = _apply(intw.blocks, intw.pair.band_exp, slots, P, s), s + intw.pair.band_exp
+        return P, s % ell
+
+    (lhs, lhs_shift), (rhs, rhs_shift) = product(factors[:3]), product(factors[3:])
+    if lhs_shift != rhs_shift:
+        return 0j, 1.0
+    return compare_up_to_scalar(lhs, rhs)
 
 
 def coproduct_rep(p1, p2, g, opposite):

@@ -170,7 +170,7 @@ def test_criterion_5_holonomy_ybe():
             devs.append(dev)
             cmods.append(abs(abs(c) - 1))
             args.append(np.angle(c))
-        ok = max(devs) < 1e-7 and max(cmods) < 1e-8
+        ok = max(devs) < 1e-8 and max(cmods) < 1e-8
         ok_all &= ok
         # arg(c) lands on multiples of 2 pi / ell^3; report the distribution
         bins = sorted({round(a * ell**3 / (2 * np.pi)) for a in args})

@@ -101,7 +101,7 @@ def test_hybe_command(tmp_path):
     assert main(["hybe", "--ell", "3", "--seed", "11", "--report", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["checks"]["hybe_c_modulus"]["residual"]["value"] < 1e-8
-    assert rep["checks"]["hybe_residual"]["residual"]["value"] < 1e-7
+    assert rep["checks"]["hybe_residual"]["residual"]["value"] < 1e-8
     assert len(rep["colorings"]) == 15 and "z2" in rep["colorings"]
 
 

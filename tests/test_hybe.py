@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,10 +10,12 @@ from holobraid.cyclic import _dense, _kron_blocks, clock_shift, gauge_U
 from holobraid.errors import AssemblyError, InvalidInputError
 from holobraid.hybe import derive_colorings, embed_13, hybe_residual, s0_diagnostic
 from holobraid.intertwiner import PairContext, closed_form_R, solve_intertwiner
+from holobraid.report import check_entry
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
-from holobraid.suite import third_params
-from reference import SHIFTED, embed_12, embed_23, seed42_triple
+from holobraid.suite import THRESHOLDS, third_params
+from reference import (SHIFTED, embed_12, embed_23, exact_hybe, seed42_triple,
+                       triple_factors)
 
 
 def dense_products(factors, ell):
@@ -24,9 +27,12 @@ def dense_products(factors, ell):
     return lhs, rhs
 
 
-def dense_hybe(factors, ell):
-    """(c, deviation) of hybe_residual, computed densely."""
+def dense_hybe(factors, ell, X=None):
+    """(c, deviation) of the dense LHS and RHS, or of the dense LHS X and
+    RHS X for a dense matrix X of probe columns (probe_dense)."""
     lhs, rhs = dense_products(factors, ell)
+    if X is not None:
+        lhs, rhs = lhs @ X, rhs @ X
     c = np.vdot(rhs, lhs) / np.vdot(rhs, rhs)
     return c, float(np.linalg.norm(lhs - c * rhs) / np.linalg.norm(lhs))
 
@@ -37,15 +43,27 @@ def dense_s0(R0, ell):
     return np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
 
 
+def grade_order(ell):
+    """(ell, ell^2): the triple indices of each total grade, ascending."""
+    j = np.arange(ell ** 3)
+    order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
+    return order.reshape(ell, ell * ell)
+
+
 def triple_dense(stack, shift, ell):
     """The dense ell^3 x ell^3 matrix of a triple stack of grade shift `shift`."""
-    j = np.arange(ell ** 3)
-    # the triples of each total grade, in ascending triple index
-    order = np.argsort((j // ell ** 2 + j // ell + j) % ell, kind="stable")
-    order = order.reshape(ell, ell * ell)
+    order = grade_order(ell)
     M = np.zeros((ell ** 3, ell ** 3), dtype=complex)
     M[np.roll(order, -shift, axis=0)[:, :, None], order[:, None, :]] = stack
     return M
+
+
+def probe_dense(ell):
+    """hybe_residual's probe stack as a dense ell^3 x (ell PROBES) matrix:
+    column (G, p) holds probe p of grade G on the triples of grade G."""
+    X = np.zeros((ell ** 3, ell, hybe.PROBES), dtype=complex)
+    X[grade_order(ell), np.arange(ell)[:, None]] = hybe._probes(ell)
+    return X.reshape(ell ** 3, -1)
 
 
 SOLVE = {"oracle": solve_intertwiner, "closed-form": closed_form_R}
@@ -178,10 +196,12 @@ class TestGradeBlocks:
     @pytest.mark.parametrize("ell", [3, 5, 7])
     @pytest.mark.parametrize("route", ["oracle", "closed-form"])
     def test_matches_dense(self, ell, route):
+        # the dense products applied to the same probe columns
         ctx = primitive_root(ell)
         x, y = sample_params(ctx, 42, 0, count=2)
         z = third_params(ctx, 42, 0, 0.1)
-        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
+        factors = chain_factors(x, y, z, SOLVE[route])
+        c_ref, dev_ref = dense_hybe(factors, ell, probe_dense(ell))
         c, dev = triple_hybe(x, y, z, route)
         assert abs(c - c_ref) < 1e-14
         assert abs(dev - dev_ref) < 1e-14
@@ -190,10 +210,52 @@ class TestGradeBlocks:
     @pytest.mark.parametrize("route", ["oracle", "closed-form"])
     def test_matches_dense_on_shifted_pairs(self, ell, radius, trial, route):
         x, y, z = seed42_triple(ell, radius, trial)
-        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
+        factors = chain_factors(x, y, z, SOLVE[route])
+        c_ref, dev_ref = dense_hybe(factors, ell, probe_dense(ell))
         c, dev = triple_hybe(x, y, z, route)
         assert abs(c - c_ref) < 1e-14
         assert abs(dev - dev_ref) < 1e-14
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    @pytest.mark.parametrize("route", ["oracle", "closed-form"])
+    def test_exact_reference_matches_dense(self, ell, route):
+        # tests/reference.py's exact products against the dense ones
+        x, y, z = seed42_triple(ell, 0.1, 0)
+        col = derive_colorings(x, y, z)
+        c_ref, dev_ref = dense_hybe(chain_factors(x, y, z, SOLVE[route]), ell)
+        c, dev = exact_hybe(triple_factors(col, SOLVE[route](x, y)))
+        assert abs(c - c_ref) < 1e-14
+        assert abs(dev - dev_ref) < 1e-14
+
+    @pytest.mark.parametrize("route", ["oracle", "closed-form"])
+    def test_planted_defects_fail_the_gate(self, route, monkeypatch):
+        # one stack entry of one of the six factors times 1 + 1e-6 or
+        # 1 + 1e-5, on seed-42 triples 0-2 at ell 3-9: the probes read the
+        # exact deviation within [0.5, 2]x, and every defect that the exact
+        # products show at 1e-7 or more fails the hybe_residual gate.  On
+        # each route three of those read under 1e-7 on the probes, so a
+        # 1e-7 gate would miss them
+        gate, failing, under_1e7 = THRESHOLDS["hybe_residual"], 0, 0
+        for ell, trial in itertools.product((3, 5, 7, 9), range(3)):
+            x, y, z = seed42_triple(ell, 0.1, trial)
+            col = derive_colorings(x, y, z)
+            factors = triple_factors(col, SOLVE[route](x, y))
+            for k, size in itertools.product(range(6), (1e-6, 1e-5)):
+                rng = np.random.default_rng([ell, trial, k])
+                blocks = factors[k][0].blocks.copy()
+                blocks.flat[rng.integers(blocks.size)] *= 1 + size
+                planted = [(replace(f, blocks=blocks) if j == k else f, slots)
+                           for j, (f, slots) in enumerate(factors)]
+                _, exact = exact_hybe(planted)
+                solved = iter(f for f, _ in planted[:5])
+                monkeypatch.setattr(hybe, SOLVE[route].__name__, lambda a, b: next(solved))
+                _, dev = hybe_residual(col, planted[5][0])
+                assert 0.5 <= dev / exact <= 2
+                if exact >= 1e-7:
+                    failing += 1
+                    under_1e7 += dev < 1e-7
+                    assert not check_entry(dev, gate)["pass"]
+        assert (failing, under_1e7) == (75, 3)
 
     @pytest.mark.parametrize("ell", [3, 5])
     def test_apply_matches_dense(self, ell):
@@ -214,24 +276,6 @@ class TestGradeBlocks:
                     ref = dense_embed(_dense(R, a), ell) @ triple_dense(P, s, ell)
                     got = triple_dense(hybe._apply(R, a, slots, P, s), s + a, ell)
                     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("ell", [3, 5])
-    def test_embed_matches_dense(self, ell):
-        # each triple product starts from its first factor scattered into
-        # zeros: on slots (1, 2) for the LHS and (0, 1) for the RHS.  Its
-        # entries equal the dense embedding's and _apply's on the identity
-        # exactly; only the sign of a zero may differ from _apply's, whose
-        # sums of 0 * x give -0 (adding +0.0 maps -0 to +0 and leaves every
-        # other bit pattern as it is)
-        rng = np.random.default_rng(ell)
-        identity = np.stack([np.eye(ell * ell, dtype=complex)] * ell)
-        for a in range(ell):
-            R = rng.normal(size=(ell,) * 3) + 1j * rng.normal(size=(ell,) * 3)
-            for slots, dense_embed in (((0, 1), embed_12), ((1, 2), embed_23)):
-                got = hybe._embed(R, a, slots)
-                assert np.array_equal(triple_dense(got, a, ell), dense_embed(_dense(R, a), ell))
-                via_apply = hybe._apply(R, a, slots, identity, 0)
-                assert (got + 0.0).tobytes() == (via_apply + 0.0).tobytes()
 
     @pytest.mark.parametrize("ell, trial", [(3, 0), (5, 0), (7, 0), (7, 15), (7, 17),
                                             (7, 68), (9, 0)])

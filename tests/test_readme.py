@@ -11,5 +11,5 @@ def test_python_api_block_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
     exec(compile(block, f"{README}:Python API", "exec"), namespace)
-    assert namespace["deviation"] < 1e-7  # the triple's
+    assert namespace["deviation"] < 1e-8  # the triple's
     assert abs(abs(namespace["c"]) - 1) < 1e-8

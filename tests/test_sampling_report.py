@@ -451,10 +451,12 @@ class TestReports:
 
     @pytest.mark.parametrize("name, value", [
         ("trials", 2.0), ("trials", True), ("seed", 1.5), ("hybe_every", 1.5),
-        ("radius", True), ("route", "x"), ("hybe_every", -1), ("radius", float("nan"))])
+        ("radius", True), ("route", "x"), ("hybe_every", -1), ("radius", float("nan")),
+        ("seed", -1), ("seed", 2**64)])
     def test_config_names_a_bad_setting(self, name, value):
         # SuiteConfig is the command line's only check too; unchecked, a
-        # float or bool count, seed or radius runs or fails mid-run
+        # float or bool count, seed or radius runs or fails mid-run, and a
+        # seed outside [0, 2^64) names the same Philox key as its residue
         with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
             SuiteConfig(**{"ell": 3, "trials": 1, "seed": 0, name: value})
 
