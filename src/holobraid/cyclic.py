@@ -22,7 +22,6 @@ on two slots of the triple space.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -186,12 +185,6 @@ def _kron_blocks(X: np.ndarray, Y: np.ndarray, shift: int) -> np.ndarray:
     """X x Y as a stack of grade shift `shift` (entries off that band are
     dropped): entry X[i, j] Y[m', m], the one product np.kron takes."""
     return X * Y.ravel()[_stack_index(len(X), shift)[1]]
-
-
-def _diag_blocks(d: np.ndarray) -> np.ndarray:
-    """diag(d), d over the ell^2 pair indices, as a stack (grade shift 0)."""
-    ell = math.isqrt(len(d))
-    return d[_stack_index(ell, 0)[0] // len(d)] * np.eye(ell)
 
 
 def _dense(blocks: np.ndarray, shift: int) -> np.ndarray:

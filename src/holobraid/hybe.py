@@ -110,17 +110,16 @@ def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,
     one batched matmul, written straight into the product, once P[G]'s rows
     are laid out as (spectator, first slot): a reshape on slots (1, 2), a
     swap of n1 and n2 on (0, 2), and on (0, 1) a row gather and scatter,
-    one grade at a time so that the gathered copy is one block.
+    one gather as large as P, over all grades.
     """
     ell = len(R)
     k = np.arange(ell)
     blocks = R[(k[:, None] + s - k) % ell]  # [G, spectator index]
     out = np.empty_like(P)
     if slots == (0, 1):  # rows (n3, n1) of P[G], n2 fixed by the grade
-        n3, n1 = k[:, None], k
-        for G in range(ell):
-            n2 = G + s - n3 - n1
-            out[G, n1 * ell + (n2 + a) % ell] = blocks[G] @ P[G, n1 * ell + n2 % ell]
+        G, n3, n1 = k[:, None, None], k[:, None], k
+        n2 = G + s - n3 - n1
+        out[G, n1 * ell + (n2 + a) % ell] = blocks @ P[G, n1 * ell + n2 % ell]
         return out
     Q, O = P.reshape(ell, ell, ell, -1), out.reshape(ell, ell, ell, -1)
     if slots == (0, 2):

@@ -35,11 +35,12 @@ line, and CGLS steps on the full sparse rows (S^H by a gather through the
 table) refine it until the residual stalls at its rounding floor.
 
 A PairContext holds what both routes and their checks read of one pair
-(the output pair, the four generator matrix sets, the band, the braid
-factor, the equation blocks) and owns the closed form's pair data: its
-twist scalars chi, its twist diagonal and its spectral factor, built only
-when the closed form is.  Each Intertwiner carries its PairContext to the
-checks; only the two routes take one, as pair=, from a caller.
+(the output pair, the band and, built on first read, the four generator
+matrix sets, the braid factor and the equation blocks) and owns the
+closed form's pair data: its twist scalars chi, its twist diagonal and
+its spectral factor, built only when the closed form is.  Each
+Intertwiner carries its PairContext to the checks; only the two routes
+take one, as pair=, from a caller.
 """
 from __future__ import annotations
 
@@ -50,9 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense, _diag_blocks,
-                     _kron_blocks, _read_only, _rotate, _shift_power, _stack_index,
-                     braided_rep_pair, build_rep, clock_shift, gauge_U, z0_character)
+from .cyclic import (RepParams, RepMatrices, _braid_factor, _chain, _dense, _kron_blocks,
+                     _read_only, _rotate, _shift_power, _stack_index, braided_rep_pair,
+                     build_rep, clock_shift, gauge_U, z0_character)
 from .errors import (BranchMismatchError, HolobraidError, InvalidInputError,
                      NoIntertwinerError, NonGenericRepresentationError)
 from .glstar import beta_forward
@@ -402,15 +403,15 @@ class PairContext:
     """The ingredients of one pair (p1, p2), built once and read by both
     routes and their checks.
 
-    Holds the output pair (braided, or the oracle's target), the four
-    RepMatrices (in1, in2, out1, out2), and the band exponent a, the grade
-    shift of every intertwiner of the pair, with its distance.  The braid
-    factor G, T = 1 - eps G, the eight equation blocks and the closed
-    form's twist scalars chi, twist diagonal D and spectral factor R1 are
-    built on first use, so the oracle computes nothing of the closed form
-    and an unread closed-form residual builds no blocks.  G, T, the blocks
-    and R1 are stacks (see cyclic), of ell^3 entries each.  p1, p2 and a
-    target share one RootContext, or InvalidInputError is raised.
+    Holds the output pair (braided, or the oracle's target) and the band
+    exponent a, the grade shift of every intertwiner of the pair, with its
+    distance.  Built on first read: the generator matrices reps (in1, in2,
+    out1, out2), the braid factor G, T = 1 - eps G, the eight equation
+    blocks and the closed form's chi, twist diagonal D and spectral factor
+    R1.  So the oracle builds nothing of the closed form, and a closed-form
+    pair no generator matrix (nor, while its residual is unread, a block).
+    G, T, the blocks and R1 are stacks (see cyclic), of ell^3 entries each.
+    p1, p2 and a target share one RootContext, or InvalidInputError is raised.
     """
 
     def __init__(self, p1: RepParams, p2: RepParams,
@@ -420,8 +421,11 @@ class PairContext:
         self.in_params = (p1, p2)
         self.braided = target is None
         self.out_params = braided_rep_pair(p1, p2) if target is None else tuple(target)
-        self.reps = tuple(build_rep(p) for p in (*self.in_params, *self.out_params))
         self.band_exp, self.band_dist = _band_offset(*self.in_params, *self.out_params)
+
+    @cached_property
+    def reps(self) -> tuple[RepMatrices, ...]:
+        return tuple(build_rep(p) for p in (*self.in_params, *self.out_params))
 
     @cached_property
     def G(self) -> np.ndarray:
@@ -653,17 +657,21 @@ def closed_form_R(p1: RepParams, p2: RepParams, *,
     input/output representations, D is the pair's twist diagonal and R1 its
     spectral factor, the function of B x B^-1 whose eigenvalue orbit has
     step (1/s)/(1 - sigma eps^(2k)) with the scalars of pair.chi, starting
-    at 1 (det normalization removes any other start).  pair is the
+    at 1 (det normalization removes any other start).  All but R1 are
+    monomial, so R's stack is assembled entrywise (c is R1's circulant):
+    R[g][i, j] = D[i, m'] Ug_out[m'] c[(i - a - j) mod ell] / Ug_in[m], with
+    m' = (g + a - i) mod ell and m = (g - j) mod ell.  pair is the
     PairContext of (p1, p2) when the caller shares one; D, R1 and chi stay
     on it for r1_conjugation_residuals, s0_diagnostic and the report.
     """
     pair = _pair_of(p1, p2, pair)
     ell, a = p1.ctx.ell, pair.band_exp
-    U2, Ut2 = (gauge_U(q)[0] for q in (p2, pair.out_params[1]))
-    Ba = _shift_power(ell, a)
-    blocks, _ = _chain([(_diag_blocks(pair.twist), 0), (_kron_blocks(Ba, Ut2, a), a),
-                        (pair.spectral, 0),
-                        (_kron_blocks(np.eye(ell), np.linalg.inv(U2), 0), 0)])
+    U2, Ut2 = (np.diag(gauge_U(q)[0]) for q in (p2, pair.out_params[1]))
+    k = np.arange(ell)
+    g, i, j = k[:, None, None], k[:, None], k
+    m_out = (g + a - i) % ell
+    blocks = (pair.twist.reshape(ell, ell)[i, m_out] * Ut2[m_out]
+              * pair.spectral[0][(i - a) % ell, j] / U2[(g - j) % ell])
     blocks, log_abs_det = det_normalize(blocks, a)
     return Intertwiner(blocks=blocks, pair=pair, route="closed-form", log_abs_det=log_abs_det)
 

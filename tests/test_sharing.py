@@ -152,6 +152,23 @@ def test_trial_braids_each_pair_once(route, monkeypatch):
     assert len(lifts) == 2
 
 
+def test_closed_form_builds_no_generator_matrices():
+    # closed_form_R reads parameters, gauges and chi alone, so its pair's
+    # generator matrices, braid factor and equation blocks stay unbuilt, and
+    # a closed-form triple builds the matrices of none of the ten colorings
+    # that its five solved factors add to (x, y, z) and the trial's (xa, ya)
+    ctx = primitive_root(5)
+    p1, p2 = sample_params(ctx, 42, 0, count=2)
+    xy = closed_form_R(p1, p2)
+    assert {"reps", "G", "blocks"}.isdisjoint(vars(xy.pair))
+    col = derive_colorings(p1, p2, suite.third_params(ctx, 42, 0, 0.1))
+    hybe_residual(col, xy)
+    added = {name for pairs in SOLVED_FACTORS for names in pairs for name in names} \
+        - {"x", "y", "z", "xa", "ya"}
+    assert len(added) == 10
+    assert [name for name in sorted(added) if "_matrices" in vars(getattr(col, name))] == []
+
+
 def test_braiding_is_shared_and_fresh():
     # the memo returns the same objects each time, equal to a fresh lift of
     # the braided characters; braiding p with itself keeps p collectable
