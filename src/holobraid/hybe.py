@@ -17,24 +17,25 @@ formed: both act on _probes' PROBES = 4 Gaussian columns per total grade,
 which read the exact deviation within 2x (Freivalds' check, with the
 deviation estimated as well as detected).  _apply multiplies by each
 embedded factor's ell^2 blocks of ell x ell in one batched matmul, O(ell^4)
-per column.  The probes' Philox key is fixed per degree, so that a fresh
-call repeats a suite trial's numbers.  The zero-spectral-parameter core R0 of
-s0_diagnostic, the pair's twist diagonal times B^a x (a diagonal gauge
-ratio), sends v_n x v_m to a weight times v_(n+a) x v_m.  Embedded on
-slots (i, j) it shifts slot i by a and keeps the rest, so both triple
-products shift slot 1 twice and slot 2 once: they send each triple index
-to the same one, and s0_diagnostic compares their weights on the
-ell^3 triple index grid, in O(ell^3).  The dense slot embedding embed_13
-is a reference the tests compare _apply against, with embed_12 and
+per column.  The probes are drawn once per degree, from a fixed Philox key,
+and kept read-only, so a fresh call repeats a suite trial's numbers.  The
+zero-spectral-parameter core R0 of s0_diagnostic, the pair's twist diagonal
+times B^a x (a diagonal gauge ratio), sends v_n x v_m to a weight times
+v_(n+a) x v_m.  Embedded on slots (i, j) it shifts slot i by a and keeps the
+rest, so both triple products shift slot 1 twice and slot 2 once: they send
+each triple index to the same one, and s0_diagnostic compares their weights
+on the ell^3 triple index grid, in O(ell^3).  The dense slot embedding
+embed_13 is a reference the tests compare _apply against, with embed_12 and
 embed_23 of tests/reference.py, whose exact_hybe forms both products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import RepParams, braided_rep_pair, gauge_U
+from .cyclic import RepParams, _read_only, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
 from .intertwiner import (Intertwiner, closed_form_R, compare_up_to_scalar,
                           solve_intertwiner)
@@ -128,11 +129,13 @@ def _apply(R: np.ndarray, a: int, slots: tuple[int, int], P: np.ndarray,
     return out
 
 
+@lru_cache(maxsize=8)
 def _probes(ell: int) -> np.ndarray:
-    """The probe stack of shift 0, (ell, ell^2, PROBES), drawn at each call."""
+    """The probe stack of shift 0, (ell, ell^2, PROBES), drawn once per
+    degree from the key (ell, PROBE_KEY), read-only."""
     re, im = np.random.Generator(np.random.Philox(key=[ell, PROBE_KEY])).standard_normal(
         (2, ell, ell * ell, PROBES))
-    return re + 1j * im
+    return _read_only(re + 1j * im)
 
 
 def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float]:

@@ -389,9 +389,9 @@ def series_value(coeffs, z):
 
 
 def phi_variant_reference(ctx, order=60):
-    """suite.phi_variant_evidence written out point by point: for each
-    reading, the worst |phi_orbit - Phi / Phi(z_0)| over the four probes'
-    orbits z_k = s eps^(2k-2)."""
+    """suite.phi_variant_evidence with Phi from its Taylor series (order
+    terms), summed point by point: for each reading, the worst
+    |phi_orbit - Phi / Phi(z_0)| over the four probes' orbits z_k = s eps^(2k-2)."""
     coeffs = phi_series(ctx, order)
     out = {}
     for variant in ("direct", "reciprocal_argument"):

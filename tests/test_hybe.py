@@ -356,6 +356,24 @@ class TestGradeBlocks:
         assert (c, dev) == (0, 1.0)
         assert (c_ref, dev_ref) == (0, 1.0)
 
+    def test_probes_drawn_once_per_degree(self, monkeypatch):
+        # the probe stack is a per-degree constant: shared, read-only, and
+        # a later triple at the same degree builds no generator for it
+        X = hybe._probes(5)
+        assert hybe._probes(5) is X
+        assert not X.flags.writeable
+        x, y, z = seed42_triple(5, 0.1, 0)
+        first = triple_hybe(x, y, z, "closed-form")
+        built, philox = [], np.random.Philox
+
+        def count_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", count_philox)
+        assert triple_hybe(x, y, z, "closed-form") == first
+        assert built == []
+
     def test_large_ell_closed_form(self):
         ctx = primitive_root(13)
         x, y = sample_params(ctx, 42, 0, count=2)

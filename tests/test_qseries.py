@@ -108,9 +108,10 @@ class TestPhiOrbit:
         with pytest.raises(ValueError, match="unknown variant 'x'"):
             phi_orbit(ctx3, 0.5, variant="x")
 
-    @pytest.mark.parametrize("ell", [3, 5, 9])
+    @pytest.mark.parametrize("ell", [3, 5, 9, 13, 21])
     def test_variant_evidence_matches_reference(self, ell):
-        # one Horner pass over all 4 ell orbit points against one per point
+        # Phi's finite product at all 4 ell orbit points against the order-60
+        # series summed at one point at a time
         ctx = primitive_root(ell)
         got, ref = phi_variant_evidence(ctx), phi_variant_reference(ctx)
         assert got.keys() == ref.keys()
