@@ -34,7 +34,7 @@ def _add_common(p: argparse.ArgumentParser, handler) -> None:
     p.set_defaults(handler=handler, usage_error=p.error)
     p.add_argument("--ell", type=int, default=3, help="odd root-of-unity degree")
     p.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    p.add_argument("--radius", type=float, default=0.1,
+    p.add_argument("--radius", type=float, default=SuiteConfig.radius,
                    help="half-width of the log-space sampling box")
     p.add_argument("--report", default=None, help="write a JSON report here")
 
@@ -48,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full verification battery")
     _add_common(p, _cmd_suite)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--route", choices=ROUTES, default="both")
-    p.add_argument("--hybe-every", type=int, default=5,
+    p.add_argument("--route", choices=ROUTES, default=SuiteConfig.route)
+    p.add_argument("--hybe-every", type=int, default=SuiteConfig.hybe_every,
                    help="run a triple test every N-th trial (0 disables)")
 
     p = sub.add_parser("braid-map", help="character and coloring checks only")
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rmatrix", help="one suite trial without its triple")
     _add_common(p, _cmd_trial)
     p.add_argument("--trial", type=int, default=0, help="trial index to sample")
-    p.add_argument("--route", choices=ROUTES, default="both")
+    p.add_argument("--route", choices=ROUTES, default=SuiteConfig.route)
     p.add_argument("--dump-dir", default=None,
                    help="write the trial's K, L, E, F and R as TSV files here")
 

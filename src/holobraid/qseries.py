@@ -2,13 +2,16 @@
 
 A power series is its complex coefficient array c[0..order].  The one
 function here is the staircase product
-Phi(z) = prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell), which is only ever
-needed through its Taylor expansion (phi_series) and through its value
-orbit along z -> eps^2 z (phi_orbit), whose step (_staircase_orbit) also
-builds the closed form's spectral factor.
+Phi(z) = prod_{m=1..ell} (1 - eps^(2m) z)^(-m/ell), as its Taylor
+expansion (phi_series, which serves the public API, the tests' reference
+and a benchmark span) and as its value orbit along z -> eps^2 z
+(phi_orbit), whose step (_staircase_orbit) also builds the closed form's
+spectral factor.  The suite's values of Phi itself
+(suite.phi_variant_evidence, intertwiner.det_exponent_probe) come from
+the finite product.
 
-Fractional powers are taken through the logarithmic series, which is
-well-defined because every factor has constant term 1.
+The series takes fractional powers through the logarithmic series, which
+is well-defined because every factor has constant term 1.
 """
 from __future__ import annotations
 

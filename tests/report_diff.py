@@ -2,8 +2,7 @@
 
     python tests/report_diff.py OLD.json NEW.json
 
-The top-level generated_at is ignored, and so is a residual entry's
-"approx" string beside its "value".  List indices (the trials, complex
+The top-level generated_at is ignored.  List indices (the trials, complex
 pairs) are folded to *, so each line is one field: how many of its values
 differ, the largest absolute change and the largest change relative to
 the old value.  A value of another type, or a key on one side only, is
@@ -27,7 +26,7 @@ def leaves(node, path=()):
         yield path, node
     elif isinstance(node, dict):
         for key, value in node.items():
-            if (key == "generated_at" and not path) or (key == "approx" and "value" in node):
+            if key == "generated_at" and not path:
                 continue
             yield from leaves(value, (*path, key))
     elif isinstance(node, list):

@@ -1,4 +1,4 @@
-"""tests/report_diff.py, the comparator behind CI's determinism steps."""
+"""tests/report_diff.py, the comparator behind the reference runs' equal-report check."""
 import json
 import subprocess
 import sys
@@ -32,10 +32,10 @@ def test_only_top_level_generated_at_is_ignored(compare):
     assert lines == ["meta.generated_at: 'a' -> 'b'"]
 
 
-def test_approx_is_ignored_only_beside_value(compare):
-    old = {"r": {"value": 0.25, "approx": "2.5e-01"}}
-    assert compare(old, {"r": {"value": 0.25, "approx": "0.25"}}) == (0, [])
-    code, lines = compare({"r": {"approx": "2.5e-01"}}, {"r": {"approx": "0.25"}})
+def test_approx_beside_value_is_reported(compare):
+    # no report writes an "approx" string, so one beside "value" is compared too
+    code, lines = compare({"r": {"value": 0.25, "approx": "2.5e-01"}},
+                          {"r": {"value": 0.25, "approx": "0.25"}})
     assert code == 1
     assert lines == ["r.approx: '2.5e-01' -> '0.25'"]
 
