@@ -96,6 +96,8 @@ def _cmd_braid_map(args, cfg: SuiteConfig) -> tuple[int, dict]:
         trials.append(trial)
     n_pass = sum(tr["pass"] for tr in trials)
     report["summary"] = {"trials": cfg.trials, "passed": n_pass,
+                         "hybe_rejected": sum(tr.get("hybe", {}).get("rejected", False)
+                                              for tr in trials),
                          "checks": check_summary(trials)}
     return (0 if n_pass == cfg.trials else 1), report
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from .cyclic import RepParams, _read_only, braided_rep_pair, gauge_U
 from .errors import AssemblyError, InvalidInputError
-from .intertwiner import (Intertwiner, closed_form_R, compare_up_to_scalar,
-                          solve_intertwiner)
+from .intertwiner import (Intertwiner, PairContext, batch_size, closed_form_R,
+                          compare_up_to_scalar, solve_intertwiner, solve_intertwiners, solved)
 from .report import worst_residual
 
 
@@ -138,12 +138,23 @@ def _probes(ell: int) -> np.ndarray:
     return _read_only(re + 1j * im)
 
 
+def _factors(col: ColoringTriple, route: str) -> list[Intertwiner]:
+    """hybe_residual's factors of (x1, y1), (x, z1), (y, z), (ya, za), (xa, z)
+    on route; the oracle's as batches where batch_size allows, the first
+    that failed raising its error."""
+    pairs = [(col.x1, col.y1), (col.x, col.z1), (col.y, col.z), (col.ya, col.za), (col.xa, col.z)]
+    if route == "oracle" and batch_size(col.x.ctx.ell) > 1:
+        return [solved(outcome) for outcome in solve_intertwiners([PairContext(*p) for p in pairs])]
+    solve = solve_intertwiner if route == "oracle" else closed_form_R
+    return [solve(*pair) for pair in pairs]
+
+
 def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float]:
     """Up-to-scalar holonomy Yang-Baxter deviation for one triple.
 
     col is the triple's coloring chain (derive_colorings) and xy an
     intertwiner of its pair (col.x, col.y), which is the (x, y) factor; the
-    other five factors are solved on xy's route.  Applies the ordered
+    other five factors are solved on xy's route (_factors).  Applies the ordered
     products of the six det-normalized intertwiners, embedded into the
     triple space, to the probes X (_probes), each factor by _apply, right
     to left: O(ell^4 PROBES) work and no array larger than X.  Returns
@@ -166,7 +177,6 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float]
         raise InvalidInputError("xy is not an intertwiner of the triple's pair (x, y)")
     if not np.isfinite(col.finals_deviation()):
         raise AssemblyError("coloring chains failed to produce finite finals")
-    solve = solve_intertwiner if xy.route == "oracle" else closed_form_R
     ell = col.x.ctx.ell
     X = _probes(ell)
 
@@ -177,10 +187,9 @@ def hybe_residual(col: ColoringTriple, xy: Intertwiner) -> tuple[complex, float]
             P, s = _apply(intw.blocks, intw.pair.band_exp, slots, P, s), s + intw.pair.band_exp
         return P, s % ell
 
-    lhs, lhs_shift = product([(solve(col.x1, col.y1), (0, 1)), (solve(col.x, col.z1), (0, 2)),
-                              (solve(col.y, col.z), (1, 2))])
-    rhs, rhs_shift = product([(solve(col.ya, col.za), (1, 2)), (solve(col.xa, col.z), (0, 2)),
-                              (xy, (0, 1))])
+    f = _factors(col, xy.route)
+    lhs, lhs_shift = product([(f[0], (0, 1)), (f[1], (0, 2)), (f[2], (1, 2))])
+    rhs, rhs_shift = product([(f[3], (1, 2)), (f[4], (0, 2)), (xy, (0, 1))])
     if lhs_shift != rhs_shift:
         return 0j, 1.0
     return compare_up_to_scalar(lhs, rhs)

@@ -32,7 +32,11 @@ two-term rows vanish.  Each coupling row (blocks 2-5) names components c,
 c + 1 mod ell alone, so its QR on that basis splits into ell two-column
 blocks (block TSQR): the SVD of their stacked 2 x 2 R's picks the kernel
 line, and CGLS steps on the full sparse rows (S^H by a gather through the
-table) refine it until the residual stalls at its rounding floor.
+table) refine it until the residual stalls at its rounding floor.  Pairs of
+one degree are solved in batches of BATCH_UNKNOWNS band unknowns
+(solve_intertwiners): every step runs once on a leading pair axis, each
+reduction along one pair's own, so a pair's result and its error, raised
+only where it is read, are those of its solve alone.
 
 A PairContext holds what both routes and their checks read of one pair
 (the output pair, the band and, built on first read, the four generator
@@ -77,6 +81,10 @@ BAND_TOL = KERNEL_TOL
 TWIST_ROOT_TOL = 1e-8
 # grade shifts of the eight equation blocks of PairContext.blocks
 BLOCK_SHIFTS = (0, 0, 1, -1, 0, 0, 1, -1)
+# band unknowns (ell^3 a pair) an oracle batch holds at most (batch_size), from a
+# sweep: 8 pairs at ell 3, one from ell 5 on.  From 1024 the adjoint's product passes
+# numpy's 256 KiB temporary elision, which can swap a complex product's operands
+BATCH_UNKNOWNS = 216
 
 
 def _coproducts(r1: RepMatrices, r2: RepMatrices, opposite: bool) -> list[np.ndarray]:
@@ -108,7 +116,8 @@ def _equation_blocks(reps, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BandTable = namedtuple("_BandTable",
-                        "cols src merge adjoint adjoint_rows grid two_term comp sz_index r_index")
+                        "cols src merge adjoint adjoint_rows grid two_term comp sz_index r_index "
+                        "grades seeds starts")
 
 
 @lru_cache(maxsize=8)
@@ -146,6 +155,8 @@ def _band_table(ell: int) -> _BandTable:
     c and c + 1 alone: slot t adds to S_c Z, split as (ell, 4 ell^2, 2), at
     flat sz_index[t, r] = [c, r's place in c's rows, 0 or 1 for c or c + 1],
     and r_index[c] the flat slots of pair c's R (0, 0), (0, 1), (1, 1).
+    grades[b - 2, 0] = ell b is N's first row of block b as (8 ell, ell^2),
+    seeds[d] = d ell^3 and starts = 0 start a pair's ratios and unknowns.
     """
     n, rows = ell ** 3, 6 * ell ** 3
     I, B = np.eye(ell), _shift_power(ell, 1)
@@ -190,17 +201,44 @@ def _band_table(ell: int) -> _BandTable:
     table = _BandTable(*(x.astype(np.intp, order="C") for x in (
         cols, src, merge, adjoint % 4 * rows + adjoint // 4, adjoint // 4, grid,
         np.stack([steps + rows - to, steps + to]), comp, 2 * place + (k - c_row) % ell,
-        (2 * c[:, 0] + [0, 0, 1]) * ell + (c[:, 0] + [0, 1, 1]) % ell)))
+        (2 * c[:, 0] + [0, 0, 1]) * ell + (c[:, 0] + [0, 1, 1]) % ell,
+        np.arange(2, 8)[:, None] * ell, n * np.arange(2)[:, None, None, None], np.zeros(()))))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _batch_table(ell: int, pairs: int = 0) -> _BandTable:
+    """_band_table(ell) for a pair axis of `pairs` (none: itself), read-only:
+    each index gains that axis (after the slot axis where vals has one,
+    else first) and points into the pairs' arrays laid end to end."""
+    one, n, p = _band_table(ell), ell ** 3, np.arange(pairs)
+    if not pairs:
+        return one
+
+    def at(x, size, axis=1):  # x with a pair axis at `axis`, offset by pair * size
+        return np.expand_dims(x, axis) + p.reshape(-1, *(1,) * (x.ndim - axis)) * size
+
+    def slot(x):  # a flat slot of a pair's vals (4, 6n) in the batch's (4, pairs, 6n)
+        return at(x // (6 * n) * pairs * 6 * n + x % (6 * n), 6 * n)
+
+    table = _BandTable(at(one.cols, n), at(one.src, 12 * n + 1), slot(one.merge).reshape(2, -1),
+                       slot(one.adjoint), at(one.adjoint_rows, 6 * n), one.grid,
+                       slot(one.two_term), at(one.comp, ell, 0), at(one.sz_index, 8 * n),
+                       at(one.r_index, 2 * ell * ell, 0), at(one.grades, 8 * ell, 0),
+                       at(one.seeds, 2 * n, 0), at(one.starts[None, None, None], n, 0))
     for arr in table:
         arr.setflags(write=False)
     return table
 
 
 def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
-               a: int) -> tuple[np.ndarray, np.ndarray]:
+               a) -> tuple[np.ndarray, np.ndarray]:
     """The band system S of blocks 2-7 of PairContext.blocks as
     (cols, vals), each slot-major of shape (4, rows): row r has vals[t, r]
-    in column cols[t, r] and unit norm.
+    in column cols[t, r] and unit norm; with a pair axis on blocks and a,
+    vals (4, pairs, rows) and cols from _batch_table.
 
     Unknown k = g ell^2 + i ell + j is R's stack entry R[g][i, j], R of
     grade shift a.  Row b ell^3 + k is (N R - R M)[g][i, j] of block b + 2
@@ -213,36 +251,40 @@ def _band_rows(blocks: tuple[np.ndarray, np.ndarray],
     the first 2 ell^3 read the 0 (see _band_table), so they hold exact
     zeros that _apply_rows and _reduced_system skip.
     """
-    M, N = (X[2:] for X in blocks)
-    ell = M.shape[1]
-    table = _band_table(ell)
-    vals = np.concatenate((N[:, (np.arange(ell) + a) % ell].ravel(), -M.ravel(), [0]))[table.src]
+    M, N = blocks
+    ell, lead = M.shape[-1], M.shape[:-4]
+    table = _batch_table(ell, *lead)
+    grades = table.grades + np.add.outer(a, np.arange(ell))[..., None, :] % ell  # N[b, g + a]
+    vals = np.concatenate((N.reshape(-1, ell * ell)[grades].reshape(*lead, -1),
+                           -M[..., 2:, :, :, :].reshape(*lead, -1), np.zeros((*lead, 1))),
+                          axis=-1).reshape(-1)[table.src]
     flat = vals.reshape(-1)
     flat[table.merge[0]] += flat[table.merge[1]]
     flat[table.merge[1]] = 0
     # np.linalg.norm of each row, the same products summed in the same order
-    sq = (vals.conj() * vals).real
-    return table.cols, vals / np.sqrt(sq[0] + sq[1] + sq[2] + sq[3])
+    return table.cols, vals / np.sqrt((vals.conj() * vals).real.sum(axis=0))
 
 
 def _apply_rows(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S @ x for the slot-major rows of _band_rows: slots 0-1 over all
-    rows, then slots 2-3 over the coproduct rows (the first third) alone.
-    The slots skipped hold exact zeros, so this is the four-slot sum."""
+    """S @ x for the slot-major rows of _band_rows: slots 0-1 over all rows,
+    then slots 2-3 over the coproduct rows (the first third) alone.  The
+    slots skipped hold exact zeros, so this is the four-slot sum."""
+    x = x.reshape(-1)
     out = vals[0] * x[cols[0]]
     out += vals[1] * x[cols[1]]
-    head = out[:len(out) // 3]
+    head = out[..., :out.shape[-1] // 3]
     for t in (2, 3):
-        head += vals[t, :len(head)] * x[cols[t, :len(head)]]
+        head += vals[t, ..., :head.shape[-1]] * x[cols[t, ..., :head.shape[-1]]]
     return out
 
 
 def _propagate(ratio: np.ndarray) -> np.ndarray:
-    """x[c, s, t] with x[c, 0, 0] = 1 and the step ratios of the grid
-    (ratio[0] along s, ratio[1] along t): along s at t = 0, then along t."""
-    x = np.ones(ratio.shape[1:], dtype=complex)
-    x[:, 1:, 0] = np.cumprod(ratio[0, :, :-1, 0], axis=1)
-    x[:, :, 1:] = np.cumprod(ratio[1, :, :, :-1], axis=2) * x[:, :, :1]
+    """x[..., c, s, t] with x[..., c, 0, 0] = 1 and the step ratios of the
+    grid (ratio[..., 0, :, :, :] along s, ratio[..., 1, :, :, :] along t):
+    along s at t = 0, then along t."""
+    x = np.ones(ratio.shape[:-4] + ratio.shape[-3:], dtype=complex)
+    x[..., 1:, 0] = np.cumprod(ratio[..., 0, :, :-1, 0], axis=-1)
+    x[..., :, 1:] = np.cumprod(ratio[..., 1, :, :, :-1], axis=-1) * x[..., :, :1]
     return x
 
 
@@ -251,8 +293,9 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
     """(S_c Z, z, comp) for the basis Z of the two-term rows' kernel:
     column c of Z is z on the unknowns with comp == c and 0 elsewhere, unit
     norm, and S_c Z holds the coupling rows (blocks 2-5) by column pair, as
-    (ell, 4 ell^2, 2).  The two-term rows (blocks 6-7) are left out: Z is
-    propagated through them, so they vanish on span Z up to rounding.
+    (ell, 4 ell^2, 2) (after vals' pair axis, if any).  The two-term rows
+    (blocks 6-7) are left out: Z is propagated through them, so they
+    vanish on span Z up to rounding.
 
     Each component is propagated twice: from grid[c, 0, 0], then again
     from its largest entry, whose paths lose less to the spread of the
@@ -261,24 +304,27 @@ def _reduced_system(cols: np.ndarray, vals: np.ndarray,
     rows' slot columns, slots 2-3 on the coproduct rows alone: on the clock
     rows they hold exact zeros (see _band_table).
     """
-    table = _band_table(ell)
+    lead, n = vals.shape[1:-1], ell ** 3
+    table = _batch_table(ell, *lead)
     # x[to] / x[from] = -a / b across each two-term row a x[from] + b x[to],
     # b read as (a + b) - a, as the row-sum form (tests/reference.py) rounds it
-    a, b = vals.ravel()[table.two_term]
+    a, b = vals.reshape(-1)[table.two_term]
     ratio = -a / ((a + b) - a)
-    s0, t0 = np.divmod(np.abs(_propagate(ratio)).reshape(ell, -1).argmax(axis=1), ell)
-    r = np.arange(ell)
-    seeded = (r[:, None, None], (r[:, None] + s0[:, None, None]) % ell,
-              (r + t0[:, None, None]) % ell)
-    x = _propagate(ratio[(slice(None), *seeded)]).reshape(ell, -1)
-    z = np.empty(ell ** 3, dtype=complex)
-    z[table.grid[seeded].reshape(ell, -1)] = x / np.linalg.norm(x, axis=1)[:, None]
-    coupling = table.sz_index.shape[1]
-    SZ = np.zeros(coupling * 2, dtype=complex)
+    s0, t0 = (x[..., None, None] for x in np.divmod(
+        np.abs(_propagate(ratio)).reshape(*lead, ell, -1).argmax(axis=-1), ell))
+    k = np.arange(ell)
+    seeded = (k[:, None, None] * ell + (k[:, None] + s0) % ell) * ell + (k + t0) % ell
+    x = _propagate(ratio.reshape(-1)[table.seeds + seeded[..., None, :, :, :]])
+    z = np.empty((*lead, n), dtype=complex)
+    z.reshape(-1)[table.starts + table.grid.reshape(-1)[seeded]] = (
+        x / np.linalg.norm(x.reshape(*lead, ell, -1), axis=-1)[..., None, None])
+    coupling = table.sz_index.shape[-1]
+    SZ = np.zeros((*lead, coupling * 2), dtype=complex)
+    sz, zf = SZ.reshape(-1), z.reshape(-1)
     for t, index in enumerate(table.sz_index):
         live = coupling if t < 2 else coupling // 2  # slots 2-3: the coproduct rows
-        SZ[index[:live]] += vals[t, :live] * z[cols[t, :live]]
-    return SZ.reshape(ell, -1, 2), z, table.comp
+        sz[index[..., :live].ravel()] += (vals[t, ..., :live] * zf[cols[t, ..., :live]]).ravel()
+    return SZ.reshape(*lead, ell, -1, 2), z, table.comp
 
 
 def _coupling_svd(SZ: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,54 +332,85 @@ def _coupling_svd(SZ: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     stack of its column pairs' R's, pair c's at rows 2c, 2c + 1 and columns
     c, c + 1 mod ell (r_index); block-diag(Q_c) has orthonormal columns.
     The raw QR's h[c, :, :2] holds R_c transposed, without mode "r"'s triu."""
-    R = np.zeros(2 * ell * ell, dtype=complex)
-    R[_band_table(ell).r_index] = np.linalg.qr(SZ, mode="raw")[0][:, (0, 1, 1), (0, 0, 1)]
-    return np.linalg.svd(R.reshape(2 * ell, ell), full_matrices=False)[1:]
+    lead = SZ.shape[:-3]
+    R = np.zeros((*lead, 2 * ell, ell), dtype=complex)
+    R.reshape(-1)[_batch_table(ell, *lead).r_index] = (
+        np.linalg.qr(SZ, mode="raw")[0][..., (0, 1, 1), (0, 0, 1)])
+    return np.linalg.svd(R, full_matrices=False)[1:]
 
 
 def _adjoint(vals: np.ndarray, table: _BandTable):
-    """y -> S^H y for _band_rows' rows and _band_table's adjoint slots:
+    """y -> S^H y for _band_rows' rows and the table's adjoint slots:
     each unknown's 16 products, added one slot after another in row order.
     The slots are flat slot-major indices of S's nonzeros alone, so the
     zeros _band_rows holds are never read."""
-    vals_h, rows = vals.ravel()[table.adjoint].conj(), table.adjoint_rows
-    return lambda y: (vals_h * y[rows]).sum(axis=0)
+    vals_h, rows = vals.reshape(-1)[table.adjoint].conj(), table.adjoint_rows
+    return lambda y: (vals_h * y.reshape(-1)[rows]).sum(axis=0)
+
+
+def _sq(x: np.ndarray):
+    """|x|^2 of each pair's vector as np.vdot reads it: a scalar for one, else (pairs, 1)."""
+    return np.vdot(x, x).real if x.ndim == 1 else np.vecdot(x, x)[..., None].real
+
+
+def _norm(x: np.ndarray):
+    """|x| of each pair's vector as np.linalg.norm reads it, shaped as _sq."""
+    return np.linalg.norm(x) if x.ndim == 1 else np.sqrt(_sq(x.real) + _sq(x.imag))
+
+
+def _any(mask) -> bool:  # as mask.any(), without numpy's slow any() on a scalar
+    return mask.any() if mask.ndim else bool(mask)
 
 
 def _cgls(cols: np.ndarray, vals: np.ndarray, table: _BandTable, v: np.ndarray,
-          r: np.ndarray, steps: int, floor: float) -> np.ndarray:
+          r: np.ndarray, steps: int, floor) -> np.ndarray:
     """v after at most `steps` CGLS steps toward min |S v| from v, r = -S v
-    (both are updated in place).
+    (both updated in place), for each pair of vals' pair axis alike (table
+    and cols its, floor shaped as _sq).
 
     Conjugate gradients on the least-squares problem: each step is one
     product with S and one with S^H, the latter a gather of r through the
     transposed table slots (_adjoint).  From a vector near the kernel line
-    they shrink the rest of it, leaving the line.  The steps stop early
-    once |r|^2 is below `floor` and the last step left more than
-    CGLS_STALL of it: the residual has reached its rounding floor.  An
-    exact zero residual stops them too (nothing is left to shrink).
+    they shrink the rest of it, leaving the line.  A pair's steps stop
+    early once its |r|^2 is below its `floor` and the last step left more
+    than CGLS_STALL of it: the residual has reached its rounding floor.  An
+    exact zero residual stops them too (nothing is left to shrink).  A pair
+    that stops is frozen, written back before the next step, and the
+    others step on without it: each pair's v is the one it gets alone.
     """
+    out, ell, live = v, len(table.grid), np.arange(v.size // v.shape[-1])
     adjoint = _adjoint(vals, table)
     s = adjoint(r)
-    p, gamma = s, np.vdot(s, s).real
-    rr = np.vdot(r, r).real
+    p, gamma, rr = s, _sq(s), _sq(r)
+    stop = gamma == 0
     for i in range(steps):
-        if gamma == 0:
-            break
+        if _any(stop):  # the pairs that stop are written back
+            if not _any(~stop):
+                break
+            out[live[stop[:, 0]]] = v[stop[:, 0]]
+            go = ~stop[:, 0]
+            live, v, r, p, gamma, rr, floor, vals = (live[go], v[go], r[go], p[go], gamma[go],
+                                                     rr[go], floor[go], vals[:, go])
+            table = _batch_table(ell, len(live))
+            cols, adjoint = table.cols, _adjoint(vals, table)
         q = _apply_rows(cols, vals, p)
-        alpha = gamma / np.vdot(q, q).real
+        alpha = gamma / _sq(q)
         v += alpha * p
         if i == steps - 1:
             break
         r -= alpha * q
-        rr, rr_old = np.vdot(r, r).real, rr
-        if rr < floor and rr > CGLS_STALL * rr_old:
+        rr, rr_old = _sq(r), rr
+        stop = (rr < floor) & (rr > CGLS_STALL * rr_old)
+        if not _any(~stop):
             break
         s = adjoint(r)
-        gamma, gamma_old = np.vdot(s, s).real, gamma
+        gamma, gamma_old = _sq(s), gamma
         p *= gamma / gamma_old
         p += s
-    return v
+        stop |= gamma == 0
+    if v is not out:
+        out[live] = v
+    return out
 
 
 def _band_offset(p1: RepParams, p2: RepParams, q1: RepParams,
@@ -353,9 +430,10 @@ def _golden_weights(ell: int, shift: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * 0.6180339887498949 * _stack_index(ell, shift)[0]))
 
 
-def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
+def det_normalize(blocks: np.ndarray, shift) -> tuple[np.ndarray, float]:
     """A stack of grade shift `shift` scaled to det 1, with its residual
-    root-of-unity phase fixed, and log|det| of the stack before.
+    root-of-unity phase fixed, and log|det| of the stack before.  Stacks
+    on a leading axis (shift one per stack) are normalized each alone.
 
     The stack's blocks sit on a permutation of the ell grades made of odd
     cycles (ell is odd), which is even: det is the product of the blocks'.
@@ -367,20 +445,24 @@ def det_normalize(blocks: np.ndarray, shift: int) -> tuple[np.ndarray, float]:
     modulus ties that a largest-entry rule hits on these highly structured
     matrices.  Scaled inputs c*R therefore normalize to the identical matrix.
     """
-    ell = len(blocks)
+    ell, lead = blocks.shape[-1], blocks.shape[:-3]
     n = ell * ell
     # log det, not det: a unit-norm ell^2 x ell^2 matrix underflows det at ell 13
     signs, logabs = np.linalg.slogdet(blocks)
-    sign, logabs = np.prod(signs), float(logabs.sum())
-    if sign == 0:
+    sign, logabs = signs.prod(axis=-1), logabs.sum(axis=-1)
+    if _any(sign == 0):
         raise InvalidInputError("singular matrix cannot be det-normalized")
-    R1 = blocks * np.exp(-(logabs + 1j * np.angle(sign)) / n)
-    sigma = np.dot(_golden_weights(ell, shift).ravel(), R1.ravel())
-    if abs(sigma) < 1e-8 * np.linalg.norm(R1):  # fallback, never hit in practice
-        sigma = R1.flat[int(np.argmax(np.abs(R1)))]
-    ang = float(np.angle(sigma) % (2 * np.pi))
-    k = int(ang // (2 * np.pi / n))
-    return R1 * np.exp(-2j * np.pi * k / n), logabs
+    # each part over n alone: numpy divides arrays (not scalars) by a reciprocal
+    R1 = blocks * np.exp(-logabs / n + 1j * (-np.angle(sign) / n))[..., None, None, None]
+    flat = R1.reshape(*lead, -1)
+    w = np.array([_golden_weights(ell, k) for k in shift]) if lead else _golden_weights(ell, shift)
+    sigma = np.vecdot(w.reshape(flat.shape).conj(), flat)
+    weak = np.abs(sigma) < 1e-8 * np.sqrt(np.vecdot(flat, flat).real)
+    if _any(weak):  # fallback, never hit in practice
+        sigma = np.where(weak, np.take_along_axis(
+            flat, np.abs(flat).argmax(-1)[..., None], -1)[..., 0], sigma)
+    k = np.angle(sigma) % (2 * np.pi) // (2 * np.pi / n)
+    return R1 * np.exp(1j * (-2 * np.pi * k / n))[..., None, None, None], logabs
 
 
 @dataclass
@@ -554,7 +636,8 @@ def _pair_of(p1: RepParams, p2: RepParams, pair: PairContext | None) -> PairCont
 
 def solve_intertwiner(p1: RepParams, p2: RepParams, *,
                       pair: PairContext | None = None) -> Intertwiner:
-    """Nullspace solve of the stacked intertwining system.
+    """Nullspace solve of the stacked intertwining system, the batch of one
+    of solve_intertwiners (the same code, without the pair axis).
 
     pair is the PairContext of (p1, p2) when the caller shares one; it is
     built here otherwise.  A pair built with a target other than the
@@ -563,67 +646,108 @@ def solve_intertwiner(p1: RepParams, p2: RepParams, *,
     NonGenericRepresentationError when the nullspace is not a line.
 
     The solve reads only the four representation matrices and the braid
-    factor G.  It writes blocks 2-7 of pair.blocks on the conserved weight
-    band, whose unknowns are the entries of R's stack, and scales each
-    sparse row of that system S to unit norm.  The Ex1 and 1xF rows have
-    two unknowns each: propagated through them, the ell^3 band unknowns
-    reduce to a basis Z of ell orthonormal columns (_reduced_system) that
-    holds the kernel.  On span Z those rows (S_t) are rounding, below
-    1e-13 of |S_c Z| on seed-42 pairs from ell = 3 to 9, so the
-    factorisation reads only the coupling rows S_c (blocks 2-5, the first
-    4 ell^3): the SVD of S_c Z through the R's of its column pairs
-    (_coupling_svd; sv and vh are all the solve reads) gives the kernel
-    coefficients c, and CGLS steps on the full S, started from r = -S v,
-    refine v = Z c.  They stop once |S v|^2 is below
-    (KERNEL_TOL sigma_max)^2 and a step left more than CGLS_STALL (0.9)
-    of it, and after 2 ell - 3 steps otherwise: on 20 seed-42 pairs at
-    radius 0.1 that is 7.6 steps on average at ell 7 and 9.0 at ell 13
-    (of 11 and 23), with the gap and the route deviation as after all
-    the steps.  A wrong target never gets below the kernel tolerance,
-    so it runs every step and is rejected at the full-step distance.
-    Where S's entries sit is the degree's _band_table, built once per ell.
-    The kernel criterion is relative singular value < KERNEL_TOL against
-    the largest singular value of S_c Z, with the smallest read as |S v|
-    of the refined unit vector v on the full S, so the two-term rows left
-    out of the factorisation still count against a wrong target.  The gap
-    is sigma_2(S_c Z) / |S v|.  sigma_2(S_c Z) lies between
-    sigma_2(S Z) - |S_t Z| and sigma_2(S Z) (Weyl), and sigma_2(S Z) is
-    at least S's own sigma_2 (interlacing).  The gap must exceed
-    GAP_THRESHOLD; on sampled pairs at radius 0.1 it is 1e14 to 1e15 from
-    ell = 3 to 13.  The negative controls sit 4+ orders above the
-    tolerance, genuine kernels 7+ orders below.
+    factor G: blocks 2-7 of pair.blocks on the band, each sparse row of
+    that system S scaled to unit norm (_band_rows).  Propagated through the
+    Ex1 and 1xF rows (S_t), the ell^3 band unknowns reduce to a basis Z of
+    ell orthonormal columns that holds the kernel (_reduced_system); S_t Z
+    is rounding, below 1e-13 of |S_c Z| on seed-42 pairs from ell = 3 to
+    9, so the SVD of the coupling rows' S_c Z through its column pairs'
+    R's (_coupling_svd) gives the kernel coefficients c, and CGLS on the
+    full S refines v = Z c.  It stops once |S v|^2 is below
+    (KERNEL_TOL sigma_max)^2 and a step left more than CGLS_STALL of it,
+    after 2 ell - 3 steps otherwise: 7.6 steps on average at ell 7 and 9.0
+    at ell 13 on 20 seed-42 pairs at radius 0.1 (of 11 and 23), with the
+    gap and the route deviation of all the steps.  A wrong target never
+    gets below the kernel tolerance, so it runs every step and is rejected
+    at the full-step distance.  The kernel criterion is relative singular
+    value < KERNEL_TOL against sigma_max(S_c Z), the smallest read as
+    |S v| of the refined unit v on the full S, so S_t still counts against
+    a wrong target.  The gap sigma_2(S_c Z) / |S v| must exceed
+    GAP_THRESHOLD: sigma_2(S_c Z) is within |S_t Z| of sigma_2(S Z) (Weyl),
+    at least S's own sigma_2 (interlacing).  On sampled pairs at radius 0.1
+    the gap is 1e14 to 1e15 from ell = 3 to 13; the negative controls sit
+    4+ orders above the tolerance, genuine kernels 7+ orders below.
     """
-    ell = p1.ctx.ell
-    pair = _pair_of(p1, p2, pair)
-    a = pair.band_exp
-    if not pair.band_dist <= BAND_TOL:  # NaN included
-        raise NoIntertwinerError(
-            "clock-weight ratio is not an ell-th root of unity; "
-            "the two pairs cannot be intertwined")
-    cols, vals = _band_rows(pair.blocks, a)
+    outcome, = solve_intertwiners([_pair_of(p1, p2, pair)])
+    return solved(outcome)
+
+
+def solved(outcome: Intertwiner | Exception) -> Intertwiner:
+    """An outcome of solve_intertwiners: its Intertwiner, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def batch_size(ell: int) -> int:
+    """The pairs of degree ell one oracle batch holds: BATCH_UNKNOWNS // ell^3, one at least."""
+    return max(1, BATCH_UNKNOWNS // ell ** 3)
+
+
+def solve_intertwiners(pairs: list[PairContext]) -> list[Intertwiner | Exception]:
+    """solve_intertwiner on PairContexts of one degree, batch_size pairs a
+    batch: each pair's Intertwiner, or the error it raises alone, in order.
+
+    A batch runs each step once on a leading pair axis, so numpy's per-call
+    cost is paid once.  Every reduction runs along one pair's axis, in an
+    order the batch does not change, and CGLS freezes each pair at its own
+    stop: a pair's outcome is bit for bit its own solve's.  The band,
+    kernel-count and gap checks run per pair: a failed pair's error is its
+    outcome, raised where the caller reads it (solved).  An error a batch
+    raises whole (LinAlgError, a RuntimeWarning as an error) is traced to
+    its pair by solving each alone.
+    """
+    size = batch_size(pairs[0].in_params[0].ctx.ell)
+    if len(pairs) > size:
+        return [out for k in range(0, len(pairs), size)
+                for out in solve_intertwiners(pairs[k:k + size])]
+    try:
+        return _solve_batch(pairs)
+    except Exception as exc:
+        return [exc] if len(pairs) == 1 else [solve_intertwiners([pair])[0] for pair in pairs]
+
+
+def _solve_batch(batch: list[PairContext]) -> list[Intertwiner | Exception]:
+    """solve_intertwiners on one batch (see solve_intertwiner)."""
+    out: list = [None if pair.band_dist <= BAND_TOL else NoIntertwinerError(  # NaN included
+        "clock-weight ratio is not an ell-th root of unity; "
+        "the two pairs cannot be intertwined") for pair in batch]
+    fill = [i for i, outcome in enumerate(out) if outcome is None]
+    if not fill:
+        return out
+    ell, a = batch[0].in_params[0].ctx.ell, np.array([batch[i].band_exp for i in fill])
+    lead = (len(fill),) if len(fill) > 1 else ()  # a batch of one has no pair axis
+    blocks = [np.stack(x) for x in zip(*(batch[i].blocks for i in fill))] if lead else \
+        batch[fill[0]].blocks
+    cols, vals = _band_rows(blocks, a if lead else a[0])
     SZ, z, comp = _reduced_system(cols, vals, ell)
     sv, vh = _coupling_svd(SZ, ell)
-    v = z * vh[-1].conj()[comp]
-    v = _cgls(cols, vals, _band_table(ell), v, -_apply_rows(cols, vals, v),
-              steps=2 * ell - 3, floor=(KERNEL_TOL * sv[0]) ** 2)
-    v /= np.linalg.norm(v)
-    sv[-1] = np.linalg.norm(_apply_rows(cols, vals, v))
-    rel = sv / sv[0]
-    kernel_dim = int(np.sum(rel < KERNEL_TOL))
-    if kernel_dim == 0:
-        raise NoIntertwinerError(
-            f"empty nullspace: smallest relative singular value {rel[-1]:.3e}")
-    if kernel_dim > 1:
-        raise NonGenericRepresentationError(
-            f"nullspace dimension {kernel_dim} > 1 (non-generic pair)")
+    v = z * vh[..., -1, :].conj().reshape(-1)[comp]
+    v = _cgls(cols, vals, _batch_table(ell, *lead), v, -_apply_rows(cols, vals, v), steps=2 * ell - 3,
+              floor=(KERNEL_TOL * (sv[:, :1] if lead else sv[0])) ** 2)
+    v /= _norm(v)
+    sv[..., -1:] = _norm(_apply_rows(cols, vals, v))
+    sv = sv.reshape(-1, ell)  # a row a pair
+    rel = sv / sv[:, :1]
+    kernel_dim = np.sum(rel < KERNEL_TOL, axis=1)
     with np.errstate(divide="ignore"):
-        gap = float(sv[-2] / sv[-1])
-    if gap < GAP_THRESHOLD:
-        raise NonGenericRepresentationError(
-            f"singular-value gap {gap:.2e} below threshold {GAP_THRESHOLD:.1e}")
-    blocks, log_abs_det = det_normalize(v.reshape(ell, ell, ell), a)
-    return Intertwiner(blocks=blocks, pair=pair, route="oracle", singular_gap=gap,
-                       log_abs_det=log_abs_det)
+        gaps = sv[:, -2] / sv[:, -1]
+    good = (kernel_dim == 1) & ~(gaps < GAP_THRESHOLD)
+    R = v.reshape(*lead, ell, ell, ell)
+    normalized = (zip(*det_normalize(R[good], a[good])) if lead
+                  else iter([det_normalize(R, a[0])] if good[0] else []))
+    for i, dim, smallest, gap in zip(fill, kernel_dim, rel[:, -1], gaps):
+        if dim == 0:
+            out[i] = NoIntertwinerError(
+                f"empty nullspace: smallest relative singular value {smallest:.3e}")
+        elif dim > 1 or gap < GAP_THRESHOLD:
+            out[i] = NonGenericRepresentationError(
+                f"nullspace dimension {dim} > 1 (non-generic pair)" if dim > 1 else
+                f"singular-value gap {gap:.2e} below threshold {GAP_THRESHOLD:.1e}")
+        else:
+            R, log_abs_det = next(normalized)
+            out[i] = Intertwiner(R, batch[i], "oracle", float(gap), float(log_abs_det))
+    return out
 
 
 @lru_cache(maxsize=None)

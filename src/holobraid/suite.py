@@ -34,10 +34,11 @@ from .errors import HolobraidError
 from .glstar import (Z0Char, beta_forward, beta_inverse, char_distance,
                      conserved_quantities, glstar_multiply, matrix_route_beta)
 from .hybe import ColoringTriple, derive_colorings, hybe_residual
-from .intertwiner import (DetSample, Intertwiner, PairContext,
+from .intertwiner import (DetSample, Intertwiner, PairContext, batch_size,
                           check_generator_action, closed_form_R,
                           compare_up_to_scalar, det_exponent_probe,
-                          r1_conjugation_residuals, solve_intertwiner)
+                          r1_conjugation_residuals, solve_intertwiner,
+                          solve_intertwiners, solved)
 from .qseries import phi_orbit
 from .report import (check_entry, complex_pair, new_report, params_entry,
                      residual_entry, residual_value, worst_residual)
@@ -289,22 +290,25 @@ class TrialRun(NamedTuple):
     det_sample: DetSample | None  # for det_exponent_probe; None on the oracle route
 
 
-def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
+def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int, pair: PairContext | None = None,
+              outcome: Intertwiner | Exception | None = None) -> TrialRun:
     """Full check battery for one trial; returns its record with what it built.
 
     The pair's ingredients are built once (one PairContext), shared by both
     routes and carried by their intertwiners to every check that reads
     them; the trial's intertwiner is the triple's (x, y) factor, and one
-    coloring chain serves both triple checks.
+    coloring chain serves both triple checks.  run_suite may hand over the
+    pair and its solve_intertwiners outcome (raised here if an error).
     """
-    p1, p2 = sample_params(ctx, cfg.seed, idx, radius=cfg.radius, count=2)
+    p1, p2 = pair.in_params if pair else sample_params(ctx, cfg.seed, idx, radius=cfg.radius,
+                                                       count=2)
     rep_evidence = _rep_evidence(p1)
     residuals = {**rep_checks(p1), "gauge_conjugation": rep_evidence["gauge_scale"]["geometric"]}
     char_residuals, evidence = character_checks(z0_character(p1), z0_character(p2))
     residuals.update(char_residuals)
     evidence.update(rep_evidence)
 
-    pair = PairContext(p1, p2)
+    pair = pair or PairContext(p1, p2)
     trial: dict = {"index": idx,
                    "params": [params_entry(p1), params_entry(p2)],
                    "band_exp": pair.band_exp,
@@ -312,7 +316,7 @@ def run_trial(cfg: SuiteConfig, ctx: RootContext, idx: int) -> TrialRun:
 
     oracle = closed = None
     if cfg.route in ("oracle", "both"):
-        oracle = solve_intertwiner(p1, p2, pair=pair)
+        oracle = solve_intertwiner(p1, p2, pair=pair) if outcome is None else solved(outcome)
         residuals["oracle_residual"] = oracle.residual
         trial["oracle"] = {"singular_gap": float(oracle.singular_gap)}
     if cfg.route in ("closed-form", "both"):
@@ -388,15 +392,28 @@ def check_summary(trials: list[dict]) -> dict:
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the whole battery; returns (exit code, report dict) and
-    writes nothing: report.write_report saves the report."""
+    writes nothing: report.write_report saves the report.
+
+    Where an oracle batch holds several pairs (batch_size), the oracle
+    routes run trials a batch at a time: the chunk's PairContexts are built
+    and solved as one batch (solve_intertwiners), then each trial runs on
+    its pair and outcome, a failed solve raising at its own trial."""
     ctx = primitive_root(cfg.ell)
     report = new_report(asdict(cfg))
     trials, det_samples = [], []
-    for i in range(cfg.trials):
-        record, _, _, det_sample = run_trial(cfg, ctx, i)
-        trials.append(record)
-        if det_sample is not None:
-            det_samples.append(det_sample)
+    size = batch_size(cfg.ell) if cfg.route != "closed-form" else 1
+    for start in range(0, cfg.trials, size):
+        chunk = range(start, min(start + size, cfg.trials))
+        pairs = outcomes = [None] * len(chunk)
+        if size > 1:  # the sampler braided each pair already, so no PairContext raises
+            pairs = [PairContext(*sample_params(ctx, cfg.seed, i, radius=cfg.radius, count=2))
+                     for i in chunk]
+            outcomes = solve_intertwiners(pairs)
+        for i, pair, outcome in zip(chunk, pairs, outcomes):
+            record, _, _, det_sample = run_trial(cfg, ctx, i, pair, outcome)
+            trials.append(record)
+            if det_sample is not None:
+                det_samples.append(det_sample)
     report["det_probe"] = det_exponent_probe(det_samples) if det_samples else {
         "inconclusive": True, "reason": "closed-form route disabled"}
     report["adjudications"] = _aggregate_adjudications(trials, ctx)

@@ -11,7 +11,8 @@ to one line with their count and the first as an example.  An empty list
 or dict is a value of its own, so a key that holds one on one side only
 is listed too.  Exits 0
 when the reports are equal apart from generated_at, 1 otherwise (also
-when its reader closes the pipe early), and 2 on wrong arguments.
+when its reader closes the pipe early), and 2 on wrong arguments or a
+file that cannot be read as JSON, with one line on stderr that names it.
 """
 import json
 import math
@@ -68,8 +69,15 @@ def main(argv):
     if len(argv) != 2:
         print("usage: python tests/report_diff.py OLD.json NEW.json", file=sys.stderr)
         return 2
-    with open(argv[0]) as f_old, open(argv[1]) as f_new:
-        moved, other = diff(json.load(f_old), json.load(f_new))
+    reports = []
+    for path in argv:
+        try:
+            with open(path) as f:
+                reports.append(json.load(f))
+        except (OSError, ValueError) as exc:  # ValueError: empty, not JSON or not UTF-8
+            print(f"report_diff: cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+    moved, other = diff(*reports)
     try:
         for name, (count, change, rel) in moved.items():
             print(f"{name}: {count} moved, max abs {change:.3g}, max rel {rel:.3g}")

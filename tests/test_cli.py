@@ -122,6 +122,17 @@ def test_braid_map_rejected_chain(tmp_path, capsys):
     assert rep["summary"]["passed"] == 9
 
 
+def test_braid_map_counts_rejected_chains_as_the_suite(tmp_path):
+    # braid-map's summary counts the rejected coloring chains as hybe_rejected,
+    # as a suite with a triple on every trial counts its rejected triples
+    out = tmp_path / "b.json"
+    argv = ["--ell", "5", "--trials", "20", "--seed", "42", "--radius", "1.0"]
+    assert main(["braid-map", *argv, "--report", str(out)]) == 1
+    summary = json.loads(out.read_text())["summary"]
+    cfg = SuiteConfig(ell=5, trials=20, seed=42, radius=1.0, route="closed-form", hybe_every=1)
+    assert summary["hybe_rejected"] == run_suite(cfg)[1]["summary"]["hybe_rejected"] == 2
+
+
 @pytest.mark.parametrize("argv, hybe_every", [
     (["rmatrix", "--trial", "2"], 0),
     (["hybe", "--trial", "0", "--route", "both", "--radius", "0.5"], 1),

@@ -247,8 +247,8 @@ class TestGradeBlocks:
                 planted = [(replace(f, blocks=blocks) if j == k else f, slots)
                            for j, (f, slots) in enumerate(factors)]
                 _, exact = exact_hybe(planted)
-                solved = iter(f for f, _ in planted[:5])
-                monkeypatch.setattr(hybe, SOLVE[route].__name__, lambda a, b: next(solved))
+                monkeypatch.setattr(hybe, "_factors",
+                                    lambda col, route, fs=planted[:5]: [f for f, _ in fs])
                 _, dev = hybe_residual(col, planted[5][0])
                 assert 0.5 <= dev / exact <= 2
                 if exact >= 1e-7:

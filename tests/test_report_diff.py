@@ -94,3 +94,20 @@ def test_closed_pipe_keeps_the_exit_code(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
     assert (tmp_path / "stderr").read_bytes() == b""
+
+
+@pytest.mark.parametrize("content", [None, "", "{not json", b"\xff\xfe"])
+def test_unreadable_report_is_a_usage_error(tmp_path, capsys, content):
+    # a missing, empty, non-JSON or non-UTF-8 file: one stderr line naming
+    # it and exit 2, the code for wrong arguments, not 1 ("reports differ")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text("{}")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+        assert report_diff.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"report_diff: cannot read {bad}: ")

@@ -2,6 +2,7 @@
 every shared result must equal a fresh public call's."""
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ import holobraid.hybe as hybe
 import holobraid.intertwiner as intertwiner
 import holobraid.suite as suite
 from holobraid.cyclic import braided_rep_pair, z0_character
+from holobraid.errors import NoIntertwinerError, NonGenericRepresentationError
 from holobraid.glstar import beta_inverse
 from holobraid.hybe import derive_colorings, hybe_residual
-from holobraid.intertwiner import check_generator_action, closed_form_R, solve_intertwiner
+from holobraid.intertwiner import (PairContext, check_generator_action, closed_form_R,
+                                   solve_intertwiner, solve_intertwiners, solved)
+from holobraid.report import emit_report
 from holobraid.roots import primitive_root
 from holobraid.sampling import sample_params
 
@@ -46,6 +50,89 @@ def test_suite_path_matches_fresh_calls(ell, route, monkeypatch):
     c, dev = hybe_residual(derive_colorings(p1, p2, p3), FRESH[routes[0]](p1, p2))
     assert complex(*trial["hybe"]["c"]) == c
     assert trial["checks"]["hybe_residual"]["residual"]["value"] == dev
+
+
+# seed-42 trials at radius 1.0 whose band exponents mix 0 with 2 (ell 3,
+# trial 2) and with 2 and 3 (ell 5, trials 3 and 7)
+MIXED = {3: [0, 1, 2, 3, 4, 5, 6], 5: [0, 1, 3, 4, 7]}
+
+
+def fresh_pair(ell, trial, radius=1.0):
+    """New parameter objects of a seed-42 trial, so that nothing is reused."""
+    return sample_params(primitive_root(ell), 42, trial, radius=radius, count=2)
+
+
+def wrong_target(p1, p2):
+    """The braided target with the first output's y scaled by 1 + 1e-3."""
+    q1, q2 = braided_rep_pair(p1, p2)
+    return replace(q1, y=q1.y * (1 + 1e-3)), q2
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_batch_matches_solo(ell):
+    # every pair of one batch, band exponents 0 and != 0 mixed and a wrong
+    # target that runs every CGLS step beside pairs that stop early, equals
+    # its solve alone bit for bit
+    pairs = [PairContext(*fresh_pair(ell, t)) for t in MIXED[ell]]
+    pairs.insert(2, PairContext(*pairs[0].in_params, target=wrong_target(*pairs[0].in_params)))
+    assert {pair.band_exp for pair in pairs} > {0}
+    outcomes = intertwiner._solve_batch(pairs)
+    assert isinstance(outcomes[2], NoIntertwinerError)
+    for t, intw in zip(MIXED[ell], outcomes[:2] + outcomes[3:]):
+        solo = solve_intertwiner(*fresh_pair(ell, t))
+        assert intw.R.tobytes() == solo.R.tobytes()
+        assert (intw.singular_gap, intw.log_abs_det) == (solo.singular_gap, solo.log_abs_det)
+
+
+def test_batch_failures_are_per_pair():
+    # a wrong target and a clock ratio off the roots fail with the errors
+    # they raise alone, raised when read; the other pairs keep their results
+    ell = 3
+    p1, p2 = fresh_pair(ell, 0)
+    q1, q2 = braided_rep_pair(p1, p2)
+    pairs = [PairContext(*fresh_pair(ell, t)) for t in range(4)]
+    pairs[1] = PairContext(p1, p2, target=wrong_target(p1, p2))
+    pairs[3] = PairContext(p1, p2, target=(replace(q1, v=q1.v * 1.01), q2))
+    outcomes = solve_intertwiners(pairs)
+    for pair, outcome in zip(pairs, outcomes):
+        try:
+            alone = solve_intertwiner(*pair.in_params, pair=PairContext(
+                *pair.in_params, target=None if pair.braided else pair.out_params))
+        except (NoIntertwinerError, NonGenericRepresentationError) as exc:
+            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            with pytest.raises(type(exc), match=str(exc)):
+                solved(outcome)
+        else:
+            assert solved(outcome).R.tobytes() == alone.R.tobytes()
+            assert outcome.singular_gap == alone.singular_gap
+    assert [type(o) for o in outcomes] == [intertwiner.Intertwiner, NoIntertwinerError,
+                                           intertwiner.Intertwiner, NoIntertwinerError]
+    assert "clock-weight ratio" in str(outcomes[3])
+
+
+@pytest.mark.parametrize("ell, trials", [(3, 100), (5, 20)])
+def test_suite_records_match_run_trial(ell, trials):
+    # run_suite solves its trials' oracle pairs a chunk at a time and each
+    # triple's five factors as a batch; every record is run_trial's alone
+    cfg = suite.SuiteConfig(ell=ell, trials=trials, seed=42)
+    report = suite.run_suite(cfg)[1]
+    ctx = primitive_root(ell)
+    assert intertwiner.batch_size(ell) < trials
+    for i, record in enumerate(report["trials"]):
+        assert emit_report(record) == emit_report(suite.run_trial(cfg, ctx, i).record)
+
+
+def test_triple_raises_its_first_failed_factor(monkeypatch):
+    # the five factors are read in hybe_residual's order, so the first that
+    # failed raises, as when each was solved in turn
+    x, y = fresh_pair(3, 0, 0.1)
+    col = derive_colorings(x, y, suite.third_params(primitive_root(3), 42, 0, 0.1))
+    first, second = NoIntertwinerError("factor 2"), NonGenericRepresentationError("factor 4")
+    good = solve_intertwiner(x, y)
+    monkeypatch.setattr(hybe, "solve_intertwiners",
+                        lambda pairs: [good, first, good, second, good])
+    with pytest.raises(NoIntertwinerError, match="factor 2"):
+        hybe_residual(col, good)
 
 
 def clear_degree_caches():
@@ -132,11 +219,10 @@ def test_trial_braids_each_pair_once(route, monkeypatch):
     lift = cyclic.lift_character
     monkeypatch.setattr(cyclic, "lift_character",
                         lambda *args: lifts.append(args) or lift(*args))
-    for name in ("solve_intertwiner", "closed_form_R"):
-        def record(*args, _fn=getattr(hybe, name), **kwargs):
-            solved.append(_fn(*args, **kwargs))
-            return solved[-1]
-        monkeypatch.setattr(hybe, name, record)
+    def record(*args, _fn=hybe._factors):
+        solved.extend(_fn(*args))
+        return solved[-5:]
+    monkeypatch.setattr(hybe, "_factors", record)
     ctx = primitive_root(3)
     cfg = suite.SuiteConfig(ell=3, trials=2, seed=42, route=route)
     run = suite.run_trial(cfg, ctx, 0)
